@@ -11,6 +11,8 @@
 #ifndef AMULET_BENCH_BENCH_UTIL_HH
 #define AMULET_BENCH_BENCH_UTIL_HH
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -23,12 +25,27 @@ namespace bench_util
 
 using namespace amulet;
 
-/** Campaign scale multiplier from the environment. */
+/** Campaign scale multiplier from the environment. A malformed,
+ *  non-finite or non-positive value exits 2 instead of silently
+ *  shrinking every campaign to one program. */
 inline double
 scale()
 {
     const char *s = std::getenv("AMULET_BENCH_SCALE");
-    return s ? std::atof(s) : 1.0;
+    if (!s)
+        return 1.0;
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+        v <= 0) {
+        std::fprintf(stderr,
+                     "AMULET_BENCH_SCALE must be a positive number, got "
+                     "'%s'\n",
+                     s);
+        std::exit(2);
+    }
+    return v;
 }
 
 /**
@@ -92,7 +109,8 @@ header(const char *what, const char *paper_ref)
     std::printf("============================================================"
                 "====\n");
     std::printf("%s\n(reproduces %s; scaled-down seeded campaign — compare "
-                "shapes,\nnot absolute numbers; see EXPERIMENTS.md)\n",
+                "shapes,\nnot absolute numbers; see README.md, \"Paper tables "
+                "and figures\")\n",
                 what, paper_ref);
     std::printf("============================================================"
                 "====\n\n");

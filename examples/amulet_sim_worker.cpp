@@ -173,12 +173,10 @@ struct Worker
             TraceScope trace(sim(), req);
             const auto out =
                 sim().runBatch(batch, extras ? &*extras : nullptr);
-            const Json body = executor::protocol::batchOutputToJson(out);
-            Json reply = okReply();
-            for (const auto &[key, value] : body.members())
-                reply.set(key, value);
+            const executor::UarchContext endCtx = sim().saveContext();
+            Json reply = executor::protocol::batchOutputToJson(out, &endCtx);
+            reply.set("ok", Json::boolean(true));
             trace.attach(reply);
-            reply.set("endCtx", corpus::toJson(sim().saveContext()));
             // Cumulative breakdown rides along so the parent loses at
             // most one operation's worth of timing when this worker
             // later dies (backend_subprocess times accounting).
@@ -253,6 +251,11 @@ main()
         worker.crashAfter = std::strtoul(env, nullptr, 10);
     if (const char *env = std::getenv("AMULET_SIM_WORKER_HANG_AFTER"))
         worker.hangAfter = std::strtoul(env, nullptr, 10);
+
+    // Requests are read only through cin and replies written only
+    // through stdio, so neither needs the other's synchronization.
+    std::ios::sync_with_stdio(false);
+    std::cin.tie(nullptr);
 
     std::string line;
     while (std::getline(std::cin, line)) {

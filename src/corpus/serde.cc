@@ -1,5 +1,6 @@
 #include "corpus/serde.hh"
 
+#include <array>
 #include <cctype>
 #include <cerrno>
 #include <charconv>
@@ -190,28 +191,80 @@ Json::find(const std::string &key) const
 namespace
 {
 
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+/** Hex digit value by byte, -1 for a non-digit. Indexed by unsigned
+ *  char (see nibble()), so bytes >= 0x80 hit -1 entries instead of
+ *  reading before the table. */
+constexpr std::array<std::int8_t, 256> kNibble = [] {
+    std::array<std::int8_t, 256> table{};
+    table.fill(-1);
+    for (int i = 0; i < 10; ++i)
+        table['0' + i] = static_cast<std::int8_t>(i);
+    for (int i = 0; i < 6; ++i) {
+        table['a' + i] = static_cast<std::int8_t>(10 + i);
+        table['A' + i] = static_cast<std::int8_t>(10 + i);
+    }
+    return table;
+}();
+
+int
+nibble(char c)
+{
+    return kNibble[static_cast<unsigned char>(c)];
+}
+
+bool
+needsEscape(unsigned char c)
+{
+    return c < 0x20 || c == '"' || c == '\\';
+}
+
+/** Index of the first byte at or after @p i that dumpString must
+ *  escape, or s.size(). Scans 16-byte blocks branch-free first: the
+ *  payloads that dominate the wire (hex sandboxes) have no escapes. */
+std::size_t
+nextEscape(const std::string &s, std::size_t i)
+{
+    const auto *p = reinterpret_cast<const unsigned char *>(s.data());
+    const std::size_t n = s.size();
+    for (; i + 16 <= n; i += 16) {
+        unsigned any = 0;
+        for (std::size_t k = 0; k < 16; ++k)
+            any |= needsEscape(p[i + k]);
+        if (any)
+            break;
+    }
+    while (i < n && !needsEscape(p[i]))
+        ++i;
+    return i;
+}
+
 void
 dumpString(const std::string &s, std::string &out)
 {
     out += '"';
-    for (char c : s) {
+    // Bulk-append the runs between characters that need escaping.
+    std::size_t run = 0;
+    for (std::size_t i = nextEscape(s, 0); i < s.size();
+         i = nextEscape(s, i + 1)) {
+        out.append(s, run, i - run);
+        run = i + 1;
+        const auto c = static_cast<unsigned char>(s[i]);
         switch (c) {
           case '"':  out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\t': out += "\\t"; break;
           case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            const char esc[] = {'\\', 'u', '0', '0', kHexDigits[c >> 4],
+                                kHexDigits[c & 0xf]};
+            out.append(esc, sizeof(esc));
+          }
         }
     }
+    out.append(s, run, s.size() - run);
     out += '"';
 }
 
@@ -221,15 +274,22 @@ std::string
 Json::dump() const
 {
     std::string out;
+    dumpTo(out);
+    return out;
+}
+
+void
+Json::dumpTo(std::string &out) const
+{
     switch (kind_) {
       case Kind::Null:
-        out = "null";
+        out += "null";
         break;
       case Kind::Bool:
-        out = bool_ ? "true" : "false";
+        out += bool_ ? "true" : "false";
         break;
       case Kind::Num:
-        out = scalar_;
+        out += scalar_;
         break;
       case Kind::Str:
         dumpString(scalar_, out);
@@ -239,7 +299,7 @@ Json::dump() const
         for (std::size_t i = 0; i < items_.size(); ++i) {
             if (i)
                 out += ',';
-            out += items_[i].dump();
+            items_[i].dumpTo(out);
         }
         out += ']';
         break;
@@ -250,12 +310,11 @@ Json::dump() const
                 out += ',';
             dumpString(members_[i].first, out);
             out += ':';
-            out += members_[i].second.dump();
+            members_[i].second.dumpTo(out);
         }
         out += '}';
         break;
     }
-    return out;
 }
 
 // --- Parser ----------------------------------------------------------------
@@ -414,19 +473,27 @@ class Parser
     {
         expect('"');
         std::string out;
+        const char *const end = text_.data() + text_.size();
         for (;;) {
-            if (pos_ >= text_.size())
+            // Bulk-copy up to the next quote or backslash.
+            const char *const from = text_.data() + pos_;
+            const auto *quote = static_cast<const char *>(
+                std::memchr(from, '"', static_cast<std::size_t>(end - from)));
+            const char *const limit = quote ? quote : end;
+            const auto *escape = static_cast<const char *>(std::memchr(
+                from, '\\', static_cast<std::size_t>(limit - from)));
+            const char *const stop = escape ? escape : quote;
+            if (!stop) {
+                pos_ = text_.size();
                 fail("unterminated string");
-            char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out += c;
-                continue;
             }
+            out.append(from, stop);
+            pos_ = static_cast<std::size_t>(stop - text_.data()) + 1;
+            if (stop == quote)
+                return out;
             if (pos_ >= text_.size())
                 fail("unterminated escape");
-            c = text_[pos_++];
+            const char c = text_[pos_++];
             switch (c) {
               case '"':  out += '"'; break;
               case '\\': out += '\\'; break;
@@ -441,16 +508,10 @@ class Parser
                     fail("bad \\u escape");
                 unsigned cp = 0;
                 for (int i = 0; i < 4; ++i) {
-                    const char h = text_[pos_++];
-                    cp <<= 4;
-                    if (h >= '0' && h <= '9')
-                        cp |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        cp |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        cp |= static_cast<unsigned>(h - 'A' + 10);
-                    else
+                    const int h = nibble(text_[pos_++]);
+                    if (h < 0)
                         fail("bad \\u escape");
+                    cp = (cp << 4) | static_cast<unsigned>(h);
                 }
                 // The writer only emits \u for control characters, but
                 // accept any BMP codepoint as UTF-8.
@@ -487,16 +548,17 @@ class Parser
         }
         if (pos_ == start)
             fail("expected a value");
-        const std::string text = text_.substr(start, pos_ - start);
         // Integers round-trip exactly via u64; everything else (negative
         // or fractional) is carried as a double. Either way the token
         // must parse completely — a truncated "1e" or lone "-" loading
         // as garbage would break the fail-at-load-time contract.
         std::uint64_t u = 0;
-        const auto res =
-            std::from_chars(text.data(), text.data() + text.size(), u);
-        if (res.ec == std::errc{} && res.ptr == text.data() + text.size())
+        const char *const first = text_.data() + start;
+        const char *const last = text_.data() + pos_;
+        const auto res = std::from_chars(first, last, u);
+        if (res.ec == std::errc{} && res.ptr == last)
             return Json::number(u);
+        const std::string text(first, last);
         char *end = nullptr;
         errno = 0;
         const double d = std::strtod(text.c_str(), &end);
@@ -530,13 +592,17 @@ namespace
 std::string
 hexEncode(const std::uint8_t *data, std::size_t size)
 {
-    static const char digits[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(size * 2);
-    for (std::size_t i = 0; i < size; ++i) {
-        out += digits[data[i] >> 4];
-        out += digits[data[i] & 0xf];
-    }
+    static constexpr std::array<char, 512> kPairs = [] {
+        std::array<char, 512> table{};
+        for (int b = 0; b < 256; ++b) {
+            table[2 * b] = kHexDigits[b >> 4];
+            table[2 * b + 1] = kHexDigits[b & 0xf];
+        }
+        return table;
+    }();
+    std::string out(size * 2, '\0');
+    for (std::size_t i = 0; i < size; ++i)
+        std::memcpy(&out[2 * i], &kPairs[2 * data[i]], 2);
     return out;
 }
 
@@ -545,20 +611,16 @@ hexDecode(const std::string &hex)
 {
     if (hex.size() % 2)
         throw CorpusError("odd-length hex string");
-    auto nibble = [](char c) -> unsigned {
-        if (c >= '0' && c <= '9')
-            return static_cast<unsigned>(c - '0');
-        if (c >= 'a' && c <= 'f')
-            return static_cast<unsigned>(c - 'a' + 10);
-        if (c >= 'A' && c <= 'F')
-            return static_cast<unsigned>(c - 'A' + 10);
-        throw CorpusError("bad hex digit");
-    };
     std::vector<std::uint8_t> out(hex.size() / 2);
+    int bad = 0; // sign bit set once any digit was invalid
     for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = static_cast<std::uint8_t>((nibble(hex[2 * i]) << 4) |
-                                           nibble(hex[2 * i + 1]));
+        const int hi = nibble(hex[2 * i]);
+        const int lo = nibble(hex[2 * i + 1]);
+        bad |= hi | lo;
+        out[i] = static_cast<std::uint8_t>(((hi & 0xf) << 4) | (lo & 0xf));
     }
+    if (bad < 0)
+        throw CorpusError("bad hex digit");
     return out;
 }
 

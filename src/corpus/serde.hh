@@ -110,6 +110,10 @@ class Json
     static Json parse(const std::string &text);
 
   private:
+    /** Append this value's canonical dump to @p out; dump() runs the
+     *  whole tree through one buffer instead of a string per node. */
+    void dumpTo(std::string &out) const;
+
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     std::string scalar_; ///< number text or string payload

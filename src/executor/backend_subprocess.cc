@@ -12,6 +12,7 @@
 #include <limits.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/uio.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -231,12 +232,21 @@ SubprocessBackend::sendLine(const std::string &line)
 {
     if (toWorker_ < 0)
         return false;
-    std::string framed = line;
-    framed += '\n';
+    // Gather-write the line and its '\n' so the request is never copied
+    // just to frame it.
+    char newline = '\n';
+    const std::size_t total = line.size() + 1;
     std::size_t off = 0;
-    while (off < framed.size()) {
-        const ssize_t n =
-            write(toWorker_, framed.data() + off, framed.size() - off);
+    while (off < total) {
+        struct iovec iov[2];
+        int count = 0;
+        if (off < line.size()) {
+            iov[count].iov_base = const_cast<char *>(line.data() + off);
+            iov[count++].iov_len = line.size() - off;
+        }
+        iov[count].iov_base = &newline;
+        iov[count++].iov_len = 1;
+        const ssize_t n = writev(toWorker_, iov, count);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -260,8 +270,10 @@ SubprocessBackend::recvLine(std::string &line)
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double>(timeout > 0 ? timeout : 0));
+    std::size_t scanned = 0; // rbuf_ prefix known to hold no '\n'
     for (;;) {
-        const auto nl = rbuf_.find('\n');
+        const auto nl = rbuf_.find('\n', scanned);
+        scanned = rbuf_.size();
         if (nl != std::string::npos) {
             line = rbuf_.substr(0, nl);
             rbuf_.erase(0, nl + 1);
@@ -289,7 +301,7 @@ SubprocessBackend::recvLine(std::string &line)
                 continue;
             return false;
         }
-        char chunk[4096];
+        char chunk[65536];
         const ssize_t n = read(fromWorker_, chunk, sizeof(chunk));
         if (n <= 0) {
             if (n < 0 && errno == EINTR)
@@ -457,10 +469,11 @@ SubprocessBackend::dispatchBatch(const std::vector<const arch::Input *> &batch,
     if (utrace_)
         req.set("utrace", Json::boolean(true));
     const Json reply = roundTrip(req);
-    BatchOutput out = protocol::batchOutputFromJson(reply);
+    UarchContext endCtx;
+    BatchOutput out = protocol::batchOutputFromJson(reply, &endCtx);
     if (!extraFormats)
         out.extras.clear();
-    ctx_ = corpus::contextFromJson(reply.at("endCtx"));
+    ctx_ = std::move(endCtx);
     lastWorkerTimes_ = protocol::timesFromJson(reply.at("times"));
     collectReplyTraces(reply);
     return out;

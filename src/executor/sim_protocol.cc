@@ -1,5 +1,7 @@
 #include "executor/sim_protocol.hh"
 
+#include <algorithm>
+
 namespace amulet::executor::protocol
 {
 
@@ -74,8 +76,108 @@ timesFromJson(const Json &json)
     return times;
 }
 
+namespace
+{
+
+/** Flat [index, value, index, value, ...] run of the bytes where
+ *  @p next differs from @p base (same table size). */
 Json
-batchOutputToJson(const SimHarness::BatchOutput &out)
+byteDelta(const std::vector<std::uint8_t> &base,
+          const std::vector<std::uint8_t> &next)
+{
+    Json runs = Json::array();
+    for (std::size_t i = 0; i < next.size(); ++i) {
+        if (next[i] != base[i]) {
+            runs.push(Json::number(std::uint64_t{i}));
+            runs.push(Json::number(std::uint64_t{next[i]}));
+        }
+    }
+    return runs;
+}
+
+/** Apply a byteDelta run to @p bytes. The run came from another
+ *  process: every index and value is range-checked. */
+void
+applyByteDelta(std::vector<std::uint8_t> &bytes, const Json &json,
+               const char *table)
+{
+    const auto &runs = json.items();
+    if (runs.size() % 2)
+        throw corpus::CorpusError(std::string("sim protocol: truncated ") +
+                                  table + " delta");
+    for (std::size_t i = 0; i < runs.size(); i += 2) {
+        const std::uint64_t index = runs[i].asU64();
+        const std::uint64_t value = runs[i + 1].asU64();
+        if (index >= bytes.size() || value > 0xff)
+            throw corpus::CorpusError(std::string("sim protocol: ") +
+                                      table + " delta out of range");
+        bytes[index] = static_cast<std::uint8_t>(value);
+    }
+}
+
+/** Sparse delta of @p ctx against @p base, the previous context of the
+ *  same reply: ghr, changed pht/mdp bytes, and changed BTB slots as
+ *  flat [slot, tag, target, ...] triples. Consecutive contexts differ
+ *  by the few predictor entries one run trained, so this is a few dozen
+ *  bytes where a full context is ~11 KB. */
+Json
+contextDeltaToJson(const UarchContext &base, const UarchContext &ctx)
+{
+    const auto &bp = ctx.bp;
+    if (bp.pht.size() != base.bp.pht.size() ||
+        bp.btbTags.size() != base.bp.btbTags.size() ||
+        bp.btbTargets.size() != bp.btbTags.size() ||
+        base.bp.btbTargets.size() != base.bp.btbTags.size() ||
+        ctx.mdp.size() != base.mdp.size()) {
+        throw corpus::CorpusError("sim protocol: predictor geometry "
+                                  "changed within one reply");
+    }
+    Json btb = Json::array();
+    for (std::size_t i = 0; i < bp.btbTags.size(); ++i) {
+        if (bp.btbTags[i] != base.bp.btbTags[i] ||
+            bp.btbTargets[i] != base.bp.btbTargets[i]) {
+            btb.push(Json::number(std::uint64_t{i}));
+            btb.push(Json::number(bp.btbTags[i]));
+            btb.push(Json::number(bp.btbTargets[i]));
+        }
+    }
+    Json j = Json::object();
+    j.set("ghr", Json::number(std::uint64_t{bp.ghr}));
+    j.set("pht", byteDelta(base.bp.pht, bp.pht));
+    j.set("btb", std::move(btb));
+    j.set("mdp", byteDelta(base.mdp, ctx.mdp));
+    return j;
+}
+
+UarchContext
+contextFromDelta(const UarchContext &base, const Json &json)
+{
+    UarchContext ctx = base;
+    ctx.bp.ghr = json.at("ghr").asUnsigned();
+    applyByteDelta(ctx.bp.pht, json.at("pht"), "pht");
+    applyByteDelta(ctx.mdp, json.at("mdp"), "mdp");
+    const auto &btb = json.at("btb").items();
+    if (btb.size() % 3)
+        throw corpus::CorpusError("sim protocol: truncated btb delta");
+    // Tags and targets may differ in length only in a hostile base.
+    const std::size_t slots =
+        std::min(ctx.bp.btbTags.size(), ctx.bp.btbTargets.size());
+    for (std::size_t i = 0; i < btb.size(); i += 3) {
+        const std::uint64_t slot = btb[i].asU64();
+        if (slot >= slots)
+            throw corpus::CorpusError("sim protocol: btb delta out of "
+                                      "range");
+        ctx.bp.btbTags[slot] = btb[i + 1].asU64();
+        ctx.bp.btbTargets[slot] = btb[i + 2].asU64();
+    }
+    return ctx;
+}
+
+} // namespace
+
+Json
+batchOutputToJson(const SimHarness::BatchOutput &out,
+                  const UarchContext *endCtx)
 {
     Json runs = Json::array();
     for (const SimHarness::RunOutput &run : out.runs) {
@@ -85,8 +187,12 @@ batchOutputToJson(const SimHarness::BatchOutput &out)
         runs.push(std::move(r));
     }
     Json contexts = Json::array();
-    for (const UarchContext &ctx : out.startContexts)
-        contexts.push(corpus::toJson(ctx));
+    const UarchContext *prev = nullptr;
+    for (const UarchContext &ctx : out.startContexts) {
+        contexts.push(prev ? contextDeltaToJson(*prev, ctx)
+                           : corpus::toJson(ctx));
+        prev = &ctx;
+    }
     Json extras = Json::array();
     for (const std::vector<UTrace> &per_run : out.extras) {
         Json traces = Json::array();
@@ -99,11 +205,15 @@ batchOutputToJson(const SimHarness::BatchOutput &out)
     j.set("contexts", std::move(contexts));
     j.set("extras", std::move(extras));
     j.set("hitCycleCap", Json::boolean(out.hitCycleCap));
+    if (endCtx) {
+        j.set("endCtx", prev ? contextDeltaToJson(*prev, *endCtx)
+                             : corpus::toJson(*endCtx));
+    }
     return j;
 }
 
 SimHarness::BatchOutput
-batchOutputFromJson(const Json &json)
+batchOutputFromJson(const Json &json, UarchContext *endCtx)
 {
     SimHarness::BatchOutput out;
     for (const Json &r : json.at("runs").items()) {
@@ -112,8 +222,12 @@ batchOutputFromJson(const Json &json)
         run.run = runResultFromJson(r.at("run"));
         out.runs.push_back(std::move(run));
     }
-    for (const Json &c : json.at("contexts").items())
-        out.startContexts.push_back(corpus::contextFromJson(c));
+    for (const Json &c : json.at("contexts").items()) {
+        out.startContexts.push_back(
+            out.startContexts.empty()
+                ? corpus::contextFromJson(c)
+                : contextFromDelta(out.startContexts.back(), c));
+    }
     for (const Json &per_run : json.at("extras").items()) {
         std::vector<UTrace> traces;
         for (const Json &t : per_run.items())
@@ -121,6 +235,12 @@ batchOutputFromJson(const Json &json)
         out.extras.push_back(std::move(traces));
     }
     out.hitCycleCap = json.at("hitCycleCap").asBool();
+    if (endCtx) {
+        const Json &end = json.at("endCtx");
+        *endCtx = out.startContexts.empty()
+                      ? corpus::contextFromJson(end)
+                      : contextFromDelta(out.startContexts.back(), end);
+    }
     return out;
 }
 

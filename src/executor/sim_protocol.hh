@@ -14,6 +14,8 @@
  *   restore  {ctx}                     -> {}
  *   batch    {inputs, extras?}         -> {runs, contexts, extras?,
  *                                          hitCycleCap, endCtx}
+ *            (contexts[1..] and endCtx are deltas, see
+ *             batchOutputToJson)
  *   run      {input, extras?}          -> {trace, hitCycleCap, extras?,
  *                                          endCtx}
  *   classify {inputA,inputB,ctxA,ctxB} -> {signature, endCtx}
@@ -53,12 +55,17 @@ using corpus::Json;
  *  excluded like primeCache; results are byte-identical either way,
  *  the knob only decides whether the worker's simulator fast-forwards
  *  quiescent cycles).
+ *  v5: batch replies delta-code their predictor contexts: contexts[0]
+ *  stays full, every later context and endCtx is a sparse delta
+ *  against the previous context of the same reply (see
+ *  batchOutputToJson). What travels is unchanged; ~95% of a batch
+ *  reply used to be full ~11 KB contexts differing by a few bytes.
  *
  *  CampaignConfig::ctraceMemo (the other fingerprint-excluded runtime
  *  knob of its kind) never crosses the wire at all: contract traces
  *  are collected parent-side in CTraceStage, and the worker only ever
  *  sees the simulator half of the pipeline. */
-inline constexpr unsigned kProtocolVersion = 4;
+inline constexpr unsigned kProtocolVersion = 5;
 
 /** @name Shared field encodings */
 /// @{
@@ -71,8 +78,17 @@ uarch::RunResult runResultFromJson(const Json &json);
 Json timesToJson(const TimeBreakdown &times);
 TimeBreakdown timesFromJson(const Json &json);
 
-Json batchOutputToJson(const SimHarness::BatchOutput &out);
-SimHarness::BatchOutput batchOutputFromJson(const Json &json);
+/** A batch reply body. contexts[0] is a full context; every later
+ *  context, and endCtx when given, is a sparse delta against the
+ *  context before it in the same body (the last of contexts for
+ *  endCtx, or a full context when contexts is empty). A body is thus
+ *  self-contained. fromJson throws corpus::CorpusError on a malformed
+ *  or out-of-range delta; with @p endCtx it also decodes "endCtx",
+ *  which must then be present. */
+Json batchOutputToJson(const SimHarness::BatchOutput &out,
+                       const UarchContext *endCtx = nullptr);
+SimHarness::BatchOutput batchOutputFromJson(const Json &json,
+                                            UarchContext *endCtx = nullptr);
 
 /** Per-instruction pipeline trace of one run (protocol v3 "utrace"
  *  reply field). Lossless: fromJson(toJson(t)) == t, which is what lets

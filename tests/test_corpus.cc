@@ -177,6 +177,64 @@ TEST(CorpusSerde, ParserFailsLoudlyOnMalformedInput)
                  corpus::CorpusError);
 }
 
+TEST(CorpusSerde, CanonicalDumpsReparseByteIdentically)
+{
+    // Escapes: quotes, backslashes, the named control escapes, and every
+    // other control character as \u00XX; bytes >= 0x7f pass raw.
+    std::string controls;
+    for (int c = 0; c < 0x20; ++c) {
+        if (c == '\n' || c == '\t' || c == '\r')
+            continue;
+        static const char digits[] = "0123456789abcdef";
+        controls += "\\u00";
+        controls += digits[c >> 4];
+        controls += digits[c & 0xf];
+    }
+    std::string hex;
+    for (int i = 0; i < 8192; ++i)
+        hex += "0123456789abcdef"[(i * 7) % 16];
+    const std::vector<std::string> docs = {
+        R"({"q":"a\"b\"","bs":"\\x\\\\y\\","e":"\n\t\r"})",
+        "[\"" + controls + "\",\"\x7f\xc3\xa9\xff\"]",
+        R"({"sandbox":")" + hex + R"("})",
+        "[\"" + hex + "\\\"" + hex + "\\u0001" + hex + "\\\\\"]",
+        R"({"":"","a":[],"b":{},)"
+        R"("c":[null,true,false,0,18446744073709551615,-1.5]})",
+    };
+    for (const std::string &doc : docs)
+        EXPECT_EQ(corpus::Json::parse(doc).dump(), doc);
+
+    // The hex runs round-trip as payload, not just as text.
+    arch::Input input;
+    input.sandbox.resize(4096);
+    for (std::size_t i = 0; i < input.sandbox.size(); ++i)
+        input.sandbox[i] = static_cast<std::uint8_t>(i * 37);
+    const std::string dump = corpus::toJson(input).dump();
+    EXPECT_TRUE(corpus::inputFromJson(corpus::Json::parse(dump)) == input);
+}
+
+TEST(CorpusSerde, MalformedHexAndStringsThrow)
+{
+    arch::Input input;
+    input.sandbox.assign(4, 0xab);
+    const corpus::Json good = corpus::toJson(input);
+    // Bytes >= 0x80 are bad digits too (the digit table is indexed as
+    // unsigned char), as is an embedded NUL.
+    for (const std::string &bad : std::vector<std::string>{
+             "abc", "0g", "zz", "0\x80", "\xff" "0", std::string("a\0", 2)}) {
+        corpus::Json j = good;
+        j.set("sandbox", corpus::Json::str(bad));
+        EXPECT_THROW(corpus::inputFromJson(j), corpus::CorpusError) << bad;
+    }
+    // Unterminated strings: the bulk-copy run reaches end of text.
+    const std::string hex(8192, 'a');
+    for (const std::string &bad : std::vector<std::string>{
+             "\"", "\"" + hex, "{\"sandbox\":\"" + hex, "[\"x\\",
+             "\"\\u00", "\"" + hex + "\\\"" + hex}) {
+        EXPECT_THROW(corpus::Json::parse(bad), corpus::CorpusError);
+    }
+}
+
 TEST(CorpusSerde, RecordWithBadProgramIsRejected)
 {
     corpus::Json j = corpus::toJson(sampleRecord());
