@@ -2,11 +2,14 @@
  * @file
  * Google-benchmark microbenchmarks for the simulator's components:
  * cache/TLB operations, the reference emulator, contract-trace collection,
- * program generation, and end-to-end simulated test cases. These quantify
- * the cost model behind Tables 2-4.
+ * program generation, end-to-end simulated test cases, and the per-input
+ * trace extraction and prime restore. These quantify the cost model
+ * behind Tables 2-4.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "arch/emulator.hh"
 #include "contracts/leakage_model.hh"
@@ -159,6 +162,70 @@ BM_SimulatorStartup(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SimulatorStartup);
+
+/** A harness after two inputs of a generated program: the L1D holds the
+ *  conflict prime (restored from the memo for the second input) plus
+ *  what that test touched. */
+struct PrimedHarness
+{
+    PrimedHarness()
+    {
+        cfg.prime = executor::PrimeMode::ConflictFill;
+        cfg.bootInsts = 2000;
+        harness = std::make_unique<executor::SimHarness>(cfg);
+        Rng rng(11);
+        core::ProgramGenerator gen(genConfig(), rng.split());
+        fp = std::make_unique<isa::FlatProgram>(gen.generate(),
+                                                cfg.map.codeBase);
+        harness->loadProgram(fp.get());
+        core::InputGenConfig icfg;
+        icfg.map = cfg.map;
+        core::InputGenerator igen(icfg, rng.split());
+        harness->runInput(igen.generate(0));
+        harness->runInput(igen.generate(1));
+    }
+
+    executor::HarnessConfig cfg;
+    std::unique_ptr<isa::FlatProgram> fp;
+    std::unique_ptr<executor::SimHarness> harness;
+};
+
+void
+BM_ExtractTraceL1dTlb(benchmark::State &state)
+{
+    PrimedHarness primed;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(executor::extractTrace(
+            primed.harness->pipeline(), executor::TraceFormat::L1dTlb));
+    }
+}
+BENCHMARK(BM_ExtractTraceL1dTlb);
+
+void
+BM_MemRestorePrime(benchmark::State &state)
+{
+    // Per iteration: a run's worth of cache traffic on top of the
+    // post-prime state (sandbox lines into the L1D, code lines into the
+    // L1I, both into the L2), then the prime-snapshot restore that
+    // starts the next input.
+    PrimedHarness primed;
+    uarch::MemSystem &mem = primed.harness->pipeline().memSys();
+    const uarch::MemSnapshot snap = mem.save();
+    mem.restore(snap);
+    const Addr sandbox = primed.cfg.map.sandboxBase;
+    const Addr code = primed.fp->codeBase();
+    for (auto _ : state) {
+        for (Addr i = 0; i < 16; ++i) {
+            mem.l1d().install(sandbox + 64 * (i * 5 % 64));
+            mem.l1i().install(code + 64 * i);
+            mem.l2().install(code + 64 * i);
+            mem.l2().install(sandbox + 64 * i);
+        }
+        mem.restore(snap);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_MemRestorePrime);
 
 } // namespace
 

@@ -21,6 +21,14 @@ SMOKE=$(mktemp -d)
 trap 'rm -rf "${SMOKE}"' EXIT
 CAMPAIGN=(--programs 12 --seed 1 --boot-insts 2000)
 
+# --- Window-atlas gate: the cycle-exact fingerprint must not move -----------
+# Every number in the atlas is a simulated cycle count or census, so it
+# reproduces byte for byte on any host; a change that moves one simulated
+# cycle of the measured windows fails here.
+echo "--- window atlas: output must equal the committed WINDOW_ATLAS.json"
+./build/bench/window_atlas > "${SMOKE}/atlas.json"
+cmp WINDOW_ATLAS.json "${SMOKE}/atlas.json"
+
 echo "--- corpus smoke: friendly CLI errors"
 if "${CLI}" --programs banana > /dev/null 2>&1; then
   echo "FAIL: bad numeric argument must exit nonzero" >&2

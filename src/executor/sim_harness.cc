@@ -192,9 +192,15 @@ void
 SimHarness::resetBetweenInputs()
 {
     uarch::MemSystem &mem = pipe_->memSys();
-    mem.invalidateAll();
+    const bool prime = cfg_.prime == PrimeMode::ConflictFill &&
+                       !cfg_.naiveMode;
+    // Restoring the memoized prime overwrites every cache, the TLB and
+    // the side buffer outright, touching only the sets the last input
+    // dirtied; only the paths that start from scratch invalidate.
+    if (!(prime && cfg_.primeCache && primeSnapshot_))
+        mem.invalidateAll();
 
-    if (cfg_.prime == PrimeMode::ConflictFill && !cfg_.naiveMode) {
+    if (prime) {
         // The prime is a harness artifact, not part of the test: keep
         // its events out of the log so signature evidence is identical
         // whether the prime is simulated or restored from the memo.

@@ -82,16 +82,20 @@ extractTrace(const uarch::Pipeline &pipe, TraceFormat format)
     switch (format) {
       case TraceFormat::L1dTlb:
       case TraceFormat::L1dTlbL1i: {
+        const uarch::Cache &l1d = mem.l1d();
+        const uarch::Cache &l1i = mem.l1i();
+        const bool with_l1i = format == TraceFormat::L1dTlbL1i;
+        trace.words.reserve(3 + l1d.numSets() * l1d.numWays() +
+                            mem.dtlb().size() +
+                            (with_l1i ? l1i.numSets() * l1i.numWays() : 0));
         trace.words.push_back(kMarkL1d);
-        for (Addr line : mem.l1d().snapshot())
-            trace.words.push_back(line);
+        l1d.appendSnapshot(trace.words);
         trace.words.push_back(kMarkTlb);
         for (Addr vpn : mem.dtlb().snapshot())
             trace.words.push_back(vpn);
-        if (format == TraceFormat::L1dTlbL1i) {
+        if (with_l1i) {
             trace.words.push_back(kMarkL1i);
-            for (Addr line : mem.l1i().snapshot())
-                trace.words.push_back(line);
+            l1i.appendSnapshot(trace.words);
         }
         break;
       }

@@ -56,17 +56,14 @@ struct UTrace
         return format == other.format && words == other.words;
     }
 
-    /** FNV-1a over the format tag and words. */
+    /** FNV-1a over the format tag and words, one whole word per step.
+     *  Each step is a bijection of the running hash, so traces of equal
+     *  length that differ in a single word always hash apart. */
     std::uint64_t
     computeHash() const
     {
         std::uint64_t h = 0xcbf29ce484222325ULL;
-        auto mix = [&h](std::uint64_t w) {
-            for (int i = 0; i < 64; i += 8) {
-                h ^= (w >> i) & 0xff;
-                h *= 0x100000001b3ULL;
-            }
-        };
+        auto mix = [&h](std::uint64_t w) { h = (h ^ w) * 0x100000001b3ULL; };
         mix(static_cast<std::uint64_t>(format));
         for (std::uint64_t w : words)
             mix(w);

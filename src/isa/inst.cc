@@ -115,10 +115,10 @@ Inst::regsRead() const
     return regs;
 }
 
-std::vector<Reg>
+RegList
 Inst::regsWritten() const
 {
-    std::vector<Reg> regs;
+    RegList regs;
     if (dstKind == OpndKind::Reg && op != Op::Cmp && op != Op::Test &&
         !isBranch() && op != Op::Nop && op != Op::Halt && op != Op::Fence) {
         regs.push_back(dst);

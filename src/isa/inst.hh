@@ -13,6 +13,8 @@
 #ifndef AMULET_ISA_INST_HH
 #define AMULET_ISA_INST_HH
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -72,6 +74,28 @@ struct MemRef
     std::int32_t disp = 0;
 
     bool operator==(const MemRef &) const = default;
+};
+
+/** Registers one instruction writes, held inline: a register
+ *  destination plus Loopne's implicit RCX at most, so the pipeline's
+ *  rename, commit and squash paths never touch the heap for it. */
+struct RegList
+{
+    std::array<Reg, 2> v{};
+    std::uint8_t n = 0;
+
+    void
+    push_back(Reg r)
+    {
+        assert(n < v.size() && "register-list bound exceeded");
+        v[n++] = r;
+    }
+
+    const Reg *begin() const { return v.data(); }
+    const Reg *end() const { return v.data() + n; }
+    std::size_t size() const { return n; }
+    bool empty() const { return n == 0; }
+    Reg operator[](std::size_t i) const { return v[i]; }
 };
 
 /** Branch-target sentinel: jump to the program's exit (HALT). */
@@ -138,7 +162,7 @@ struct Inst
     std::vector<Reg> regsRead() const;
 
     /** Architectural registers written (dedup'd, excludes flags). */
-    std::vector<Reg> regsWritten() const;
+    RegList regsWritten() const;
 
     /** Mnemonic including condition suffix, e.g. "CMOVNBE". */
     std::string mnemonic() const;

@@ -47,15 +47,26 @@ class Cache
     {
         std::uint64_t stamp = 0;
         std::vector<Line> lines;
+        /** Provenance tag, unique per save() and kept by copies (0:
+         *  unknown, e.g. a hand-built or edited state). A cache restored
+         *  from a state with the same nonzero id copies back only the
+         *  sets it mutated since. Not part of equality. */
+        std::uint64_t id = 0;
 
-        bool operator==(const State &) const = default;
+        bool
+        operator==(const State &o) const
+        {
+            return stamp == o.stamp && lines == o.lines;
+        }
     };
 
     /** Capture the complete tag/LRU state. */
     State save() const;
 
     /** Restore a snapshot taken from a same-geometry cache. Reuses the
-     *  existing tag array; no allocation in steady state. */
+     *  existing tag array; no allocation in steady state. Costs
+     *  O(sets mutated since the last restore) when @p state is the one
+     *  last restored, a full copy otherwise. */
     void restore(const State &state);
 
     /** Line-aligned address containing @p addr. */
@@ -93,7 +104,8 @@ class Cache
     /** Invalidate one line (no-op if absent). */
     void invalidate(Addr line_addr);
 
-    /** Invalidate everything. */
+    /** Invalidate everything. O(sets mutated since the last
+     *  invalidateAll) when nothing was restored in between. */
     void invalidateAll();
 
     /** Mark a present line as non-speculatively touched. */
@@ -104,6 +116,12 @@ class Cache
 
     /** Sorted list of valid line addresses (the μarch trace snapshot). */
     std::vector<Addr> snapshot() const;
+
+    /** Append the sorted valid line addresses to @p out: the baseline's
+     *  cached sorted lines outside the dirty sets, merged with the
+     *  freshly sorted lines of the dirty sets. No sort of the whole
+     *  array, no scratch allocation. */
+    void appendSnapshot(std::vector<Addr> &out) const;
 
     unsigned numSets() const { return sets_; }
     unsigned numWays() const { return ways_; }
@@ -119,6 +137,19 @@ class Cache
     Line *findLine(Addr line_addr);
     const Line *findLine(Addr line_addr) const;
 
+    void
+    markDirty(unsigned set)
+    {
+        if (!dirty_[set]) {
+            dirty_[set] = 1;
+            dirtySets_.push_back(set);
+        }
+    }
+    void clearDirty();
+    /** Reference for appendSnapshot (full scan + sort); Debug asserts
+     *  compare against it. */
+    std::vector<Addr> scanSnapshot() const;
+
     unsigned sets_;
     unsigned ways_;
     unsigned lineBytes_;
@@ -126,6 +157,19 @@ class Cache
     Addr lineMask_;
     std::uint64_t stamp_ = 0;
     std::vector<Line> lines_; ///< sets_ * ways_, set-major
+
+    /** @name Dirty-set tracking
+     *  The tag array equals its *baseline* — the State last restored
+     *  (baselineId_), or all-invalid after invalidateAll — everywhere
+     *  except the sets listed in dirtySets_, which every mutator
+     *  records. baselineSorted_ caches the baseline's sorted valid
+     *  lines for appendSnapshot. */
+    /// @{
+    std::uint64_t baselineId_;
+    std::vector<std::uint8_t> dirty_; ///< per set: listed in dirtySets_
+    std::vector<unsigned> dirtySets_;
+    std::vector<Addr> baselineSorted_;
+    /// @}
 };
 
 } // namespace amulet::uarch

@@ -73,6 +73,7 @@ Pipeline::Pipeline(const CoreParams &params, mem::MemoryImage &memory,
     rob_.reserve(params.robSize);
     issueReady_.reserve(params.robSize);
     execList_.reserve(params.robSize);
+    memWork_.reserve(params.robSize);
     skipLengths_.reserve(256);
     accessOrder_.reserve(1024);
     branchPredOrder_.reserve(256);
@@ -115,6 +116,9 @@ Pipeline::reset()
     issueReady_.clear();
     execList_.clear();
     fencesInFlight_ = 0;
+    safeFrontier_ = nextSeq_;
+    specMode_ = defense_->specMode();
+    memWork_.clear();
     skippedCycles_ = 0;
     skipWindows_ = 0;
     skipLengths_.clear();
@@ -435,30 +439,58 @@ Pipeline::squashAfter(SeqNum keep_up_to, std::size_t new_fetch_idx,
     rebuildRenameTable();
 }
 
+std::size_t
+Pipeline::safeFrontierIndex() const
+{
+    const auto it = std::lower_bound(rob_.begin(), rob_.end(), safeFrontier_,
+                                     [](const DynInst &e, SeqNum s) {
+                                         return e.seq < s;
+                                     });
+    return static_cast<std::size_t>(it - rob_.begin());
+}
+
+bool
+Pipeline::safetyMatchesScan() const
+{
+    // Reference: the full ROB walk, which Debug builds check the
+    // frontier against.
+    bool risk = false;
+    for (const DynInst &e : rob_) {
+        if (e.safe == risk)
+            return false;
+        risk = risk || isSafetyRisk(e);
+    }
+    return true;
+}
+
 void
 Pipeline::computeSafety()
 {
-    const SpecMode mode = defense_->specMode();
-    bool risk = false;
-    std::vector<SeqNum> newly_safe;
-    for (DynInst &e : rob_) {
-        const bool was_safe = e.safe;
-        e.safe = !risk;
-        if (e.safe && !was_safe)
-            newly_safe.push_back(e.seq);
-        if (e.isBranch() && !e.executed)
-            risk = true;
-        if (e.si.op == Op::Fence && !e.executed)
-            risk = true;
-        if (mode == SpecMode::Futuristic && e.isStore && !e.addrReady)
-            risk = true;
+    // The safe set is a ROB prefix that only grows, so the walk resumes
+    // at the frontier and stops at the oldest risk, which is itself
+    // safe and shields every younger entry.
+    std::size_t i = safeFrontierIndex();
+    std::size_t newly_safe = rob_.size();
+    for (; i < rob_.size(); ++i) {
+        DynInst &e = rob_[i];
+        if (!e.safe) {
+            e.safe = true;
+            if (newly_safe == rob_.size())
+                newly_safe = i;
+        }
+        if (isSafetyRisk(e))
+            break;
     }
-    if (!newly_safe.empty())
+    safeFrontier_ = i < rob_.size() ? rob_[i].seq : nextSeq_;
+    assert(safetyMatchesScan() && "safety frontier out of sync");
+
+    // The hooks run once every flag is final, oldest first. They must
+    // not add or remove ROB entries (no shipped defense does).
+    const std::size_t end = std::min(i + 1, rob_.size());
+    if (newly_safe < end)
         progress_ = true;
-    for (SeqNum seq : newly_safe) {
-        if (DynInst *e = entry(seq))
-            defense_->onBecameSafe(*e);
-    }
+    for (std::size_t k = newly_safe; k < end; ++k)
+        defense_->onBecameSafe(rob_[k]);
 }
 
 void
@@ -691,18 +723,40 @@ Pipeline::tryStartLoadAccess(DynInst &e)
                     e.memAddr);
 }
 
+bool
+Pipeline::memWorkMatchesScan() const
+{
+    // Reference: a full ROB walk finds every issued memory op still
+    // waiting on the memory side listed, in seq order.
+    std::size_t w = 0;
+    for (const DynInst &e : rob_) {
+        if (!e.issued || !waitsOnMemSide(e))
+            continue;
+        while (w < memWork_.size() && memWork_[w].seq < e.seq)
+            ++w;
+        if (w == memWork_.size() || memWork_[w].seq != e.seq)
+            return false;
+    }
+    return true;
+}
+
 void
 Pipeline::advanceMemOps()
 {
-    for (std::size_t i = 0; i < rob_.size(); ++i) {
-        DynInst &e = rob_[i];
-        if (e.squashed)
+    // Oldest first: a resolving store may squash younger entries, whose
+    // handles then fail liveAt and drop.
+    assert(memWorkMatchesScan() && "memory-op worklist out of sync");
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < memWork_.size(); ++i) {
+        DynInst *pe = liveAt(memWork_[i]);
+        if (!pe)
             continue;
+        DynInst &e = *pe;
 
         // Pure-store address resolution after translation completes
         // (the RMW store side resolves through the load path below).
-        if (e.isStore && !e.isLoad && e.issued && !e.addrReady &&
-            e.tlbPending && now_ >= e.tlbDoneCycle) {
+        if (e.isStore && !e.isLoad && !e.addrReady && e.tlbPending &&
+            now_ >= e.tlbDoneCycle) {
             e.tlbPending = false;
             e.addrReady = true;
             e.storeTlbDone = true;
@@ -710,22 +764,26 @@ Pipeline::advanceMemOps()
             storeResolved(e);
         }
 
-        if (!e.isLoad || !e.issued)
-            continue;
-
-        if (e.loadPhase == LoadPhase::WaitTlb && now_ >= e.tlbDoneCycle) {
-            e.tlbPending = false;
-            if (e.isStore && !e.addrReady) { // RMW store side
-                e.addrReady = true;
-                e.storeTlbDone = true;
-                storeResolved(e);
+        if (e.isLoad) {
+            if (e.loadPhase == LoadPhase::WaitTlb &&
+                now_ >= e.tlbDoneCycle) {
+                e.tlbPending = false;
+                if (e.isStore && !e.addrReady) { // RMW store side
+                    e.addrReady = true;
+                    e.storeTlbDone = true;
+                    storeResolved(e);
+                }
+                e.loadPhase = LoadPhase::WaitStore;
+                progress_ = true;
             }
-            e.loadPhase = LoadPhase::WaitStore;
-            progress_ = true;
+            if (e.loadPhase == LoadPhase::WaitStore)
+                tryStartLoadAccess(e);
         }
-        if (e.loadPhase == LoadPhase::WaitStore)
-            tryStartLoadAccess(e);
+
+        if (waitsOnMemSide(e))
+            memWork_[out++] = memWork_[i];
     }
+    memWork_.resize(out);
 }
 
 bool
@@ -753,6 +811,7 @@ Pipeline::tryIssue(DynInst &e)
         e.tlbDoneCycle = now_ + lat;
         if (e.isLoad)
             e.loadPhase = LoadPhase::WaitTlb;
+        insertBySeq(memWork_, e.robSlot, e.seq);
     } else {
         if (!srcsReady(e, false))
             return false;
@@ -1064,23 +1123,18 @@ Pipeline::nextLocalEventCycle() const
     const Cycle next_cycle = now_ + 1;
     Cycle next = kNoEventCycle;
 
-    // One-step safety lookahead, fused with the per-entry scan: replay
-    // computeSafety's risk walk so a pending safe-transition (which
-    // fires defense hooks) pins the horizon. `risk` must be updated
-    // *after* checking e (an entry's own risk does not taint itself).
-    bool risk = false;
-    for (const DynInst &e : rob_) {
-        if (!e.safe && !risk)
-            return next_cycle; // will become safe next computeSafety
-        if (e.isBranch() && !e.executed)
-            risk = true;
-        if (e.si.op == Op::Fence && !e.executed)
-            risk = true;
-        if (defense_->specMode() == SpecMode::Futuristic && e.isStore &&
-            !e.addrReady) {
-            risk = true;
-        }
+    // One-step safety lookahead: an unsafe entry with no older risk
+    // becomes safe at the next computeSafety, firing defense hooks.
+    // Entries older than the frontier are already safe and riskless.
+    for (std::size_t i = safeFrontierIndex(); i < rob_.size(); ++i) {
+        const DynInst &e = rob_[i];
+        if (!e.safe)
+            return next_cycle;
+        if (isSafetyRisk(e))
+            break;
+    }
 
+    for (const DynInst &e : rob_) {
         if (!e.issued) {
             if (e.si.op == Op::Fence)
                 return next_cycle; // barrier state can change any cycle

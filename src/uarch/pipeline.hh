@@ -230,6 +230,28 @@ class Pipeline
                             std::uint32_t slot, SeqNum seq);
     Cycle nextLocalEventCycle() const;
     void skipToNextEvent(Cycle cap);
+    /** Does @p e keep every younger entry unsafe? */
+    bool
+    isSafetyRisk(const DynInst &e) const
+    {
+        return ((e.isBranch() || e.si.op == isa::Op::Fence) &&
+                !e.executed) ||
+               (specMode_ == SpecMode::Futuristic && e.isStore &&
+                !e.addrReady);
+    }
+    std::size_t safeFrontierIndex() const;
+    bool safetyMatchesScan() const;
+    /** Issued memory op still owed work by advanceMemOps: translation
+     *  or an older store (loads), translation (pure stores). */
+    static bool
+    waitsOnMemSide(const DynInst &e)
+    {
+        if (e.isLoad)
+            return e.loadPhase == LoadPhase::WaitTlb ||
+                   e.loadPhase == LoadPhase::WaitStore;
+        return e.isStore && !e.addrReady;
+    }
+    bool memWorkMatchesScan() const;
     Addr computeEffAddr(const DynInst &inst) const;
     void finalizeData(DynInst &inst);
     void resolveBranch(DynInst &inst);
@@ -286,6 +308,18 @@ class Pipeline
     std::vector<SlotRef> issueReady_;
     std::vector<SlotRef> execList_;
     unsigned fencesInFlight_ = 0;
+    /// @}
+
+    /** @name Incremental bookkeeping (src/uarch/README.md)
+     *  safeFrontier_: every live entry older than this seq is safe and
+     *  can never become a safety risk again, so computeSafety resumes
+     *  here. memWork_: issued memory ops still waiting on translation
+     *  or an older store, seq-sorted and lazily validated like the
+     *  ready lists; advanceMemOps walks only these. */
+    /// @{
+    SeqNum safeFrontier_ = 1;
+    SpecMode specMode_ = SpecMode::Futuristic; ///< the defense's, per run
+    std::vector<SlotRef> memWork_;
     /// @}
 
     /** @name Cycle skipping */

@@ -3,18 +3,28 @@
  * Unit tests for the μarch building blocks: caches (LRU, eviction,
  * noClean metadata), TLB, branch/memory-dependence predictors (including
  * context snapshot round-trips), side buffers, the memory system's
- * MSHR/queue behaviour, and the MemSnapshot warm-state save/restore the
- * prime cache rests on.
+ * MSHR/queue behaviour, the MemSnapshot warm-state save/restore the
+ * prime cache rests on, and the incremental bookkeeping's reference
+ * checks (safety frontier, dirty-set reset, sort-free trace extraction).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+#include <memory>
+#include <optional>
+
 #include "common/event_log.hh"
+#include "common/rng.hh"
 #include "core/generator.hh"
 #include "core/input_gen.hh"
+#include "defense/factory.hh"
 #include "executor/sim_harness.hh"
+#include "isa/assembler.hh"
 #include "uarch/cache.hh"
 #include "uarch/mem_system.hh"
+#include "uarch/pipeline.hh"
 #include "uarch/predictors.hh"
 #include "uarch/tlb.hh"
 
@@ -472,6 +482,391 @@ TEST_F(MemSystemTest, FlushCleanupsAppliesQueuedRollbacks)
     mem_.flushCleanups();
     ASSERT_EQ(completed_.size(), 1u);
     EXPECT_EQ(completed_[0].kind, ReqKind::Cleanup);
+}
+
+// === Incremental bookkeeping: reference checks ===========================
+
+/** Sorted valid lines from a full scan of the saved tag array: what the
+ *  dirty-set snapshot must reproduce. */
+std::vector<Addr>
+referenceSnapshot(const Cache &cache)
+{
+    std::vector<Addr> out;
+    for (const Cache::Line &line : cache.save().lines) {
+        if (line.valid)
+            out.push_back(line.lineAddr);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/** One random mutation, drawn once and applied to every cache. */
+void
+mutateCaches(Rng &rng, std::initializer_list<Cache *> caches)
+{
+    const Addr line = rng.nextBelow(64) * 64; // 4x the sets: conflicts
+    const std::uint64_t op = rng.nextBelow(5);
+    const bool mark = rng.chance(1, 2);
+    for (Cache *c : caches) {
+        switch (op) {
+          case 0: c->install(line, mark); break;
+          case 1: c->touch(line); break;
+          case 2: c->evictVictim(line); break;
+          case 3: c->markNonSpecTouched(line); break;
+          default: c->invalidate(line); break;
+        }
+    }
+}
+
+// Dirty-set restore/invalidateAll must equal a full copy after any mix
+// of mutations: the reference cache restores id-less states (id 0),
+// which always takes the full-copy path.
+TEST(Cache, DirtySetResetMatchesFullCopy)
+{
+    const CacheParams p{2048, 2, 64}; // 16 sets, 2 ways
+    Cache cache(p);
+    Cache ref(p);
+    Rng rng(13);
+    for (int i = 0; i < 40; ++i)
+        mutateCaches(rng, {&cache, &ref});
+    const Cache::State base = cache.save();
+    Cache::State base_full = base;
+    base_full.id = 0;
+    const Cache::State cleared_full{0, std::vector<Cache::Line>(32), 0};
+
+    unsigned restores = 0;
+    unsigned invalidates = 0;
+    for (int round = 0; round < 400; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        const std::uint64_t n = rng.nextBelow(10);
+        for (std::uint64_t i = 0; i < n; ++i)
+            mutateCaches(rng, {&cache, &ref});
+        ASSERT_EQ(cache.snapshot(), referenceSnapshot(cache));
+        switch (rng.nextBelow(3)) {
+          case 0:
+            cache.restore(base);
+            ref.restore(base_full);
+            ++restores;
+            ASSERT_EQ(cache.save(), base);
+            break;
+          case 1:
+            cache.invalidateAll();
+            ref.restore(cleared_full);
+            ++invalidates;
+            break;
+          default:
+            break; // keep mutating on top of the current state
+        }
+        ASSERT_EQ(cache.save(), ref.save());
+        ASSERT_EQ(cache.snapshot(), referenceSnapshot(ref));
+    }
+    EXPECT_GT(restores, 50u);
+    EXPECT_GT(invalidates, 50u);
+}
+
+// The same at the MemSystem level, side buffer included: restoring one
+// snapshot over and over (the harness's prime memo) matches a system
+// that always copies everything.
+TEST_F(MemSystemTest, DirtySetRestoreMatchesFullCopyWithSideBuffer)
+{
+    SideBuffer buf(4);
+    SideBuffer ref_buf(4);
+    EventLog ref_log;
+    MemSystem ref(params_, ref_log);
+    mem_.setSideBuffer(&buf);
+    ref.setSideBuffer(&ref_buf);
+
+    Rng rng(17);
+    auto mutate = [&rng, this, &ref, &buf, &ref_buf] {
+        const Addr line = rng.nextBelow(2048) * 64;
+        const std::uint64_t op = rng.nextBelow(7);
+        const bool mark = rng.chance(1, 2);
+        for (auto [m, sb] : {std::pair{&mem_, &buf},
+                             std::pair{&ref, &ref_buf}}) {
+            switch (op) {
+              case 0: m->l1d().install(line, mark); break;
+              case 1: m->l1d().touch(line); break;
+              case 2: m->l1d().evictVictim(line); break;
+              case 3: m->l1d().markNonSpecTouched(line); break;
+              case 4: m->l1i().install(line); break;
+              case 5:
+                m->l2().install(line);
+                m->dtlb().fill(line >> 12);
+                break;
+              default: sb->insert(line); break;
+            }
+        }
+    };
+    for (int i = 0; i < 600; ++i)
+        mutate();
+    const MemSnapshot snap = mem_.save();
+    MemSnapshot snap_full = snap;
+    snap_full.l1d.id = snap_full.l1i.id = snap_full.l2.id = 0;
+
+    for (int round = 0; round < 200; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        const std::uint64_t n = rng.nextBelow(40);
+        for (std::uint64_t i = 0; i < n; ++i)
+            mutate();
+        if (rng.chance(1, 4)) {
+            mem_.invalidateAll();
+            ref.invalidateAll();
+        }
+        mem_.restore(snap);
+        ref.restore(snap_full);
+        ASSERT_EQ(mem_.save(), snap);
+        ASSERT_EQ(ref.save(), snap);
+        ASSERT_EQ(buf.save(), ref_buf.save());
+        ASSERT_EQ(mem_.l1d().snapshot(), referenceSnapshot(ref.l1d()));
+    }
+}
+
+/**
+ * Forwards every hook to a real defense and, each cycle, checks the
+ * pipeline's safe flags against the reference walk: an entry is safe
+ * iff no older entry is an unresolved branch, an unexecuted fence, or
+ * (Futuristic mode) a store whose address is unresolved. Defense::tick
+ * runs right after computeSafety, so the flags it sees are final. It
+ * also counts which kind of risk was the oldest, to prove coverage.
+ */
+class SafetyAudit final : public defense::Defense
+{
+  public:
+    SafetyAudit(std::unique_ptr<defense::Defense> inner, SpecMode mode)
+        : inner_(std::move(inner)), mode_(mode)
+    {
+    }
+
+    void
+    attach(Pipeline *pipeline, MemSystem *mem, EventLog *log) override
+    {
+        Defense::attach(pipeline, mem, log);
+        inner_->attach(pipeline, mem, log);
+    }
+    void reset() override { inner_->reset(); }
+    SpecMode specMode() const override { return mode_; }
+    bool blockLoadIssue(DynInst &e) override
+    {
+        return inner_->blockLoadIssue(e);
+    }
+    defense::LoadPlan planLoad(DynInst &e) override
+    {
+        return inner_->planLoad(e);
+    }
+    bool blockStoreExec(DynInst &e) override
+    {
+        return inner_->blockStoreExec(e);
+    }
+    void onStoreAddrReady(DynInst &e) override
+    {
+        inner_->onStoreAddrReady(e);
+    }
+    bool installStoreAtCommit(const DynInst &e) override
+    {
+        return inner_->installStoreAtCommit(e);
+    }
+    void onBecameSafe(DynInst &e) override { inner_->onBecameSafe(e); }
+    void onSquash(DynInst &e) override { inner_->onSquash(e); }
+    void onReqComplete(const MemReq &r) override { inner_->onReqComplete(r); }
+    Cycle nextEventCycle(Cycle now) const override
+    {
+        return inner_->nextEventCycle(now);
+    }
+    void tickMany(Cycle cycles) override { inner_->tickMany(cycles); }
+
+    void
+    tick() override
+    {
+        bool risk = false;
+        for (const DynInst &e : pipe_->rob()) {
+            ++checks;
+            if (e.safe == risk)
+                ++mismatches;
+            const bool branch = e.isBranch() && !e.executed;
+            const bool fence = e.si.op == isa::Op::Fence && !e.executed;
+            const bool store = mode_ == SpecMode::Futuristic &&
+                               e.isStore && !e.addrReady;
+            if (!risk) {
+                branchRisks += branch;
+                fenceRisks += fence;
+                storeRisks += store;
+            }
+            risk = risk || branch || fence || store;
+        }
+        inner_->tick();
+    }
+
+    std::uint64_t checks = 0;
+    std::uint64_t mismatches = 0;
+    std::uint64_t branchRisks = 0;
+    std::uint64_t fenceRisks = 0;
+    std::uint64_t storeRisks = 0;
+
+  private:
+    std::unique_ptr<defense::Defense> inner_;
+    SpecMode mode_;
+};
+
+/** Branch squash, then a store whose address resolves late (a
+ *  Futuristic risk) bypassed by an aliasing load (a memory-order
+ *  squash), then a fence. */
+isa::Program
+safetyProgram()
+{
+    return isa::assemble(R"(
+.bb_main.0:
+    MOV RAX, qword ptr [R14 + 0]
+    IMUL RAX, RAX
+    IMUL RAX, RAX
+    IMUL RAX, RAX
+    TEST RAX, RAX
+    JNE .bb_main.1
+    MOV RBX, qword ptr [R14 + RCX]
+    JMP .bb_main.1
+.bb_main.1:
+    MOV RDX, qword ptr [R14 + 16]
+    IMUL RDX, RDX
+    IMUL RDX, RDX
+    AND RDX, 0b111000
+    MOV qword ptr [R14 + RDX], RDI
+    MOV RSI, qword ptr [R14 + 0]
+    LFENCE
+    ADD RSI, RDI
+    MOV R8, qword ptr [R14 + 256]
+)");
+}
+
+void
+auditSafety(defense::DefenseKind kind, std::optional<SpecMode> mode)
+{
+    executor::HarnessConfig cfg;
+    cfg.defense.kind = kind;
+    cfg.bootInsts = 500;
+    auto inner = defense::makeDefense(cfg.defense, cfg.core);
+    const SpecMode spec_mode = mode.value_or(inner->specMode());
+    SafetyAudit audit(std::move(inner), spec_mode);
+    executor::SimHarness harness(cfg);
+    harness.start();
+    harness.pipeline().setDefense(&audit);
+    harness.setEventLogging(true);
+
+    // The hand-built shape from cold predictors, then random programs.
+    const isa::FlatProgram shaped(safetyProgram(), cfg.map.codeBase);
+    harness.loadProgram(&shaped);
+    arch::Input input;
+    input.regs.fill(0);
+    input.regs[isa::regIndex(isa::Reg::Rcx)] = 0x200;
+    input.sandbox.assign(cfg.map.sandboxSize(), 0);
+    input.sandbox[0] = 3; // JNE taken, predicted fall-through
+    EXPECT_TRUE(harness.runInput(input).run.halted);
+
+    core::GeneratorConfig gcfg;
+    gcfg.map = cfg.map;
+    core::InputGenConfig icfg;
+    icfg.map = cfg.map;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        core::ProgramGenerator gen(gcfg, Rng(seed));
+        const isa::FlatProgram fp(gen.generate(), cfg.map.codeBase);
+        harness.loadProgram(&fp);
+        core::InputGenerator igen(icfg, Rng(seed + 100));
+        for (unsigned i = 0; i < 4; ++i)
+            harness.runInput(igen.generate(i));
+    }
+
+    EXPECT_GT(audit.checks, 1000u);
+    EXPECT_EQ(audit.mismatches, 0u);
+    EXPECT_GT(audit.branchRisks, 0u);
+    EXPECT_GT(audit.fenceRisks, 0u);
+    if (spec_mode == SpecMode::Futuristic)
+        EXPECT_GT(audit.storeRisks, 0u);
+    else
+        EXPECT_EQ(audit.storeRisks, 0u);
+    EXPECT_TRUE(harness.eventLog().has(EventKind::SquashBranch));
+    EXPECT_TRUE(harness.eventLog().has(EventKind::SquashMemOrder));
+}
+
+TEST(SafetyFrontier, MatchesFullWalkEveryCyclePerDefense)
+{
+    for (defense::DefenseKind kind : defense::allDefenseKinds()) {
+        SCOPED_TRACE(defense::defenseKindName(kind));
+        auditSafety(kind, std::nullopt);
+    }
+}
+
+TEST(SafetyFrontier, MatchesFullWalkEveryCycleSpectreMode)
+{
+    auditSafety(defense::DefenseKind::Baseline, SpecMode::Spectre);
+}
+
+/** The trace words extractTrace must produce, rebuilt from full scans;
+ *  the section markers are taken from @p got itself. */
+std::vector<std::uint64_t>
+referenceTraceWords(const MemSystem &mem, const executor::UTrace &got)
+{
+    std::vector<std::uint64_t> words;
+    auto marker = [&words, &got] {
+        words.push_back(words.size() < got.words.size()
+                            ? got.words[words.size()]
+                            : 0);
+    };
+    marker();
+    for (Addr line : referenceSnapshot(mem.l1d()))
+        words.push_back(line);
+    marker();
+    for (Addr vpn : mem.dtlb().snapshot())
+        words.push_back(vpn);
+    if (got.format == executor::TraceFormat::L1dTlbL1i) {
+        marker();
+        for (Addr line : referenceSnapshot(mem.l1i()))
+            words.push_back(line);
+    }
+    return words;
+}
+
+// Sort-free extraction against the sorted reference on a conflict-primed
+// L1D, for both cache trace formats, after the two defense paths that
+// rewrite primed sets mid-run: InvisiSpec's UV1 speculative eviction and
+// CleanupSpec's undo (invalidate + victim reinstall).
+TEST(UarchTraceExtraction, SortFreeMatchesSortedReference)
+{
+    const isa::Program prog = safetyProgram();
+    const std::pair<defense::DefenseKind, EventKind> cases[] = {
+        {defense::DefenseKind::InvisiSpec, EventKind::SpecEviction},
+        {defense::DefenseKind::CleanupSpec, EventKind::CleanupUndo},
+    };
+    for (const auto &[kind, evidence] : cases) {
+        for (executor::TraceFormat format :
+             {executor::TraceFormat::L1dTlb,
+              executor::TraceFormat::L1dTlbL1i}) {
+            SCOPED_TRACE(std::string(defense::defenseKindName(kind)) +
+                         " " + executor::traceFormatName(format));
+            executor::HarnessConfig cfg;
+            cfg.defense.kind = kind;
+            cfg.prime = executor::PrimeMode::ConflictFill;
+            cfg.traceFormat = format;
+            cfg.bootInsts = 500;
+            executor::SimHarness harness(cfg);
+            harness.setEventLogging(true);
+            const isa::FlatProgram fp(prog, cfg.map.codeBase);
+            harness.loadProgram(&fp);
+            // The first input primes for real; the later ones restore
+            // the memo over the previous input's dirty sets.
+            for (unsigned i = 0; i < 4; ++i) {
+                arch::Input input;
+                input.id = i;
+                input.regs.fill(0);
+                input.regs[isa::regIndex(isa::Reg::Rcx)] = 0x200 + 0x140 * i;
+                input.sandbox.assign(cfg.map.sandboxSize(), 0);
+                input.sandbox[0] = 3;
+                const executor::UTrace trace = harness.runInput(input).trace;
+                EXPECT_EQ(trace.words,
+                          referenceTraceWords(harness.pipeline().memSys(),
+                                              trace));
+                EXPECT_EQ(trace.hash64, trace.computeHash());
+            }
+            EXPECT_TRUE(harness.eventLog().has(evidence));
+        }
+    }
 }
 
 } // namespace
