@@ -46,9 +46,9 @@ zeroInput(const mem::AddressMap &map)
     arch::Input input;
     input.regs.fill(0);
     input.sandbox.assign(map.sandboxSize(), 0);
-    input.sandbox[0] = 3;
-    input.sandbox[8] = 7;
-    input.sandbox[16] = 5;
+    input.sandbox.set(0, 3);
+    input.sandbox.set(8, 7);
+    input.sandbox.set(16, 5);
     return input;
 }
 

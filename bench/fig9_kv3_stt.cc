@@ -44,8 +44,8 @@ main()
         arch::Input a = zeroInput(cfg.map);
         a.regs[isa::regIndex(isa::Reg::Rcx)] = 0x200;
         arch::Input b = a;
-        a.sandbox[0x202] = 0x01; // secret page +0x10
-        b.sandbox[0x202] = 0x07; // secret page +0x70
+        a.sandbox.set(0x202, 0x01); // secret page +0x10
+        b.sandbox.set(0x202, 0x07); // secret page +0x70
         b.id = 1;
 
         std::printf("--- %s ---\n",

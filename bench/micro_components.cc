@@ -2,9 +2,10 @@
  * @file
  * Google-benchmark microbenchmarks for the simulator's components:
  * cache/TLB operations, the reference emulator, contract-trace collection,
- * program generation, end-to-end simulated test cases, and the per-input
- * trace extraction and prime restore. These quantify the cost model
- * behind Tables 2-4.
+ * program generation, end-to-end simulated test cases, the per-input
+ * trace extraction and prime restore, and input generation (the page
+ * jump, one materialized sandbox page, one sibling). These quantify the
+ * cost model behind Tables 2-4.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "core/generator.hh"
 #include "core/input_gen.hh"
 #include "executor/sim_harness.hh"
+#include "mem/sandbox_image.hh"
 #include "uarch/cache.hh"
 
 namespace
@@ -226,6 +228,67 @@ BM_MemRestorePrime(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MemRestorePrime);
+
+void
+BM_RngJumpPage(benchmark::State &state)
+{
+    // One page-table jump: the stream 512 * 77 draws ahead.
+    Rng::State s = Rng(13).state();
+    for (auto _ : state) {
+        s = mem::pageJump(s, 77);
+        benchmark::DoNotOptimize(s);
+    }
+}
+BENCHMARK(BM_RngJumpPage);
+
+void
+BM_MaterializePage(benchmark::State &state)
+{
+    // One page of a 128-page sibling image: jump, fill, patch overlay.
+    core::InputGenConfig icfg;
+    icfg.map.sandboxPages = 128;
+    core::InputGenerator igen(icfg, Rng(13));
+    const arch::Input base = igen.generate(0);
+    std::vector<std::size_t> offsets;
+    for (std::size_t off = 0; off < icfg.map.sandboxSize(); off += 8191)
+        offsets.push_back(off);
+    const arch::Input sib = igen.sibling(base, offsets, 1);
+    std::vector<std::uint8_t> page(mem::kPageSize);
+    std::uint8_t *out = page.data();
+    std::size_t p = 0;
+    for (auto _ : state) {
+        sib.sandbox.copyPage(p, out);
+        benchmark::DoNotOptimize(out);
+        benchmark::ClobberMemory();
+        p = (p + 37) % 128;
+    }
+}
+BENCHMARK(BM_MaterializePage);
+
+void
+BM_GenerateSibling(benchmark::State &state)
+{
+    // One sibling of a base, as the ctrace stage makes them: read-offset
+    // patches computed once per base, buffers recycled through the
+    // shard's pool.
+    core::InputGenConfig icfg;
+    icfg.map.sandboxPages = static_cast<unsigned>(state.range(0));
+    core::InputBufferPool pool;
+    core::InputGenerator igen(icfg, Rng(13), &pool);
+    const arch::Input base = igen.generate(0);
+    Rng pick(14);
+    std::vector<std::size_t> offsets;
+    for (int i = 0; i < 32; ++i)
+        offsets.push_back(pick.nextBelow(icfg.map.sandboxSize()));
+    const auto patches = core::InputGenerator::siblingPatches(base, offsets);
+    std::vector<arch::Input> dead(1);
+    for (auto _ : state) {
+        dead[0] = igen.sibling(base, patches, 1);
+        benchmark::DoNotOptimize(dead[0]);
+        pool.recycleAll(dead);
+    }
+}
+BENCHMARK(BM_GenerateSibling)->Arg(1)->Arg(128);
 
 } // namespace
 

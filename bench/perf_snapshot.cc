@@ -132,11 +132,10 @@ main()
     // The PR-8 ablation: STT's ARCH-SEQ campaign (128-page sandbox),
     // in-process, jobs=1, contract-trace memo off vs on. Under a
     // non-exploring contract every sibling/probe is a full memo hit —
-    // the memo removes the whole cold collect (512KB sandbox image
-    // load + emulation) per sibling. What remains of ctraceSec is
-    // sibling *generation* (the PRNG fill of a fresh 512KB sandbox,
-    // ~55% of the stage), which no memo can touch, so the honest shape
-    // here is a modest-but-strict ctraceSec drop, not a multiple.
+    // the memo removes the whole cold collect (sandbox image map +
+    // emulation) per sibling. Sibling generation is a page-lazy image
+    // either way (src/mem/sandbox_image.hh), so the memo's share is
+    // the emulation it skips.
     // Each mode runs twice, interleaved, and the best run counts:
     // back-to-back in-process campaigns see allocator/cache warm-up
     // ordering effects larger than the effect under test.

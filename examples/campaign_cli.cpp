@@ -75,7 +75,8 @@ usage(const char *argv0)
         "  --programs N      test programs (default 50)\n"
         "  --inputs N        base inputs per program (default 6)\n"
         "  --siblings N      siblings per base input (default 4)\n"
-        "  --pages N         sandbox pages (default 1; STT uses 128)\n"
+        "  --pages N         sandbox pages, a power of two in 1..128\n"
+        "                    (default 1; STT uses 128)\n"
         "  --seed N          RNG seed (default 1)\n"
         "  --jobs N          worker threads (default 1; 0 = all cores)\n"
         "  --backend NAME    executor backend: inproc|async|subprocess\n"
@@ -746,7 +747,15 @@ main(int argc, char **argv)
             cfg.siblingsPerBase = parseU32("--siblings", next());
         } else if (arg == "--pages") {
             only("run");
-            cfg.harness.map.sandboxPages = parseU32("--pages", next());
+            const unsigned pages = parseU32("--pages", next());
+            if (!mem::AddressMap::validSandboxPages(pages)) {
+                std::fprintf(stderr,
+                             "campaign_cli: --pages must be a power of "
+                             "two in 1..%u (got %u)\n",
+                             mem::kMaxSandboxPages, pages);
+                return 2;
+            }
+            cfg.harness.map.sandboxPages = pages;
         } else if (arg == "--seed") {
             only("run");
             cfg.seed = parseNum("--seed", next());

@@ -106,19 +106,19 @@ leaks(defense::DefenseKind kind, bool patched, const isa::Program &prog,
     a.regs.fill(0);
     a.regs[isa::regIndex(isa::Reg::Rcx)] = 0x200;
     a.sandbox.assign(cfg.map.sandboxSize(), 0);
-    a.sandbox[0] = 3;
-    a.sandbox[8] = 7;
+    a.sandbox.set(0, 3);
+    a.sandbox.set(8, 7);
     arch::Input b = a;
     b.id = 1;
     if (reg_secret) {
         a.regs[isa::regIndex(isa::Reg::Rbx)] = 0x080;
         b.regs[isa::regIndex(isa::Reg::Rbx)] = 0x780;
     } else if (v4) {
-        a.sandbox[0x41] = 0x01;
-        b.sandbox[0x41] = 0x07;
+        a.sandbox.set(0x41, 0x01);
+        b.sandbox.set(0x41, 0x07);
     } else {
-        a.sandbox[0x201] = 0x01;
-        b.sandbox[0x201] = 0x07;
+        a.sandbox.set(0x201, 0x01);
+        b.sandbox.set(0x201, 0x07);
     }
 
     const auto ta = harness.runInput(a).trace;

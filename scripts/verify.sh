@@ -29,6 +29,21 @@ echo "--- window atlas: output must equal the committed WINDOW_ATLAS.json"
 ./build/bench/window_atlas > "${SMOKE}/atlas.json"
 cmp WINDOW_ATLAS.json "${SMOKE}/atlas.json"
 
+# --- Sandbox-bytes gate: a short STT campaign's export must not move ------
+# Its ten KV3 records carry full 128-page sandboxes (21 MB of hex), so any
+# drift in generated input bytes (page-lazy sandbox images, the jump-ahead,
+# sibling patching) fails here, not only in the benchmark's golden. The
+# hash was computed before sandboxes became lazy images.
+echo "--- sandbox-bytes gate: STT KV3 export must hash to the pinned value"
+"${CLI}" --defense stt --contract ARCH-SEQ --pages 128 --programs 60 \
+    --seed 31 --jobs 1 --boot-insts 2000 --corpus-dir "${SMOKE}/stt" \
+    > /dev/null
+"${CLI}" export --corpus-dir "${SMOKE}/stt" --out "${SMOKE}/stt.jsonl" \
+    > /dev/null
+echo "d6856be994323330810b49b5f44e803aa27a5718c82fcf4416c3fefab24f79ea" \
+     " ${SMOKE}/stt.jsonl" | sha256sum --check --quiet -
+rm -rf "${SMOKE}/stt" "${SMOKE}/stt.jsonl"
+
 echo "--- corpus smoke: friendly CLI errors"
 if "${CLI}" --programs banana > /dev/null 2>&1; then
   echo "FAIL: bad numeric argument must exit nonzero" >&2
@@ -42,6 +57,16 @@ if "${CLI}" --backend warp > /dev/null 2>&1; then
   echo "FAIL: unknown backend must exit nonzero" >&2
   exit 1
 fi
+# A sandbox must be a power of two in 1..128 pages: 0 underflows the
+# index mask, 3 masks to 0x2fff and never reaches page 1.
+for pages in 0 3; do
+  rc=0
+  "${CLI}" --pages "${pages}" --programs 1 > /dev/null 2>&1 || rc=$?
+  if [ "${rc}" -ne 2 ]; then
+    echo "FAIL: --pages ${pages} must exit 2, got ${rc}" >&2
+    exit 1
+  fi
+done
 "${CLI}" --list | grep -q "backends (--backend): inproc async subprocess"
 
 echo "--- corpus smoke: uninterrupted reference run"

@@ -34,8 +34,9 @@ struct ArchState
 
     /**
      * Load an input: registers and flags from the input, the sandbox base
-     * register pinned to the layout's sandbox, RSP zeroed, sandbox bytes
-     * written to memory, and the instruction pointer reset.
+     * register pinned to the layout's sandbox, RSP zeroed, the sandbox
+     * image mapped into memory (O(1) when generated: pages materialize
+     * as they are touched), and the instruction pointer reset.
      */
     void
     loadInput(const Input &input, const mem::AddressMap &map)
@@ -46,8 +47,7 @@ struct ArchState
         flags = isa::Flags::unpack(input.flagsByte);
         nextIdx = 0;
         if (!input.sandbox.empty())
-            mem.writeBytes(map.sandboxBase, input.sandbox.data(),
-                           input.sandbox.size());
+            mem.mapSandbox(map.sandboxBase, input.sandbox);
     }
 
     /** Effective address of a memory operand. */

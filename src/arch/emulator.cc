@@ -21,8 +21,10 @@ void
 Emulator::memWrite(Addr addr, unsigned size, std::uint64_t value)
 {
     if (journalAll_ || !checkpoints_.empty()) {
+        const std::uint64_t old = state_.mem.read(addr, size);
         for (unsigned i = 0; i < size; ++i)
-            journal_.push_back({addr + i, state_.mem.readByte(addr + i)});
+            journal_.push_back(
+                {addr + i, static_cast<std::uint8_t>(old >> (8 * i))});
     }
     state_.mem.write(addr, size, value);
 }

@@ -12,11 +12,11 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 #include "isa/reg.hh"
 #include "mem/address_map.hh"
+#include "mem/sandbox_image.hh"
 
 namespace amulet::arch
 {
@@ -30,8 +30,10 @@ struct Input
     /** Initial packed status flags. */
     std::uint8_t flagsByte = 0;
 
-    /** Initial sandbox contents (sandboxPages * 4096 bytes). */
-    std::vector<std::uint8_t> sandbox;
+    /** Initial sandbox contents (sandboxPages * 4096 bytes): a
+     *  generated image for multi-page generator output, explicit bytes
+     *  otherwise (src/mem/sandbox_image.hh). */
+    mem::SandboxImage sandbox;
 
     /** Identifier for reports (generation order). */
     std::uint64_t id = 0;

@@ -1,6 +1,8 @@
 #include "common/rng.hh"
 
+#include <bitset>
 #include <cassert>
+#include <cstring>
 
 namespace amulet
 {
@@ -18,7 +20,159 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
+using Poly = RngJump::Words;
+
+/**
+ * The low 256 coefficients of P(x) = x^256 + low(x), the characteristic
+ * polynomial of the xoshiro256 state update, by Berlekamp-Massey over
+ * 512 steps of one state bit. P is primitive (the engine's period is
+ * 2^256 - 1), hence irreducible, so the minimal polynomial of any
+ * nonzero bit sequence the engine produces is P itself.
+ */
+Poly
+deriveCharPoly()
+{
+    constexpr int n = 512;
+    std::bitset<n> seq;
+    Rng rng(1);
+    for (int i = 0; i < n; ++i) {
+        seq[i] = rng.state()[0] & 1;
+        rng.next();
+    }
+    // Connection polynomial C(x) = 1 + c1 x + ... + cL x^L with
+    // seq[i] = sum c_j seq[i-j].
+    std::bitset<n + 1> c, b, t;
+    c[0] = b[0] = 1;
+    int len = 0;
+    int last = -1;
+    for (int i = 0; i < n; ++i) {
+        bool d = seq[i];
+        for (int j = 1; j <= len; ++j)
+            d ^= c[j] && seq[i - j];
+        if (!d)
+            continue;
+        t = c;
+        c ^= b << (i - last);
+        if (2 * len <= i) {
+            len = i + 1 - len;
+            last = i;
+            b = t;
+        }
+    }
+    assert(len == 256 && "xoshiro256 must have a degree-256 recurrence");
+    // P(x) = x^L C(1/x): the coefficient of x^(L-j) is c_j.
+    Poly low{};
+    for (int j = 1; j <= len; ++j) {
+        if (c[j]) {
+            const int bit = len - j;
+            low[bit / 64] |= std::uint64_t{1} << (bit % 64);
+        }
+    }
+    return low;
+}
+
+const Poly &
+charPolyLow()
+{
+    static const Poly low = deriveCharPoly();
+    return low;
+}
+
+/** a * x mod P. */
+Poly
+mulX(const Poly &a, const Poly &low)
+{
+    const bool carry = a[3] >> 63;
+    Poly r{a[0] << 1, (a[1] << 1) | (a[0] >> 63), (a[2] << 1) | (a[1] >> 63),
+           (a[3] << 1) | (a[2] >> 63)};
+    if (carry) {
+        for (int w = 0; w < 4; ++w)
+            r[w] ^= low[w];
+    }
+    return r;
+}
+
+/** a * b mod P (Horner over a's coefficients, highest first). */
+Poly
+mulMod(const Poly &a, const Poly &b)
+{
+    const Poly &low = charPolyLow();
+    Poly r{};
+    for (int i = 255; i >= 0; --i) {
+        r = mulX(r, low);
+        if ((a[i / 64] >> (i % 64)) & 1) {
+            for (int w = 0; w < 4; ++w)
+                r[w] ^= b[w];
+        }
+    }
+    return r;
+}
+
+constexpr Poly kOne{1, 0, 0, 0}; ///< x^0
+constexpr Poly kX{2, 0, 0, 0};   ///< x^1
+
 } // namespace
+
+RngJump
+RngJump::draws(std::uint64_t k)
+{
+    RngJump out;
+    out.words_ = kOne;
+    Poly base = kX;
+    for (; k != 0; k >>= 1) {
+        if (k & 1)
+            out.words_ = mulMod(out.words_, base);
+        if (k > 1)
+            base = mulMod(base, base);
+    }
+    return out;
+}
+
+RngJump
+RngJump::operator*(const RngJump &other) const
+{
+    RngJump out;
+    out.words_ = mulMod(words_, other.words_);
+    return out;
+}
+
+void
+Rng::fill(std::uint8_t *out, std::size_t words)
+{
+    std::uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+    for (std::size_t i = 0; i < words; ++i) {
+        const std::uint64_t w = step(s0, s1, s2, s3);
+        std::memcpy(out + 8 * i, &w, 8);
+    }
+    s_[0] = s0;
+    s_[1] = s1;
+    s_[2] = s2;
+    s_[3] = s3;
+}
+
+void
+Rng::jump(const RngJump &jump)
+{
+    // sum over set coefficients r_i of T^i s — the published
+    // xoshiro jump() loop, for any residue.
+    std::uint64_t s0 = s_[0], s1 = s_[1], s2 = s_[2], s3 = s_[3];
+    std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
+    for (const std::uint64_t word : jump.words()) {
+        for (int b = 0; b < 64; ++b) {
+            // Branch-free: the coefficients are random bits.
+            const std::uint64_t m = -((word >> b) & 1);
+            t0 ^= s0 & m;
+            t1 ^= s1 & m;
+            t2 ^= s2 & m;
+            t3 ^= s3 & m;
+            step(s0, s1, s2, s3);
+        }
+    }
+    s_[0] = t0;
+    s_[1] = t1;
+    s_[2] = t2;
+    s_[3] = t3;
+}
 
 Rng::Rng(std::uint64_t seed)
 {

@@ -118,8 +118,10 @@ struct LeakageModel::BatchTracker
                     continue;
                 if (st.byteFirstRead.get(off) == kNever) {
                     st.byteFirstRead.set(off, step);
+                    // The value is filled in after the pass: a
+                    // speculative store may have clobbered it here.
                     st.readBytes.push_back(
-                        {static_cast<std::uint32_t>(off), step});
+                        {static_cast<std::uint32_t>(off), step, 0});
                 }
                 if (depth == 0)
                     st.readOffsets.push_back(off);
@@ -349,6 +351,14 @@ LeakageModel::batchBegin(const isa::FlatProgram &prog,
         std::unique(st.readOffsets.begin(), st.readOffsets.end()),
         st.readOffsets.end());
 
+    // Undoing every store leaves the base's initial image, already
+    // materialized wherever it was read: the divergence scan's
+    // reference bytes, read once per batch instead of once per input.
+    st.emu->rewindAllWrites();
+    const mem::MemoryImage &mem = st.emu->state().mem;
+    for (ReadByte &rb : st.readBytes)
+        rb.value = mem.readByte(map.sandboxBase + rb.off);
+
 #ifndef NDEBUG
     if (st.audit) {
         assert(st.baseTrace == collect(prog, base, map));
@@ -373,14 +383,18 @@ LeakageModel::divergenceStep(const arch::Input &input) const
             div = std::min(div, st.regFirstRead[r]);
     }
     // Only bytes the base pass first-read as initial state can diverge;
-    // scan the compact read list instead of the whole sandbox. Offsets
-    // beyond the initialized sandbox vector read as zero for every
-    // input and cannot differ.
+    // scan the compact read list instead of the whole sandbox, stopping
+    // at the first difference (the list is in step order). Offsets
+    // beyond the initialized sandbox read as zero for every input and
+    // cannot differ; an image of the base's own source equals it.
+    if (input.sandbox.sameSource(st.base.sandbox))
+        return div;
     const std::size_t n = input.sandbox.size();
     for (const ReadByte &rb : st.readBytes) {
-        if (rb.step < div && rb.off < n &&
-            input.sandbox[rb.off] != st.base.sandbox[rb.off])
-            div = rb.step;
+        if (rb.step >= div)
+            break;
+        if (rb.off < n && input.sandbox[rb.off] != rb.value)
+            return rb.step;
     }
     return div;
 }
@@ -392,20 +406,17 @@ LeakageModel::forkTo(std::uint32_t step, const arch::Input &input)
     arch::Emulator &emu = *st.emu;
 
     // Memory: rewind the journal (undoing every store since the last
-    // sandbox image load, including non-sandbox ones), bulk-switch the
+    // sandbox image load, including non-sandbox ones), remap the
     // sandbox to @p input's initial image, then re-apply the base
     // pass's committed stores made before the fork step — their values
     // are computed from pre-divergence state, hence shared, and
-    // re-applying them after the image switch supersedes the input
-    // bytes they overwrote, in order. The bulk write deliberately
-    // bypasses the journal: the sandbox image is swapped wholesale on
-    // every fork, so only post-image-load stores need undo entries.
+    // re-applying them after the remap supersedes the input bytes they
+    // overwrote, in order. The remap deliberately bypasses the journal:
+    // the sandbox image is swapped wholesale on every fork, so only
+    // post-remap stores need undo entries.
     emu.rewindAllWrites();
-    if (!input.sandbox.empty()) {
-        emu.state().mem.writeBytes(st.map.sandboxBase,
-                                   input.sandbox.data(),
-                                   input.sandbox.size());
-    }
+    if (!input.sandbox.empty())
+        emu.state().mem.mapSandbox(st.map.sandboxBase, input.sandbox);
     const std::uint32_t wm = st.writeMark[step];
     for (std::uint32_t i = 0; i < wm; ++i)
         emu.pokeByte(st.writes[i].addr, st.writes[i].value);

@@ -162,11 +162,12 @@ class LeakageModel
 
     /** Offset + step of the first initial-value read of a sandbox byte
      *  (compact mirror of the byteFirstRead table for cheap divergence
-     *  scans). */
+     *  scans), with the base's initial value there. */
     struct ReadByte
     {
         std::uint32_t off;
         std::uint32_t step;
+        std::uint8_t value;
     };
 
     struct BatchState
@@ -193,6 +194,7 @@ class LeakageModel
         std::array<std::uint32_t, isa::kNumRegs> regFirstWrite{};
         StepTable byteFirstRead;
         StepTable byteFirstWrite;
+        /** In base-pass order, so steps never decrease. */
         std::vector<ReadByte> readBytes;
     };
 

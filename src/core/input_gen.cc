@@ -1,20 +1,38 @@
 #include "core/input_gen.hh"
 
 #include <algorithm>
-#include <cstring>
 
 namespace amulet::core
 {
 
-std::vector<std::uint8_t>
-InputGenerator::takeSandbox(std::size_t n)
+mem::SandboxImage
+InputGenerator::draw(std::size_t n,
+                     const std::shared_ptr<const Patches> &patches,
+                     const mem::SandboxImage *tail)
 {
-    std::vector<std::uint8_t> buf = pool_ ? pool_->take()
-                                          : std::vector<std::uint8_t>{};
+    const std::size_t pages = n / mem::kPageSize;
+    if (n % mem::kPageSize == 0 && pages > 1 &&
+        pages <= mem::kMaxSandboxPages) {
+        const Rng::State first = rng_.state();
+        rng_ = Rng::fromState(mem::pageJump(first, pages));
+        return mem::SandboxImage::generated(first, n, patches);
+    }
     // A warm buffer's resize is a no-op (same size) or capacity reuse;
     // only a cold pool pays the allocate-and-zero.
+    std::vector<std::uint8_t> buf = pool_ ? pool_->take()
+                                          : std::vector<std::uint8_t>{};
     buf.resize(n);
-    return buf;
+    const std::size_t words = n / 8;
+    rng_.fill(buf.data(), words);
+    // Tail bytes (size not a word multiple) are the base's for a
+    // sibling and zero otherwise; a recycled buffer may hold stale ones.
+    for (std::size_t i = words * 8; i < n; ++i)
+        buf[i] = tail ? (*tail)[i] : 0;
+    if (patches) {
+        for (const mem::SandboxImage::Patch &p : *patches)
+            buf[p.off] = p.value;
+    }
+    return mem::SandboxImage(std::move(buf));
 }
 
 arch::Input
@@ -27,46 +45,38 @@ InputGenerator::generate(std::uint64_t id)
                                                  : rng_.next();
     }
     input.flagsByte = static_cast<std::uint8_t>(rng_.next() & 0x1f);
-    const std::size_t n = cfg_.map.sandboxSize();
-    input.sandbox = takeSandbox(n);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const std::uint64_t w = rng_.next();
-        std::memcpy(&input.sandbox[i], &w, 8);
-    }
-    // Tail bytes (sandbox size not a word multiple) are defined to be
-    // zero; a recycled buffer may hold stale bytes there.
-    for (; i < n; ++i)
-        input.sandbox[i] = 0;
+    input.sandbox = draw(cfg_.map.sandboxSize(), nullptr, nullptr);
     return input;
+}
+
+std::shared_ptr<const InputGenerator::Patches>
+InputGenerator::siblingPatches(const arch::Input &base,
+                               const std::vector<std::size_t> &read_offsets)
+{
+    std::vector<std::size_t> offsets;
+    offsets.reserve(read_offsets.size());
+    for (std::size_t off : read_offsets) {
+        if (off < base.sandbox.size())
+            offsets.push_back(off);
+    }
+    std::sort(offsets.begin(), offsets.end());
+    offsets.erase(std::unique(offsets.begin(), offsets.end()),
+                  offsets.end());
+    return std::make_shared<const Patches>(base.sandbox.bytesAt(offsets));
 }
 
 arch::Input
 InputGenerator::sibling(const arch::Input &base,
-                        const std::vector<std::size_t> &read_offsets,
+                        const std::shared_ptr<const Patches> &patches,
                         std::uint64_t id)
 {
     arch::Input input;
     input.id = id;
     input.regs = base.regs;
     input.flagsByte = base.flagsByte;
-    // Randomize everything, then restore the contract-relevant bytes.
-    // Filling the buffer (instead of copying the base sandbox and
-    // overwriting it) draws the same words, so the result is
-    // byte-identical — only the dead 512KB copy per STT sibling goes.
-    const std::size_t n = base.sandbox.size();
-    input.sandbox = takeSandbox(n);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const std::uint64_t w = rng_.next();
-        std::memcpy(&input.sandbox[i], &w, 8);
-    }
-    for (; i < n; ++i)
-        input.sandbox[i] = base.sandbox[i];
-    for (std::size_t off : read_offsets) {
-        if (off < n)
-            input.sandbox[off] = base.sandbox[off];
-    }
+    // Random everywhere, then the contract-relevant bytes restored: the
+    // same draws as a fresh base sandbox, so the stream advances alike.
+    input.sandbox = draw(base.sandbox.size(), patches, &base.sandbox);
     return input;
 }
 

@@ -14,6 +14,7 @@
 #ifndef AMULET_CORE_INPUT_GEN_HH
 #define AMULET_CORE_INPUT_GEN_HH
 
+#include <memory>
 #include <vector>
 
 #include "arch/input.hh"
@@ -33,16 +34,17 @@ struct InputGenConfig
 };
 
 /**
- * Recycler for input sandbox buffers. Sandboxes are large (STT runs at
- * 128 pages = 512 KiB per input) and short-lived — a program's inputs
- * die when its plan completes — so freshly allocating one per input
- * makes the kernel re-zero half a megabyte that the generator is about
- * to overwrite anyway. A shard keeps one pool across its programs: the
- * generator takes warm buffers from it and the shard returns a finished
- * plan's sandboxes. Generated bytes are identical with or without a
- * pool (the generator writes every byte it is responsible for), so
- * pooling is invisible to the determinism contract. Thread-confined,
- * like everything else a shard owns.
+ * Recycler for single-page sandbox buffers. Multi-page sandboxes are
+ * generated images that own no bytes (src/mem/sandbox_image.hh), but a
+ * one-page sandbox is materialized at generation — every run touches
+ * its only page — and freshly allocating one per input makes the
+ * kernel zero a page the generator is about to overwrite. A shard keeps
+ * one pool across its programs: the generator takes warm buffers from
+ * it and the shard returns a finished plan's sandboxes. Generated bytes
+ * are identical with or without a pool (the generator writes every
+ * byte it is responsible for), so pooling is invisible to the
+ * determinism contract. Thread-confined, like everything else a shard
+ * owns.
  */
 class InputBufferPool
 {
@@ -57,10 +59,10 @@ class InputBufferPool
         return buf;
     }
 
-    /** Return a dead input's sandbox storage for reuse. */
+    /** Return a dead input's one-page sandbox storage for reuse. */
     void recycle(std::vector<std::uint8_t> &&buf)
     {
-        if (buf.capacity() == 0 || free_.size() >= kMaxFree)
+        if (buf.size() != mem::kPageSize || free_.size() >= kMaxFree)
             return;
         free_.push_back(std::move(buf));
     }
@@ -69,7 +71,7 @@ class InputBufferPool
     void recycleAll(std::vector<arch::Input> &inputs)
     {
         for (arch::Input &input : inputs)
-            recycle(std::move(input.sandbox));
+            recycle(input.sandbox.releaseBytes());
     }
 
   private:
@@ -79,10 +81,22 @@ class InputBufferPool
     std::vector<std::vector<std::uint8_t>> free_;
 };
 
-/** Deterministic input generator. */
+/**
+ * Deterministic input generator.
+ *
+ * A sandbox is the next sandboxSize/8 draws of the stream. Multi-page
+ * sandboxes (up to mem::kMaxSandboxPages) come out as generated images:
+ * the stream state is captured and jumped past the sandbox in one GF(2)
+ * jump, so generating costs O(1) and every later draw is unchanged. A
+ * one-page sandbox is filled eagerly, since its page is always touched
+ * and regenerating it in each consumer costs more than copying it.
+ * Either way every byte equals a plain fill from the stream.
+ */
 class InputGenerator
 {
   public:
+    using Patches = mem::SandboxImage::Patches;
+
     /** @p pool (optional) donates warm sandbox buffers; output bytes do
      *  not depend on it. */
     InputGenerator(InputGenConfig config, Rng rng,
@@ -95,19 +109,37 @@ class InputGenerator
     arch::Input generate(std::uint64_t id);
 
     /**
-     * Contract-preserving sibling: same registers and flags, same bytes
-     * at the architecturally-read offsets, random elsewhere.
+     * The bytes every sibling of @p base restores: (offset, base byte)
+     * at each of @p read_offsets inside the sandbox, in offset order.
+     * Compute once per base and share across its siblings.
+     */
+    static std::shared_ptr<const Patches>
+    siblingPatches(const arch::Input &base,
+                   const std::vector<std::size_t> &read_offsets);
+
+    /**
+     * Contract-preserving sibling: same registers and flags, the base's
+     * bytes at @p patches (siblingPatches()), random elsewhere.
      */
     arch::Input sibling(const arch::Input &base,
-                        const std::vector<std::size_t> &read_offsets,
+                        const std::shared_ptr<const Patches> &patches,
                         std::uint64_t id);
 
+    /** sibling() with the patches computed from @p read_offsets. */
+    arch::Input
+    sibling(const arch::Input &base,
+            const std::vector<std::size_t> &read_offsets, std::uint64_t id)
+    {
+        return sibling(base, siblingPatches(base, read_offsets), id);
+    }
+
   private:
-    /** Sandbox storage for a new input: a recycled buffer resized to
-     *  @p n when a pool is attached, else a fresh allocation. Contents
-     *  beyond what the caller overwrites are unspecified — callers
-     *  write all n bytes. */
-    std::vector<std::uint8_t> takeSandbox(std::size_t n);
+    /** The next @p n sandbox bytes of the stream, overlaid by
+     *  @p patches; a byte past the last whole word comes from @p tail
+     *  (zero when null). */
+    mem::SandboxImage draw(std::size_t n,
+                           const std::shared_ptr<const Patches> &patches,
+                           const mem::SandboxImage *tail);
 
     InputGenConfig cfg_;
     Rng rng_;

@@ -679,8 +679,13 @@ toJson(const arch::Input &input)
         regs.push(Json::number(r));
     j.set("regs", std::move(regs));
     j.set("flags", Json::number(std::uint64_t{input.flagsByte}));
-    j.set("sandbox",
-          Json::str(hexEncode(input.sandbox.data(), input.sandbox.size())));
+    const std::vector<std::uint8_t> *bytes = input.sandbox.explicitBytes();
+    std::vector<std::uint8_t> generated;
+    if (!bytes) {
+        generated = input.sandbox.toBytes();
+        bytes = &generated;
+    }
+    j.set("sandbox", Json::str(hexEncode(bytes->data(), bytes->size())));
     return j;
 }
 
@@ -695,7 +700,15 @@ inputFromJson(const Json &json)
     for (std::size_t i = 0; i < regs.size(); ++i)
         input.regs[i] = regs[i].asU64();
     input.flagsByte = static_cast<std::uint8_t>(json.at("flags").asU64());
-    input.sandbox = hexDecode(json.at("sandbox").asStr());
+    const std::string &hex = json.at("sandbox").asStr();
+    // Whole pages only, at most the largest legal sandbox — checked on
+    // the text, before decoding allocates anything.
+    if (hex.size() % (2 * mem::kPageSize) != 0 ||
+        hex.size() / (2 * mem::kPageSize) > mem::kMaxSandboxPages)
+        throw CorpusError("input: sandbox is not a whole number of pages "
+                          "up to " +
+                          std::to_string(mem::kMaxSandboxPages));
+    input.sandbox = mem::SandboxImage(hexDecode(hex));
     return input;
 }
 
@@ -989,6 +1002,9 @@ mapFromJson(const Json &json)
     map.codeBase = json.at("codeBase").asU64();
     map.sandboxBase = json.at("sandboxBase").asU64();
     map.sandboxPages = json.at("sandboxPages").asUnsigned();
+    if (!mem::AddressMap::validSandboxPages(map.sandboxPages))
+        throw CorpusError("sandboxPages must be a power of two in 1.." +
+                          std::to_string(mem::kMaxSandboxPages));
     map.primeBase = json.at("primeBase").asU64();
     return map;
 }

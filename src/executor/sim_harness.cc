@@ -296,12 +296,11 @@ SimHarness::runInput(const arch::Input &input)
     times_.primeSec += secondsSince(t_prime);
 
     const auto t0 = Clock::now();
-    // Overwrite registers and the memory sandbox in place (AMuLeT-Opt's
-    // input switch; a full restart in Naive mode).
-    if (!input.sandbox.empty()) {
-        memory_->writeBytes(cfg_.map.sandboxBase, input.sandbox.data(),
-                            input.sandbox.size());
-    }
+    // Overwrite registers and remap the memory sandbox in place
+    // (AMuLeT-Opt's input switch; a full restart in Naive mode). The
+    // guard page keeps whatever earlier inputs stored there.
+    if (!input.sandbox.empty())
+        memory_->mapSandbox(cfg_.map.sandboxBase, input.sandbox);
     std::array<RegVal, isa::kNumRegs> regs = input.regs;
     regs[isa::regIndex(isa::kSandboxBaseReg)] = cfg_.map.sandboxBase;
     regs[isa::regIndex(isa::Reg::Rsp)] = 0;
@@ -367,11 +366,8 @@ SimHarness::runInput(const arch::Input &input)
         pipe_->setCycleSkip(false);
         restoreContext(*auditCtx);
         resetBetweenInputs();
-        if (!input.sandbox.empty()) {
-            memory_->writeBytes(cfg_.map.sandboxBase,
-                                input.sandbox.data(),
-                                input.sandbox.size());
-        }
+        if (!input.sandbox.empty())
+            memory_->mapSandbox(cfg_.map.sandboxBase, input.sandbox);
         pipe_->setProgram(prog_);
         pipe_->setArchRegs(regs, isa::Flags::unpack(input.flagsByte));
         const uarch::RunResult ref = pipe_->run();

@@ -4,10 +4,10 @@
  *
  * Mirrors the paper's test setup (§3.1, §3.5): generated code lives in a
  * code region, all data accesses are forced into a memory sandbox of 1-128
- * 4 KiB pages based at the R14 register, and the cache-priming region
- * supplies addresses *outside* the sandbox that conflict with it in the
- * L1 (same set index, different tags) for the fill-with-conflicts
- * initialization (§3.2 C2).
+ * 4 KiB pages (a power of two) based at the R14 register, and the
+ * cache-priming region supplies addresses *outside* the sandbox that
+ * conflict with it in the L1 (same set index, different tags) for the
+ * fill-with-conflicts initialization (§3.2 C2).
  *
  * Virtual addresses map to physical addresses identically; the D-TLB still
  * tracks which pages were touched, which is what the TLB part of the μarch
@@ -42,6 +42,16 @@ struct AddressMap
      *  outside-sandbox addresses. Far from the sandbox so its pages and
      *  lines are disjoint. */
     Addr primeBase = 0x10000000;
+
+    /** Legal sandbox geometry: a power of two in 1..kMaxSandboxPages
+     *  pages. Anything else breaks sandboxMask() (0 pages underflows
+     *  it; 3 pages masks to 0x2fff, which never reaches page 1). */
+    static constexpr bool
+    validSandboxPages(std::uint64_t pages)
+    {
+        return pages >= 1 && pages <= kMaxSandboxPages &&
+               (pages & (pages - 1)) == 0;
+    }
 
     /** Sandbox size in bytes. */
     Addr sandboxSize() const { return Addr{sandboxPages} * kPageSize; }

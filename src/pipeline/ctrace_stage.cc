@@ -15,14 +15,15 @@ CTraceStage::run(StageContext &ctx, ProgramPlan &plan)
     const auto t0 = Clock::now();
     const core::CampaignConfig &cfg = ctx.cfg;
     const isa::FlatProgram &fp = *plan.flat;
-    // The shard's buffer pool feeds the generator warm sandbox storage
-    // from completed plans; generated bytes are pool-invariant.
+    // The shard's buffer pool feeds the generator warm one-page
+    // sandbox storage from completed plans; generated bytes are
+    // pool-invariant.
     core::InputGenerator input_gen(cfg.inputs, plan.inputRng,
                                    ctx.inputPool);
 
     // Reserving the full plan up front keeps references into
     // plan.inputs stable across the batch loop, so base inputs can be
-    // moved (not copied — an STT base sandbox is 512KB) into the plan.
+    // moved (not copied — a one-page base owns its 4 KiB) into the plan.
     const std::size_t total_inputs =
         std::size_t{cfg.baseInputsPerProgram} * (1 + cfg.siblingsPerBase);
     plan.inputs.reserve(total_inputs);
@@ -66,9 +67,10 @@ CTraceStage::run(StageContext &ctx, ProgramPlan &plan)
         plan.inputs.push_back(std::move(base_input));
         plan.ctraces.push_back(base_ct);
         const arch::Input &base = plan.inputs.back(); // stable: reserved
+        const auto patches =
+            core::InputGenerator::siblingPatches(base, read_offsets);
         for (unsigned s = 0; s < cfg.siblingsPerBase; ++s) {
-            arch::Input sib =
-                input_gen.sibling(base, read_offsets, next_id++);
+            arch::Input sib = input_gen.sibling(base, patches, next_id++);
             // A confirmed mutation's trace IS the base trace, so
             // nothing needs re-collecting for it.
             bool confirmed = false;

@@ -167,14 +167,15 @@ TEST(LeakageModel, CtSeqIgnoresUnreadMemory)
     arch::Input a = makeInput(map, 5);
     a.regs[isa::regIndex(isa::Reg::Rbx)] = 0x100;
     arch::Input b = a;
-    b.sandbox[0x800] ^= 0xff; // never architecturally read
+    // Flip a byte that is never architecturally read.
+    b.sandbox.set(0x800, b.sandbox[0x800] ^ 0xff);
 
     contracts::LeakageModel ct_seq(contracts::ctSeq());
     EXPECT_EQ(ct_seq.collect(fp, a, map), ct_seq.collect(fp, b, map));
 
     // But ARCH-SEQ distinguishes inputs whose *read* value differs.
     arch::Input c = a;
-    c.sandbox[0x100] ^= 0xff;
+    c.sandbox.set(0x100, c.sandbox[0x100] ^ 0xff);
     contracts::LeakageModel arch_seq(contracts::archSeq());
     EXPECT_NE(arch_seq.collect(fp, a, map), arch_seq.collect(fp, c, map));
     EXPECT_EQ(ct_seq.collect(fp, a, map), ct_seq.collect(fp, c, map));

@@ -113,10 +113,10 @@ sampleRecord()
     rec.inputA.regs.fill(0x1122334455667788ULL);
     rec.inputA.flagsByte = 0x15;
     rec.inputA.sandbox.assign(4096, 0xab);
-    rec.inputA.sandbox[13] = 0x07;
+    rec.inputA.sandbox.set(13, 0x07);
     rec.inputB = rec.inputA;
     rec.inputB.id = 70004;
-    rec.inputB.sandbox[512] = 0xcd;
+    rec.inputB.sandbox.set(512, 0xcd);
     rec.traceA.format = executor::TraceFormat::L1dTlb;
     rec.traceA.words = {0xd1d1000000000001ULL, 42, 99};
     rec.traceB = rec.traceA;
@@ -206,9 +206,10 @@ TEST(CorpusSerde, CanonicalDumpsReparseByteIdentically)
 
     // The hex runs round-trip as payload, not just as text.
     arch::Input input;
-    input.sandbox.resize(4096);
-    for (std::size_t i = 0; i < input.sandbox.size(); ++i)
-        input.sandbox[i] = static_cast<std::uint8_t>(i * 37);
+    std::vector<std::uint8_t> bytes(4096);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i * 37);
+    input.sandbox = mem::SandboxImage(std::move(bytes));
     const std::string dump = corpus::toJson(input).dump();
     EXPECT_TRUE(corpus::inputFromJson(corpus::Json::parse(dump)) == input);
 }
@@ -216,14 +217,16 @@ TEST(CorpusSerde, CanonicalDumpsReparseByteIdentically)
 TEST(CorpusSerde, MalformedHexAndStringsThrow)
 {
     arch::Input input;
-    input.sandbox.assign(4, 0xab);
+    input.sandbox.assign(4096, 0xab);
     const corpus::Json good = corpus::toJson(input);
     // Bytes >= 0x80 are bad digits too (the digit table is indexed as
-    // unsigned char), as is an embedded NUL.
+    // unsigned char), as is an embedded NUL. Each ends a page-long
+    // string, so the digit check — not the length check — rejects it.
     for (const std::string &bad : std::vector<std::string>{
-             "abc", "0g", "zz", "0\x80", "\xff" "0", std::string("a\0", 2)}) {
+             "0g", "zz", "0\x80", "\xff" "0", std::string("a\0", 2)}) {
         corpus::Json j = good;
-        j.set("sandbox", corpus::Json::str(bad));
+        j.set("sandbox",
+              corpus::Json::str(std::string(2 * 4096 - 2, '0') + bad));
         EXPECT_THROW(corpus::inputFromJson(j), corpus::CorpusError) << bad;
     }
     // Unterminated strings: the bulk-copy run reaches end of text.
@@ -232,6 +235,48 @@ TEST(CorpusSerde, MalformedHexAndStringsThrow)
              "\"", "\"" + hex, "{\"sandbox\":\"" + hex, "[\"x\\",
              "\"\\u00", "\"" + hex + "\\\"" + hex}) {
         EXPECT_THROW(corpus::Json::parse(bad), corpus::CorpusError);
+    }
+}
+
+TEST(CorpusSerde, BrokenSandboxGeometryIsRejected)
+{
+    // Inputs: a sandbox must be whole pages, at most 128 of them.
+    arch::Input input;
+    input.sandbox.assign(4096, 0x5a);
+    const corpus::Json good = corpus::toJson(input);
+    EXPECT_TRUE(corpus::inputFromJson(good) == input);
+    for (std::size_t bytes : {std::size_t{1}, std::size_t{4095},
+                              std::size_t{4097}, std::size_t{129 * 4096}}) {
+        corpus::Json j = good;
+        j.set("sandbox", corpus::Json::str(std::string(2 * bytes, '0')));
+        EXPECT_THROW(corpus::inputFromJson(j), corpus::CorpusError)
+            << bytes;
+    }
+    corpus::Json odd = good;
+    odd.set("sandbox", corpus::Json::str(std::string(2 * 4096 + 1, '0')));
+    EXPECT_THROW(corpus::inputFromJson(odd), corpus::CorpusError);
+
+    // Configs: sandboxPages must be a power of two in 1..128, or the
+    // generated index mask lets accesses escape (0) or skip pages (3).
+    const core::CampaignConfig cfg =
+        defenseCampaign(defense::DefenseKind::Stt);
+    const std::string dump = corpus::configToJson(cfg).dump();
+    for (unsigned pages : {0u, 3u, 96u, 256u, 4096u}) {
+        corpus::Json j = corpus::Json::parse(dump);
+        corpus::Json harness = j.at("harness");
+        corpus::Json map = harness.at("map");
+        map.set("sandboxPages", corpus::Json::number(std::uint64_t{pages}));
+        harness.set("map", map);
+        j.set("harness", harness);
+        EXPECT_THROW(corpus::configFromJson(j), corpus::CorpusError)
+            << pages;
+    }
+    for (unsigned pages : {1u, 2u, 64u, 128u}) {
+        core::CampaignConfig ok = cfg;
+        ok.harness.map.sandboxPages = pages;
+        EXPECT_EQ(corpus::configFromJson(corpus::configToJson(ok))
+                      .harness.map.sandboxPages,
+                  pages);
     }
 }
 

@@ -114,8 +114,8 @@ baseInput(const mem::AddressMap &map)
     input.regs[isa::regIndex(isa::Reg::Rcx)] = 0x200; // secret offset
     input.sandbox.assign(map.sandboxSize(), 0);
     // Non-zero word at [0] drives the slow chain and the branch.
-    input.sandbox[0] = 3;
-    input.sandbox[8] = 7;
+    input.sandbox.set(0, 3);
+    input.sandbox.set(8, 7);
     return input;
 }
 
@@ -154,8 +154,8 @@ memSecretInputs(const mem::AddressMap &map)
     arch::Input b = a;
     // The transmitter masks the secret with 0b111110000000, so the secret
     // must differ in byte 1 to reach different cache lines.
-    a.sandbox[0x201] = 0x01; // secret 0x100 -> spec line offset 0x100
-    b.sandbox[0x201] = 0x07; // secret 0x700 -> spec line offset 0x700
+    a.sandbox.set(0x201, 0x01); // secret 0x100 -> spec line offset 0x100
+    b.sandbox.set(0x201, 0x07); // secret 0x700 -> spec line offset 0x700
     b.id = 1;
     return {a, b};
 }

@@ -88,9 +88,9 @@ zeroInput(const mem::AddressMap &map)
     arch::Input input;
     input.regs.fill(0);
     input.sandbox.assign(map.sandboxSize(), 0);
-    input.sandbox[0] = 3;
-    input.sandbox[8] = 7;
-    input.sandbox[16] = 5;
+    input.sandbox.set(0, 3);
+    input.sandbox.set(8, 7);
+    input.sandbox.set(16, 5);
     return input;
 }
 
@@ -123,8 +123,8 @@ TEST(LeakBaselineV4, StoreBypassLeaksStaleValue)
     arch::Input a = zeroInput(cfg.map);
     a.regs[isa::regIndex(isa::Reg::Rdi)] = 0; // stored (new) value
     arch::Input b = a;
-    a.sandbox[0x41] = 0x01; // stale secret 0x100
-    b.sandbox[0x41] = 0x07; // stale secret 0x700
+    a.sandbox.set(0x41, 0x01); // stale secret 0x100
+    b.sandbox.set(0x41, 0x07); // stale secret 0x700
     b.id = 1;
     const LeakOutcome o = runPair(cfg, prog, a, b);
     EXPECT_GT(o.runA.squashes, 0u) << "expected a memory-order squash";
@@ -160,8 +160,8 @@ memSecretInputs(const mem::AddressMap &map)
     arch::Input a = zeroInput(map);
     a.regs[isa::regIndex(isa::Reg::Rcx)] = 0x200;
     arch::Input b = a;
-    a.sandbox[0x201] = 0x01;
-    b.sandbox[0x201] = 0x07;
+    a.sandbox.set(0x201, 0x01);
+    b.sandbox.set(0x201, 0x07);
     b.id = 1;
     return {a, b};
 }
@@ -302,8 +302,8 @@ TEST(LeakSttKv3, TaintedStoreInstallsTlbEntry)
     arch::Input a = zeroInput(cfg.map);
     a.regs[isa::regIndex(isa::Reg::Rcx)] = 0x200;
     arch::Input b = a;
-    a.sandbox[0x202] = 0x01; // secret 0x10000 -> VPN +0x10
-    b.sandbox[0x202] = 0x07; // secret 0x70000 -> VPN +0x70
+    a.sandbox.set(0x202, 0x01); // secret 0x10000 -> VPN +0x10
+    b.sandbox.set(0x202, 0x07); // secret 0x70000 -> VPN +0x70
     b.id = 1;
     const LeakOutcome o = runPair(cfg, prog, a, b);
     EXPECT_TRUE(o.differs)

@@ -50,8 +50,8 @@ TEST(Minimizer, ShrinksSpectreV1KeepingTheViolation)
     core::ViolationRecord violation;
     violation.inputA.regs.fill(0);
     violation.inputA.sandbox.assign(cfg.map.sandboxSize(), 0);
-    violation.inputA.sandbox[0] = 3;
-    violation.inputA.sandbox[8] = 7;
+    violation.inputA.sandbox.set(0, 3);
+    violation.inputA.sandbox.set(8, 7);
     violation.inputB = violation.inputA;
     violation.inputA.regs[isa::regIndex(isa::Reg::Rbx)] = 0x080;
     violation.inputB.regs[isa::regIndex(isa::Reg::Rbx)] = 0x780;

@@ -66,10 +66,8 @@ simulate(const isa::FlatProgram &fp, const arch::Input &input,
     pipe.setDefense(defense.get());
     pipe.setProgram(&fp);
 
-    if (!input.sandbox.empty()) {
-        out.memory->writeBytes(map.sandboxBase, input.sandbox.data(),
-                               input.sandbox.size());
-    }
+    if (!input.sandbox.empty())
+        out.memory->mapSandbox(map.sandboxBase, input.sandbox);
     std::array<RegVal, isa::kNumRegs> regs = input.regs;
     regs[isa::regIndex(isa::kSandboxBaseReg)] = map.sandboxBase;
     regs[isa::regIndex(isa::Reg::Rsp)] = 0;

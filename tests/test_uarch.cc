@@ -757,7 +757,7 @@ auditSafety(defense::DefenseKind kind, std::optional<SpecMode> mode)
     input.regs.fill(0);
     input.regs[isa::regIndex(isa::Reg::Rcx)] = 0x200;
     input.sandbox.assign(cfg.map.sandboxSize(), 0);
-    input.sandbox[0] = 3; // JNE taken, predicted fall-through
+    input.sandbox.set(0, 3); // JNE taken, predicted fall-through
     EXPECT_TRUE(harness.runInput(input).run.halted);
 
     core::GeneratorConfig gcfg;
@@ -857,7 +857,7 @@ TEST(UarchTraceExtraction, SortFreeMatchesSortedReference)
                 input.regs.fill(0);
                 input.regs[isa::regIndex(isa::Reg::Rcx)] = 0x200 + 0x140 * i;
                 input.sandbox.assign(cfg.map.sandboxSize(), 0);
-                input.sandbox[0] = 3;
+                input.sandbox.set(0, 3);
                 const executor::UTrace trace = harness.runInput(input).trace;
                 EXPECT_EQ(trace.words,
                           referenceTraceWords(harness.pipeline().memSys(),

@@ -85,7 +85,7 @@ secretInput(const mem::AddressMap &map, std::uint8_t secret,
     input.id = id;
     input.regs.fill(0);
     input.sandbox.assign(map.sandboxSize(), 0);
-    input.sandbox[0x41] = secret;
+    input.sandbox.set(0x41, secret);
     return input;
 }
 
