@@ -8,7 +8,6 @@
  */
 
 #include <cstdio>
-#include <thread>
 
 #include "bench_util.hh"
 
@@ -153,39 +152,6 @@ main()
                                  : 0.0,
             verdicts_equal ? "unchanged" : "DIVERGED (BUG)",
             off.times.primeSec, on.times.primeSec);
-    }
-
-    // Executor backend ablation (src/executor/): the same CT-COND/Opt
-    // campaign on the async backend — a dedicated simulation thread per
-    // shard lane, two lanes when cores allow — against the in-process
-    // row above. Verdicts are identical by the backend equivalence
-    // contract (tests/test_backend.cc); only wall time moves. The
-    // speedup is hardware-bound: with spare cores the dual lanes
-    // overlap two programs' simulations (up to ~2x); on a fully loaded
-    // or single-core host the shard falls back to one lane and the row
-    // prints ~1x. CI greps this line.
-    {
-        core::CampaignConfig cfg = campaignFor(
-            defense::DefenseKind::Baseline, false, "CT-COND");
-        cfg.numPrograms = scaled(60);
-        cfg.collectSignatures = false;
-        cfg.backend = executor::BackendKind::Async;
-        const auto async_stats = core::Campaign(cfg).run();
-        const auto &inproc = results[3].stats; // CT-COND/opt above
-        const bool verdicts_equal =
-            async_stats.confirmedViolations == inproc.confirmedViolations &&
-            async_stats.violatingTestCases == inproc.violatingTestCases &&
-            async_stats.candidateViolations == inproc.candidateViolations;
-        std::printf(
-            "\nbackend ablation (CT-COND/Opt): inproc %.1f tests/s -> "
-            "async %.1f tests/s (%.2fx,\nverdicts %s, %u hardware "
-            "threads)\n",
-            inproc.throughput(), async_stats.throughput(),
-            inproc.throughput() > 0
-                ? async_stats.throughput() / inproc.throughput()
-                : 0.0,
-            verdicts_equal ? "unchanged" : "DIVERGED (BUG)",
-            std::thread::hardware_concurrency());
     }
     return 0;
 }

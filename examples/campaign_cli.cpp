@@ -79,7 +79,7 @@ usage(const char *argv0)
         "                    (default 1; STT uses 128)\n"
         "  --seed N          RNG seed (default 1)\n"
         "  --jobs N          worker threads (default 1; 0 = all cores)\n"
-        "  --backend NAME    executor backend: inproc|async|subprocess\n"
+        "  --backend NAME    executor backend: inproc|subprocess\n"
         "                    (default inproc; results are identical, see "
         "--list)\n"
         "  --ways N          L1D ways (amplification)\n"

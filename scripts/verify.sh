@@ -57,6 +57,16 @@ if "${CLI}" --backend warp > /dev/null 2>&1; then
   echo "FAIL: unknown backend must exit nonzero" >&2
   exit 1
 fi
+# The async backend was removed: its name takes the unknown-backend path,
+# which exits 2 and lists the backends that remain.
+rc=0
+"${CLI}" --backend async > /dev/null 2> "${SMOKE}/async.err" || rc=$?
+if [ "${rc}" -ne 2 ] ||
+   ! grep -q "(valid: inproc subprocess)" "${SMOKE}/async.err"; then
+  echo "FAIL: --backend async must exit 2 listing inproc subprocess," \
+       "got ${rc}" >&2
+  exit 1
+fi
 # A sandbox must be a power of two in 1..128 pages: 0 underflows the
 # index mask, 3 masks to 0x2fff and never reaches page 1.
 for pages in 0 3; do
@@ -67,7 +77,7 @@ for pages in 0 3; do
     exit 1
   fi
 done
-"${CLI}" --list | grep -q "backends (--backend): inproc async subprocess"
+"${CLI}" --list | grep -qx "backends (--backend): inproc subprocess"
 
 echo "--- corpus smoke: uninterrupted reference run"
 "${CLI}" "${CAMPAIGN[@]}" --corpus-dir "${SMOKE}/full" --jobs 2 > /dev/null
@@ -203,21 +213,20 @@ cmp "${SMOKE}/full.jsonl" "${SMOKE}/csoff.jsonl"
 
 echo "cycle-skip smoke: OK"
 
-# --- Backend smoke: inproc/async/subprocess must export identically ----------
+# --- Backend smoke: inproc/subprocess must export identically ---------------
 # The backend equivalence contract (src/executor/backend.hh): for a fixed
-# (config, seed), corpus exports are byte-identical across every backend —
-# the simulator may run in-thread, behind a simulation thread, or in a
-# forked amulet_sim_worker process without moving a single record byte.
+# (config, seed), corpus exports are byte-identical across backends — the
+# simulator may run in-thread or in a forked amulet_sim_worker process
+# without moving a single record byte.
 
-echo "--- backend smoke: inproc/async/subprocess export equivalence"
-for b in inproc async subprocess; do
+echo "--- backend smoke: inproc/subprocess export equivalence"
+for b in inproc subprocess; do
   "${CLI}" "${CAMPAIGN[@]}" --backend "$b" --corpus-dir "${SMOKE}/be_$b" \
       --jobs 2 > /dev/null
   "${CLI}" export --corpus-dir "${SMOKE}/be_$b" \
       --out "${SMOKE}/be_$b.jsonl" > /dev/null
 done
 test "$(wc -l < "${SMOKE}/be_inproc.jsonl")" -gt 1
-cmp "${SMOKE}/be_inproc.jsonl" "${SMOKE}/be_async.jsonl"
 cmp "${SMOKE}/be_inproc.jsonl" "${SMOKE}/be_subprocess.jsonl"
 # The corpus workflows accept either backend transparently: the knob is
 # runtime-only (like --jobs), so the reference corpus from the smoke above
@@ -404,17 +413,14 @@ fi
 
 echo "uarch-trace smoke: OK"
 
-# --- Throughput canary: table3 filter + backend + prime-cache ablations ------
+# --- Throughput canary: table3 filter + prime-cache ablations ----------------
 # Scaled-down table3 run printing the before/after tests/s lines, so perf
-# regressions in the filter/batching/backend/priming paths are visible in
-# CI logs.
-echo "--- table3 throughput (filter off -> on, prime-cache off -> on," \
-     "inproc -> async)"
+# regressions in the filter/batching/priming paths are visible in CI logs.
+echo "--- table3 throughput (filter off -> on, prime-cache off -> on)"
 AMULET_BENCH_SCALE="${AMULET_BENCH_SCALE:-0.2}" \
     ./build/bench/table3_baseline_campaign > "${SMOKE}/table3.txt"
 grep -A 2 "filter ablation" "${SMOKE}/table3.txt"
 grep -A 2 "prime-cache ablation" "${SMOKE}/table3.txt"
-grep -A 2 "backend ablation" "${SMOKE}/table3.txt"
 if grep -q "DIVERGED" "${SMOKE}/table3.txt"; then
   echo "FAIL: an ablation changed campaign verdicts" >&2
   exit 1

@@ -510,9 +510,9 @@ LeakageModel::takeBatchStats()
 }
 
 std::vector<CTrace>
-LeakageModel::collectBatch(const isa::FlatProgram &prog,
-                           const std::vector<arch::Input> &inputs,
-                           const mem::AddressMap &map, bool memo)
+LeakageModel::collectAll(const isa::FlatProgram &prog,
+                         const std::vector<arch::Input> &inputs,
+                         const mem::AddressMap &map, bool memo)
 {
     std::vector<CTrace> out;
     out.reserve(inputs.size());

@@ -107,10 +107,10 @@ class LeakageModel
 
     /** Convenience for tests/benches: traces of inputs[0..n) with
      *  inputs[0] as the memo base. */
-    std::vector<CTrace> collectBatch(const isa::FlatProgram &prog,
-                                     const std::vector<arch::Input> &inputs,
-                                     const mem::AddressMap &map,
-                                     bool memo = true);
+    std::vector<CTrace> collectAll(const isa::FlatProgram &prog,
+                                   const std::vector<arch::Input> &inputs,
+                                   const mem::AddressMap &map,
+                                   bool memo = true);
     /// @}
 
   private:

@@ -56,18 +56,19 @@ struct CampaignConfig
     bool filterIneffective = true;
 
     /** Worker threads sharing the campaign's programs (0 = all hardware
-     *  threads). Confirmed violations, signatures, and counters are
-     *  identical for every jobs value (see src/runtime/) — except under
-     *  stopAtFirstViolation with jobs>1, where the set of programs that
-     *  run before the stop flag lands is timing-dependent. */
+     *  threads). At jobs 1 confirmed violations, signatures, and
+     *  counters are deterministic; at jobs>1 they are not yet, because
+     *  simulator guard-page bytes carry across the programs of a shard
+     *  (see src/runtime/README.md). Under stopAtFirstViolation with
+     *  jobs>1 the set of programs that run before the stop flag lands
+     *  is timing-dependent as well. */
     unsigned jobs = 1;
 
     /** Executor backend every shard constructs (src/executor/): in the
-     *  worker thread (default), behind a dedicated simulation thread
-     *  (async), or in a forked amulet_sim_worker process (subprocess).
-     *  A runtime knob like jobs — excluded from the corpus config
-     *  fingerprint; confirmed violations, signatures, counters, and
-     *  records are byte-identical across every (jobs, backend) pair
+     *  worker thread (default) or in a forked amulet_sim_worker process
+     *  (subprocess). A runtime knob like jobs — excluded from the
+     *  corpus config fingerprint; confirmed violations, signatures,
+     *  counters, and records are byte-identical across backends
      *  (tests/test_backend.cc). */
     executor::BackendKind backend = executor::BackendKind::InProcess;
 

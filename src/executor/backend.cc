@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/signature.hh"
-#include "executor/backend_async.hh"
 #include "executor/backend_subprocess.hh"
 #include "telemetry/telemetry.hh"
 
@@ -17,7 +16,6 @@ backendKindName(BackendKind kind)
 {
     switch (kind) {
       case BackendKind::InProcess:  return "inproc";
-      case BackendKind::Async:      return "async";
       case BackendKind::Subprocess: return "subprocess";
     }
     return "?";
@@ -41,50 +39,7 @@ parseBackendKind(const std::string &name)
 std::vector<BackendKind>
 allBackendKinds()
 {
-    return {BackendKind::InProcess, BackendKind::Async,
-            BackendKind::Subprocess};
-}
-
-// === Default (eager) submit/collect ========================================
-
-SimBackend::Ticket
-SimBackend::submitBatch(const std::vector<const arch::Input *> &batch,
-                        const std::vector<TraceFormat> *extraFormats)
-{
-    const Ticket ticket = nextTicket_++;
-    eagerBatches_.emplace(ticket, dispatchBatch(batch, extraFormats));
-    return ticket;
-}
-
-SimBackend::BatchOutput
-SimBackend::collectBatch(Ticket ticket)
-{
-    auto it = eagerBatches_.find(ticket);
-    if (it == eagerBatches_.end())
-        throw std::logic_error("SimBackend: unknown batch ticket");
-    BatchOutput out = std::move(it->second);
-    eagerBatches_.erase(it);
-    return out;
-}
-
-SimBackend::Ticket
-SimBackend::submitRun(const arch::Input &input,
-                      const std::vector<TraceFormat> *extraFormats)
-{
-    const Ticket ticket = nextTicket_++;
-    eagerRuns_.emplace(ticket, runOne(input, extraFormats));
-    return ticket;
-}
-
-SimBackend::SingleOutput
-SimBackend::collectRun(Ticket ticket)
-{
-    auto it = eagerRuns_.find(ticket);
-    if (it == eagerRuns_.end())
-        throw std::logic_error("SimBackend: unknown run ticket");
-    SingleOutput out = std::move(it->second);
-    eagerRuns_.erase(it);
-    return out;
+    return {BackendKind::InProcess, BackendKind::Subprocess};
 }
 
 // === InProcessBackend ======================================================
@@ -182,8 +137,6 @@ makeBackend(BackendKind kind, const HarnessConfig &config,
     switch (kind) {
       case BackendKind::InProcess:
         return std::make_unique<InProcessBackend>(config);
-      case BackendKind::Async:
-        return makeAsyncBackend(config);
       case BackendKind::Subprocess:
         return makeSubprocessBackend(config, options);
     }

@@ -5,26 +5,21 @@
  *
  * The pipeline stages (src/pipeline/) and the shard runtime
  * (src/runtime/) drive an abstract SimBackend instead of a concrete
- * SimHarness, so the simulator can live in this thread, behind a
- * dedicated simulation thread, or in another process — without the
- * fuzzing loop knowing. Revizor and SpecFuzz draw the same line between
- * orchestration and execution target; here it is what lets one campaign
- * definition run against gem5-style out-of-process simulators or remote
- * shards later.
+ * SimHarness, so the simulator can live in this thread or in another
+ * process without the fuzzing loop knowing. Revizor and SpecFuzz draw
+ * the same line between orchestration and execution target; here it is
+ * what lets one campaign definition run against gem5-style
+ * out-of-process simulators or remote shards later.
  *
  * Determinism contract: every backend executes the exact same simulator
  * operation sequence a plain SimHarness would — program loads, context
  * restores, per-input priming, batch order — so for a fixed
  * (config, seed), confirmed violations, signatures, counters, and
- * journaled records are byte-identical across every (jobs, backend)
- * pair. tests/test_backend.cc enforces this per defense.
+ * journaled records are byte-identical across backends.
+ * tests/test_backend.cc enforces this per defense.
  *
- * Three backends ship behind makeBackend():
- *  - InProcessBackend: wraps a SimHarness directly (default; zero
- *    behavior change).
- *  - AsyncBackend (backend_async.hh): runs the harness on a dedicated
- *    simulation thread; submit/collect lets callers overlap test
- *    generation and analysis with simulator execution.
+ * Two backends ship behind makeBackend():
+ *  - InProcessBackend: wraps a SimHarness directly (default).
  *  - SubprocessBackend (backend_subprocess.hh): forks an
  *    amulet_sim_worker process and ships whole class batches over a
  *    stdin/stdout JSONL protocol (sim_protocol.hh), with crash
@@ -34,8 +29,6 @@
 #ifndef AMULET_EXECUTOR_BACKEND_HH
 #define AMULET_EXECUTOR_BACKEND_HH
 
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -57,12 +50,11 @@ namespace amulet::executor
 enum class BackendKind
 {
     InProcess,  ///< harness in the calling thread (default)
-    Async,      ///< harness behind a dedicated simulation thread
     Subprocess, ///< harness in a forked amulet_sim_worker process
 };
 
-/** Stable token ("inproc", "async", "subprocess") — CLI flag values,
- *  report lines. */
+/** Stable token ("inproc", "subprocess") — CLI flag values, report
+ *  lines. */
 const char *backendKindName(BackendKind kind);
 
 /** Parse a backend token (case-insensitive). */
@@ -71,13 +63,9 @@ std::optional<BackendKind> parseBackendKind(const std::string &name);
 /** All selectable backends, default first. */
 std::vector<BackendKind> allBackendKinds();
 
-/** What a backend supports beyond the synchronous core interface. */
+/** What a backend supports beyond the core interface. */
 struct BackendCaps
 {
-    /** submitBatch/submitRun defer work: the caller overlaps its own
-     *  computation with simulator execution. Backends without it run
-     *  submissions eagerly (submit + collect ≡ dispatch). */
-    bool pipelined = false;
     /** The simulator lives in another process (no shared memory with
      *  the caller; programs travel as disassembly). */
     bool outOfProcess = false;
@@ -90,19 +78,14 @@ struct BackendCaps
 /**
  * Abstract executor backend. One backend instance is owned by one shard
  * and driven from that shard's worker thread only; backends are never
- * shared across workers.
- *
- * Batch/run submissions take inputs by pointer; the pointees must stay
- * valid until the matching collect returns.
+ * shared across workers. Every operation is synchronous: it returns
+ * when the simulator has finished it.
  */
 class SimBackend
 {
   public:
     using RunOutput = SimHarness::RunOutput;
     using BatchOutput = SimHarness::BatchOutput;
-
-    /** Handle for a submitted batch or single run. */
-    using Ticket = std::uint64_t;
 
     /** Result of one validation-style single run. */
     struct SingleOutput
@@ -138,8 +121,7 @@ class SimBackend
 
     /**
      * Execute one contract-equivalence-class batch (the dispatch unit,
-     * see SimHarness::runBatch). Synchronous: returns when the whole
-     * batch ran.
+     * see SimHarness::runBatch).
      */
     virtual BatchOutput
     dispatchBatch(const std::vector<const arch::Input *> &batch,
@@ -164,39 +146,14 @@ class SimBackend
                                  const UarchContext &ctxA,
                                  const UarchContext &ctxB) = 0;
 
-    /** @name Pipelined dispatch
-     * Submit work now, collect results later. The default
-     * implementations run eagerly at submit time and only store the
-     * result, preserving the synchronous operation order — correct for
-     * every backend, overlapping for none. Pipelined backends override
-     * these; callers check caps().pipelined before relying on overlap.
-     * Tickets must be collected exactly once, in any order.
-     */
-    /// @{
-    virtual Ticket submitBatch(const std::vector<const arch::Input *> &batch,
-                               const std::vector<TraceFormat> *extraFormats);
-    virtual BatchOutput collectBatch(Ticket ticket);
-    virtual Ticket submitRun(const arch::Input &input,
-                             const std::vector<TraceFormat> *extraFormats);
-    virtual SingleOutput collectRun(Ticket ticket);
-    /// @}
-
-    /** Block until every submitted operation has finished (or been
-     *  abandoned after a failure). Callers must sync before destroying
-     *  state a pending submission points into. */
-    virtual void sync() {}
-
-    /** Harness wall-clock breakdown accumulated so far. Implies
-     *  sync(). */
+    /** Harness wall-clock breakdown accumulated so far. */
     virtual const TimeBreakdown &times() = 0;
 
     /**
      * Attach a telemetry sink (src/telemetry/) for op timers/spans and
-     * the per-input sim latency histogram; null detaches. The sink must
-     * be dedicated to this backend: backends that run operations on
-     * their own simulation thread record into it from that thread.
-     * Attach before the first operation. Observability only — the
-     * operation sequence is identical with or without a sink.
+     * the per-input sim latency histogram; null detaches. Attach before
+     * the first operation. Observability only — the operation sequence
+     * is identical with or without a sink.
      */
     virtual void setTelemetry(telemetry::TelemetrySink *sink)
     {
@@ -221,10 +178,6 @@ class SimBackend
 
   protected:
     telemetry::TelemetrySink *telemetry_ = nullptr;
-    /** Eager-result stores for the default submit/collect. */
-    std::map<Ticket, BatchOutput> eagerBatches_;
-    std::map<Ticket, SingleOutput> eagerRuns_;
-    Ticket nextTicket_ = 1;
 };
 
 /** The default backend: a SimHarness driven from the calling thread. */

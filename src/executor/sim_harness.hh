@@ -207,9 +207,9 @@ class SimHarness
      * saveContext + runInput (+ extractExtra) per input: per-input
      * priming is load-bearing (each trace must start from primed
      * caches), so nothing is elided. The batch is the *seam*: one call
-     * per class is the unit a future asynchronous or out-of-process
-     * backend dispatches whole. Inputs are passed by pointer — sandbox
-     * payloads are never copied.
+     * per class is the unit the out-of-process backend dispatches
+     * whole. Inputs are passed by pointer — sandbox payloads are never
+     * copied.
      */
     BatchOutput runBatch(const std::vector<const arch::Input *> &batch,
                          const std::vector<TraceFormat> *extraFormats =

@@ -22,36 +22,6 @@ planAllClasses(ProgramPlan &plan)
 } // namespace
 
 void
-ExecuteStage::submit(StageContext &ctx, ProgramPlan &plan)
-{
-    const bool extras = ctx.cfg.collectAllFormats;
-    const auto all_formats = executor::allTraceFormats();
-
-    if (plan.classes.classes.empty() && !plan.inputs.empty())
-        planAllClasses(plan);
-
-    ctx.backend.loadProgram(plan.program, *plan.flat);
-    // Canonical start: predictor state does not leak across programs, so
-    // the outcome is independent of which worker ran the previous one.
-    // Within the program, predictor state flows across the executed
-    // batches exactly as AMuLeT-Opt flows it across inputs.
-    ctx.backend.restoreContext(ctx.canonicalCtx);
-
-    plan.batchTickets.clear();
-    plan.batchTickets.reserve(plan.executeClasses.size());
-    for (std::size_t c : plan.executeClasses) {
-        const std::vector<std::size_t> &cls = plan.classes.classes[c];
-        std::vector<const arch::Input *> batch;
-        batch.reserve(cls.size());
-        for (std::size_t idx : cls)
-            batch.push_back(&plan.inputs[idx]);
-        plan.batchTickets.push_back(ctx.backend.submitBatch(
-            batch, extras ? &all_formats : nullptr));
-    }
-    plan.batchesSubmitted = true;
-}
-
-void
 ExecuteStage::run(StageContext &ctx, ProgramPlan &plan)
 {
     core::ProgramOutcome &out = plan.outcome;
@@ -63,58 +33,35 @@ ExecuteStage::run(StageContext &ctx, ProgramPlan &plan)
     if (extras)
         plan.extraTraces.assign(plan.inputs.size(), {});
 
-    auto scatter = [&](executor::SimBackend::BatchOutput &res,
-                       const std::vector<std::size_t> &cls) {
+    if (plan.classes.classes.empty() && !plan.inputs.empty())
+        planAllClasses(plan);
+    ctx.backend.loadProgram(plan.program, *plan.flat);
+    // Canonical start: predictor state does not leak across programs, so
+    // it never depends on which program the worker ran before this one.
+    // Within the program, predictor state flows across the executed
+    // batches exactly as AMuLeT-Opt flows it across inputs.
+    ctx.backend.restoreContext(ctx.canonicalCtx);
+
+    // Dispatch class by class so a cycle-cap hit aborts the program
+    // before the remaining classes cost any simulator time.
+    bool aborted = false;
+    for (std::size_t c : plan.executeClasses) {
+        const std::vector<std::size_t> &cls = plan.classes.classes[c];
+        std::vector<const arch::Input *> batch;
+        batch.reserve(cls.size());
+        for (std::size_t idx : cls)
+            batch.push_back(&plan.inputs[idx]);
+        executor::SimBackend::BatchOutput res =
+            ctx.backend.dispatchBatch(batch, extras ? &all_formats : nullptr);
+        if (res.hitCycleCap) {
+            aborted = true;
+            break;
+        }
         for (std::size_t i = 0; i < cls.size(); ++i) {
             plan.traces[cls[i]] = std::move(res.runs[i].trace);
             plan.contexts[cls[i]] = std::move(res.startContexts[i]);
             if (extras)
                 plan.extraTraces[cls[i]] = std::move(res.extras[i]);
-        }
-    };
-
-    bool aborted = false;
-    if (plan.batchesSubmitted) {
-        // Pipelined driver path: every class batch is already in
-        // flight; collect in order. On a cycle-cap abort the remaining
-        // tickets still drain (the work was dispatched), results are
-        // discarded.
-        for (std::size_t b = 0; b < plan.batchTickets.size(); ++b) {
-            executor::SimBackend::BatchOutput res =
-                ctx.backend.collectBatch(plan.batchTickets[b]);
-            if (aborted)
-                continue;
-            if (res.hitCycleCap) {
-                aborted = true;
-                continue;
-            }
-            scatter(res, plan.classes.classes[plan.executeClasses[b]]);
-        }
-        plan.batchTickets.clear();
-        plan.batchesSubmitted = false;
-    } else {
-        // Synchronous path: dispatch class by class so a cycle-cap hit
-        // aborts the program before the remaining classes cost any
-        // simulator time (a pipelined submit would have paid for them
-        // anyway; a synchronous one must not).
-        if (plan.classes.classes.empty() && !plan.inputs.empty())
-            planAllClasses(plan);
-        ctx.backend.loadProgram(plan.program, *plan.flat);
-        ctx.backend.restoreContext(ctx.canonicalCtx);
-        for (std::size_t c : plan.executeClasses) {
-            const std::vector<std::size_t> &cls = plan.classes.classes[c];
-            std::vector<const arch::Input *> batch;
-            batch.reserve(cls.size());
-            for (std::size_t idx : cls)
-                batch.push_back(&plan.inputs[idx]);
-            executor::SimBackend::BatchOutput res =
-                ctx.backend.dispatchBatch(batch,
-                                          extras ? &all_formats : nullptr);
-            if (res.hitCycleCap) {
-                aborted = true;
-                break;
-            }
-            scatter(res, cls);
         }
     }
 

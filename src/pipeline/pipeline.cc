@@ -33,27 +33,6 @@ ProgramPipeline::standard()
     return p;
 }
 
-ProgramPipeline
-ProgramPipeline::standardPrefix()
-{
-    ProgramPipeline p;
-    p.append(std::make_unique<TestGenStage>());
-    p.append(std::make_unique<CTraceStage>());
-    p.append(std::make_unique<FilterStage>());
-    return p;
-}
-
-ProgramPipeline
-ProgramPipeline::standardSuffix()
-{
-    ProgramPipeline p;
-    p.append(std::make_unique<ExecuteStage>());
-    p.append(std::make_unique<AnalyzeStage>());
-    p.append(std::make_unique<ValidateStage>());
-    p.append(std::make_unique<RecordStage>());
-    return p;
-}
-
 void
 ProgramPipeline::append(std::unique_ptr<Stage> stage)
 {

@@ -37,19 +37,6 @@ class ProgramPipeline
      *  Analyze → Validate → Record. */
     static ProgramPipeline standard();
 
-    /** @name The backend seam split
-     * standardPrefix() is everything that needs no simulator (TestGen →
-     * CTrace → Filter); standardSuffix() is everything from the first
-     * backend dispatch on (Execute → Analyze → Validate → Record).
-     * Running prefix then suffix ≡ standard(); a pipelined ShardExecutor
-     * runs the next program's prefix while the simulation thread works
-     * through the current program's suffix dispatches.
-     */
-    /// @{
-    static ProgramPipeline standardPrefix();
-    static ProgramPipeline standardSuffix();
-    /// @}
-
     /** Append a stage at the end of the pipeline. */
     void append(std::unique_ptr<Stage> stage);
 

@@ -64,8 +64,8 @@ secondsSince(Clock::time_point t0)
  * Shared services a stage may use. The context is per-shard: one
  * executor backend and one model, never shared across workers. Stages
  * never see a concrete SimHarness — the backend decides whether the
- * simulator runs in this thread, on a dedicated simulation thread, or
- * in another process (src/executor/backend.hh).
+ * simulator runs in this thread or in another process
+ * (src/executor/backend.hh).
  */
 struct StageContext
 {
@@ -131,12 +131,6 @@ struct ProgramPlan
     std::vector<executor::UTrace> traces;
     std::vector<executor::UarchContext> contexts; ///< pre-run context
     std::vector<std::vector<executor::UTrace>> extraTraces;
-    /** Class batches already submitted to the backend but not yet
-     *  collected (one ticket per entry of executeClasses, in order).
-     *  Filled by ExecuteStage::submit when a pipelined driver dispatches
-     *  the simulator work early; drained by ExecuteStage::run. */
-    std::vector<executor::SimBackend::Ticket> batchTickets;
-    bool batchesSubmitted = false;
 
     // AnalyzeStage / ValidateStage
     core::AnalysisResult analysis;

@@ -53,25 +53,13 @@ class FilterStage : public Stage
  * Run the planned classes on the executor backend, one batch dispatch
  * per equivalence class, scattering traces and pre-run contexts into
  * the plan's per-input slots. Aborts the program (skippedProgram) when
- * an input hits the cycle cap.
- *
- * The dispatch is split into submit (enqueue every class batch on the
- * backend) and collect (run() drains the tickets): a pipelined driver —
- * ShardExecutor with a pipelined backend — calls submit() right after
- * FilterStage and prepares the *next* program's test cases while the
- * simulation thread executes these batches. run() on an unsubmitted
- * plan instead dispatches synchronously class by class (a cycle-cap
- * hit then aborts before the remaining classes run), so the stage
- * stays drop-in for custom pipelines.
+ * an input hits the cycle cap, before the remaining classes run.
  */
 class ExecuteStage : public Stage
 {
   public:
     const char *name() const override { return "execute"; }
     void run(StageContext &ctx, ProgramPlan &plan) override;
-
-    /** Enqueue every planned class batch on the backend. */
-    static void submit(StageContext &ctx, ProgramPlan &plan);
 };
 
 /** Relational analysis: candidate pairs within equivalence classes. */

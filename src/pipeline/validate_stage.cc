@@ -83,45 +83,14 @@ ValidateStage::run(StageContext &ctx, ProgramPlan &plan)
     // whereas a genuine leak that depends on predictor state (e.g.
     // Spectre-v4 under a trained memory-dependence predictor) still
     // differs under one of them.
-    //
-    // On a pipelined backend all re-runs are submitted up front — the
-    // restore/run operation sequence the simulator sees is exactly the
-    // sequential one, but verdict computation overlaps execution. Under
-    // stopAtFirstViolation the sequential path is kept: it stops
-    // submitting at the first confirmation.
-    const bool pipelined = ctx.backend.caps().pipelined &&
-                           !ctx.cfg.stopAtFirstViolation;
-
-    std::vector<std::pair<executor::SimBackend::Ticket,
-                          executor::SimBackend::Ticket>>
-        tickets;
-    if (pipelined) {
-        tickets.reserve(plan.analysis.candidates.size());
-        for (const core::CandidatePair &cand : plan.analysis.candidates) {
-            ctx.backend.restoreContext(plan.contexts[cand.b]);
-            const auto a_t =
-                ctx.backend.submitRun(plan.inputs[cand.a], nullptr);
-            ctx.backend.restoreContext(plan.contexts[cand.a]);
-            const auto b_t =
-                ctx.backend.submitRun(plan.inputs[cand.b], nullptr);
-            tickets.emplace_back(a_t, b_t);
-        }
-    }
-
-    for (std::size_t c = 0; c < plan.analysis.candidates.size(); ++c) {
-        const core::CandidatePair &cand = plan.analysis.candidates[c];
+    for (const core::CandidatePair &cand : plan.analysis.candidates) {
         ++out.candidateViolations;
-        executor::SimBackend::SingleOutput a_under_b;
-        executor::SimBackend::SingleOutput b_under_a;
-        if (pipelined) {
-            a_under_b = ctx.backend.collectRun(tickets[c].first);
-            b_under_a = ctx.backend.collectRun(tickets[c].second);
-        } else {
-            ctx.backend.restoreContext(plan.contexts[cand.b]);
-            a_under_b = ctx.backend.runOne(plan.inputs[cand.a], nullptr);
-            ctx.backend.restoreContext(plan.contexts[cand.a]);
-            b_under_a = ctx.backend.runOne(plan.inputs[cand.b], nullptr);
-        }
+        ctx.backend.restoreContext(plan.contexts[cand.b]);
+        const executor::SimBackend::SingleOutput a_under_b =
+            ctx.backend.runOne(plan.inputs[cand.a], nullptr);
+        ctx.backend.restoreContext(plan.contexts[cand.a]);
+        const executor::SimBackend::SingleOutput b_under_a =
+            ctx.backend.runOne(plan.inputs[cand.b], nullptr);
         out.validationRuns += 2;
         const bool persists =
             !executor::tracesEqual(a_under_b.trace, plan.traces[cand.b]) ||

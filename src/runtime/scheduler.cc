@@ -202,9 +202,8 @@ CampaignScheduler::run()
     // Claim program indices dynamically for load balance; determinism
     // is per-program, not per-claim-order. Re-leased programs are
     // served first and bypass the per-process budget (they were already
-    // counted at first claim). The budget is enforced at claim time so
-    // that a pipelined shard's one-program lookahead cannot overshoot
-    // it.
+    // counted at first claim). The budget is enforced at claim time,
+    // across all shards.
     auto claim = [&]() -> std::optional<unsigned> {
         for (;;) {
             if (stop.load(std::memory_order_relaxed))
@@ -261,8 +260,7 @@ CampaignScheduler::run()
     // constructed once the worker has actually claimed a program, so
     // workers that arrive after the queue drained — or after a
     // stop-first detection — cost nothing. ShardExecutor::runClaimed
-    // owns the claim-run-report loop; on a pipelined backend it keeps
-    // one program in simulator flight while preparing the next.
+    // owns the claim-run-report loop.
     auto shard_task = [&](unsigned s) {
         telemetry::TelemetrySink &tsink = telem.shardSink(s);
         telemetry::ShardLive &live = progress.shard(s);
@@ -368,12 +366,10 @@ CampaignScheduler::run()
                     failure = std::current_exception();
             }
             if (exec) {
-                // times() synchronizes with the backend and can rethrow
-                // a failure the loop above already captured (or, for an
-                // out-of-process worker, fail on its own — e.g. the
-                // worker died at the shard-end times op). The breakdown
-                // is diagnostics; a surviving campaign must not abort
-                // over it.
+                // times() is a round trip for an out-of-process worker
+                // and can fail on its own (e.g. the worker died at the
+                // shard-end times op). The breakdown is diagnostics; a
+                // surviving campaign must not abort over it.
                 try {
                     const executor::TimeBreakdown &tb = exec->times();
                     auto &m = tsink.metrics();
@@ -536,8 +532,8 @@ CampaignScheduler::run()
 #ifndef NDEBUG
     // The accounting sections are disjoint slices of worker time only
     // when the harness runs on the worker's own thread (in-process
-    // backend); async/subprocess overlap simulation with preparation,
-    // so their sections legitimately exceed the worker-time budget.
+    // backend); the subprocess backend's sections are measured by the
+    // worker process on its own clock, so they are not slices of it.
     // Resumed campaigns replay past runs' seconds against this run's
     // (shorter) wall clock, so exclude them too.
     // A chaos plan legitimately redoes work (re-leased programs,

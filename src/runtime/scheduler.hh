@@ -10,9 +10,11 @@
  * order-insensitive, so:
  *
  *   determinism contract — for a fixed (config, seed), confirmed
- *   violations, signature counts, and all analysis counters are
- *   identical for every jobs value (jobs=1 runs the same code path
- *   inline, without spawning threads).
+ *   violations, signature counts, and all analysis counters are meant
+ *   to be identical for every jobs value (jobs=1 runs the same code
+ *   path inline, without spawning threads). Today that holds at
+ *   jobs=1 only: guard-page bytes carry across a shard's programs
+ *   (src/runtime/README.md, "Open gap").
  *
  * Only wall-clock-derived fields (wallSeconds, throughput,
  * firstDetectSeconds and per-record detectSeconds timestamps) vary

@@ -1,11 +1,8 @@
 #include "runtime/shard_executor.hh"
 
-#include <cstdlib>
-#include <thread>
+#include <string>
 
-#include "pipeline/stages.hh"
 #include "runtime/fault.hh"
-#include "runtime/worker_pool.hh"
 
 namespace amulet::runtime
 {
@@ -14,21 +11,26 @@ ShardExecutor::ShardExecutor(const core::CampaignConfig &cfg,
                              Clock::time_point t0,
                              telemetry::CampaignTelemetry *telemetry,
                              unsigned shardId)
-    : cfg_(cfg), tel_(telemetry), shardId_(shardId),
+    : cfg_(cfg),
       sink_(telemetry ? &telemetry->shardSink(shardId) : nullptr),
-      backend_(makeLane(0)), model_(cfg.contract),
-      canonicalCtx_(backend_->saveContext()), // boots the simulator
-      t0_(t0), prefix_(pipeline::ProgramPipeline::standardPrefix()),
-      suffix_(pipeline::ProgramPipeline::standardSuffix())
+      backend_(executor::makeBackend(cfg.backend, cfg.harness)),
+      model_(cfg.contract), t0_(t0)
 {
+    if (telemetry) {
+        // A private sink gives the backend's op spans their own trace
+        // track, next to the shard's stage spans.
+        backend_->setTelemetry(&telemetry->newSink(
+            "shard" + std::to_string(shardId) + "/sim"));
+    }
+    canonicalCtx_ = backend_->saveContext(); // boots the simulator
     if (sink_) {
         // Stage wall times flow into the shard sink: a "stage.<name>"
         // timer + hotspot entry always, plus a per-program trace span
         // when tracing. The span's start is reconstructed from the
         // observer's measured duration.
-        auto observer = [this](const pipeline::Stage &stage,
-                               const pipeline::ProgramPlan &plan,
-                               double seconds) {
+        pipeline_.setObserver([this](const pipeline::Stage &stage,
+                                     const pipeline::ProgramPlan &plan,
+                                     double seconds) {
             const auto start =
                 Clock::now() -
                 std::chrono::duration_cast<Clock::duration>(
@@ -36,53 +38,8 @@ ShardExecutor::ShardExecutor(const core::CampaignConfig &cfg,
             const std::string name = std::string("stage.") + stage.name();
             sink_->recordTimed(name.c_str(), start, seconds,
                                plan.programIndex);
-        };
-        prefix_.setObserver(observer);
-        suffix_.setObserver(observer);
+        });
     }
-}
-
-std::unique_ptr<executor::SimBackend>
-ShardExecutor::makeLane(unsigned laneIndex)
-{
-    auto lane = executor::makeBackend(cfg_.backend, cfg_.harness);
-    if (tel_) {
-        // Each lane records from the thread its ops run on (the worker
-        // thread, or the async backend's sim thread), so each gets a
-        // private sink — and its own trace track.
-        lane->setTelemetry(&tel_->newSink(
-            "shard" + std::to_string(shardId_) + "/sim" +
-            std::to_string(laneIndex)));
-    }
-    return lane;
-}
-
-pipeline::StageContext
-ShardExecutor::stageContext(executor::SimBackend &lane)
-{
-    return pipeline::StageContext{cfg_,          lane, model_,
-                                  canonicalCtx_, t0_,  sink_,
-                                  &inputPool_};
-}
-
-pipeline::ProgramPlan
-ShardExecutor::prepare(unsigned p, Rng prog_rng)
-{
-    pipeline::ProgramPlan plan =
-        pipeline::ProgramPlan::forProgram(p, std::move(prog_rng));
-    // The prefix stages never touch the backend; which lane the context
-    // names is irrelevant.
-    pipeline::StageContext ctx = stageContext(*backend_);
-    prefix_.run(ctx, plan);
-    return plan;
-}
-
-void
-ShardExecutor::finish(pipeline::ProgramPlan &plan,
-                      executor::SimBackend &lane)
-{
-    pipeline::StageContext ctx = stageContext(lane);
-    suffix_.run(ctx, plan);
 }
 
 ProgramOutcome
@@ -92,20 +49,16 @@ ShardExecutor::runProgram(unsigned p, Rng prog_rng)
     // key space (src/runtime/fault.hh); a no-op unless a chaos plan is
     // armed. Ops outside the scope (boot, shard-end times) never fault.
     fault::ProgramScope fault_scope(p);
-    pipeline::ProgramPlan plan = prepare(p, std::move(prog_rng));
-    if (!plan.halt)
-        finish(plan, *backend_);
-    reclaim(plan);
+    pipeline::ProgramPlan plan =
+        pipeline::ProgramPlan::forProgram(p, std::move(prog_rng));
+    pipeline::StageContext ctx{cfg_,          *backend_, model_,
+                               canonicalCtx_, t0_,       sink_,
+                               &inputPool_};
+    pipeline_.run(ctx, plan);
+    // RecordStage copies inputs into corpus records and never
+    // references them, so the sandbox buffers can go back to the pool.
+    inputPool_.recycleAll(plan.inputs);
     return std::move(plan.outcome);
-}
-
-const executor::TimeBreakdown &
-ShardExecutor::times()
-{
-    timesCache_ = backend_->times();
-    if (backend2_)
-        timesCache_.accumulate(backend2_->times());
-    return timesCache_;
 }
 
 void
@@ -113,147 +66,20 @@ ShardExecutor::runClaimed(const ClaimFn &claim,
                           const std::vector<Rng> &streams,
                           const ReportFn &report)
 {
-    // Under stopAtFirstViolation the claim set must track detections
-    // exactly; a lookahead claim would run one program a sequential
-    // shard would not have started.
-    const bool pipelined =
-        backend_->caps().pipelined && !cfg_.stopAtFirstViolation;
-
-    if (!pipelined) {
-        while (const std::optional<unsigned> p = claim()) {
-            ProgramOutcome out;
-            try {
-                out = runProgram(*p, streams[*p]);
-            } catch (const executor::WorkerQuarantineError &e) {
-                // The out-of-process worker failed every allowed
-                // recovery attempt on one of this program's ops: the
-                // program is poisoned, not the campaign. Report it
-                // quarantined and move on — the backend respawns a
-                // fresh worker (reload + canonical-context restore) on
-                // the next program's first op, so subsequent programs
-                // are byte-identical to a clean run.
-                out = core::ProgramOutcome::makeQuarantined(e.what());
-            }
-            report(*p, std::move(out));
+    while (const std::optional<unsigned> p = claim()) {
+        ProgramOutcome out;
+        try {
+            out = runProgram(*p, streams[*p]);
+        } catch (const executor::WorkerQuarantineError &e) {
+            // The out-of-process worker failed every allowed recovery
+            // attempt on one of this program's ops: the program is
+            // poisoned, not the campaign. Report it quarantined and move
+            // on — the backend respawns a fresh worker (reload +
+            // canonical-context restore) on the next program's first op,
+            // so subsequent programs are byte-identical to a clean run.
+            out = core::ProgramOutcome::makeQuarantined(e.what());
         }
-        return;
-    }
-
-    // Two-lane software pipeline: programs alternate between two
-    // independently booted simulator lanes, so two programs' class
-    // batches and validation re-runs execute concurrently while this
-    // thread prepares a third. Every program still sees exactly the
-    // sequential operation sequence on its own lane (load, canonical
-    // restore, class batches in order, context-restored re-runs), and
-    // programs share no state — the canonical context is restored per
-    // program and simulation is reproducible across harness instances —
-    // so outcomes are byte-identical to runProgram(); only wall time
-    // moves.
-    //
-    // A second lane only pays off when there are cores for it: with
-    // every hardware thread already claimed by a shard's sim thread,
-    // dual lanes would time-slice one core. In that case the shard
-    // falls back to a single lane and keeps only the cheap overlap —
-    // preparing the next program's test cases while the lane executes.
-    // AMULET_ASYNC_LANES=1|2 overrides the core heuristic (outcomes are
-    // lane-invariant; tests force both paths on any host).
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    bool dual = hw >= 2 * resolveJobs(cfg_.jobs);
-    if (const char *env = std::getenv("AMULET_ASYNC_LANES"))
-        dual = std::atoi(env) >= 2;
-    if (dual && !backend2_)
-        backend2_ = makeLane(1);
-
-    struct InFlight
-    {
-        // Heap-owned: the backend holds pointers into the plan (flat
-        // program, batch inputs), so its address must survive the
-        // driver's own moves until the plan's work is collected.
-        std::unique_ptr<pipeline::ProgramPlan> plan;
-        executor::SimBackend *lane = nullptr;
-    };
-    // Declared outside the try so that on an exception the plans a
-    // submitted batch points into are still alive when sync() lets the
-    // backends settle (unwinding destroys try-scope locals before the
-    // handler runs).
-    InFlight cur;
-    InFlight ahead;
-    try {
-        // Claim and prepare until a program actually needs the
-        // simulator; filter-resolved programs are complete after the
-        // prefix and are reported inline.
-        auto next_executable =
-            [&]() -> std::unique_ptr<pipeline::ProgramPlan> {
-            while (const std::optional<unsigned> p = claim()) {
-                auto plan = std::make_unique<pipeline::ProgramPlan>(
-                    prepare(*p, streams[*p]));
-                if (!plan->halt)
-                    return plan;
-                reclaim(*plan);
-                report(plan->programIndex, std::move(plan->outcome));
-            }
-            return nullptr;
-        };
-        auto submit_on = [&](std::unique_ptr<pipeline::ProgramPlan> plan,
-                             executor::SimBackend &lane) {
-            pipeline::StageContext ctx = stageContext(lane);
-            pipeline::ExecuteStage::submit(ctx, *plan);
-            return InFlight{std::move(plan), &lane};
-        };
-
-        if (auto plan = next_executable())
-            cur = submit_on(std::move(plan), *backend_);
-        if (dual && cur.plan) {
-            if (auto plan = next_executable())
-                ahead = submit_on(std::move(plan), *backend2_);
-        }
-        while (cur.plan) {
-            // Single lane: look one program ahead on this thread while
-            // the lane executes cur's batches; submit it once the lane
-            // frees up.
-            std::unique_ptr<pipeline::ProgramPlan> prepared;
-            if (!dual)
-                prepared = next_executable();
-            // Dual lanes: both may be executing; finishing cur only
-            // waits on its own lane.
-            // The lane has collected every batch that pointed into this
-            // plan, so its input buffers can go back to the pool.
-            finish(*cur.plan, *cur.lane);
-            reclaim(*cur.plan);
-            report(cur.plan->programIndex,
-                   std::move(cur.plan->outcome));
-            executor::SimBackend &freed = *cur.lane;
-            cur = std::move(ahead);
-            ahead = InFlight{};
-            if (!dual) {
-                if (prepared)
-                    cur = submit_on(std::move(prepared), freed);
-                continue;
-            }
-            // Refill the freed lane while the other one keeps running.
-            if (auto plan = next_executable()) {
-                if (cur.plan)
-                    ahead = submit_on(std::move(plan), freed);
-                else
-                    cur = submit_on(std::move(plan), freed);
-            }
-        }
-    } catch (...) {
-        // Plans with submitted batches must outlive the backends'
-        // pending work on them. sync() rethrows the backend's own
-        // failure — swallow here so the *other* lane still settles
-        // before unwinding destroys the plans; the original exception
-        // is what propagates.
-        for (executor::SimBackend *lane :
-             {backend_.get(), backend2_.get()}) {
-            if (!lane)
-                continue;
-            try {
-                lane->sync();
-            } catch (...) {
-            }
-        }
-        throw;
+        report(*p, std::move(out));
     }
 }
 

@@ -3,9 +3,10 @@
  * Per-worker campaign pipeline driver.
  *
  * A ShardExecutor owns one executor backend (src/executor/backend.hh)
- * plus one leakage model and drives the staged per-program pipeline
- * (src/pipeline/). Determinism contract: a program's outcome is a pure
- * function of (config, program index, program RNG stream) —
+ * plus one leakage model and drives every claimed program through
+ * pipeline::ProgramPipeline::standard() (src/pipeline/). A program's
+ * outcome is meant to be a pure function of (config, program index,
+ * program RNG stream):
  *
  *  - all randomness comes from the per-program Rng stream handed in by
  *    the scheduler (pre-split from the campaign seed in program order),
@@ -13,27 +14,17 @@
  *    canonical post-boot context before every program's execution, and
  *    the harness already canonicalizes caches/TLB between inputs,
  *
- * so any worker may run any program — on any backend — and the merged
- * campaign result is independent of the worker count, of scheduling
- * order, and of where the simulator executes.
- *
- * With a pipelined backend (async), runClaimed() software-pipelines the
- * shard across *two* backend lanes: programs alternate between two
- * independently booted simulators, so while lane 0 executes program k's
- * class batches and validation re-runs, lane 1 executes program k+1's —
- * and the worker thread generates and contract-traces program k+2.
- * Programs are mutually independent by the determinism contract (each
- * starts from the canonical post-boot context on a freshly primed
- * memory system, and simulation is reproducible across harness
- * instances — a seed-tested invariant), so per-program results are
- * byte-identical to the sequential path; only wall time moves
- * (bench/table3 backend ablation).
+ * so that any worker may run any program, on any backend. One gap is
+ * still open: the simulator's guard page after the sandbox keeps bytes
+ * earlier programs stored there, so at jobs > 1 an outcome can depend
+ * on which programs ran before it on the same shard
+ * (src/runtime/README.md).
+ * At jobs 1 the order is fixed and the campaign is deterministic.
  */
 
 #ifndef AMULET_RUNTIME_SHARD_EXECUTOR_HH
 #define AMULET_RUNTIME_SHARD_EXECUTOR_HH
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -71,8 +62,8 @@ class ShardExecutor
      * the campaign start time; detection timestamps are measured
      * against it. @p telemetry (optional) attaches this shard to the
      * campaign telemetry: the shard records stage spans into its shard
-     * sink, and each backend lane gets a private "shardN/simK" sink
-     * (async lanes record from their own sim thread).
+     * sink, and the backend gets a private "shardN/sim" sink for its
+     * op spans.
      */
     ShardExecutor(const core::CampaignConfig &cfg, Clock::time_point t0,
                   telemetry::CampaignTelemetry *telemetry = nullptr,
@@ -88,57 +79,29 @@ class ShardExecutor
         std::function<void(unsigned programIndex, ProgramOutcome outcome)>;
 
     /**
-     * Claim-run-report until the claim source dries up. On a pipelined
-     * backend (and outside stopAtFirstViolation, whose claim set must
-     * not run ahead of detections) the loop keeps one program in
-     * simulator flight while preparing the next on this thread; per-
-     * program outcomes are identical either way, only wall time moves.
-     * @p streams holds the scheduler's pre-split per-program RNG
-     * streams, indexed by program.
+     * Claim-run-report until the claim source dries up. @p streams
+     * holds the scheduler's pre-split per-program RNG streams, indexed
+     * by program.
      */
     void runClaimed(const ClaimFn &claim, const std::vector<Rng> &streams,
                     const ReportFn &report);
 
-    /** Harness time breakdown accumulated so far (startup/sim/extract),
-     *  summed over the shard's backend lanes. Synchronizes with the
-     *  backends' pending work. */
-    const executor::TimeBreakdown &times();
-
-    /** The shard's primary backend lane (tests, diagnostics). */
-    executor::SimBackend &backend() { return *backend_; }
+    /** Harness time breakdown accumulated so far (startup/sim/extract).
+     *  A round trip on an out-of-process backend. */
+    const executor::TimeBreakdown &times() { return backend_->times(); }
 
   private:
-    pipeline::StageContext stageContext(executor::SimBackend &lane);
-    /** Run the pre-simulator stages (TestGen → CTrace → Filter). */
-    pipeline::ProgramPlan prepare(unsigned programIndex, Rng prog_rng);
-    /** Run the simulator-bound stages (Execute → … → Record) against
-     *  the lane the plan's batches were submitted to. */
-    void finish(pipeline::ProgramPlan &plan, executor::SimBackend &lane);
-    /** Build lane @p laneIndex's backend with its own telemetry sink. */
-    std::unique_ptr<executor::SimBackend> makeLane(unsigned laneIndex);
-    /** Return a finished plan's sandbox buffers to the pool. Callers
-     *  must be past every stage that reads plan.inputs (RecordStage
-     *  copies inputs into corpus records, never references them). */
-    void reclaim(pipeline::ProgramPlan &plan)
-    {
-        inputPool_.recycleAll(plan.inputs);
-    }
-
     const core::CampaignConfig &cfg_;
-    telemetry::CampaignTelemetry *tel_; ///< null: telemetry off
-    unsigned shardId_;
     telemetry::TelemetrySink *sink_ = nullptr; ///< this worker thread's
-    std::unique_ptr<executor::SimBackend> backend_;  ///< lane 0
-    std::unique_ptr<executor::SimBackend> backend2_; ///< lane 1 (pipelined)
+    std::unique_ptr<executor::SimBackend> backend_;
     contracts::LeakageModel model_;
     /** Recycles input sandbox storage across the shard's programs, so
      *  the CTrace stage's hot loop allocates nothing after warm-up. */
     core::InputBufferPool inputPool_;
     executor::UarchContext canonicalCtx_; ///< post-boot predictor state
     Clock::time_point t0_;
-    pipeline::ProgramPipeline prefix_;  ///< TestGen → CTrace → Filter
-    pipeline::ProgramPipeline suffix_;  ///< Execute → … → Record
-    executor::TimeBreakdown timesCache_; ///< storage for times()
+    pipeline::ProgramPipeline pipeline_ =
+        pipeline::ProgramPipeline::standard();
 };
 
 } // namespace amulet::runtime

@@ -15,8 +15,7 @@
  * percentiles, metrics.json persistence, and `campaign_cli stats`.
  *
  * Threading model: one MetricsRegistry is owned by exactly one thread
- * (a shard's worker thread, a backend's simulation thread, the
- * scheduler). Cross-thread aggregation happens only through merge(),
+ * (a shard's worker thread, the scheduler). Cross-thread aggregation happens only through merge(),
  * after the owning thread has quiesced — the same discipline the
  * ViolationSink already imposes on outcomes. Live cross-thread
  * visibility (heartbeats) goes through telemetry::CampaignProgress

@@ -8,8 +8,7 @@
  *
  *   scheduler ── owns ──> CampaignTelemetry
  *                          ├─ TelemetrySink per shard worker thread
- *                          ├─ TelemetrySink per backend lane (async
- *                          │   backends record on their sim thread)
+ *                          ├─ TelemetrySink per shard backend
  *                          ├─ TelemetrySink for the scheduler itself
  *                          ├─ CampaignProgress (heartbeat atomics)
  *                          └─ HeartbeatEmitter (--heartbeat)
@@ -178,7 +177,7 @@ class SpanScope
 
 /**
  * Campaign-lifetime telemetry owner. The scheduler creates one per
- * campaign run; shard sinks exist up front, extra sinks (backend lanes)
+ * campaign run; shard sinks exist up front, extra sinks (shard backends)
  * are created on demand (creation is mutex-protected; recording is
  * not — each sink stays thread-confined). Aggregation members
  * (mergedMetrics, topSpans, traceJson) must only run after every

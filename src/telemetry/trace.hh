@@ -5,7 +5,7 @@
  *
  * Tracing answers the question the per-stage TimeBreakdown cannot:
  * *where inside a stage* the time goes. Each TelemetrySink (one per
- * shard worker thread, backend lane, or scheduler — see telemetry.hh)
+ * shard worker thread, shard backend, or scheduler — see telemetry.hh)
  * owns a private span buffer, so recording is lock-free; the campaign
  * end merges the buffers into one trace file with one track (tid) per
  * sink. A CT-COND campaign traced this way shows the STT ctrace
@@ -65,7 +65,7 @@ class SpanBuffer
 /** One named track of a finished trace (tid = position in the list). */
 struct TraceTrack
 {
-    std::string label;           ///< "shard0", "shard0/lane1", "sched"
+    std::string label;           ///< "shard0", "shard0/sim", "sched"
     const SpanBuffer *buffer = nullptr;
 };
 

@@ -3,11 +3,10 @@
  * Executor backend equivalence contract (src/executor/backend.hh): for
  * every defense, a campaign reaches exactly the same verdicts —
  * confirmed violations, signature counts, counters, and byte-identical
- * record contents — on the in-process, async, and subprocess backends,
- * at jobs=1 and jobs=4. And the subprocess backend survives killed
- * workers: crash injection (AMULET_SIM_WORKER_CRASH_AFTER) and a direct
- * SIGKILL mid-program both end in results identical to an uninterrupted
- * run.
+ * record contents — on the subprocess backend as in-process, at jobs=1
+ * and jobs=4. And the subprocess backend survives killed workers: crash
+ * injection (AMULET_SIM_WORKER_CRASH_AFTER) and a direct SIGKILL
+ * mid-program both end in results identical to an uninterrupted run.
  */
 
 #include <gtest/gtest.h>
@@ -22,163 +21,86 @@
 #include <fstream>
 #include <optional>
 
-#include "core/campaign.hh"
 #include "core/generator.hh"
 #include "core/input_gen.hh"
-#include "corpus/serde.hh"
 #include "executor/backend_subprocess.hh"
 #include "runtime/fault.hh"
+#include "support/campaign_fixture.hh"
 
 namespace
 {
 
 using namespace amulet;
+using namespace amulet::fixture;
 
-core::CampaignConfig
-campaignConfig(defense::DefenseKind kind, unsigned jobs,
-               executor::BackendKind backend)
-{
-    core::CampaignConfig cfg;
-    cfg.harness.defense.kind = kind;
-    cfg.harness.prime = (kind == defense::DefenseKind::CleanupSpec ||
-                         kind == defense::DefenseKind::SpecLfb)
-                            ? executor::PrimeMode::Invalidate
-                            : executor::PrimeMode::ConflictFill;
-    cfg.harness.bootInsts = 2000;
-    if (kind == defense::DefenseKind::Stt) {
-        cfg.harness.map.sandboxPages = 128;
-        cfg.contract = contracts::archSeq();
-    }
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
-    cfg.numPrograms = 8;
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
-    cfg.seed = 1;
-    cfg.jobs = jobs;
-    cfg.backend = backend;
-    return cfg;
-}
-
-/** Everything but wall-clock must match the in-process reference. */
-void
-expectEquivalent(const core::CampaignStats &reference,
-                 const core::CampaignStats &other)
-{
-    EXPECT_EQ(reference.confirmedViolations, other.confirmedViolations);
-    EXPECT_EQ(reference.signatureCounts, other.signatureCounts);
-    EXPECT_EQ(reference.candidateViolations, other.candidateViolations);
-    EXPECT_EQ(reference.violatingTestCases, other.violatingTestCases);
-    EXPECT_EQ(reference.validationRuns, other.validationRuns);
-    EXPECT_EQ(reference.programs, other.programs);
-    EXPECT_EQ(reference.skippedPrograms, other.skippedPrograms);
-    EXPECT_EQ(reference.testCases, other.testCases);
-    EXPECT_EQ(reference.filteredTestCases, other.filteredTestCases);
-    EXPECT_EQ(reference.effectiveClasses, other.effectiveClasses);
-    // Per-record contents are byte-identical modulo detectSeconds, the
-    // one wall-clock field (compared through the canonical serde dump,
-    // the same normalization corpus exports use).
-    ASSERT_EQ(reference.records.size(), other.records.size());
-    for (std::size_t i = 0; i < reference.records.size(); ++i) {
-        core::ViolationRecord a = reference.records[i];
-        core::ViolationRecord b = other.records[i];
-        a.detectSeconds = 0;
-        b.detectSeconds = 0;
-        EXPECT_EQ(corpus::toJson(a).dump(), corpus::toJson(b).dump())
-            << "record " << i;
-    }
-}
+/** This suite's campaign size (seed 1 detects within 8 programs). */
+constexpr CampaignSize kSize{2000, 8};
 
 void
-runEquivalence(defense::DefenseKind kind, bool expect_detection)
+expectBackendsAgree(defense::DefenseKind kind, bool expect_detection)
 {
     for (unsigned jobs : {1u, 4u}) {
         SCOPED_TRACE("jobs=" + std::to_string(jobs));
         const auto reference =
-            core::Campaign(campaignConfig(
-                               kind, jobs, executor::BackendKind::InProcess))
+            core::Campaign(campaignConfig(kind, jobs,
+                                          executor::BackendKind::InProcess,
+                                          kSize))
                 .run();
         if (expect_detection)
             EXPECT_TRUE(reference.detected());
-        for (auto backend : {executor::BackendKind::Async,
-                             executor::BackendKind::Subprocess}) {
-            SCOPED_TRACE(executor::backendKindName(backend));
-            const auto other =
-                core::Campaign(campaignConfig(kind, jobs, backend)).run();
-            expectEquivalent(reference, other);
-        }
+        const auto other =
+            core::Campaign(campaignConfig(kind, jobs,
+                                          executor::BackendKind::Subprocess,
+                                          kSize))
+                .run();
+        expectEquivalent(reference, other);
     }
 }
 
 TEST(BackendEquivalence, Baseline)
 {
-    runEquivalence(defense::DefenseKind::Baseline, true);
+    expectBackendsAgree(defense::DefenseKind::Baseline, true);
 }
 
 TEST(BackendEquivalence, InvisiSpec)
 {
-    runEquivalence(defense::DefenseKind::InvisiSpec, false);
+    expectBackendsAgree(defense::DefenseKind::InvisiSpec, false);
 }
 
 TEST(BackendEquivalence, CleanupSpec)
 {
-    runEquivalence(defense::DefenseKind::CleanupSpec, false);
+    expectBackendsAgree(defense::DefenseKind::CleanupSpec, false);
 }
 
 TEST(BackendEquivalence, SpecLfb)
 {
-    runEquivalence(defense::DefenseKind::SpecLfb, false);
+    expectBackendsAgree(defense::DefenseKind::SpecLfb, false);
 }
 
 TEST(BackendEquivalence, Stt)
 {
-    runEquivalence(defense::DefenseKind::Stt, false);
+    expectBackendsAgree(defense::DefenseKind::Stt, false);
 }
 
-// CT-COND exercises the paths the backends treat most differently —
-// filtered programs never reach the simulator, so a pipelined shard
-// reports them out of band — and is the campaign the bench's backend
-// ablation row runs.
+// CT-COND exercises the path where the filter resolves whole programs
+// before they reach the simulator, and is the campaign of the
+// filter-ctcond benchmark workload.
 TEST(BackendEquivalence, CtCond)
 {
     for (unsigned jobs : {1u, 4u}) {
         SCOPED_TRACE("jobs=" + std::to_string(jobs));
         auto make = [&](executor::BackendKind backend) {
             auto cfg = campaignConfig(defense::DefenseKind::Baseline,
-                                      jobs, backend);
+                                      jobs, backend, kSize);
             cfg.contract = contracts::ctCond();
             cfg.numPrograms = 12;
             return cfg;
         };
         const auto reference =
             core::Campaign(make(executor::BackendKind::InProcess)).run();
-        for (auto backend : {executor::BackendKind::Async,
-                             executor::BackendKind::Subprocess}) {
-            SCOPED_TRACE(executor::backendKindName(backend));
-            const auto other = core::Campaign(make(backend)).run();
-            expectEquivalent(reference, other);
-        }
-    }
-}
-
-// The async shard driver picks one or two simulator lanes from the core
-// count; both schedules must produce identical campaigns. This host may
-// resolve either way, so force each path explicitly.
-TEST(BackendEquivalence, AsyncLaneCountIsOutcomeInvariant)
-{
-    const auto reference =
-        core::Campaign(campaignConfig(defense::DefenseKind::Baseline, 1,
-                                      executor::BackendKind::InProcess))
-            .run();
-    for (const char *lanes : {"1", "2"}) {
-        SCOPED_TRACE(std::string("lanes=") + lanes);
-        setenv("AMULET_ASYNC_LANES", lanes, 1);
-        const auto async_stats =
-            core::Campaign(campaignConfig(defense::DefenseKind::Baseline,
-                                          1, executor::BackendKind::Async))
-                .run();
-        unsetenv("AMULET_ASYNC_LANES");
-        expectEquivalent(reference, async_stats);
+        const auto other =
+            core::Campaign(make(executor::BackendKind::Subprocess)).run();
+        expectEquivalent(reference, other);
     }
 }
 
@@ -202,12 +124,14 @@ TEST(SubprocessRecovery, CrashInjectedWorkersReproduceTheCampaign)
 {
     const auto reference =
         core::Campaign(campaignConfig(defense::DefenseKind::Baseline, 1,
-                                      executor::BackendKind::InProcess))
+                                      executor::BackendKind::InProcess,
+                                      kSize))
             .run();
     ScopedEnv crash("AMULET_SIM_WORKER_CRASH_AFTER", "3");
     const auto crashed =
         core::Campaign(campaignConfig(defense::DefenseKind::Baseline, 1,
-                                      executor::BackendKind::Subprocess))
+                                      executor::BackendKind::Subprocess,
+                                      kSize))
             .run();
     EXPECT_TRUE(reference.detected());
     expectEquivalent(reference, crashed);
@@ -317,7 +241,7 @@ TEST(SubprocessRecovery, HangInjectedWorkersReproduceTheCampaign)
 {
     auto config = [](executor::BackendKind backend) {
         auto cfg = campaignConfig(defense::DefenseKind::Baseline, 1,
-                                  backend);
+                                  backend, kSize);
         cfg.numPrograms = 4;
         return cfg;
     };

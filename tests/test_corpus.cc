@@ -8,19 +8,15 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <string>
 
-#include "core/campaign.hh"
 #include "corpus/checkpoint.hh"
-#include "corpus/corpus_store.hh"
 #include "corpus/replayer.hh"
-#include "corpus/serde.hh"
 #include "isa/assembler.hh"
 #include "runtime/fault.hh"
+#include "support/campaign_fixture.hh"
 
 namespace fs = std::filesystem;
 
@@ -28,31 +24,7 @@ namespace
 {
 
 using namespace amulet;
-
-/** Unique scratch directory, removed on destruction. */
-class ScratchDir
-{
-  public:
-    explicit ScratchDir(const std::string &name)
-        : path_((fs::temp_directory_path() /
-                 ("amulet_corpus_test_" + name +
-                  std::to_string(::getpid())))
-                    .string())
-    {
-        fs::remove_all(path_);
-    }
-
-    ~ScratchDir() { fs::remove_all(path_); }
-
-    std::string
-    sub(const std::string &name) const
-    {
-        return (fs::path(path_) / name).string();
-    }
-
-  private:
-    std::string path_;
-};
+using namespace amulet::fixture;
 
 core::CampaignConfig
 smallCampaign(std::uint64_t seed = 1)

@@ -5,33 +5,28 @@
  * the base input's instrumented emulator pass — forking at the first
  * read of a divergent initial location and replaying only the suffix —
  * must not move a single byte of campaign output. Covers the
- * arch::Emulator snapshot/fork primitives, LeakageModel::collectBatch
+ * arch::Emulator snapshot/fork primitives, LeakageModel::collectAll
  * vs cold collect() on random programs per contract, per-defense
- * campaign export equivalence at jobs {1,4} on all three executor
- * backends, and the fingerprint exclusion of the knob.
+ * campaign export equivalence at jobs {1,4} on every executor backend,
+ * and the fingerprint exclusion of the knob.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "contracts/leakage_model.hh"
-#include "core/campaign.hh"
 #include "core/generator.hh"
 #include "core/input_gen.hh"
-#include "corpus/corpus_store.hh"
 #include "isa/assembler.hh"
-
-namespace fs = std::filesystem;
+#include "support/campaign_fixture.hh"
 
 namespace
 {
 
 using namespace amulet;
+using namespace amulet::fixture;
 
 mem::AddressMap
 testMap(unsigned pages = 1)
@@ -217,7 +212,7 @@ TEST(CTraceMemo, MatchesColdCollectOnRandomPrograms)
 
             const auto inputs = sessionInputs(model, fp, gcfg.map, seed);
             const auto memo =
-                model.collectBatch(fp, inputs, gcfg.map, true);
+                model.collectAll(fp, inputs, gcfg.map, true);
             ASSERT_EQ(memo.size(), inputs.size());
             for (std::size_t i = 0; i < inputs.size(); ++i) {
                 SCOPED_TRACE("input " + std::to_string(i));
@@ -231,7 +226,7 @@ TEST(CTraceMemo, MatchesColdCollectOnRandomPrograms)
 
             // Memo off is the cold path — and identical.
             EXPECT_EQ(memo,
-                      model.collectBatch(fp, inputs, gcfg.map, false));
+                      model.collectAll(fp, inputs, gcfg.map, false));
 
             // The equality-only fast path agrees with trace equality.
             model.batchBegin(fp, inputs[0], gcfg.map, true);
@@ -269,7 +264,7 @@ TEST(CTraceMemo, SiblingsAreFullHitsUnderCtSeq)
         inputs.push_back(gen.sibling(base, offsets, 100 + k));
 
     model.takeBatchStats();
-    const auto traces = model.collectBatch(fp, inputs, gcfg.map, true);
+    const auto traces = model.collectAll(fp, inputs, gcfg.map, true);
     const auto stats = model.takeBatchStats();
     EXPECT_EQ(stats.fullRuns, 1u);
     EXPECT_EQ(stats.memoHits, 4u);
@@ -280,124 +275,35 @@ TEST(CTraceMemo, SiblingsAreFullHitsUnderCtSeq)
 
 // === Campaign-level equivalence ===========================================
 
-/** Unique scratch directory, removed on destruction. */
-class ScratchDir
-{
-  public:
-    explicit ScratchDir(const std::string &name)
-        : path_((fs::temp_directory_path() /
-                 ("amulet_ctrace_memo_test_" + name +
-                  std::to_string(::getpid())))
-                    .string())
-    {
-        fs::remove_all(path_);
-    }
-
-    ~ScratchDir() { fs::remove_all(path_); }
-
-    std::string
-    sub(const std::string &name) const
-    {
-        return (fs::path(path_) / name).string();
-    }
-
-  private:
-    std::string path_;
-};
-
-core::CampaignConfig
-campaignConfig(defense::DefenseKind kind, bool memo, unsigned jobs,
-               executor::BackendKind backend)
-{
-    core::CampaignConfig cfg;
-    cfg.harness.defense.kind = kind;
-    cfg.harness.prime = (kind == defense::DefenseKind::CleanupSpec ||
-                         kind == defense::DefenseKind::SpecLfb)
-                            ? executor::PrimeMode::Invalidate
-                            : executor::PrimeMode::ConflictFill;
-    cfg.harness.bootInsts = 1500;
-    cfg.ctraceMemo = memo;
-    if (kind == defense::DefenseKind::Stt) {
-        cfg.harness.map.sandboxPages = 128;
-        cfg.contract = contracts::archSeq();
-    }
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
-    cfg.numPrograms = 6;
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
-    cfg.seed = 1;
-    cfg.jobs = jobs;
-    cfg.backend = backend;
-    return cfg;
-}
-
-/** Run one campaign into a corpus dir and return its canonical export. */
-std::string
-runAndExport(const ScratchDir &scratch, const std::string &tag,
-             const core::CampaignConfig &base)
-{
-    core::CampaignConfig cfg = base;
-    cfg.corpusDir = scratch.sub(tag);
-    core::Campaign(cfg).run();
-    return corpus::CorpusStore::exportCanonical(cfg.corpusDir);
-}
-
 void
-runEquivalence(defense::DefenseKind kind, bool expect_detection)
+ctraceMemoOff(core::CampaignConfig &cfg)
 {
-    ScratchDir scratch(defense::defenseKindName(kind));
-    // Reference: memo ON (the default), in-process, serial.
-    const auto ref_cfg = campaignConfig(kind, true, 1,
-                                        executor::BackendKind::InProcess);
-    const auto ref_stats = [&] {
-        core::CampaignConfig cfg = ref_cfg;
-        cfg.corpusDir = scratch.sub("ref");
-        return core::Campaign(cfg).run();
-    }();
-    if (expect_detection)
-        EXPECT_TRUE(ref_stats.detected());
-    const std::string reference =
-        corpus::CorpusStore::exportCanonical(scratch.sub("ref"));
-
-    // The memo must be invisible on every (jobs, backend) pair: the
-    // knob is runtime-only, exactly like jobs and backend themselves.
-    unsigned n = 0;
-    for (unsigned jobs : {1u, 4u}) {
-        for (auto backend : executor::allBackendKinds()) {
-            SCOPED_TRACE("jobs=" + std::to_string(jobs) + " backend=" +
-                         executor::backendKindName(backend));
-            const std::string off = runAndExport(
-                scratch, "off" + std::to_string(n++),
-                campaignConfig(kind, false, jobs, backend));
-            EXPECT_EQ(reference, off);
-        }
-    }
+    cfg.ctraceMemo = false;
 }
 
 TEST(CTraceMemoEquivalence, Baseline)
 {
-    runEquivalence(defense::DefenseKind::Baseline, true);
+    runEquivalence(defense::DefenseKind::Baseline, true, ctraceMemoOff);
 }
 
 TEST(CTraceMemoEquivalence, InvisiSpec)
 {
-    runEquivalence(defense::DefenseKind::InvisiSpec, false);
+    runEquivalence(defense::DefenseKind::InvisiSpec, false, ctraceMemoOff);
 }
 
 TEST(CTraceMemoEquivalence, CleanupSpec)
 {
-    runEquivalence(defense::DefenseKind::CleanupSpec, false);
+    runEquivalence(defense::DefenseKind::CleanupSpec, false, ctraceMemoOff);
 }
 
 TEST(CTraceMemoEquivalence, SpecLfb)
 {
-    runEquivalence(defense::DefenseKind::SpecLfb, false);
+    runEquivalence(defense::DefenseKind::SpecLfb, false, ctraceMemoOff);
 }
 
 TEST(CTraceMemoEquivalence, Stt)
 {
-    runEquivalence(defense::DefenseKind::Stt, false);
+    runEquivalence(defense::DefenseKind::Stt, false, ctraceMemoOff);
 }
 
 // CT-COND with register mutation enabled is the densest client of the
@@ -409,8 +315,9 @@ TEST(CTraceMemoEquivalence, CtCondAblationCampaign)
 {
     ScratchDir scratch("ctcond");
     auto make = [&](bool memo) {
-        auto cfg = campaignConfig(defense::DefenseKind::Baseline, memo, 1,
+        auto cfg = campaignConfig(defense::DefenseKind::Baseline, 1,
                                   executor::BackendKind::InProcess);
+        cfg.ctraceMemo = memo;
         cfg.contract = contracts::ctCond();
         cfg.numPrograms = 10;
         return cfg;
@@ -445,33 +352,10 @@ TEST(CTraceMemoEquivalence, CtCondAblationCampaign)
 }
 
 // A corpus journaled without the memo resumes under it (and the other
-// way around): the knob must not participate in the config
-// fingerprint, or kill/resume workflows would wedge on a runtime
-// setting.
+// way around).
 TEST(CTraceMemoEquivalence, FingerprintIgnoresTheKnob)
 {
-    ScratchDir scratch("resume");
-    core::CampaignConfig cfg = campaignConfig(
-        defense::DefenseKind::Baseline, false, 1,
-        executor::BackendKind::InProcess);
-    cfg.corpusDir = scratch.sub("c");
-    cfg.maxProgramsThisRun = 3;
-    core::Campaign(cfg).run();
-
-    core::CampaignConfig resume_cfg = cfg;
-    resume_cfg.ctraceMemo = true; // flipped across the resume
-    resume_cfg.maxProgramsThisRun = 0;
-    resume_cfg.resume = true;
-    const auto resumed = core::Campaign(resume_cfg).run();
-    EXPECT_EQ(resumed.programs, cfg.numPrograms);
-
-    // And the full campaign must match an uninterrupted all-on run.
-    const std::string uninterrupted = runAndExport(
-        scratch, "full",
-        campaignConfig(defense::DefenseKind::Baseline, true, 1,
-                       executor::BackendKind::InProcess));
-    EXPECT_EQ(uninterrupted,
-              corpus::CorpusStore::exportCanonical(scratch.sub("c")));
+    expectResumeAcrossKnob(ctraceMemoOff);
 }
 
 } // namespace

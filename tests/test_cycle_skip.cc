@@ -6,150 +6,54 @@
  * event — must not move a single byte of campaign output. For every
  * defense, the canonical corpus export (header included: the knob is
  * excluded from the config fingerprint) is byte-identical with skipping
- * on (default) and off, at jobs 1 and 4, on all three executor
- * backends. The event-horizon sources (Defense::nextEventCycle,
+ * on (default) and off, at jobs 1 and 4, on every executor backend.
+ * The event-horizon sources (Defense::nextEventCycle,
  * MemSystem::nextEventCycle) are unit-tested directly.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
-#include <string>
-
-#include "core/campaign.hh"
-#include "corpus/corpus_store.hh"
 #include "defense/factory.hh"
 #include "executor/sim_harness.hh"
 #include "isa/assembler.hh"
+#include "support/campaign_fixture.hh"
 #include "uarch/mem_system.hh"
-
-namespace fs = std::filesystem;
 
 namespace
 {
 
 using namespace amulet;
-
-/** Unique scratch directory, removed on destruction. */
-class ScratchDir
-{
-  public:
-    explicit ScratchDir(const std::string &name)
-        : path_((fs::temp_directory_path() /
-                 ("amulet_cycle_skip_test_" + name +
-                  std::to_string(::getpid())))
-                    .string())
-    {
-        fs::remove_all(path_);
-    }
-
-    ~ScratchDir() { fs::remove_all(path_); }
-
-    std::string
-    sub(const std::string &name) const
-    {
-        return (fs::path(path_) / name).string();
-    }
-
-  private:
-    std::string path_;
-};
-
-core::CampaignConfig
-campaignConfig(defense::DefenseKind kind, bool cycle_skip, unsigned jobs,
-               executor::BackendKind backend)
-{
-    core::CampaignConfig cfg;
-    cfg.harness.defense.kind = kind;
-    cfg.harness.prime = (kind == defense::DefenseKind::CleanupSpec ||
-                         kind == defense::DefenseKind::SpecLfb)
-                            ? executor::PrimeMode::Invalidate
-                            : executor::PrimeMode::ConflictFill;
-    cfg.harness.bootInsts = 1500;
-    cfg.harness.cycleSkip = cycle_skip;
-    if (kind == defense::DefenseKind::Stt) {
-        cfg.harness.map.sandboxPages = 128;
-        cfg.contract = contracts::archSeq();
-    }
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
-    cfg.numPrograms = 6;
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
-    cfg.seed = 1;
-    cfg.jobs = jobs;
-    cfg.backend = backend;
-    return cfg;
-}
-
-/** Run one campaign into a corpus dir and return its canonical export. */
-std::string
-runAndExport(const ScratchDir &scratch, const std::string &tag,
-             const core::CampaignConfig &base)
-{
-    core::CampaignConfig cfg = base;
-    cfg.corpusDir = scratch.sub(tag);
-    core::Campaign(cfg).run();
-    return corpus::CorpusStore::exportCanonical(cfg.corpusDir);
-}
+using namespace amulet::fixture;
 
 void
-runEquivalence(defense::DefenseKind kind, bool expect_detection)
+cycleSkipOff(core::CampaignConfig &cfg)
 {
-    ScratchDir scratch(defense::defenseKindName(kind));
-    // Reference: cycle skipping ON (the default), in-process, serial.
-    const auto ref_cfg = campaignConfig(kind, true, 1,
-                                        executor::BackendKind::InProcess);
-    const auto ref_stats = [&] {
-        core::CampaignConfig cfg = ref_cfg;
-        cfg.corpusDir = scratch.sub("ref");
-        return core::Campaign(cfg).run();
-    }();
-    if (expect_detection)
-        EXPECT_TRUE(ref_stats.detected());
-    const std::string reference =
-        corpus::CorpusStore::exportCanonical(scratch.sub("ref"));
-
-    // Skipping must be invisible on every (jobs, backend) pair: the
-    // knob is runtime-only, exactly like jobs and backend themselves.
-    unsigned n = 0;
-    for (unsigned jobs : {1u, 4u}) {
-        for (auto backend : executor::allBackendKinds()) {
-            SCOPED_TRACE("jobs=" + std::to_string(jobs) + " backend=" +
-                         executor::backendKindName(backend));
-            const std::string off = runAndExport(
-                scratch, "off" + std::to_string(n++),
-                campaignConfig(kind, false, jobs, backend));
-            EXPECT_EQ(reference, off);
-        }
-    }
+    cfg.harness.cycleSkip = false;
 }
 
 TEST(CycleSkipEquivalence, Baseline)
 {
-    runEquivalence(defense::DefenseKind::Baseline, true);
+    runEquivalence(defense::DefenseKind::Baseline, true, cycleSkipOff);
 }
 
 TEST(CycleSkipEquivalence, InvisiSpec)
 {
-    runEquivalence(defense::DefenseKind::InvisiSpec, false);
+    runEquivalence(defense::DefenseKind::InvisiSpec, false, cycleSkipOff);
 }
 
 TEST(CycleSkipEquivalence, CleanupSpec)
 {
-    runEquivalence(defense::DefenseKind::CleanupSpec, false);
+    runEquivalence(defense::DefenseKind::CleanupSpec, false, cycleSkipOff);
 }
 
 TEST(CycleSkipEquivalence, SpecLfb)
 {
-    runEquivalence(defense::DefenseKind::SpecLfb, false);
+    runEquivalence(defense::DefenseKind::SpecLfb, false, cycleSkipOff);
 }
 
 TEST(CycleSkipEquivalence, Stt)
 {
-    runEquivalence(defense::DefenseKind::Stt, false);
+    runEquivalence(defense::DefenseKind::Stt, false, cycleSkipOff);
 }
 
 // Every shipped defense has been audited for the event-horizon contract
@@ -250,33 +154,10 @@ TEST(CycleSkipHorizon, SkipsAndReproduces)
 }
 
 // A corpus journaled without skipping resumes under it (and the other
-// way around): the knob must not participate in the config
-// fingerprint, or kill/resume workflows would wedge on a runtime
-// setting.
+// way around).
 TEST(CycleSkipEquivalence, FingerprintIgnoresTheKnob)
 {
-    ScratchDir scratch("resume");
-    core::CampaignConfig cfg = campaignConfig(
-        defense::DefenseKind::Baseline, false, 1,
-        executor::BackendKind::InProcess);
-    cfg.corpusDir = scratch.sub("c");
-    cfg.maxProgramsThisRun = 3;
-    core::Campaign(cfg).run();
-
-    core::CampaignConfig resume_cfg = cfg;
-    resume_cfg.harness.cycleSkip = true; // flipped across the resume
-    resume_cfg.maxProgramsThisRun = 0;
-    resume_cfg.resume = true;
-    const auto resumed = core::Campaign(resume_cfg).run();
-    EXPECT_EQ(resumed.programs, cfg.numPrograms);
-
-    // And the full campaign must match an uninterrupted all-on run.
-    const std::string uninterrupted = runAndExport(
-        scratch, "full",
-        campaignConfig(defense::DefenseKind::Baseline, true, 1,
-                       executor::BackendKind::InProcess));
-    EXPECT_EQ(uninterrupted,
-              corpus::CorpusStore::exportCanonical(scratch.sub("c")));
+    expectResumeAcrossKnob(cycleSkipOff);
 }
 
 } // namespace

@@ -11,96 +11,29 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/campaign.hh"
-#include "corpus/corpus_store.hh"
-#include "corpus/serde.hh"
 #include "runtime/fault.hh"
-
-namespace fs = std::filesystem;
+#include "support/campaign_fixture.hh"
 
 namespace
 {
 
 using namespace amulet;
+using namespace amulet::fixture;
 using runtime::fault::FaultPlan;
 using runtime::fault::ProgramScope;
-
-/** Unique scratch directory, removed on destruction. */
-class ScratchDir
-{
-  public:
-    explicit ScratchDir(const std::string &name)
-        : path_((fs::temp_directory_path() /
-                 ("amulet_fault_test_" + name + std::to_string(::getpid())))
-                    .string())
-    {
-        fs::remove_all(path_);
-    }
-
-    ~ScratchDir() { fs::remove_all(path_); }
-
-    std::string
-    sub(const std::string &name) const
-    {
-        return (fs::path(path_) / name).string();
-    }
-
-  private:
-    std::string path_;
-};
 
 /** The small baseline campaign of tests/test_backend.cc (seed 1 detects
  *  within 8 programs). */
 core::CampaignConfig
 chaosCampaign(unsigned jobs, executor::BackendKind backend)
 {
-    core::CampaignConfig cfg;
-    cfg.harness.defense.kind = defense::DefenseKind::Baseline;
-    cfg.harness.prime = executor::PrimeMode::ConflictFill;
-    cfg.harness.bootInsts = 2000;
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
-    cfg.numPrograms = 8;
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
-    cfg.seed = 1;
-    cfg.jobs = jobs;
-    cfg.backend = backend;
-    return cfg;
-}
-
-/** Everything deterministic must match the unfaulted reference. */
-void
-expectEquivalent(const core::CampaignStats &reference,
-                 const core::CampaignStats &other)
-{
-    EXPECT_EQ(reference.confirmedViolations, other.confirmedViolations);
-    EXPECT_EQ(reference.signatureCounts, other.signatureCounts);
-    EXPECT_EQ(reference.candidateViolations, other.candidateViolations);
-    EXPECT_EQ(reference.violatingTestCases, other.violatingTestCases);
-    EXPECT_EQ(reference.validationRuns, other.validationRuns);
-    EXPECT_EQ(reference.programs, other.programs);
-    EXPECT_EQ(reference.skippedPrograms, other.skippedPrograms);
-    EXPECT_EQ(reference.testCases, other.testCases);
-    EXPECT_EQ(reference.filteredTestCases, other.filteredTestCases);
-    EXPECT_EQ(reference.effectiveClasses, other.effectiveClasses);
-    ASSERT_EQ(reference.records.size(), other.records.size());
-    for (std::size_t i = 0; i < reference.records.size(); ++i) {
-        core::ViolationRecord a = reference.records[i];
-        core::ViolationRecord b = other.records[i];
-        a.detectSeconds = 0;
-        b.detectSeconds = 0;
-        EXPECT_EQ(corpus::toJson(a).dump(), corpus::toJson(b).dump())
-            << "record " << i;
-    }
+    return campaignConfig(defense::DefenseKind::Baseline, jobs, backend,
+                          {2000, 8});
 }
 
 double

@@ -6,144 +6,48 @@
  * must not move a single byte of campaign output. For every defense,
  * the canonical corpus export (header included: the knob is excluded
  * from the config fingerprint) is byte-identical with the memo on
- * (default) and off, at jobs 1 and 4, on all three executor backends.
+ * (default) and off, at jobs 1 and 4, on every executor backend.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <filesystem>
-#include <string>
-
-#include "core/campaign.hh"
-#include "corpus/corpus_store.hh"
-
-namespace fs = std::filesystem;
+#include "support/campaign_fixture.hh"
 
 namespace
 {
 
 using namespace amulet;
-
-/** Unique scratch directory, removed on destruction. */
-class ScratchDir
-{
-  public:
-    explicit ScratchDir(const std::string &name)
-        : path_((fs::temp_directory_path() /
-                 ("amulet_prime_cache_test_" + name +
-                  std::to_string(::getpid())))
-                    .string())
-    {
-        fs::remove_all(path_);
-    }
-
-    ~ScratchDir() { fs::remove_all(path_); }
-
-    std::string
-    sub(const std::string &name) const
-    {
-        return (fs::path(path_) / name).string();
-    }
-
-  private:
-    std::string path_;
-};
-
-core::CampaignConfig
-campaignConfig(defense::DefenseKind kind, bool prime_cache, unsigned jobs,
-               executor::BackendKind backend)
-{
-    core::CampaignConfig cfg;
-    cfg.harness.defense.kind = kind;
-    cfg.harness.prime = (kind == defense::DefenseKind::CleanupSpec ||
-                         kind == defense::DefenseKind::SpecLfb)
-                            ? executor::PrimeMode::Invalidate
-                            : executor::PrimeMode::ConflictFill;
-    cfg.harness.bootInsts = 1500;
-    cfg.harness.primeCache = prime_cache;
-    if (kind == defense::DefenseKind::Stt) {
-        cfg.harness.map.sandboxPages = 128;
-        cfg.contract = contracts::archSeq();
-    }
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
-    cfg.numPrograms = 6;
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
-    cfg.seed = 1;
-    cfg.jobs = jobs;
-    cfg.backend = backend;
-    return cfg;
-}
-
-/** Run one campaign into a corpus dir and return its canonical export. */
-std::string
-runAndExport(const ScratchDir &scratch, const std::string &tag,
-             const core::CampaignConfig &base)
-{
-    core::CampaignConfig cfg = base;
-    cfg.corpusDir = scratch.sub(tag);
-    core::Campaign(cfg).run();
-    return corpus::CorpusStore::exportCanonical(cfg.corpusDir);
-}
+using namespace amulet::fixture;
 
 void
-runEquivalence(defense::DefenseKind kind, bool expect_detection)
+primeCacheOff(core::CampaignConfig &cfg)
 {
-    ScratchDir scratch(defense::defenseKindName(kind));
-    // Reference: prime cache ON (the default), in-process, serial.
-    const auto ref_cfg = campaignConfig(kind, true, 1,
-                                        executor::BackendKind::InProcess);
-    const auto ref_stats = [&] {
-        core::CampaignConfig cfg = ref_cfg;
-        cfg.corpusDir = scratch.sub("ref");
-        return core::Campaign(cfg).run();
-    }();
-    if (expect_detection)
-        EXPECT_TRUE(ref_stats.detected());
-    const std::string reference =
-        corpus::CorpusStore::exportCanonical(scratch.sub("ref"));
-
-    // The memo must be invisible on every (jobs, backend) pair: the
-    // knob is runtime-only, exactly like jobs and backend themselves.
-    unsigned n = 0;
-    for (unsigned jobs : {1u, 4u}) {
-        for (auto backend : executor::allBackendKinds()) {
-            SCOPED_TRACE("jobs=" + std::to_string(jobs) + " backend=" +
-                         executor::backendKindName(backend));
-            const std::string off = runAndExport(
-                scratch, "off" + std::to_string(n++),
-                campaignConfig(kind, false, jobs, backend));
-            EXPECT_EQ(reference, off);
-        }
-    }
+    cfg.harness.primeCache = false;
 }
 
 TEST(PrimeCacheEquivalence, Baseline)
 {
-    runEquivalence(defense::DefenseKind::Baseline, true);
+    runEquivalence(defense::DefenseKind::Baseline, true, primeCacheOff);
 }
 
 TEST(PrimeCacheEquivalence, InvisiSpec)
 {
-    runEquivalence(defense::DefenseKind::InvisiSpec, false);
+    runEquivalence(defense::DefenseKind::InvisiSpec, false, primeCacheOff);
 }
 
 TEST(PrimeCacheEquivalence, CleanupSpec)
 {
-    runEquivalence(defense::DefenseKind::CleanupSpec, false);
+    runEquivalence(defense::DefenseKind::CleanupSpec, false, primeCacheOff);
 }
 
 TEST(PrimeCacheEquivalence, SpecLfb)
 {
-    runEquivalence(defense::DefenseKind::SpecLfb, false);
+    runEquivalence(defense::DefenseKind::SpecLfb, false, primeCacheOff);
 }
 
 TEST(PrimeCacheEquivalence, Stt)
 {
-    runEquivalence(defense::DefenseKind::Stt, false);
+    runEquivalence(defense::DefenseKind::Stt, false, primeCacheOff);
 }
 
 // CT-COND on the baseline is the ablation campaign the table3 row and
@@ -155,9 +59,9 @@ TEST(PrimeCacheEquivalence, CtCondAblationCampaign)
 {
     ScratchDir scratch("ctcond");
     auto make = [&](bool prime_cache) {
-        auto cfg = campaignConfig(defense::DefenseKind::Baseline,
-                                  prime_cache, 1,
+        auto cfg = campaignConfig(defense::DefenseKind::Baseline, 1,
                                   executor::BackendKind::InProcess);
+        cfg.harness.primeCache = prime_cache;
         cfg.contract = contracts::ctCond();
         cfg.numPrograms = 10;
         return cfg;
@@ -182,33 +86,10 @@ TEST(PrimeCacheEquivalence, CtCondAblationCampaign)
 }
 
 // A corpus journaled without the memo resumes under it (and the other
-// way around): the knob must not participate in the config
-// fingerprint, or kill/resume workflows would wedge on a runtime
-// setting.
+// way around).
 TEST(PrimeCacheEquivalence, FingerprintIgnoresTheKnob)
 {
-    ScratchDir scratch("resume");
-    core::CampaignConfig cfg = campaignConfig(
-        defense::DefenseKind::Baseline, false, 1,
-        executor::BackendKind::InProcess);
-    cfg.corpusDir = scratch.sub("c");
-    cfg.maxProgramsThisRun = 3;
-    core::Campaign(cfg).run();
-
-    core::CampaignConfig resume_cfg = cfg;
-    resume_cfg.harness.primeCache = true; // flipped across the resume
-    resume_cfg.maxProgramsThisRun = 0;
-    resume_cfg.resume = true;
-    const auto resumed = core::Campaign(resume_cfg).run();
-    EXPECT_EQ(resumed.programs, cfg.numPrograms);
-
-    // And the full campaign must match an uninterrupted all-on run.
-    const std::string uninterrupted = runAndExport(
-        scratch, "full",
-        campaignConfig(defense::DefenseKind::Baseline, true, 1,
-                       executor::BackendKind::InProcess));
-    EXPECT_EQ(uninterrupted,
-              corpus::CorpusStore::exportCanonical(scratch.sub("c")));
+    expectResumeAcrossKnob(primeCacheOff);
 }
 
 } // namespace

@@ -6,8 +6,8 @@
  *    deterministically (histogram decimation is RNG-free);
  *  - telemetry is observability only: for every defense, the canonical
  *    corpus export is byte-identical with tracing + heartbeats + the
- *    per-violation uarch trace dir on and off, at jobs 1 and 4, on all
- *    three executor backends;
+ *    per-violation uarch trace dir on and off, at jobs 1 and 4, on
+ *    every executor backend;
  *  - the heartbeat stream is well-formed JSONL with monotonic per-shard
  *    progress indices, and the trace file is one valid JSON document
  *    with the Chrome trace-event shape (timestamps ordered per thread
@@ -21,8 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -31,9 +29,7 @@
 #include <vector>
 
 #include "common/event_log.hh"
-#include "core/campaign.hh"
-#include "corpus/corpus_store.hh"
-#include "corpus/serde.hh"
+#include "support/campaign_fixture.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace.hh"
@@ -44,6 +40,7 @@ namespace
 {
 
 using namespace amulet;
+using namespace amulet::fixture;
 
 // --- registry unit contracts -----------------------------------------
 
@@ -163,57 +160,6 @@ TEST(EventLogCapacity, DropsOldestAndCounts)
 }
 
 // --- e2e: telemetry is invisible to campaign results ------------------
-
-/** Unique scratch directory, removed on destruction. */
-class ScratchDir
-{
-  public:
-    explicit ScratchDir(const std::string &name)
-        : path_((fs::temp_directory_path() /
-                 ("amulet_telemetry_test_" + name +
-                  std::to_string(::getpid())))
-                    .string())
-    {
-        fs::remove_all(path_);
-    }
-
-    ~ScratchDir() { fs::remove_all(path_); }
-
-    std::string
-    sub(const std::string &name) const
-    {
-        return (fs::path(path_) / name).string();
-    }
-
-  private:
-    std::string path_;
-};
-
-core::CampaignConfig
-campaignConfig(defense::DefenseKind kind, unsigned jobs,
-               executor::BackendKind backend)
-{
-    core::CampaignConfig cfg;
-    cfg.harness.defense.kind = kind;
-    cfg.harness.prime = (kind == defense::DefenseKind::CleanupSpec ||
-                         kind == defense::DefenseKind::SpecLfb)
-                            ? executor::PrimeMode::Invalidate
-                            : executor::PrimeMode::ConflictFill;
-    cfg.harness.bootInsts = 1500;
-    if (kind == defense::DefenseKind::Stt) {
-        cfg.harness.map.sandboxPages = 128;
-        cfg.contract = contracts::archSeq();
-    }
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
-    cfg.numPrograms = 6;
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
-    cfg.seed = 1;
-    cfg.jobs = jobs;
-    cfg.backend = backend;
-    return cfg;
-}
 
 std::string
 readFileText(const std::string &path)
@@ -338,7 +284,7 @@ checkKanataDir(const std::string &dir, bool expect_some)
 }
 
 void
-runEquivalence(defense::DefenseKind kind)
+runTelemetryEquivalence(defense::DefenseKind kind)
 {
     ScratchDir scratch(defense::defenseKindName(kind));
     // Reference: telemetry off, in-process, serial.
@@ -376,27 +322,27 @@ runEquivalence(defense::DefenseKind kind)
 
 TEST(TelemetryEquivalence, Baseline)
 {
-    runEquivalence(defense::DefenseKind::Baseline);
+    runTelemetryEquivalence(defense::DefenseKind::Baseline);
 }
 
 TEST(TelemetryEquivalence, InvisiSpec)
 {
-    runEquivalence(defense::DefenseKind::InvisiSpec);
+    runTelemetryEquivalence(defense::DefenseKind::InvisiSpec);
 }
 
 TEST(TelemetryEquivalence, CleanupSpec)
 {
-    runEquivalence(defense::DefenseKind::CleanupSpec);
+    runTelemetryEquivalence(defense::DefenseKind::CleanupSpec);
 }
 
 TEST(TelemetryEquivalence, SpecLfb)
 {
-    runEquivalence(defense::DefenseKind::SpecLfb);
+    runTelemetryEquivalence(defense::DefenseKind::SpecLfb);
 }
 
 TEST(TelemetryEquivalence, Stt)
 {
-    runEquivalence(defense::DefenseKind::Stt);
+    runTelemetryEquivalence(defense::DefenseKind::Stt);
 }
 
 // --- campaign stats are registry-derived ------------------------------

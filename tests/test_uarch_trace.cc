@@ -10,7 +10,7 @@
  *  - the exporters are well-formed: Kanata stage begins/ends balance,
  *    O3PipeView lines have the gem5 shape, the Chrome trace is valid
  *    JSON with non-decreasing timestamps per thread;
- *  - all three executor backends produce identical traces for the same
+ *  - every executor backend produces identical traces for the same
  *    runs — which for the subprocess backend proves the protocol-v3
  *    wire serialization is lossless;
  *  - firstDivergence localizes a Spectre-v1 leak to the transient
@@ -292,7 +292,7 @@ TEST(UarchTraceExport, ChromeTraceIsValidWithMonotonicTsPerTid)
 
 // --- backend parity (and protocol-v3 losslessness) --------------------
 
-TEST(UarchTraceBackends, AllThreeBackendsProduceIdenticalTraces)
+TEST(UarchTraceBackends, EveryBackendProducesIdenticalTraces)
 {
     const auto cfg = harnessConfig(defense::DefenseKind::InvisiSpec);
     const isa::Program prog = spectreProgram();
