@@ -110,48 +110,23 @@ main()
         cfg.filterIneffective = false;
         const auto off = core::Campaign(cfg).run();
         const auto &on = results[3].stats; // CT-COND/opt above
+        const bool verdicts_equal =
+            off.confirmedViolations == on.confirmedViolations &&
+            off.violatingTestCases == on.violatingTestCases &&
+            off.candidateViolations == on.candidateViolations;
         std::printf(
             "\nfilter ablation (CT-COND/Opt): off %.1f tests/s -> on "
-            "%.1f tests/s (%.2fx,\nsim input runs %llu -> %llu, "
-            "filtered %llu, skipped programs %u)\n",
+            "%.1f tests/s (%.2fx,\nverdicts %s, sim input runs %llu -> "
+            "%llu, filtered %llu, skipped programs %u)\n",
             off.throughput(), on.throughput(),
             off.throughput() > 0 ? on.throughput() / off.throughput()
                                  : 0.0,
+            verdicts_equal ? "unchanged" : "DIVERGED (BUG)",
             static_cast<unsigned long long>(off.simInputRuns()),
             static_cast<unsigned long long>(on.simInputRuns()),
             static_cast<unsigned long long>(on.filteredTestCases),
             on.skippedPrograms);
     }
 
-    // Prime-cache ablation (src/executor/sim_harness.hh): the same
-    // CT-COND/Opt cell with the memoized conflict-fill priming
-    // disabled — every input re-simulates the full one-load-per-
-    // (set,way) priming program through the OoO pipeline, which is the
-    // per-input tax AMuLeT-Opt's cheap input switch is supposed to
-    // avoid. Verdicts are identical by the prime-cache equivalence
-    // contract (tests/test_prime_cache.cc); only wall time moves.
-    // CI greps this line.
-    {
-        core::CampaignConfig cfg = campaignFor(
-            defense::DefenseKind::Baseline, false, "CT-COND");
-        cfg.numPrograms = scaled(60);
-        cfg.collectSignatures = false;
-        cfg.harness.primeCache = false;
-        const auto off = core::Campaign(cfg).run();
-        const auto &on = results[3].stats; // CT-COND/opt above
-        const bool verdicts_equal =
-            off.confirmedViolations == on.confirmedViolations &&
-            off.violatingTestCases == on.violatingTestCases &&
-            off.candidateViolations == on.candidateViolations;
-        std::printf(
-            "\nprime-cache ablation (CT-COND/Opt, inproc, jobs=1): off "
-            "%.1f tests/s -> on %.1f tests/s (%.2fx,\nverdicts %s, "
-            "priming %.2fs -> %.2fs)\n",
-            off.throughput(), on.throughput(),
-            off.throughput() > 0 ? on.throughput() / off.throughput()
-                                 : 0.0,
-            verdicts_equal ? "unchanged" : "DIVERGED (BUG)",
-            off.times.primeSec, on.times.primeSec);
-    }
     return 0;
 }

@@ -26,9 +26,9 @@
  * window.
  *
  * Emits one JSON object ({"schema":"amulet-window-atlas-v1", ...}) on
- * stdout; scripts/bench.sh writes it to WINDOW_ATLAS.json and
- * sanity-checks the shape. Cycle counts are simulator-deterministic
- * (not host-dependent), so the atlas is stable across machines.
+ * stdout, committed as WINDOW_ATLAS.json. Cycle counts are
+ * simulator-deterministic (not host-dependent), so the atlas is stable
+ * across machines and scripts/verify.sh compares it byte for byte.
  */
 
 #include <cstdio>
@@ -103,9 +103,10 @@ measureCell(defense::DefenseKind kind, const Trigger &trigger)
                     : executor::PrimeMode::ConflictFill;
     cfg.bootInsts = 1500;
     // AMULET_NO_CYCLE_SKIP=1 disables event-horizon cycle skipping.
-    // scripts/bench.sh diffs an atlas produced each way: the two runs
-    // must be byte-identical, since the atlas is derived entirely from
-    // committed-cycle timestamps that skipping preserves.
+    // scripts/verify.sh compares an atlas produced each way with the
+    // committed file: both must be byte-identical, since the atlas is
+    // derived entirely from committed-cycle timestamps that skipping
+    // preserves.
     cfg.cycleSkip = std::getenv("AMULET_NO_CYCLE_SKIP") == nullptr;
 
     const isa::Program prog = atlasProgram(trigger.disp);

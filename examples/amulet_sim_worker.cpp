@@ -36,7 +36,7 @@
 #include <unistd.h>
 
 #include "core/signature.hh"
-#include "corpus/serde.hh"
+#include "corpus/fields.hh"
 #include "executor/sim_harness.hh"
 #include "executor/sim_protocol.hh"
 #include "isa/assembler.hh"
@@ -49,6 +49,7 @@ using namespace amulet;
 using corpus::Json;
 using executor::protocol::errorReply;
 using executor::protocol::okReply;
+using Formats = std::vector<executor::TraceFormat>;
 
 struct Worker
 {
@@ -132,15 +133,9 @@ struct Worker
                 return errorReply("protocol version mismatch: got " +
                                   std::to_string(version));
             }
-            executor::HarnessConfig cfg =
-                corpus::harnessFromJson(req.at("harness"));
-            // primeCache/cycleSkip travel outside the harness config:
-            // runtime knobs excluded from the corpus fingerprint.
-            if (const Json *pc = req.find("primeCache"))
-                cfg.primeCache = pc->asBool();
-            if (const Json *cs = req.find("cycleSkip"))
-                cfg.cycleSkip = cs->asBool();
-            harness.emplace(std::move(cfg));
+            harness.emplace(
+                corpus::decode<executor::HarnessConfig,
+                               corpus::Scope::Runtime>(req.at("harness")));
             return okReply();
         }
         if (op == "load") {
@@ -160,16 +155,15 @@ struct Worker
         }
         if (op == "batch") {
             mutatingOp();
-            std::vector<arch::Input> inputs;
-            for (const Json &i : req.at("inputs").items())
-                inputs.push_back(corpus::inputFromJson(i));
+            const auto inputs =
+                corpus::decode<std::vector<arch::Input>>(req.at("inputs"));
             std::vector<const arch::Input *> batch;
             batch.reserve(inputs.size());
             for (const arch::Input &input : inputs)
                 batch.push_back(&input);
-            std::optional<std::vector<executor::TraceFormat>> extras;
+            std::optional<Formats> extras;
             if (const Json *e = req.find("extras"))
-                extras = executor::protocol::traceFormatsFromJson(*e);
+                extras = corpus::decode<Formats>(*e);
             TraceScope trace(sim(), req);
             const auto out =
                 sim().runBatch(batch, extras ? &*extras : nullptr);
@@ -180,8 +174,7 @@ struct Worker
             // Cumulative breakdown rides along so the parent loses at
             // most one operation's worth of timing when this worker
             // later dies (backend_subprocess times accounting).
-            reply.set("times",
-                      executor::protocol::timesToJson(sim().times()));
+            reply.set("times", corpus::encode(sim().times()));
             return reply;
         }
         if (op == "run") {
@@ -197,8 +190,7 @@ struct Worker
                       Json::boolean(out.run.hitCycleCap));
             Json extra_traces = Json::array();
             if (const Json *e = req.find("extras")) {
-                for (executor::TraceFormat fmt :
-                     executor::protocol::traceFormatsFromJson(*e)) {
+                for (executor::TraceFormat fmt : corpus::decode<Formats>(*e)) {
                     extra_traces.push(
                         corpus::toJson(sim().extractExtra(fmt)));
                 }
@@ -208,8 +200,7 @@ struct Worker
             // Cumulative breakdown rides along so the parent loses at
             // most one operation's worth of timing when this worker
             // later dies (backend_subprocess times accounting).
-            reply.set("times",
-                      executor::protocol::timesToJson(sim().times()));
+            reply.set("times", corpus::encode(sim().times()));
             return reply;
         }
         if (op == "classify") {
@@ -227,14 +218,12 @@ struct Worker
             // Cumulative breakdown rides along so the parent loses at
             // most one operation's worth of timing when this worker
             // later dies (backend_subprocess times accounting).
-            reply.set("times",
-                      executor::protocol::timesToJson(sim().times()));
+            reply.set("times", corpus::encode(sim().times()));
             return reply;
         }
         if (op == "times") {
             Json reply = okReply();
-            reply.set("times",
-                      executor::protocol::timesToJson(sim().times()));
+            reply.set("times", corpus::encode(sim().times()));
             return reply;
         }
         return errorReply("unknown op: " + op);

@@ -46,6 +46,7 @@
 #include "core/minimizer.hh"
 #include "core/root_cause.hh"
 #include "corpus/corpus_store.hh"
+#include "corpus/fields.hh"
 #include "corpus/replayer.hh"
 #include "corpus/serde.hh"
 #include "executor/backend.hh"
@@ -147,7 +148,7 @@ listChoices()
         std::printf(" %s", contract.name.c_str());
     std::printf("\ntrace formats (--trace):");
     for (auto format : amulet::executor::allTraceFormats())
-        std::printf(" %s", amulet::corpus::traceFormatToken(format));
+        std::printf(" %s", amulet::corpus::enumToken(format));
     std::printf("\nbackends (--backend):");
     for (auto backend : amulet::executor::allBackendKinds())
         std::printf(" %s", amulet::executor::backendKindName(backend));
@@ -901,6 +902,13 @@ main(int argc, char **argv)
     if (cfg.resume && corpus_dir.empty()) {
         std::fprintf(stderr, "campaign_cli: --resume requires "
                              "--corpus-dir (nothing to resume from)\n");
+        return 2;
+    }
+    if (!cfg.harness.core.validGeometry()) {
+        std::fprintf(stderr,
+                     "campaign_cli: --ways %u --mshrs %u: the L1D needs a "
+                     "power-of-two set count and at least one MSHR\n",
+                     cfg.harness.core.l1d.ways, cfg.harness.core.l1dMshrs);
         return 2;
     }
     cfg.corpusDir = corpus_dir;

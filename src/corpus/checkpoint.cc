@@ -5,7 +5,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "corpus/serde.hh"
+#include "corpus/fields.hh"
 #include "runtime/fault.hh"
 
 namespace fs = std::filesystem;
@@ -37,7 +37,7 @@ writeCheckpoint(const std::string &dir, const core::CampaignConfig &config,
     for (const auto &[index, outcome] : completed) {
         Json entry = Json::object();
         entry.set("programIndex", Json::number(std::uint64_t{index}));
-        entry.set("outcome", outcomeToJson(outcome));
+        entry.set("outcome", encode(outcome));
         outcomes.push(std::move(entry));
     }
     j.set("outcomes", std::move(outcomes));
@@ -100,7 +100,8 @@ loadCheckpoint(const std::string &dir, const core::CampaignConfig &config)
         const unsigned index = entry.at("programIndex").asUnsigned();
         if (index >= config.numPrograms)
             throw CorpusError("checkpoint program index out of range");
-        completed[index] = outcomeFromJson(entry.at("outcome"));
+        completed[index] =
+            decode<runtime::ProgramOutcome>(entry.at("outcome"));
     }
     return completed;
 }

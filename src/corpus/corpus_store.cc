@@ -336,7 +336,13 @@ CorpusStore::readConfig(const std::string &dir)
         throw CorpusError("corpus format version " +
                           std::to_string(version) + " unsupported");
     }
-    return configFromJson(meta.at("config"));
+    core::CampaignConfig config = configFromJson(meta.at("config"));
+    // An edited or mis-decoded config must not replay silently under
+    // another definition than the one the corpus was written with.
+    if (configFingerprint(config) != meta.at("fingerprint").asStr())
+        throw CorpusError("corpus at " + dir + ": config does not match "
+                          "its stored fingerprint");
+    return config;
 }
 
 std::vector<core::ViolationRecord>

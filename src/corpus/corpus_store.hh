@@ -111,7 +111,8 @@ class CorpusStore
 
     /** @name Reading a corpus back */
     /// @{
-    /** Campaign config stored in meta.json. */
+    /** Campaign config stored in meta.json; throws CorpusError when it
+     *  does not hash to the stored fingerprint. */
     static core::CampaignConfig readConfig(const std::string &dir);
 
     /** All journaled records, in journal (append) order; deduped.

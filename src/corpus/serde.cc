@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "corpus/fields.hh"
 #include "isa/assembler.hh"
 
 namespace amulet::corpus
@@ -624,50 +625,9 @@ hexDecode(const std::string &hex)
     return out;
 }
 
-Json
-u64Array(const std::vector<std::uint64_t> &values)
-{
-    Json arr = Json::array();
-    for (std::uint64_t v : values)
-        arr.push(Json::number(v));
-    return arr;
-}
-
-std::vector<std::uint64_t>
-u64ArrayFromJson(const Json &json)
-{
-    std::vector<std::uint64_t> out;
-    out.reserve(json.items().size());
-    for (const Json &item : json.items())
-        out.push_back(item.asU64());
-    return out;
-}
-
-executor::TraceFormat
-traceFormatFromToken(const std::string &token)
-{
-    const auto parsed = executor::parseTraceFormat(token);
-    if (!parsed)
-        throw CorpusError("unknown trace format: " + token);
-    return *parsed;
-}
-
 } // namespace
 
 // === Building blocks =======================================================
-
-const char *
-traceFormatToken(executor::TraceFormat format)
-{
-    switch (format) {
-      case executor::TraceFormat::L1dTlb:          return "l1dtlb";
-      case executor::TraceFormat::L1dTlbL1i:       return "l1dtlbl1i";
-      case executor::TraceFormat::BpState:         return "bpstate";
-      case executor::TraceFormat::MemAccessOrder:  return "memorder";
-      case executor::TraceFormat::BranchPredOrder: return "branchorder";
-    }
-    return "?";
-}
 
 Json
 toJson(const arch::Input &input)
@@ -716,8 +676,8 @@ Json
 toJson(const executor::UTrace &trace)
 {
     Json j = Json::object();
-    j.set("format", Json::str(traceFormatToken(trace.format)));
-    j.set("words", u64Array(trace.words));
+    j.set("format", encode(trace.format));
+    j.set("words", encode(trace.words));
     return j;
 }
 
@@ -725,8 +685,8 @@ executor::UTrace
 traceFromJson(const Json &json)
 {
     executor::UTrace trace;
-    trace.format = traceFormatFromToken(json.at("format").asStr());
-    trace.words = u64ArrayFromJson(json.at("words"));
+    trace.format = decode<executor::TraceFormat>(json.at("format"));
+    trace.words = decode<std::vector<std::uint64_t>>(json.at("words"));
     // The hash cache is never serialized; rebuild it so traces that
     // crossed the wire (subprocess backend) or the journal take the
     // same fast-inequality path as freshly extracted ones.
@@ -741,8 +701,8 @@ toJson(const executor::UarchContext &ctx)
     bp.set("ghr", Json::number(std::uint64_t{ctx.bp.ghr}));
     bp.set("pht", Json::str(hexEncode(ctx.bp.pht.data(),
                                       ctx.bp.pht.size())));
-    bp.set("btbTags", u64Array(ctx.bp.btbTags));
-    bp.set("btbTargets", u64Array(ctx.bp.btbTargets));
+    bp.set("btbTags", encode(ctx.bp.btbTags));
+    bp.set("btbTargets", encode(ctx.bp.btbTargets));
     Json j = Json::object();
     j.set("bp", std::move(bp));
     j.set("mdp", Json::str(hexEncode(ctx.mdp.data(), ctx.mdp.size())));
@@ -756,8 +716,9 @@ contextFromJson(const Json &json)
     const Json &bp = json.at("bp");
     ctx.bp.ghr = static_cast<std::uint32_t>(bp.at("ghr").asU64());
     ctx.bp.pht = hexDecode(bp.at("pht").asStr());
-    ctx.bp.btbTags = u64ArrayFromJson(bp.at("btbTags"));
-    ctx.bp.btbTargets = u64ArrayFromJson(bp.at("btbTargets"));
+    using Words = std::vector<std::uint64_t>;
+    ctx.bp.btbTags = decode<Words>(bp.at("btbTags"));
+    ctx.bp.btbTargets = decode<Words>(bp.at("btbTargets"));
     ctx.mdp = hexDecode(json.at("mdp").asStr());
     return ctx;
 }
@@ -790,21 +751,7 @@ toJson(const core::ViolationRecord &record)
 {
     Json j = Json::object();
     j.set("version", Json::number(std::uint64_t{kFormatVersion}));
-    j.set("defense", Json::str(record.defenseName));
-    j.set("contract", Json::str(record.contractName));
-    j.set("programIndex",
-          Json::number(std::uint64_t{record.programIndex}));
-    j.set("program", Json::str(record.programText));
-    j.set("inputA", toJson(record.inputA));
-    j.set("inputB", toJson(record.inputB));
-    j.set("traceA", toJson(record.traceA));
-    j.set("traceB", toJson(record.traceB));
-    j.set("ctxA", toJson(record.ctxA));
-    j.set("ctxB", toJson(record.ctxB));
-    j.set("ctraceHash", Json::number(record.ctraceHash));
-    j.set("signature", Json::str(record.signature));
-    j.set("rngState", toJson(record.rngState));
-    j.set("detectSeconds", Json::number(record.detectSeconds));
+    encodeInto(record, j);
     return j;
 }
 
@@ -817,11 +764,7 @@ recordFromJson(const Json &json)
                           std::to_string(version) + " unsupported (have " +
                           std::to_string(kFormatVersion) + ")");
     }
-    core::ViolationRecord record;
-    record.defenseName = json.at("defense").asStr();
-    record.contractName = json.at("contract").asStr();
-    record.programIndex = json.at("programIndex").asUnsigned();
-    record.programText = json.at("program").asStr();
+    core::ViolationRecord record = decode<core::ViolationRecord>(json);
     // The program travels as disassembly; reparse it now so a corrupt
     // listing fails at load time, not mid-replay.
     try {
@@ -831,393 +774,17 @@ recordFromJson(const Json &json)
                                       "assemble: ") +
                           e.what());
     }
-    record.inputA = inputFromJson(json.at("inputA"));
-    record.inputB = inputFromJson(json.at("inputB"));
-    record.traceA = traceFromJson(json.at("traceA"));
-    record.traceB = traceFromJson(json.at("traceB"));
-    record.ctxA = contextFromJson(json.at("ctxA"));
-    record.ctxB = contextFromJson(json.at("ctxB"));
-    record.ctraceHash = json.at("ctraceHash").asU64();
-    record.signature = json.at("signature").asStr();
-    record.rngState = rngStateFromJson(json.at("rngState"));
-    record.detectSeconds = json.at("detectSeconds").asDouble();
     return record;
 }
 
 // === Campaign configuration ================================================
-
-namespace
-{
-
-const char *
-primeModeToken(executor::PrimeMode mode)
-{
-    return mode == executor::PrimeMode::ConflictFill ? "conflictfill"
-                                                     : "invalidate";
-}
-
-executor::PrimeMode
-primeModeFromToken(const std::string &token)
-{
-    if (token == "conflictfill")
-        return executor::PrimeMode::ConflictFill;
-    if (token == "invalidate")
-        return executor::PrimeMode::Invalidate;
-    throw CorpusError("unknown prime mode: " + token);
-}
-
-const char *
-tlbPrefillToken(executor::TlbPrefill prefill)
-{
-    switch (prefill) {
-      case executor::TlbPrefill::Auto:      return "auto";
-      case executor::TlbPrefill::GuardOnly: return "guardonly";
-      case executor::TlbPrefill::None:      return "none";
-    }
-    return "?";
-}
-
-executor::TlbPrefill
-tlbPrefillFromToken(const std::string &token)
-{
-    if (token == "auto")
-        return executor::TlbPrefill::Auto;
-    if (token == "guardonly")
-        return executor::TlbPrefill::GuardOnly;
-    if (token == "none")
-        return executor::TlbPrefill::None;
-    throw CorpusError("unknown tlb prefill: " + token);
-}
-
-Json
-cacheToJson(const uarch::CacheParams &cache)
-{
-    Json j = Json::object();
-    j.set("sizeBytes", Json::number(std::uint64_t{cache.sizeBytes}));
-    j.set("ways", Json::number(std::uint64_t{cache.ways}));
-    j.set("lineBytes", Json::number(std::uint64_t{cache.lineBytes}));
-    return j;
-}
-
-uarch::CacheParams
-cacheFromJson(const Json &json)
-{
-    uarch::CacheParams cache;
-    cache.sizeBytes = json.at("sizeBytes").asUnsigned();
-    cache.ways = json.at("ways").asUnsigned();
-    cache.lineBytes = json.at("lineBytes").asUnsigned();
-    return cache;
-}
-
-Json
-coreToJson(const uarch::CoreParams &core)
-{
-    Json j = Json::object();
-    j.set("fetchWidth", Json::number(std::uint64_t{core.fetchWidth}));
-    j.set("issueWidth", Json::number(std::uint64_t{core.issueWidth}));
-    j.set("commitWidth", Json::number(std::uint64_t{core.commitWidth}));
-    j.set("robSize", Json::number(std::uint64_t{core.robSize}));
-    j.set("lqSize", Json::number(std::uint64_t{core.lqSize}));
-    j.set("sqSize", Json::number(std::uint64_t{core.sqSize}));
-    j.set("l1d", cacheToJson(core.l1d));
-    j.set("l1i", cacheToJson(core.l1i));
-    j.set("l2", cacheToJson(core.l2));
-    j.set("l1dMshrs", Json::number(std::uint64_t{core.l1dMshrs}));
-    j.set("l1iMshrs", Json::number(std::uint64_t{core.l1iMshrs}));
-    j.set("l1HitLatency", Json::number(std::uint64_t{core.l1HitLatency}));
-    j.set("l2HitLatency", Json::number(std::uint64_t{core.l2HitLatency}));
-    j.set("memLatency", Json::number(std::uint64_t{core.memLatency}));
-    j.set("l2ServiceInterval",
-          Json::number(std::uint64_t{core.l2ServiceInterval}));
-    j.set("tlbEntries", Json::number(std::uint64_t{core.tlbEntries}));
-    j.set("tlbWalkLatency",
-          Json::number(std::uint64_t{core.tlbWalkLatency}));
-    j.set("aluLatency", Json::number(std::uint64_t{core.aluLatency}));
-    j.set("mulLatency", Json::number(std::uint64_t{core.mulLatency}));
-    j.set("branchLatency",
-          Json::number(std::uint64_t{core.branchLatency}));
-    j.set("ghrBits", Json::number(std::uint64_t{core.ghrBits}));
-    j.set("phtBits", Json::number(std::uint64_t{core.phtBits}));
-    j.set("btbEntries", Json::number(std::uint64_t{core.btbEntries}));
-    j.set("mdpEntries", Json::number(std::uint64_t{core.mdpEntries}));
-    j.set("specBufferEntries",
-          Json::number(std::uint64_t{core.specBufferEntries}));
-    j.set("lfbEntries", Json::number(std::uint64_t{core.lfbEntries}));
-    j.set("cleanupLatency",
-          Json::number(std::uint64_t{core.cleanupLatency}));
-    j.set("maxCyclesPerRun", Json::number(core.maxCyclesPerRun));
-    return j;
-}
-
-uarch::CoreParams
-coreFromJson(const Json &json)
-{
-    uarch::CoreParams core;
-    core.fetchWidth = json.at("fetchWidth").asUnsigned();
-    core.issueWidth = json.at("issueWidth").asUnsigned();
-    core.commitWidth = json.at("commitWidth").asUnsigned();
-    core.robSize = json.at("robSize").asUnsigned();
-    core.lqSize = json.at("lqSize").asUnsigned();
-    core.sqSize = json.at("sqSize").asUnsigned();
-    core.l1d = cacheFromJson(json.at("l1d"));
-    core.l1i = cacheFromJson(json.at("l1i"));
-    core.l2 = cacheFromJson(json.at("l2"));
-    core.l1dMshrs = json.at("l1dMshrs").asUnsigned();
-    core.l1iMshrs = json.at("l1iMshrs").asUnsigned();
-    core.l1HitLatency = json.at("l1HitLatency").asUnsigned();
-    core.l2HitLatency = json.at("l2HitLatency").asUnsigned();
-    core.memLatency = json.at("memLatency").asUnsigned();
-    core.l2ServiceInterval = json.at("l2ServiceInterval").asUnsigned();
-    core.tlbEntries = json.at("tlbEntries").asUnsigned();
-    core.tlbWalkLatency = json.at("tlbWalkLatency").asUnsigned();
-    core.aluLatency = json.at("aluLatency").asUnsigned();
-    core.mulLatency = json.at("mulLatency").asUnsigned();
-    core.branchLatency = json.at("branchLatency").asUnsigned();
-    core.ghrBits = json.at("ghrBits").asUnsigned();
-    core.phtBits = json.at("phtBits").asUnsigned();
-    core.btbEntries = json.at("btbEntries").asUnsigned();
-    core.mdpEntries = json.at("mdpEntries").asUnsigned();
-    core.specBufferEntries = json.at("specBufferEntries").asUnsigned();
-    core.lfbEntries = json.at("lfbEntries").asUnsigned();
-    core.cleanupLatency = json.at("cleanupLatency").asUnsigned();
-    core.maxCyclesPerRun = json.at("maxCyclesPerRun").asU64();
-    return core;
-}
-
-Json
-mapToJson(const mem::AddressMap &map)
-{
-    Json j = Json::object();
-    j.set("codeBase", Json::number(map.codeBase));
-    j.set("sandboxBase", Json::number(map.sandboxBase));
-    j.set("sandboxPages", Json::number(std::uint64_t{map.sandboxPages}));
-    j.set("primeBase", Json::number(map.primeBase));
-    return j;
-}
-
-mem::AddressMap
-mapFromJson(const Json &json)
-{
-    mem::AddressMap map;
-    map.codeBase = json.at("codeBase").asU64();
-    map.sandboxBase = json.at("sandboxBase").asU64();
-    map.sandboxPages = json.at("sandboxPages").asUnsigned();
-    if (!mem::AddressMap::validSandboxPages(map.sandboxPages))
-        throw CorpusError("sandboxPages must be a power of two in 1.." +
-                          std::to_string(mem::kMaxSandboxPages));
-    map.primeBase = json.at("primeBase").asU64();
-    return map;
-}
-
-Json
-defenseToJson(const defense::DefenseConfig &defense)
-{
-    Json j = Json::object();
-    j.set("kind", Json::str(defense::defenseKindName(defense.kind)));
-    j.set("invisispecBugSpecEviction",
-          Json::boolean(defense.invisispecBugSpecEviction));
-    j.set("cleanupBugStoreNotCleaned",
-          Json::boolean(defense.cleanupBugStoreNotCleaned));
-    j.set("cleanupBugSplitNotCleaned",
-          Json::boolean(defense.cleanupBugSplitNotCleaned));
-    j.set("cleanupNoCleanPatch", Json::boolean(defense.cleanupNoCleanPatch));
-    j.set("sttBugTaintedStoreTlb",
-          Json::boolean(defense.sttBugTaintedStoreTlb));
-    j.set("speclfbBugFirstLoad",
-          Json::boolean(defense.speclfbBugFirstLoad));
-    return j;
-}
-
-defense::DefenseConfig
-defenseFromJson(const Json &json)
-{
-    defense::DefenseConfig defense;
-    const auto kind = defense::parseDefenseKind(json.at("kind").asStr());
-    if (!kind)
-        throw CorpusError("unknown defense: " + json.at("kind").asStr());
-    defense.kind = *kind;
-    defense.invisispecBugSpecEviction =
-        json.at("invisispecBugSpecEviction").asBool();
-    defense.cleanupBugStoreNotCleaned =
-        json.at("cleanupBugStoreNotCleaned").asBool();
-    defense.cleanupBugSplitNotCleaned =
-        json.at("cleanupBugSplitNotCleaned").asBool();
-    defense.cleanupNoCleanPatch = json.at("cleanupNoCleanPatch").asBool();
-    defense.sttBugTaintedStoreTlb =
-        json.at("sttBugTaintedStoreTlb").asBool();
-    defense.speclfbBugFirstLoad =
-        json.at("speclfbBugFirstLoad").asBool();
-    return defense;
-}
-
-Json
-contractToJson(const contracts::ContractSpec &contract)
-{
-    Json j = Json::object();
-    j.set("name", Json::str(contract.name));
-    j.set("observePc", Json::boolean(contract.observePc));
-    j.set("observeMemAddr", Json::boolean(contract.observeMemAddr));
-    j.set("observeLoadValues", Json::boolean(contract.observeLoadValues));
-    j.set("exposeInitialRegs", Json::boolean(contract.exposeInitialRegs));
-    j.set("exploreMispredictedBranches",
-          Json::boolean(contract.exploreMispredictedBranches));
-    j.set("speculationWindow",
-          Json::number(std::uint64_t{contract.speculationWindow}));
-    j.set("maxNesting", Json::number(std::uint64_t{contract.maxNesting}));
-    return j;
-}
-
-contracts::ContractSpec
-contractFromJson(const Json &json)
-{
-    contracts::ContractSpec contract;
-    contract.name = json.at("name").asStr();
-    contract.observePc = json.at("observePc").asBool();
-    contract.observeMemAddr = json.at("observeMemAddr").asBool();
-    contract.observeLoadValues = json.at("observeLoadValues").asBool();
-    contract.exposeInitialRegs = json.at("exposeInitialRegs").asBool();
-    contract.exploreMispredictedBranches =
-        json.at("exploreMispredictedBranches").asBool();
-    contract.speculationWindow =
-        json.at("speculationWindow").asUnsigned();
-    contract.maxNesting = json.at("maxNesting").asUnsigned();
-    return contract;
-}
-
-Json
-generatorToJson(const core::GeneratorConfig &gen)
-{
-    Json j = Json::object();
-    j.set("minBlocks", Json::number(std::uint64_t{gen.minBlocks}));
-    j.set("maxBlocks", Json::number(std::uint64_t{gen.maxBlocks}));
-    j.set("minInstsPerBlock",
-          Json::number(std::uint64_t{gen.minInstsPerBlock}));
-    j.set("maxInstsPerBlock",
-          Json::number(std::uint64_t{gen.maxInstsPerBlock}));
-    j.set("memAccessPct", Json::number(std::uint64_t{gen.memAccessPct}));
-    j.set("storePct", Json::number(std::uint64_t{gen.storePct}));
-    j.set("rmwPct", Json::number(std::uint64_t{gen.rmwPct}));
-    j.set("cmovLoadPct", Json::number(std::uint64_t{gen.cmovLoadPct}));
-    j.set("fencePct", Json::number(std::uint64_t{gen.fencePct}));
-    j.set("setccPct", Json::number(std::uint64_t{gen.setccPct}));
-    j.set("condBranchPct", Json::number(std::uint64_t{gen.condBranchPct}));
-    j.set("loopnePct", Json::number(std::uint64_t{gen.loopnePct}));
-    j.set("branchOnLoadPct",
-          Json::number(std::uint64_t{gen.branchOnLoadPct}));
-    j.set("unalignedPct", Json::number(std::uint64_t{gen.unalignedPct}));
-    Json weights = Json::array();
-    for (std::uint32_t w : gen.widthWeights)
-        weights.push(Json::number(std::uint64_t{w}));
-    j.set("widthWeights", std::move(weights));
-    return j;
-}
-
-core::GeneratorConfig
-generatorFromJson(const Json &json, const mem::AddressMap &map)
-{
-    core::GeneratorConfig gen;
-    gen.minBlocks = json.at("minBlocks").asUnsigned();
-    gen.maxBlocks = json.at("maxBlocks").asUnsigned();
-    gen.minInstsPerBlock = json.at("minInstsPerBlock").asUnsigned();
-    gen.maxInstsPerBlock = json.at("maxInstsPerBlock").asUnsigned();
-    gen.memAccessPct = json.at("memAccessPct").asUnsigned();
-    gen.storePct = json.at("storePct").asUnsigned();
-    gen.rmwPct = json.at("rmwPct").asUnsigned();
-    gen.cmovLoadPct = json.at("cmovLoadPct").asUnsigned();
-    gen.fencePct = json.at("fencePct").asUnsigned();
-    gen.setccPct = json.at("setccPct").asUnsigned();
-    gen.condBranchPct = json.at("condBranchPct").asUnsigned();
-    gen.loopnePct = json.at("loopnePct").asUnsigned();
-    gen.branchOnLoadPct = json.at("branchOnLoadPct").asUnsigned();
-    gen.unalignedPct = json.at("unalignedPct").asUnsigned();
-    gen.widthWeights.clear();
-    for (const Json &w : json.at("widthWeights").items())
-        gen.widthWeights.push_back(
-            static_cast<std::uint32_t>(w.asU64()));
-    gen.map = map;
-    return gen;
-}
-
-} // namespace
-
-Json
-harnessToJson(const executor::HarnessConfig &config)
-{
-    Json harness = Json::object();
-    harness.set("core", coreToJson(config.core));
-    harness.set("defense", defenseToJson(config.defense));
-    harness.set("map", mapToJson(config.map));
-    harness.set("prime", Json::str(primeModeToken(config.prime)));
-    harness.set("traceFormat",
-                Json::str(traceFormatToken(config.traceFormat)));
-    harness.set("naiveMode", Json::boolean(config.naiveMode));
-    harness.set("tlbPrefill",
-                Json::str(tlbPrefillToken(config.tlbPrefill)));
-    harness.set("bootInsts", Json::number(std::uint64_t{config.bootInsts}));
-    // HarnessConfig::primeCache and ::cycleSkip are deliberately NOT
-    // serialized: they are runtime knobs like jobs/backend — results
-    // are byte-identical with either setting — so they must not move
-    // the corpus config fingerprint, and corpora written with different
-    // settings may mix. The subprocess wire hello carries them out of
-    // band.
-    return harness;
-}
-
-executor::HarnessConfig
-harnessFromJson(const Json &json)
-{
-    executor::HarnessConfig config;
-    config.core = coreFromJson(json.at("core"));
-    config.defense = defenseFromJson(json.at("defense"));
-    config.map = mapFromJson(json.at("map"));
-    config.prime = primeModeFromToken(json.at("prime").asStr());
-    config.traceFormat =
-        traceFormatFromToken(json.at("traceFormat").asStr());
-    config.naiveMode = json.at("naiveMode").asBool();
-    config.tlbPrefill = tlbPrefillFromToken(json.at("tlbPrefill").asStr());
-    config.bootInsts = json.at("bootInsts").asUnsigned();
-    return config;
-}
 
 Json
 configToJson(const core::CampaignConfig &config)
 {
     Json j = Json::object();
     j.set("version", Json::number(std::uint64_t{kFormatVersion}));
-    j.set("harness", harnessToJson(config.harness));
-    j.set("contract", contractToJson(config.contract));
-    j.set("gen", generatorToJson(config.gen));
-    j.set("inputSmallRegPct",
-          Json::number(std::uint64_t{config.inputs.smallRegPct}));
-    j.set("numPrograms", Json::number(std::uint64_t{config.numPrograms}));
-    j.set("baseInputsPerProgram",
-          Json::number(std::uint64_t{config.baseInputsPerProgram}));
-    j.set("siblingsPerBase",
-          Json::number(std::uint64_t{config.siblingsPerBase}));
-    j.set("regMutationPct",
-          Json::number(std::uint64_t{config.regMutationPct}));
-    // Part of the campaign definition: filtering changes which inputs
-    // the simulator executes (and how μarch state evolves across them),
-    // so corpora written with it on and off must not mix.
-    j.set("filterIneffective", Json::boolean(config.filterIneffective));
-    j.set("stopAtFirstViolation",
-          Json::boolean(config.stopAtFirstViolation));
-    j.set("collectSignatures", Json::boolean(config.collectSignatures));
-    j.set("collectAllFormats", Json::boolean(config.collectAllFormats));
-    j.set("maxViolationsRecorded",
-          Json::number(std::uint64_t{config.maxViolationsRecorded}));
-    j.set("seed", Json::number(config.seed));
-    // CampaignConfig::ctraceMemo is deliberately NOT serialized: a
-    // runtime knob like jobs/backend/primeCache — contract traces are
-    // byte-identical with the memo on or off (tests/test_ctrace_memo.cc)
-    // — so it must not move the corpus config fingerprint, and corpora
-    // written with different settings may mix.
-    // CampaignConfig::faultPlan is likewise runtime-only: fault
-    // injection may quarantine programs (which the journal records per
-    // program), but every surviving program's results are
-    // byte-identical to a clean run (tests/test_fault.cc), so the plan
-    // must not move the fingerprint — a chaos run and its clean
-    // reference share one corpus identity.
+    encodeInto(config, j);
     return j;
 }
 
@@ -1229,34 +796,18 @@ configFromJson(const Json &json)
         throw CorpusError("corpus config version " +
                           std::to_string(version) + " unsupported");
     }
-    core::CampaignConfig config;
-    config.harness = harnessFromJson(json.at("harness"));
-    config.contract = contractFromJson(json.at("contract"));
-    config.gen = generatorFromJson(json.at("gen"), config.harness.map);
+    core::CampaignConfig config = decode<core::CampaignConfig>(json);
+    config.gen.map = config.harness.map;
     config.inputs.map = config.harness.map;
-    config.inputs.smallRegPct = json.at("inputSmallRegPct").asUnsigned();
-    config.numPrograms = json.at("numPrograms").asUnsigned();
-    config.baseInputsPerProgram =
-        json.at("baseInputsPerProgram").asUnsigned();
-    config.siblingsPerBase = json.at("siblingsPerBase").asUnsigned();
-    config.regMutationPct = json.at("regMutationPct").asUnsigned();
-    config.filterIneffective = json.at("filterIneffective").asBool();
-    config.stopAtFirstViolation =
-        json.at("stopAtFirstViolation").asBool();
-    config.collectSignatures = json.at("collectSignatures").asBool();
-    config.collectAllFormats = json.at("collectAllFormats").asBool();
-    config.maxViolationsRecorded =
-        json.at("maxViolationsRecorded").asUnsigned();
-    config.seed = json.at("seed").asU64();
     return config;
 }
 
 std::string
 configFingerprint(const core::CampaignConfig &config)
 {
-    // FNV-1a over the canonical dump; the dump excludes runtime knobs
-    // (jobs, corpus fields), so a resumed run at a different parallelism
-    // still matches its corpus.
+    // FNV-1a over the canonical dump; the dump holds Definition entries
+    // only, so a resumed run at a different parallelism (or any other
+    // Runtime entry) still matches its corpus.
     const std::string dump = configToJson(config).dump();
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (unsigned char c : dump) {
@@ -1267,86 +818,6 @@ configFingerprint(const core::CampaignConfig &config)
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(h));
     return buf;
-}
-
-// === Per-program outcomes ==================================================
-
-Json
-outcomeToJson(const runtime::ProgramOutcome &outcome)
-{
-    Json j = Json::object();
-    j.set("ran", Json::boolean(outcome.ran));
-    j.set("skippedProgram", Json::boolean(outcome.skippedProgram));
-    j.set("quarantined", Json::boolean(outcome.quarantined));
-    j.set("quarantineReason", Json::str(outcome.quarantineReason));
-    j.set("testCases", Json::number(outcome.testCases));
-    j.set("filteredTestCases",
-          Json::number(outcome.filteredTestCases));
-    j.set("effectiveClasses", Json::number(outcome.effectiveClasses));
-    j.set("candidateViolations",
-          Json::number(outcome.candidateViolations));
-    j.set("validationRuns", Json::number(outcome.validationRuns));
-    j.set("violatingTestCases",
-          Json::number(outcome.violatingTestCases));
-    j.set("confirmedViolations",
-          Json::number(outcome.confirmedViolations));
-    j.set("firstDetectSeconds", Json::number(outcome.firstDetectSeconds));
-    j.set("testGenSec", Json::number(outcome.testGenSec));
-    j.set("ctraceSec", Json::number(outcome.ctraceSec));
-    j.set("filterSec", Json::number(outcome.filterSec));
-    Json sigs = Json::object();
-    for (const auto &[sig, count] : outcome.signatureCounts)
-        sigs.set(sig, Json::number(count));
-    j.set("signatureCounts", std::move(sigs));
-    Json tallies = Json::array();
-    for (const auto &[format, tally] : outcome.formatTallies) {
-        Json t = Json::object();
-        t.set("format", Json::str(traceFormatToken(format)));
-        t.set("violatingTestCases",
-              Json::number(tally.violatingTestCases));
-        t.set("coveredByBaseline",
-              Json::number(tally.coveredByBaseline));
-        tallies.push(std::move(t));
-    }
-    j.set("formatTallies", std::move(tallies));
-    // Deliberately no records: they are journaled (and byte-identical)
-    // already; the checkpoint stays O(counters) per program and resume
-    // rehydrates records from the journal by program index.
-    return j;
-}
-
-runtime::ProgramOutcome
-outcomeFromJson(const Json &json)
-{
-    runtime::ProgramOutcome outcome;
-    outcome.ran = json.at("ran").asBool();
-    outcome.skippedProgram = json.at("skippedProgram").asBool();
-    outcome.quarantined = json.at("quarantined").asBool();
-    outcome.quarantineReason = json.at("quarantineReason").asStr();
-    outcome.testCases = json.at("testCases").asU64();
-    outcome.filteredTestCases = json.at("filteredTestCases").asU64();
-    outcome.effectiveClasses = json.at("effectiveClasses").asU64();
-    outcome.candidateViolations =
-        json.at("candidateViolations").asU64();
-    outcome.validationRuns = json.at("validationRuns").asU64();
-    outcome.violatingTestCases = json.at("violatingTestCases").asU64();
-    outcome.confirmedViolations =
-        json.at("confirmedViolations").asU64();
-    outcome.firstDetectSeconds =
-        json.at("firstDetectSeconds").asDouble();
-    outcome.testGenSec = json.at("testGenSec").asDouble();
-    outcome.ctraceSec = json.at("ctraceSec").asDouble();
-    outcome.filterSec = json.at("filterSec").asDouble();
-    for (const auto &[sig, count] : json.at("signatureCounts").members())
-        outcome.signatureCounts[sig] = count.asU64();
-    for (const Json &t : json.at("formatTallies").items()) {
-        core::FormatTally tally;
-        tally.violatingTestCases = t.at("violatingTestCases").asU64();
-        tally.coveredByBaseline = t.at("coveredByBaseline").asU64();
-        outcome.formatTallies[traceFormatFromToken(
-            t.at("format").asStr())] = tally;
-    }
-    return outcome; // records rehydrate from the journal, not from here
 }
 
 } // namespace amulet::corpus

@@ -14,6 +14,13 @@
  * order and numbers are stored as text, so serialization is canonical —
  * equal values produce byte-equal dumps, which is what corpus exports
  * and config fingerprints are built on.
+ *
+ * Flat structs (configs, records, checkpointed outcomes, wire run
+ * results and times) are declared once, as field tables in
+ * corpus/fields.hh that one generic encode/decode walks. Adding a field
+ * takes one table entry; a Definition entry changes every corpus
+ * fingerprint. This header keeps the leaf codecs with their own shapes
+ * and the entry points that add a version check.
  */
 
 #ifndef AMULET_CORPUS_SERDE_HH
@@ -123,10 +130,6 @@ class Json
 
 /** @name Building blocks */
 /// @{
-/** Stable machine token for a trace format ("l1dtlb", "bpstate", ...) —
- *  display names do not reparse; these do (via parseTraceFormat). */
-const char *traceFormatToken(executor::TraceFormat format);
-
 Json toJson(const arch::Input &input);
 arch::Input inputFromJson(const Json &json);
 
@@ -153,36 +156,21 @@ core::ViolationRecord recordFromJson(const Json &json);
 
 /**
  * @name Campaign configuration
- * Serializes the campaign *definition*: generator/input/harness/contract
- * knobs, scale, and seed. Runtime knobs (jobs, backend, corpus fields)
- * are excluded — they may legally differ between the runs of one corpus.
+ * Serializes the campaign *definition*: the Definition entries of the
+ * field tables (corpus/fields.hh), which also list every Runtime knob
+ * (jobs, backend, the fast paths, corpus and telemetry settings) that
+ * may legally differ between the runs of one corpus. configFromJson
+ * throws CorpusError on a config the simulator cannot run (sandbox or
+ * cache geometry).
  */
 /// @{
 Json configToJson(const core::CampaignConfig &config);
 core::CampaignConfig configFromJson(const Json &json);
 
-/** Harness configuration alone — the subset an out-of-process simulator
- *  worker needs to reconstruct its SimHarness (executor/sim_protocol). */
-Json harnessToJson(const executor::HarnessConfig &config);
-executor::HarnessConfig harnessFromJson(const Json &json);
-
 /** Stable hex fingerprint of the campaign definition (FNV-1a over the
  *  canonical dump). Checkpoints and journals refuse to mix
  *  fingerprints. */
 std::string configFingerprint(const core::CampaignConfig &config);
-/// @}
-
-/**
- * @name Per-program outcomes (checkpoint payload)
- * Serializes counters, signature counts, and format tallies — the sink
- * state a resumed campaign restores instead of re-running the program.
- * Violation records are deliberately excluded: the journal already
- * holds them (keyed by program index), so checkpoints stay O(counters)
- * and are never a second copy of megabyte-scale records.
- */
-/// @{
-Json outcomeToJson(const runtime::ProgramOutcome &outcome);
-runtime::ProgramOutcome outcomeFromJson(const Json &json);
 /// @}
 
 } // namespace amulet::corpus

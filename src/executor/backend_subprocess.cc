@@ -16,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "corpus/fields.hh"
 #include "executor/sim_protocol.hh"
 #include "isa/disasm.hh"
 #include "runtime/fault.hh"
@@ -182,12 +183,9 @@ SubprocessBackend::spawnWorker()
     Json hello = Json::object();
     hello.set("op", Json::str("hello"));
     hello.set("version", Json::number(std::uint64_t{kProtocolVersion}));
-    hello.set("harness", corpus::harnessToJson(cfg_));
-    // Runtime knobs, excluded from the serialized harness config (the
-    // corpus fingerprint must not move with them) but the worker's
-    // simulator must still honor the operator's settings.
-    hello.set("primeCache", Json::boolean(cfg_.primeCache));
-    hello.set("cycleSkip", Json::boolean(cfg_.cycleSkip));
+    // Runtime scope: the worker's simulator must honor the operator's
+    // runtime knobs, which the corpus encoding leaves out.
+    hello.set("harness", corpus::encode<corpus::Scope::Runtime>(cfg_));
     must(hello, "hello");
 
     if (!programText_.empty()) {
@@ -465,7 +463,7 @@ SubprocessBackend::dispatchBatch(const std::vector<const arch::Input *> &batch,
     req.set("op", Json::str("batch"));
     req.set("inputs", std::move(inputs));
     if (extraFormats)
-        req.set("extras", protocol::traceFormatsToJson(*extraFormats));
+        req.set("extras", corpus::encode(*extraFormats));
     if (utrace_)
         req.set("utrace", Json::boolean(true));
     const Json reply = roundTrip(req);
@@ -474,7 +472,7 @@ SubprocessBackend::dispatchBatch(const std::vector<const arch::Input *> &batch,
     if (!extraFormats)
         out.extras.clear();
     ctx_ = std::move(endCtx);
-    lastWorkerTimes_ = protocol::timesFromJson(reply.at("times"));
+    lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
     collectReplyTraces(reply);
     return out;
 }
@@ -488,17 +486,16 @@ SubprocessBackend::runOne(const arch::Input &input,
     req.set("op", Json::str("run"));
     req.set("input", corpus::toJson(input));
     if (extraFormats)
-        req.set("extras", protocol::traceFormatsToJson(*extraFormats));
+        req.set("extras", corpus::encode(*extraFormats));
     if (utrace_)
         req.set("utrace", Json::boolean(true));
     const Json reply = roundTrip(req);
     SingleOutput out;
     out.trace = corpus::traceFromJson(reply.at("trace"));
     out.hitCycleCap = reply.at("hitCycleCap").asBool();
-    for (const Json &t : reply.at("extras").items())
-        out.extras.push_back(corpus::traceFromJson(t));
+    out.extras = corpus::decode<std::vector<UTrace>>(reply.at("extras"));
     ctx_ = corpus::contextFromJson(reply.at("endCtx"));
-    lastWorkerTimes_ = protocol::timesFromJson(reply.at("times"));
+    lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
     collectReplyTraces(reply);
     return out;
 }
@@ -537,7 +534,7 @@ SubprocessBackend::classify(const arch::Input &inputA,
     req.set("ctxB", corpus::toJson(ctxB));
     const Json reply = roundTrip(req);
     ctx_ = corpus::contextFromJson(reply.at("endCtx"));
-    lastWorkerTimes_ = protocol::timesFromJson(reply.at("times"));
+    lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
     return reply.at("signature").asStr();
 }
 
@@ -547,7 +544,7 @@ SubprocessBackend::times()
     Json req = Json::object();
     req.set("op", Json::str("times"));
     const Json reply = roundTrip(req);
-    lastWorkerTimes_ = protocol::timesFromJson(reply.at("times"));
+    lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
     times_ = deadWorkerTimes_;
     times_.accumulate(lastWorkerTimes_);
     return times_;

@@ -2,79 +2,10 @@
 
 #include <algorithm>
 
+#include "corpus/fields.hh"
+
 namespace amulet::executor::protocol
 {
-
-Json
-traceFormatsToJson(const std::vector<TraceFormat> &formats)
-{
-    Json arr = Json::array();
-    for (TraceFormat fmt : formats)
-        arr.push(Json::str(corpus::traceFormatToken(fmt)));
-    return arr;
-}
-
-std::vector<TraceFormat>
-traceFormatsFromJson(const Json &json)
-{
-    std::vector<TraceFormat> formats;
-    formats.reserve(json.items().size());
-    for (const Json &item : json.items()) {
-        const auto parsed = parseTraceFormat(item.asStr());
-        if (!parsed)
-            throw corpus::CorpusError("sim protocol: unknown trace "
-                                      "format: " +
-                                      item.asStr());
-        formats.push_back(*parsed);
-    }
-    return formats;
-}
-
-Json
-runResultToJson(const uarch::RunResult &run)
-{
-    Json j = Json::object();
-    j.set("halted", Json::boolean(run.halted));
-    j.set("cycles", Json::number(std::uint64_t{run.cycles}));
-    j.set("committedInsts", Json::number(run.committedInsts));
-    j.set("squashes", Json::number(run.squashes));
-    j.set("hitCycleCap", Json::boolean(run.hitCycleCap));
-    return j;
-}
-
-uarch::RunResult
-runResultFromJson(const Json &json)
-{
-    uarch::RunResult run;
-    run.halted = json.at("halted").asBool();
-    run.cycles = json.at("cycles").asU64();
-    run.committedInsts = json.at("committedInsts").asU64();
-    run.squashes = json.at("squashes").asU64();
-    run.hitCycleCap = json.at("hitCycleCap").asBool();
-    return run;
-}
-
-Json
-timesToJson(const TimeBreakdown &times)
-{
-    Json j = Json::object();
-    j.set("startupSec", Json::number(times.startupSec));
-    j.set("primeSec", Json::number(times.primeSec));
-    j.set("simulateSec", Json::number(times.simulateSec));
-    j.set("traceExtractSec", Json::number(times.traceExtractSec));
-    return j;
-}
-
-TimeBreakdown
-timesFromJson(const Json &json)
-{
-    TimeBreakdown times;
-    times.startupSec = json.at("startupSec").asDouble();
-    times.primeSec = json.at("primeSec").asDouble();
-    times.simulateSec = json.at("simulateSec").asDouble();
-    times.traceExtractSec = json.at("traceExtractSec").asDouble();
-    return times;
-}
 
 namespace
 {
@@ -183,7 +114,7 @@ batchOutputToJson(const SimHarness::BatchOutput &out,
     for (const SimHarness::RunOutput &run : out.runs) {
         Json r = Json::object();
         r.set("trace", corpus::toJson(run.trace));
-        r.set("run", runResultToJson(run.run));
+        r.set("run", corpus::encode(run.run));
         runs.push(std::move(r));
     }
     Json contexts = Json::array();
@@ -193,17 +124,10 @@ batchOutputToJson(const SimHarness::BatchOutput &out,
                            : corpus::toJson(ctx));
         prev = &ctx;
     }
-    Json extras = Json::array();
-    for (const std::vector<UTrace> &per_run : out.extras) {
-        Json traces = Json::array();
-        for (const UTrace &trace : per_run)
-            traces.push(corpus::toJson(trace));
-        extras.push(std::move(traces));
-    }
     Json j = Json::object();
     j.set("runs", std::move(runs));
     j.set("contexts", std::move(contexts));
-    j.set("extras", std::move(extras));
+    j.set("extras", corpus::encode(out.extras));
     j.set("hitCycleCap", Json::boolean(out.hitCycleCap));
     if (endCtx) {
         j.set("endCtx", prev ? contextDeltaToJson(*prev, *endCtx)
@@ -219,7 +143,7 @@ batchOutputFromJson(const Json &json, UarchContext *endCtx)
     for (const Json &r : json.at("runs").items()) {
         SimHarness::RunOutput run;
         run.trace = corpus::traceFromJson(r.at("trace"));
-        run.run = runResultFromJson(r.at("run"));
+        run.run = corpus::decode<uarch::RunResult>(r.at("run"));
         out.runs.push_back(std::move(run));
     }
     for (const Json &c : json.at("contexts").items()) {
@@ -228,12 +152,8 @@ batchOutputFromJson(const Json &json, UarchContext *endCtx)
                 ? corpus::contextFromJson(c)
                 : contextFromDelta(out.startContexts.back(), c));
     }
-    for (const Json &per_run : json.at("extras").items()) {
-        std::vector<UTrace> traces;
-        for (const Json &t : per_run.items())
-            traces.push_back(corpus::traceFromJson(t));
-        out.extras.push_back(std::move(traces));
-    }
+    out.extras =
+        corpus::decode<std::vector<std::vector<UTrace>>>(json.at("extras"));
     out.hitCycleCap = json.at("hitCycleCap").asBool();
     if (endCtx) {
         const Json &end = json.at("endCtx");

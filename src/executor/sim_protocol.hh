@@ -8,7 +8,7 @@
  * Each request line gets exactly one reply line ({"ok":true,...} or
  * {"ok":false,"error":...}). Operations:
  *
- *   hello    {harness, primeCache, cycleSkip} -> {}
+ *   hello    {harness}                 -> {}
  *   load     {program}                 -> {}
  *   save     {}                        -> {ctx}
  *   restore  {ctx}                     -> {}
@@ -21,6 +21,10 @@
  *   classify {inputA,inputB,ctxA,ctxB} -> {signature, endCtx}
  *   times    {}                        -> {times}
  *   exit     {}                        -> (worker exits)
+ *
+ * Flat structs travel as their corpus/fields.hh tables: the hello's
+ * harness is encoded at Scope::Runtime (its Runtime entries included),
+ * run results and times at the default scope.
  *
  * Every state-mutating reply carries endCtx, the worker's predictor
  * state after the operation. The backend tracks it so a crashed worker
@@ -60,24 +64,19 @@ using corpus::Json;
  *  against the previous context of the same reply (see
  *  batchOutputToJson). What travels is unchanged; ~95% of a batch
  *  reply used to be full ~11 KB contexts differing by a few bytes.
+ *  v6: the hello's harness carries its Runtime entries (primeCache,
+ *  cycleSkip) inside "harness", encoded from the same field table as
+ *  the corpus config; the two side keys of v2/v4 are gone, and a new
+ *  harness knob reaches the worker with one table entry.
  *
  *  CampaignConfig::ctraceMemo (the other fingerprint-excluded runtime
  *  knob of its kind) never crosses the wire at all: contract traces
  *  are collected parent-side in CTraceStage, and the worker only ever
  *  sees the simulator half of the pipeline. */
-inline constexpr unsigned kProtocolVersion = 5;
+inline constexpr unsigned kProtocolVersion = 6;
 
 /** @name Shared field encodings */
 /// @{
-Json traceFormatsToJson(const std::vector<TraceFormat> &formats);
-std::vector<TraceFormat> traceFormatsFromJson(const Json &json);
-
-Json runResultToJson(const uarch::RunResult &run);
-uarch::RunResult runResultFromJson(const Json &json);
-
-Json timesToJson(const TimeBreakdown &times);
-TimeBreakdown timesFromJson(const Json &json);
-
 /** A batch reply body. contexts[0] is a full context; every later
  *  context, and endCtx when given, is a sparse delta against the
  *  context before it in the same body (the last of contexts for

@@ -11,8 +11,8 @@
  * instrument by name and records into it with plain loads/stores — no
  * locks, no atomics on the hot path. The campaign scheduler merges the
  * per-shard registries once, at campaign end, into a single
- * MetricsSnapshot that feeds CampaignStats::times, BENCH_*.json
- * percentiles, metrics.json persistence, and `campaign_cli stats`.
+ * MetricsSnapshot that feeds CampaignStats::times, metrics.json
+ * persistence, and `campaign_cli stats`.
  *
  * Threading model: one MetricsRegistry is owned by exactly one thread
  * (a shard's worker thread, the scheduler). Cross-thread aggregation happens only through merge(),

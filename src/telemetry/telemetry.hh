@@ -42,9 +42,10 @@
 namespace amulet::telemetry
 {
 
-/** Campaign telemetry knobs. Runtime-only: excluded from the corpus
- *  fingerprint (corpus/serde.cc::configToJson never serializes it), so
- *  flipping any knob cannot invalidate a corpus or change results. */
+/** Campaign telemetry knobs. Runtime-only: a Runtime entry of the
+ *  CampaignConfig field table (corpus/fields.hh), never serialized and
+ *  excluded from the corpus fingerprint, so flipping any knob cannot
+ *  invalidate a corpus or change results. */
 struct TelemetryConfig
 {
     /** Chrome trace-event JSON output path (empty: tracing off). */

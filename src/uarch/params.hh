@@ -11,6 +11,9 @@
 #ifndef AMULET_UARCH_PARAMS_HH
 #define AMULET_UARCH_PARAMS_HH
 
+#include <cstdint>
+#include <initializer_list>
+
 #include "common/bitutil.hh"
 #include "common/types.hh"
 
@@ -93,6 +96,25 @@ struct CoreParams
 
     /** Hard per-run cycle cap (safety net against livelock bugs). */
     Cycle maxCyclesPerRun = 1'000'000;
+
+    /** Geometry the simulator can model: l1d, l1i and l2 each need a
+     *  way, a power-of-two line size and a power-of-two set count that
+     *  divides the size exactly (sets are indexed by mask), and each L1
+     *  an MSHR. The CLI and the corpus decoder refuse anything else. */
+    bool
+    validGeometry() const
+    {
+        for (const CacheParams *c : {&l1d, &l1i, &l2}) {
+            // 64-bit product: ways * lineBytes may overflow unsigned.
+            const std::uint64_t way_bytes =
+                std::uint64_t{c->ways} * c->lineBytes;
+            if (c->ways == 0 || !isPowerOfTwo(c->lineBytes) ||
+                c->sizeBytes % way_bytes != 0 ||
+                !isPowerOfTwo(c->sizeBytes / way_bytes))
+                return false;
+        }
+        return l1dMshrs >= 1 && l1iMshrs >= 1;
+    }
 };
 
 } // namespace amulet::uarch

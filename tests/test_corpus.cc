@@ -10,9 +10,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "corpus/checkpoint.hh"
+#include "corpus/fields.hh"
 #include "corpus/replayer.hh"
 #include "isa/assembler.hh"
 #include "runtime/fault.hh"
@@ -105,6 +109,130 @@ sampleRecord()
     rec.detectSeconds = 12.25;
     rec.rngState = {1, 2, 0xffffffffffffffffULL, 4};
     return rec;
+}
+
+/** A fully populated checkpoint outcome (every counter distinct). */
+runtime::ProgramOutcome
+sampleOutcome()
+{
+    runtime::ProgramOutcome o;
+    o.ran = true;
+    o.skippedProgram = true;
+    o.quarantined = true;
+    o.quarantineReason = "poisoned \"worker\"\n";
+    o.testCases = 120;
+    o.filteredTestCases = 17;
+    o.effectiveClasses = 9;
+    o.candidateViolations = 5;
+    o.validationRuns = 44;
+    o.violatingTestCases = 3;
+    o.confirmedViolations = 2;
+    o.firstDetectSeconds = 1.5;
+    o.testGenSec = 0.125;
+    o.ctraceSec = 0.0625;
+    o.filterSec = 3e-05;
+    o.signatureCounts["spectre-v1-branch"] = 2;
+    o.signatureCounts["uv1-spec-eviction"] = 1;
+    o.formatTallies[executor::TraceFormat::L1dTlb] = {3, 3};
+    o.formatTallies[executor::TraceFormat::BpState] = {1, 0};
+    return o;
+}
+
+/** @name Leaf perturbations: each changes how the value encodes. */
+/// @{
+void perturb(bool &v) { v = !v; }
+void perturb(unsigned &v) { ++v; }
+void perturb(std::uint64_t &v) { ++v; }
+void perturb(std::string &v) { v += "x"; }
+void perturb(std::vector<std::uint32_t> &v) { v.push_back(1); }
+void perturb(telemetry::TelemetryConfig &v) { v.traceOutPath += "x"; }
+
+template <class E>
+    requires std::is_enum_v<E>
+void
+perturb(E &v)
+{
+    v = static_cast<E>(static_cast<int>(v) + 1); // defaults are never last
+}
+/// @}
+
+/**
+ * Call visit(name, scope, get) for every leaf entry below table S, where
+ * get(config) returns that leaf's reference in a CampaignConfig and
+ * scope is Runtime when the leaf or any table entry above it is.
+ */
+template <class S, class Get, class Visit>
+void
+forEachLeaf(const std::string &prefix, corpus::Scope scope, Get get,
+            Visit &visit)
+{
+    corpus::forEachField<S>([&](const auto &f) {
+        using F = std::remove_cvref_t<decltype(f)>;
+        const corpus::Scope leaf_scope =
+            F::scope == corpus::Scope::Runtime ? F::scope : scope;
+        auto sub = [get, member = f.get](core::CampaignConfig &c) -> auto & {
+            return std::invoke(member, get(c));
+        };
+        using T = std::remove_cvref_t<
+            decltype(sub(std::declval<core::CampaignConfig &>()))>;
+        if constexpr (corpus::Tabled<T>)
+            forEachLeaf<T>(prefix + f.key + ".", leaf_scope, sub, visit);
+        else
+            visit(prefix + f.key, leaf_scope, sub);
+    });
+}
+
+/**
+ * Decode @p sample's encoding with one entry of S's table at a time
+ * missing, of the wrong JSON kind, or out of range for its member type;
+ * each must throw CorpusError.
+ */
+template <class S, corpus::Scope kScope = corpus::Scope::Definition>
+void
+expectHostileEntriesThrow(const S &sample)
+{
+    using corpus::Json;
+    const Json good = corpus::encode<kScope>(sample);
+    ASSERT_NO_THROW((corpus::decode<S, kScope>(good)));
+    corpus::forEachField<S>([&](const auto &f) {
+        using F = std::remove_cvref_t<decltype(f)>;
+        if constexpr (F::scope <= kScope) {
+            using T = std::remove_cvref_t<decltype(std::invoke(f.get,
+                                                               sample))>;
+            auto decodeWith = [&](const Json *value) {
+                Json j = Json::object();
+                for (const auto &[key, v] : good.members()) {
+                    if (key != f.key)
+                        j.set(key, v);
+                    else if (value)
+                        j.set(key, *value);
+                }
+                return corpus::decode<S, kScope>(j);
+            };
+            EXPECT_THROW(decodeWith(nullptr), corpus::CorpusError)
+                << f.key << " missing";
+            const Json wrong = good.at(f.key).kind() == Json::Kind::Str
+                                   ? Json::number(std::uint64_t{1})
+                                   : Json::str("x");
+            EXPECT_THROW(decodeWith(&wrong), corpus::CorpusError)
+                << f.key << " of the wrong kind";
+            Json big = Json::number(std::uint64_t{1} << 32);
+            if constexpr (std::is_same_v<T, std::uint64_t>)
+                big = Json::parse("18446744073709551616");
+            if constexpr (std::is_same_v<T, std::vector<std::uint32_t>>) {
+                Json arr = Json::array();
+                arr.push(Json::number(std::uint64_t{2}));
+                arr.push(big);
+                big = arr;
+            }
+            if constexpr (std::is_same_v<T, unsigned> ||
+                          std::is_same_v<T, std::uint64_t> ||
+                          std::is_same_v<T, std::vector<std::uint32_t>>) {
+                EXPECT_THROW(decodeWith(&big), corpus::CorpusError)
+                    << f.key << " out of range";
+            }
+        }
+    });
 }
 
 TEST(CorpusSerde, RecordRoundTripsExactly)
@@ -288,14 +416,33 @@ TEST(CorpusSerde, ConfigRoundTripsAndFingerprintIgnoresRuntimeKnobs)
     EXPECT_EQ(back.harness.core.l1d.ways, 2u);
     EXPECT_EQ(back.seed, cfg.seed);
 
-    // Runtime knobs must not affect identity: a resumed run may use a
-    // different jobs value or corpus cadence against the same corpus.
-    core::CampaignConfig variant = cfg;
-    variant.jobs = 16;
-    variant.corpusDir = "/elsewhere";
-    variant.resume = true;
-    variant.checkpointEvery = 1;
-    variant.maxProgramsThisRun = 3;
+    // Walk the field tables down to every leaf: perturbing a Definition
+    // entry must move the fingerprint, perturbing a Runtime entry must
+    // not — a resumed run may use a different jobs value, backend, fast
+    // path or corpus cadence against the same corpus.
+    const std::string fp = corpus::configFingerprint(cfg);
+    core::CampaignConfig variant = cfg; // every Runtime entry perturbed
+    unsigned definitions = 0;
+    unsigned runtimes = 0;
+    auto visit = [&](const std::string &name, corpus::Scope scope,
+                     auto get) {
+        core::CampaignConfig one = cfg;
+        perturb(get(one));
+        if (scope == corpus::Scope::Definition) {
+            ++definitions;
+            EXPECT_NE(corpus::configFingerprint(one), fp) << name;
+        } else {
+            ++runtimes;
+            EXPECT_EQ(corpus::configFingerprint(one), fp) << name;
+            perturb(get(variant));
+        }
+    };
+    forEachLeaf<core::CampaignConfig>(
+        "", corpus::Scope::Definition,
+        [](core::CampaignConfig &c) -> core::CampaignConfig & { return c; },
+        visit);
+    EXPECT_GE(runtimes, 11u); // 9 of CampaignConfig, 2 of HarnessConfig
+    EXPECT_GE(definitions, 84u);
     EXPECT_EQ(corpus::configFingerprint(variant),
               corpus::configFingerprint(cfg));
 
@@ -304,6 +451,248 @@ TEST(CorpusSerde, ConfigRoundTripsAndFingerprintIgnoresRuntimeKnobs)
     variant.seed = cfg.seed + 1;
     EXPECT_NE(corpus::configFingerprint(variant),
               corpus::configFingerprint(cfg));
+}
+
+// The subprocess hello encodes the harness at Runtime scope: its
+// Runtime entries travel inside "harness"; the corpus scope drops them.
+TEST(CorpusSerde, WireScopeHarnessKeepsRuntimeEntries)
+{
+    executor::HarnessConfig harness;
+    harness.primeCache = false;
+    harness.cycleSkip = false;
+    const corpus::Json wire =
+        corpus::encode<corpus::Scope::Runtime>(harness);
+    const auto back =
+        corpus::decode<executor::HarnessConfig, corpus::Scope::Runtime>(
+            corpus::Json::parse(wire.dump()));
+    EXPECT_FALSE(back.primeCache);
+    EXPECT_FALSE(back.cycleSkip);
+    EXPECT_EQ(corpus::encode<corpus::Scope::Runtime>(back).dump(),
+              wire.dump());
+
+    // Every Runtime entry reaches the wire, none reaches the corpus.
+    corpus::forEachField<executor::HarnessConfig>([&](const auto &f) {
+        using F = std::remove_cvref_t<decltype(f)>;
+        EXPECT_NE(wire.find(f.key), nullptr) << f.key;
+        EXPECT_EQ(corpus::encode(harness).find(f.key) != nullptr,
+                  F::scope == corpus::Scope::Definition)
+            << f.key;
+    });
+    const auto stored = corpus::decode<executor::HarnessConfig>(
+        corpus::encode(harness));
+    EXPECT_TRUE(stored.primeCache);
+    EXPECT_TRUE(stored.cycleSkip);
+}
+
+// Bytes written before the field tables existed, pinned: the corpus
+// dump (and so every fingerprint) and checkpoint outcomes must not move.
+TEST(CorpusSerde, EncodingMatchesPinnedBytes)
+{
+    core::CampaignConfig stt;
+    stt.harness.defense.kind = defense::DefenseKind::Stt;
+    stt.contract = contracts::archSeq();
+    stt.harness.map.sandboxPages = 128;
+    stt.gen.map = stt.harness.map;
+    stt.inputs.map = stt.harness.map;
+    core::CampaignConfig cleanup;
+    cleanup.harness.defense =
+        defense::DefenseConfig::patched(defense::DefenseKind::CleanupSpec);
+    cleanup.harness.prime = executor::PrimeMode::Invalidate;
+    cleanup.harness.core.l1d.ways = 2;
+    cleanup.harness.core.l1dMshrs = 2;
+    cleanup.collectAllFormats = true;
+    cleanup.filterIneffective = false;
+
+    const struct
+    {
+        core::CampaignConfig cfg;
+        std::string dump;
+        const char *fingerprint;
+    } pins[] = {
+        {core::CampaignConfig{},
+         R"({"version":3,"harness":{"core":{"fetchWidth":4,"issueWidth":4,"co)"
+         R"(mmitWidth":4,"robSize":192,"lqSize":32,"sqSize":32,"l1d":{"sizeBy)"
+         R"(tes":32768,"ways":8,"lineBytes":64},"l1i":{"sizeBytes":32768,"way)"
+         R"(s":8,"lineBytes":64},"l2":{"sizeBytes":262144,"ways":8,"lineBytes)"
+         R"(":64},"l1dMshrs":256,"l1iMshrs":4,"l1HitLatency":2,"l2HitLatency")"
+         R"(:12,"memLatency":80,"l2ServiceInterval":4,"tlbEntries":64,"tlbWal)"
+         R"(kLatency":20,"aluLatency":1,"mulLatency":3,"branchLatency":1,"ghr)"
+         R"(Bits":12,"phtBits":12,"btbEntries":512,"mdpEntries":512,"specBuff)"
+         R"(erEntries":32,"lfbEntries":8,"cleanupLatency":6,"maxCyclesPerRun")"
+         R"(:1000000},"defense":{"kind":"Baseline","invisispecBugSpecEviction)"
+         R"(":true,"cleanupBugStoreNotCleaned":true,"cleanupBugSplitNotCleane)"
+         R"(d":true,"cleanupNoCleanPatch":false,"sttBugTaintedStoreTlb":true,)"
+         R"("speclfbBugFirstLoad":true},"map":{"codeBase":4194304,"sandboxBas)"
+         R"(e":8388608,"sandboxPages":1,"primeBase":268435456},"prime":"confl)"
+         R"(ictfill","traceFormat":"l1dtlb","naiveMode":false,"tlbPrefill":"a)"
+         R"(uto","bootInsts":8000},"contract":{"name":"CT-SEQ","observePc":tr)"
+         R"(ue,"observeMemAddr":true,"observeLoadValues":false,"exposeInitial)"
+         R"(Regs":false,"exploreMispredictedBranches":false,"speculationWindo)"
+         R"(w":256,"maxNesting":4},"gen":{"minBlocks":2,"maxBlocks":5,"minIns)"
+         R"(tsPerBlock":4,"maxInstsPerBlock":12,"memAccessPct":40,"storePct":)"
+         R"(30,"rmwPct":15,"cmovLoadPct":10,"fencePct":2,"setccPct":6,"condBr)"
+         R"(anchPct":80,"loopnePct":10,"branchOnLoadPct":60,"unalignedPct":15)"
+         R"(,"widthWeights":[2,2,3,5]},"inputSmallRegPct":50,"numPrograms":50)"
+         R"(,"baseInputsPerProgram":8,"siblingsPerBase":4,"regMutationPct":70)"
+         R"(,"filterIneffective":true,"stopAtFirstViolation":false,"collectSi)"
+         R"(gnatures":true,"collectAllFormats":false,"maxViolationsRecorded":)"
+         R"(32,"seed":1})",
+         "38b8ba7c1428e68c"},
+        {stt,
+         R"({"version":3,"harness":{"core":{"fetchWidth":4,"issueWidth":4,"co)"
+         R"(mmitWidth":4,"robSize":192,"lqSize":32,"sqSize":32,"l1d":{"sizeBy)"
+         R"(tes":32768,"ways":8,"lineBytes":64},"l1i":{"sizeBytes":32768,"way)"
+         R"(s":8,"lineBytes":64},"l2":{"sizeBytes":262144,"ways":8,"lineBytes)"
+         R"(":64},"l1dMshrs":256,"l1iMshrs":4,"l1HitLatency":2,"l2HitLatency")"
+         R"(:12,"memLatency":80,"l2ServiceInterval":4,"tlbEntries":64,"tlbWal)"
+         R"(kLatency":20,"aluLatency":1,"mulLatency":3,"branchLatency":1,"ghr)"
+         R"(Bits":12,"phtBits":12,"btbEntries":512,"mdpEntries":512,"specBuff)"
+         R"(erEntries":32,"lfbEntries":8,"cleanupLatency":6,"maxCyclesPerRun")"
+         R"(:1000000},"defense":{"kind":"STT","invisispecBugSpecEviction":tru)"
+         R"(e,"cleanupBugStoreNotCleaned":true,"cleanupBugSplitNotCleaned":tr)"
+         R"(ue,"cleanupNoCleanPatch":false,"sttBugTaintedStoreTlb":true,"spec)"
+         R"(lfbBugFirstLoad":true},"map":{"codeBase":4194304,"sandboxBase":83)"
+         R"(88608,"sandboxPages":128,"primeBase":268435456},"prime":"conflict)"
+         R"(fill","traceFormat":"l1dtlb","naiveMode":false,"tlbPrefill":"auto)"
+         R"(","bootInsts":8000},"contract":{"name":"ARCH-SEQ","observePc":tru)"
+         R"(e,"observeMemAddr":true,"observeLoadValues":true,"exposeInitialRe)"
+         R"(gs":true,"exploreMispredictedBranches":false,"speculationWindow":)"
+         R"(256,"maxNesting":4},"gen":{"minBlocks":2,"maxBlocks":5,"minInstsP)"
+         R"(erBlock":4,"maxInstsPerBlock":12,"memAccessPct":40,"storePct":30,)"
+         R"("rmwPct":15,"cmovLoadPct":10,"fencePct":2,"setccPct":6,"condBranc)"
+         R"(hPct":80,"loopnePct":10,"branchOnLoadPct":60,"unalignedPct":15,"w)"
+         R"(idthWeights":[2,2,3,5]},"inputSmallRegPct":50,"numPrograms":50,"b)"
+         R"(aseInputsPerProgram":8,"siblingsPerBase":4,"regMutationPct":70,"f)"
+         R"(ilterIneffective":true,"stopAtFirstViolation":false,"collectSigna)"
+         R"(tures":true,"collectAllFormats":false,"maxViolationsRecorded":32,)"
+         R"("seed":1})",
+         "3fe0cfccea2fc743"},
+        {cleanup,
+         R"({"version":3,"harness":{"core":{"fetchWidth":4,"issueWidth":4,"co)"
+         R"(mmitWidth":4,"robSize":192,"lqSize":32,"sqSize":32,"l1d":{"sizeBy)"
+         R"(tes":32768,"ways":2,"lineBytes":64},"l1i":{"sizeBytes":32768,"way)"
+         R"(s":8,"lineBytes":64},"l2":{"sizeBytes":262144,"ways":8,"lineBytes)"
+         R"(":64},"l1dMshrs":2,"l1iMshrs":4,"l1HitLatency":2,"l2HitLatency":1)"
+         R"(2,"memLatency":80,"l2ServiceInterval":4,"tlbEntries":64,"tlbWalkL)"
+         R"(atency":20,"aluLatency":1,"mulLatency":3,"branchLatency":1,"ghrBi)"
+         R"(ts":12,"phtBits":12,"btbEntries":512,"mdpEntries":512,"specBuffer)"
+         R"(Entries":32,"lfbEntries":8,"cleanupLatency":6,"maxCyclesPerRun":1)"
+         R"(000000},"defense":{"kind":"CleanupSpec","invisispecBugSpecEvictio)"
+         R"(n":false,"cleanupBugStoreNotCleaned":false,"cleanupBugSplitNotCle)"
+         R"(aned":false,"cleanupNoCleanPatch":true,"sttBugTaintedStoreTlb":fa)"
+         R"(lse,"speclfbBugFirstLoad":false},"map":{"codeBase":4194304,"sandb)"
+         R"(oxBase":8388608,"sandboxPages":1,"primeBase":268435456},"prime":")"
+         R"(invalidate","traceFormat":"l1dtlb","naiveMode":false,"tlbPrefill")"
+         R"(:"auto","bootInsts":8000},"contract":{"name":"CT-SEQ","observePc")"
+         R"(:true,"observeMemAddr":true,"observeLoadValues":false,"exposeInit)"
+         R"(ialRegs":false,"exploreMispredictedBranches":false,"speculationWi)"
+         R"(ndow":256,"maxNesting":4},"gen":{"minBlocks":2,"maxBlocks":5,"min)"
+         R"(InstsPerBlock":4,"maxInstsPerBlock":12,"memAccessPct":40,"storePc)"
+         R"(t":30,"rmwPct":15,"cmovLoadPct":10,"fencePct":2,"setccPct":6,"con)"
+         R"(dBranchPct":80,"loopnePct":10,"branchOnLoadPct":60,"unalignedPct")"
+         R"(:15,"widthWeights":[2,2,3,5]},"inputSmallRegPct":50,"numPrograms")"
+         R"(:50,"baseInputsPerProgram":8,"siblingsPerBase":4,"regMutationPct")"
+         R"(:70,"filterIneffective":false,"stopAtFirstViolation":false,"colle)"
+         R"(ctSignatures":true,"collectAllFormats":true,"maxViolationsRecorde)"
+         R"(d":32,"seed":1})",
+         "43d3c68d3423cf93"},
+    };
+    for (const auto &pin : pins) {
+        EXPECT_EQ(corpus::configToJson(pin.cfg).dump(), pin.dump);
+        EXPECT_EQ(corpus::configFingerprint(pin.cfg), pin.fingerprint);
+        EXPECT_EQ(corpus::configToJson(
+                      corpus::configFromJson(corpus::Json::parse(pin.dump)))
+                      .dump(),
+                  pin.dump);
+    }
+
+    const std::string outcome =
+        R"({"ran":true,"skippedProgram":true,"quarantined":true,"quarantineRe)"
+        R"(ason":"poisoned \"worker\"\n","testCases":120,"filteredTestCases":)"
+        R"(17,"effectiveClasses":9,"candidateViolations":5,"validationRuns":4)"
+        R"(4,"violatingTestCases":3,"confirmedViolations":2,"firstDetectSecon)"
+        R"(ds":1.5,"testGenSec":0.125,"ctraceSec":0.0625,"filterSec":3e-05,"s)"
+        R"(ignatureCounts":{"spectre-v1-branch":2,"uv1-spec-eviction":1},"for)"
+        R"(matTallies":[{"format":"l1dtlb","violatingTestCases":3,"coveredByB)"
+        R"(aseline":3},{"format":"bpstate","violatingTestCases":1,"coveredByB)"
+        R"(aseline":0}]})";
+    EXPECT_EQ(corpus::encode(sampleOutcome()).dump(), outcome);
+    EXPECT_EQ(corpus::encode(corpus::decode<runtime::ProgramOutcome>(
+                                 corpus::Json::parse(outcome)))
+                  .dump(),
+              outcome);
+}
+
+// Every decoder of foreign bytes (meta.json, checkpoints, the journal,
+// the subprocess wire) walks the tables: for every entry a missing key,
+// a wrong JSON kind or an out-of-range number must raise CorpusError.
+TEST(CorpusSerde, HostileEntriesThrowForEveryTable)
+{
+    expectHostileEntriesThrow(uarch::CacheParams{});
+    expectHostileEntriesThrow(uarch::CoreParams{});
+    expectHostileEntriesThrow(mem::AddressMap{});
+    expectHostileEntriesThrow(
+        defense::DefenseConfig::patched(defense::DefenseKind::Stt));
+    expectHostileEntriesThrow(contracts::ctCond());
+    expectHostileEntriesThrow(core::GeneratorConfig{});
+    expectHostileEntriesThrow(executor::HarnessConfig{});
+    expectHostileEntriesThrow<executor::HarnessConfig,
+                              corpus::Scope::Runtime>({});
+    expectHostileEntriesThrow(defenseCampaign(defense::DefenseKind::Stt));
+    expectHostileEntriesThrow(core::FormatTally{3, 1});
+    expectHostileEntriesThrow(sampleOutcome());
+    expectHostileEntriesThrow(sampleRecord());
+    expectHostileEntriesThrow(uarch::RunResult{true, 120, 40, 2, false});
+    expectHostileEntriesThrow(executor::TimeBreakdown{0.5, 0.25, 2, 1});
+}
+
+// §3.4 amplification shrinks ways and MSHRs; geometry the cache model
+// cannot index (or that divides by zero) must be refused on load, not
+// crash the replay or silently fold sets.
+TEST(CorpusSerde, BrokenCacheGeometryIsRejected)
+{
+    const core::CampaignConfig cfg = smallCampaign();
+    std::vector<std::function<void(uarch::CoreParams &)>> broken = {
+        [](auto &c) { c.l1d.ways = 0; },
+        [](auto &c) { c.l1d.ways = 3; },
+        [](auto &c) { c.l1d.ways = 1024; },
+        [](auto &c) { c.l1d.ways = 1u << 27; }, // ways * line overflows
+        [](auto &c) { c.l1i.ways = 0; },
+        [](auto &c) { c.l2.lineBytes = 48; },
+        [](auto &c) { c.l2.lineBytes = 0; },
+        [](auto &c) { c.l1d.sizeBytes = 0; },
+        [](auto &c) { c.l1dMshrs = 0; },
+        [](auto &c) { c.l1iMshrs = 0; },
+    };
+    for (std::size_t i = 0; i < broken.size(); ++i) {
+        core::CampaignConfig bad = cfg;
+        broken[i](bad.harness.core);
+        EXPECT_FALSE(bad.harness.core.validGeometry()) << i;
+        EXPECT_THROW(corpus::configFromJson(corpus::configToJson(bad)),
+                     corpus::CorpusError)
+            << i;
+        // The subprocess hello decodes through the same table.
+        EXPECT_THROW((corpus::decode<executor::HarnessConfig,
+                                           corpus::Scope::Runtime>(
+                         corpus::encode<corpus::Scope::Runtime>(
+                             bad.harness))),
+                     corpus::CorpusError)
+            << i;
+    }
+    // Every geometry in use: Table 6's 8/2 ways with 256/2 MSHRs, and
+    // the 1-8 MSHRs the tests sweep.
+    for (unsigned ways : {1u, 2u, 4u, 8u, 16u}) {
+        for (unsigned mshrs : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 256u}) {
+            core::CampaignConfig ok = cfg;
+            ok.harness.core.l1d.ways = ways;
+            ok.harness.core.l1dMshrs = mshrs;
+            EXPECT_TRUE(ok.harness.core.validGeometry()) << ways;
+            const auto back =
+                corpus::configFromJson(corpus::configToJson(ok));
+            EXPECT_EQ(back.harness.core.l1d.ways, ways);
+            EXPECT_EQ(back.harness.core.l1dMshrs, mshrs);
+        }
+    }
 }
 
 TEST(CorpusStore, AppendDedupsAndReloads)
@@ -340,6 +729,31 @@ TEST(CorpusStore, AppendDedupsAndReloads)
     other_cfg.seed = 999;
     EXPECT_THROW(corpus::CorpusStore(dir, other_cfg),
                  corpus::CorpusError);
+}
+
+// meta.json pins the config by fingerprint: a config edited (or
+// mis-decoded) after the fact must not replay under another definition.
+TEST(CorpusStore, ReadConfigCrossChecksTheStoredFingerprint)
+{
+    ScratchDir scratch("meta");
+    const std::string dir = scratch.sub("corpus");
+    const core::CampaignConfig cfg = smallCampaign();
+    { corpus::CorpusStore store(dir, cfg); }
+    EXPECT_EQ(corpus::configFingerprint(corpus::CorpusStore::readConfig(dir)),
+              corpus::configFingerprint(cfg));
+
+    const std::string meta_path = dir + "/meta.json";
+    std::string text;
+    {
+        std::ifstream in(meta_path);
+        std::getline(in, text);
+    }
+    corpus::Json meta = corpus::Json::parse(text);
+    corpus::Json config = meta.at("config");
+    config.set("seed", corpus::Json::number(cfg.seed + 1));
+    meta.set("config", config);
+    std::ofstream(meta_path) << meta.dump() << "\n";
+    EXPECT_THROW(corpus::CorpusStore::readConfig(dir), corpus::CorpusError);
 }
 
 TEST(CorpusStore, MergeDedupsAcrossShards)

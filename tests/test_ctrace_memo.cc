@@ -243,7 +243,7 @@ TEST(CTraceMemo, MatchesColdCollectOnRandomPrograms)
 // the architectural read offsets, and sibling() preserves those bytes:
 // every sibling must be a full prefix hit — one emulator pass serves
 // the whole batch. This is the mechanism behind the STT ctraceSec
-// collapse (BENCH_7.json).
+// collapse.
 TEST(CTraceMemo, SiblingsAreFullHitsUnderCtSeq)
 {
     core::GeneratorConfig gcfg;

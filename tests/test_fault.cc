@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "corpus/fields.hh"
 #include "runtime/fault.hh"
 #include "support/campaign_fixture.hh"
 
@@ -376,8 +377,8 @@ TEST(CorpusQuarantine, OutcomeSerdeRoundTrips)
         core::ProgramOutcome::makeQuarantined("worker failed 3 attempts");
     EXPECT_FALSE(out.ran);
     EXPECT_TRUE(out.quarantined);
-    const core::ProgramOutcome back =
-        corpus::outcomeFromJson(corpus::outcomeToJson(out));
+    const auto back =
+        corpus::decode<core::ProgramOutcome>(corpus::encode(out));
     EXPECT_TRUE(back.quarantined);
     EXPECT_EQ(back.quarantineReason, "worker failed 3 attempts");
     EXPECT_FALSE(back.ran);

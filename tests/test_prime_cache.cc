@@ -50,8 +50,7 @@ TEST(PrimeCacheEquivalence, Stt)
     runEquivalence(defense::DefenseKind::Stt, false, primeCacheOff);
 }
 
-// CT-COND on the baseline is the ablation campaign the table3 row and
-// BENCH_*.json report; it also produces the densest priming traffic
+// CT-COND on the baseline produces the densest priming traffic
 // (conflict fill before every effective input). Check the export
 // equivalence and that the memo actually eliminates priming cost
 // rather than re-simulating behind the cache's back.
