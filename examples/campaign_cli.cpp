@@ -262,7 +262,14 @@ cmdReplay(const std::string &dir, bool minimize, bool root_cause)
     unsigned failures = 0;
     for (std::size_t i = 0; i < corpus.records.size(); ++i) {
         const core::ViolationRecord &rec = corpus.records[i];
-        const auto outcome = corpus::replayViolation(harness, rec);
+        corpus::ReplayOutcome outcome;
+        try {
+            outcome = corpus::replayViolation(harness, rec);
+        } catch (const corpus::CorpusError &e) {
+            std::fprintf(stderr, "campaign_cli: record %zu: %s\n", i,
+                         e.what());
+            return 1;
+        }
         std::printf("[%zu] %s: %s\n", i, rec.summary().c_str(),
                     outcome.confirmed() ? "CONFIRMED" : "FAILED");
         if (!outcome.confirmed()) {
@@ -501,8 +508,13 @@ cmdInspect(const std::string &dir, const std::string &index_text,
     harness.setUarchTracer(&tracer);
     // replayViolation runs exactly inputA then inputB (each from its
     // saved context), so the tracer captures exactly two runs.
-    const corpus::ReplayOutcome outcome =
-        corpus::replayViolation(harness, rec);
+    corpus::ReplayOutcome outcome;
+    try {
+        outcome = corpus::replayViolation(harness, rec);
+    } catch (const corpus::CorpusError &e) {
+        std::fprintf(stderr, "campaign_cli: %s\n", e.what());
+        return 1;
+    }
     harness.setUarchTracer(nullptr);
     std::vector<telemetry::UarchRunTrace> runs = tracer.takeRuns();
     if (runs.size() != 2) {

@@ -126,6 +126,18 @@ if [ "${rc}" -ne 1 ] || ! grep -q "cache geometry" "${SMOKE}/ways0.err"; then
   exit 1
 fi
 
+echo "--- corpus smoke: a record whose context does not fit the core is refused"
+cp -r "${SMOKE}/part" "${SMOKE}/nobtb"
+sed -i 's/"btbTags":\[[^]]*\]/"btbTags":[]/' "${SMOKE}/nobtb/journal.jsonl"
+rc=0
+"${CLI}" replay --corpus-dir "${SMOKE}/nobtb" > /dev/null \
+    2> "${SMOKE}/nobtb.err" || rc=$?
+if [ "${rc}" -ne 1 ] || ! grep -q "does not fit" "${SMOKE}/nobtb.err"; then
+  echo "FAIL: replay of an empty-BTB record must exit 1 with a corpus" \
+       "error, got ${rc}" >&2
+  exit 1
+fi
+
 echo "corpus smoke: OK"
 
 # --- Filter smoke: filtering on/off must reach identical verdicts ------------

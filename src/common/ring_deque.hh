@@ -76,14 +76,8 @@ class RingDeque
         return slot(i);
     }
 
-    /** Logical index of physical slot @p phys (must be live). */
-    std::size_t
-    logicalOf(std::size_t phys) const
-    {
-        const std::size_t logical = (phys - head_) & mask_;
-        assert(logical < size_);
-        return logical;
-    }
+    /** Number of physical slots (slot indices are below this). */
+    std::size_t capacity() const { return slots_.size(); }
 
     /** Element in physical slot @p phys, or nullptr if the slot holds
      *  no live element (popped, or never filled). */

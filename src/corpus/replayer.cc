@@ -1,6 +1,7 @@
 #include "corpus/replayer.hh"
 
 #include <sstream>
+#include <stdexcept>
 
 #include "corpus/serde.hh"
 #include "isa/assembler.hh"
@@ -20,6 +21,24 @@ reparseProgram(const core::ViolationRecord &record)
     }
 }
 
+namespace
+{
+
+/** A recorded context that does not fit the configured core is a
+ *  corpus error, like a program that does not assemble. */
+void
+restoreRecordContext(executor::SimHarness &harness,
+                     const executor::UarchContext &ctx)
+{
+    try {
+        harness.restoreContext(ctx);
+    } catch (const std::invalid_argument &e) {
+        throw CorpusError(std::string("record context: ") + e.what());
+    }
+}
+
+} // namespace
+
 ReplayOutcome
 replayViolation(executor::SimHarness &harness,
                 const core::ViolationRecord &record)
@@ -31,9 +50,9 @@ replayViolation(executor::SimHarness &harness,
     // Same shape as the campaign's original same-context runs: restore
     // the recorded predictor context, run, extract. The harness resets
     // caches/TLB between inputs exactly as it did during detection.
-    harness.restoreContext(record.ctxA);
+    restoreRecordContext(harness, record.ctxA);
     const executor::UTrace trace_a = harness.runInput(record.inputA).trace;
-    harness.restoreContext(record.ctxB);
+    restoreRecordContext(harness, record.ctxB);
     const executor::UTrace trace_b = harness.runInput(record.inputB).trace;
 
     ReplayOutcome outcome;

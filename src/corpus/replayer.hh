@@ -47,7 +47,8 @@ struct ReplayOutcome
  * Replay @p record on @p harness (which must have been built from the
  * corpus' campaign config — use the convenience overload otherwise).
  * The harness' loaded program is replaced. Throws CorpusError when the
- * recorded program no longer assembles.
+ * recorded program no longer assembles or a recorded context does not
+ * fit the configured core.
  */
 ReplayOutcome replayViolation(executor::SimHarness &harness,
                               const core::ViolationRecord &record);

@@ -714,7 +714,7 @@ contextFromJson(const Json &json)
 {
     executor::UarchContext ctx;
     const Json &bp = json.at("bp");
-    ctx.bp.ghr = static_cast<std::uint32_t>(bp.at("ghr").asU64());
+    ctx.bp.ghr = bp.at("ghr").asUnsigned(); // 2^32 + 1 must not read as 1
     ctx.bp.pht = hexDecode(bp.at("pht").asStr());
     using Words = std::vector<std::uint64_t>;
     ctx.bp.btbTags = decode<Words>(bp.at("btbTags"));

@@ -34,6 +34,7 @@ using uarch::MemReq;
 using uarch::MemSystem;
 using uarch::Pipeline;
 using uarch::ReqKind;
+using uarch::SlotRef;
 using uarch::SpecMode;
 
 /** How the L1D should treat one demand load. */
@@ -94,6 +95,13 @@ class Defense
 
     /** @name Lifecycle hooks */
     /// @{
+    /** Instruction issued this cycle: an ALU op, branch, load or store
+     *  whose operands were ready and that no blocking hook vetoed
+     *  (fences issue without it). Fires after the pipeline's own issue
+     *  bookkeeping (`issued`, `wasUnsafeAtIssue`, the address), so an
+     *  event-driven defense can react to the new state (STT: a load
+     *  issued while unsafe becomes a taint root). */
+    virtual void onIssue(DynInst &) {}
     /** Instruction crossed the speculation-safety point this cycle. */
     virtual void onBecameSafe(DynInst &) {}
     /** Instruction was squashed (called per instruction, youngest

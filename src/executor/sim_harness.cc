@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
 
 #include "isa/disasm.hh"
 #include "telemetry/telemetry.hh"
@@ -459,6 +460,21 @@ SimHarness::saveContext()
 void
 SimHarness::restoreContext(const UarchContext &ctx)
 {
+    // Contexts arrive from the journal and the wire: a table of the
+    // wrong size would index out of bounds (an empty PHT masks with
+    // SIZE_MAX, an empty BTB is read past its end).
+    const uarch::CoreParams &core = cfg_.core;
+    if (ctx.bp.pht.size() != std::size_t{1} << core.phtBits ||
+        ctx.bp.btbTags.size() != core.btbEntries ||
+        ctx.bp.btbTargets.size() != core.btbEntries ||
+        ctx.mdp.size() != core.mdpEntries) {
+        throw std::invalid_argument(
+            "predictor context does not fit the configured core (pht " +
+            std::to_string(ctx.bp.pht.size()) + ", btb " +
+            std::to_string(ctx.bp.btbTags.size()) + "/" +
+            std::to_string(ctx.bp.btbTargets.size()) + ", mdp " +
+            std::to_string(ctx.mdp.size()) + " entries)");
+    }
     if (!started_)
         start();
     pipe_->branchPredictor().restore(ctx.bp);

@@ -219,7 +219,9 @@ class SimHarness
     UTrace extractExtra(TraceFormat format) const;
 
     /** @name μarch context (predictor state)
-     *  Starts the simulator first if needed. */
+     *  Starts the simulator first if needed. restoreContext throws
+     *  std::invalid_argument, before touching any state, when a table's
+     *  size differs from the configured core's. */
     /// @{
     UarchContext saveContext();
     void restoreContext(const UarchContext &ctx);

@@ -117,8 +117,9 @@ struct DynInst
     /// @{
     std::uint8_t pendingAddrSrcs = 0;
     std::uint8_t pendingDataSrcs = 0;
-    /** Own ROB physical slot (set at fetch); the broadcast walks the
-     *  ROB suffix younger than the producer starting here. */
+    /** Own ROB physical slot (set at fetch): the handle consumers'
+     *  producer links resolve through, and the index of this entry's
+     *  consumer list (Pipeline::consumers). */
     std::uint32_t robSlot = kNoSlot;
     /// @}
     /// @}
@@ -181,6 +182,15 @@ struct DynInst
     /// @}
 
     bool isBranch() const { return si.isBranch(); }
+};
+
+/** Handle to an in-flight entry: (stable ROB slot, seq), validated
+ *  lazily — a stale handle (owner committed or squashed, slot possibly
+ *  reused) fails the seq check in Pipeline::liveAt. */
+struct SlotRef
+{
+    std::uint32_t slot;
+    SeqNum seq;
 };
 
 } // namespace amulet::uarch

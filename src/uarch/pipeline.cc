@@ -71,6 +71,9 @@ Pipeline::Pipeline(const CoreParams &params, mem::MemoryImage &memory,
     // the scoreboard: fetch bounds its size to robSize, so the ring
     // never regrows mid-run and physical slots are stable handles.
     rob_.reserve(params.robSize);
+    consumers_.resize(rob_.capacity());
+    for (std::vector<SlotRef> &list : consumers_)
+        list.reserve(params.robSize);
     issueReady_.reserve(params.robSize);
     execList_.reserve(params.robSize);
     memWork_.reserve(params.robSize);
@@ -221,13 +224,6 @@ Pipeline::srcsReady(const DynInst &inst, bool address_only) const
     return ready;
 }
 
-DynInst *
-Pipeline::liveAt(const SlotRef &ref)
-{
-    DynInst *e = rob_.atSlot(ref.slot);
-    return e && e->seq == ref.seq ? e : nullptr;
-}
-
 void
 Pipeline::insertBySeq(std::vector<SlotRef> &list, std::uint32_t slot,
                       SeqNum seq)
@@ -244,15 +240,60 @@ Pipeline::insertBySeq(std::vector<SlotRef> &list, std::uint32_t slot,
 }
 
 void
+Pipeline::linkConsumer(std::uint32_t producer_slot, const DynInst &consumer)
+{
+    std::vector<SlotRef> &list = consumers_[producer_slot];
+    // A squash removes a seq suffix of the ROB and the list is
+    // seq-sorted, so stale handles sit only at its tail.
+    while (!list.empty() && !liveAt(list.back()))
+        list.pop_back();
+    // A consumer naming one producer twice (two sources, or a source
+    // and the flags) links once; its sources link back to back.
+    if (list.empty() || list.back().seq != consumer.seq)
+        list.push_back({consumer.robSlot, consumer.seq});
+}
+
+bool
+Pipeline::consumersMatchScan(const DynInst &producer) const
+{
+    // Reference: the younger entries naming the producer, in ROB order,
+    // are exactly the list's live handles, and every stale handle sits
+    // after the last live one.
+    const std::vector<SlotRef> &list = consumers_[producer.robSlot];
+    std::size_t k = 0;
+    for (const DynInst &c : rob_) {
+        if (c.seq <= producer.seq)
+            continue;
+        bool names = c.needsFlags && c.flagsProducer == producer.seq;
+        for (const auto &src : c.srcs)
+            names = names || src.producer == producer.seq;
+        if (!names)
+            continue;
+        if (k == list.size() || list[k].seq != c.seq || !liveAt(list[k]))
+            return false;
+        ++k;
+    }
+    for (; k < list.size(); ++k) {
+        if (liveAt(list[k]))
+            return false;
+    }
+    return true;
+}
+
+void
 Pipeline::broadcastExecuted(const DynInst &producer)
 {
     progress_ = true;
-    // Consumers are strictly younger (rename order), so start just past
-    // the producer's own slot. Squashes remove consumer and producer
-    // suffixes together, so surviving counters are never over-credited.
-    for (std::size_t i = rob_.logicalOf(producer.robSlot) + 1;
-         i < rob_.size(); ++i) {
-        DynInst &c = rob_[i];
+    assert(consumersMatchScan(producer) && "consumer list out of sync");
+    // Only the consumers linked at rename can name the producer; the
+    // ones a squash removed fail liveAt. Squashes remove consumer and
+    // producer suffixes together, so surviving counters are never
+    // over-credited.
+    for (const SlotRef &ref : consumers_[producer.robSlot]) {
+        DynInst *pc = liveAt(ref);
+        if (!pc)
+            continue;
+        DynInst &c = *pc;
         bool addr_zeroed = false;
         bool data_zeroed = false;
         for (const auto &src : c.srcs) {
@@ -830,6 +871,7 @@ Pipeline::tryIssue(DynInst &e)
     }
     insertBySeq(execList_, e.robSlot, e.seq);
     progress_ = true;
+    defense_->onIssue(e);
     return true;
 }
 
@@ -1082,6 +1124,13 @@ Pipeline::fetchStage()
             renameRegSlot_[isa::regIndex(r)] = f.robSlot;
         if (f.si.writesFlags())
             renameFlagsSlot_ = f.robSlot;
+        consumers_[f.robSlot].clear();
+        for (const auto &src : f.srcs) {
+            if (src.producer != kNoSeq)
+                linkConsumer(src.producerSlot, f);
+        }
+        if (f.needsFlags && f.flagsProducer != kNoSeq)
+            linkConsumer(f.flagsProducerSlot, f);
         if (f.si.op == Op::Fence)
             ++fencesInFlight_;
         else if ((f.isLoad || f.isStore) ? f.pendingAddrSrcs == 0

@@ -185,6 +185,28 @@ class Pipeline
         const DynInst *p = rob_.atSlot(inst.flagsProducerSlot);
         return p && p->seq == inst.flagsProducer ? p : nullptr;
     }
+    /** The live entry @p ref names (nullptr: committed or squashed). */
+    DynInst *
+    liveAt(const SlotRef &ref)
+    {
+        DynInst *e = rob_.atSlot(ref.slot);
+        return e && e->seq == ref.seq ? e : nullptr;
+    }
+    const DynInst *
+    liveAt(const SlotRef &ref) const
+    {
+        const DynInst *e = rob_.atSlot(ref.slot);
+        return e && e->seq == ref.seq ? e : nullptr;
+    }
+    /** Dataflow edges: the younger entries that named @p producer at
+     *  rename, as a register source or (needsFlags) as flags producer,
+     *  once each, in seq order. Squashed consumers leave stale handles
+     *  (liveAt fails) at the tail until the next consumer links. */
+    const std::vector<SlotRef> &
+    consumers(const DynInst &producer) const
+    {
+        return consumers_[producer.robSlot];
+    }
     /** The reorder buffer, oldest first. */
     RingDeque<DynInst> &rob() { return rob_; }
     /** Is there an older in-flight load than @p seq marked unsafe-held?
@@ -206,15 +228,6 @@ class Pipeline
     void fetchStage();
     /// @}
 
-    /** Ready-list handle: (stable ROB slot, seq) pair, validated lazily
-     *  — a stale handle (owner committed or squashed, slot possibly
-     *  reused) fails the seq check and is dropped on the next walk. */
-    struct SlotRef
-    {
-        std::uint32_t slot;
-        SeqNum seq;
-    };
-
     /** @name Helpers */
     /// @{
     void reset();
@@ -222,10 +235,11 @@ class Pipeline
     isa::Flags readFlagsValue(const DynInst &inst) const;
     bool srcsReady(const DynInst &inst, bool address_only) const;
     bool srcsReadyScan(const DynInst &inst, bool address_only) const;
+    void linkConsumer(std::uint32_t producer_slot, const DynInst &consumer);
+    bool consumersMatchScan(const DynInst &producer) const;
     void broadcastExecuted(const DynInst &producer);
     bool tryIssue(DynInst &inst);
     void issueStageWithFences();
-    DynInst *liveAt(const SlotRef &ref);
     static void insertBySeq(std::vector<SlotRef> &list,
                             std::uint32_t slot, SeqNum seq);
     Cycle nextLocalEventCycle() const;
@@ -309,6 +323,12 @@ class Pipeline
     std::vector<SlotRef> execList_;
     unsigned fencesInFlight_ = 0;
     /// @}
+
+    /** Consumer lists (see consumers()), indexed by the producer's ROB
+     *  slot and cleared when the slot's next owner is fetched. Each is
+     *  reserved to robSize up front: after a link it holds only live
+     *  consumers, so it never outgrows that. */
+    std::vector<std::vector<SlotRef>> consumers_;
 
     /** @name Incremental bookkeeping (src/uarch/README.md)
      *  safeFrontier_: every live entry older than this seq is safe and

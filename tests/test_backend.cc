@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 
 #include "core/generator.hh"
 #include "core/input_gen.hh"
@@ -301,6 +302,33 @@ TEST(SubprocessRecovery, TricklingWorkerCannotEvadeTheWatchdog)
     // to a minute means the deadline reset per poll.
     EXPECT_LT(elapsed, 30.0);
     fs::remove(script);
+}
+
+// A context that does not fit the worker's core gets an error reply and
+// the worker stays up. It used to crash the worker (an empty BTB read
+// past its end), which the backend retried into quarantine.
+TEST(SubprocessRecovery, MalformedContextGetsAnErrorReply)
+{
+    executor::HarnessConfig hcfg;
+    hcfg.bootInsts = 1000;
+    executor::SubprocessBackend backend(hcfg, {});
+    const executor::UarchContext ctx = backend.saveContext();
+    const unsigned restarts = backend.restarts();
+    executor::UarchContext bad = ctx;
+    bad.bp.btbTags.clear();
+    bad.bp.btbTargets.clear();
+    try {
+        backend.restoreContext(bad);
+        ADD_FAILURE() << "a malformed context must be refused";
+    } catch (const executor::WorkerQuarantineError &e) {
+        ADD_FAILURE() << "the worker crashed: " << e.what();
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("worker error"), std::string::npos) << what;
+        EXPECT_NE(what.find("does not fit"), std::string::npos) << what;
+    }
+    EXPECT_NO_THROW(backend.restoreContext(ctx));
+    EXPECT_EQ(backend.restarts(), restarts);
 }
 
 // === Per-program quarantine at the backend boundary ========================

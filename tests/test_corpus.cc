@@ -387,6 +387,20 @@ TEST(CorpusSerde, RecordWithBadProgramIsRejected)
     EXPECT_THROW(corpus::recordFromJson(j), corpus::CorpusError);
 }
 
+// A predictor context's ghr is 32 bits wide: 2^32 + 1 is refused, not
+// truncated to 1 (a different predictor state, so a drifting replay).
+TEST(CorpusSerde, ContextGhrWiderThan32BitsIsRejected)
+{
+    corpus::Json j = corpus::toJson(sampleRecord().ctxA);
+    corpus::Json bp = j.at("bp");
+    bp.set("ghr", corpus::Json::number((std::uint64_t{1} << 32) + 1));
+    j.set("bp", bp);
+    EXPECT_THROW(corpus::contextFromJson(j), corpus::CorpusError);
+    bp.set("ghr", corpus::Json::number(std::uint64_t{0xffffffff}));
+    j.set("bp", bp);
+    EXPECT_EQ(corpus::contextFromJson(j).bp.ghr, 0xffffffffu);
+}
+
 TEST(CorpusSerde, RngStreamStateResumesSequence)
 {
     Rng rng(42);
@@ -1058,6 +1072,20 @@ TEST(CorpusReplay, ConfirmsEveryRecordForEachDefense)
                 << outcome.detail;
         }
     }
+}
+
+// A recorded context whose tables do not fit the configured core (here
+// an empty BTB, which the simulator would read past its end) is a
+// corpus error, so `campaign_cli replay` exits 1 with a message.
+TEST(CorpusReplay, ContextThatDoesNotFitTheCoreIsACorpusError)
+{
+    executor::HarnessConfig hcfg;
+    hcfg.bootInsts = 1000;
+    executor::SimHarness harness(hcfg);
+    core::ViolationRecord rec = sampleRecord();
+    rec.ctxA = rec.ctxB = harness.saveContext();
+    rec.ctxB.bp.btbTags.clear();
+    EXPECT_THROW(corpus::replayViolation(harness, rec), corpus::CorpusError);
 }
 
 // Checkpoints are versioned and fingerprinted: resuming with a

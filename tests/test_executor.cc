@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
 
 #include "core/generator.hh"
 #include "core/input_gen.hh"
@@ -69,6 +70,30 @@ TEST(Harness, RunIsDeterministicUnderSavedContext)
     harness.restoreContext(ctx);
     const auto t2 = harness.runInput(f.input).trace;
     EXPECT_EQ(t1, t2);
+}
+
+// Contexts arrive from the journal and the wire, so every table's size
+// is checked against the configured core before any state changes: an
+// empty BTB used to be read past its end, an empty PHT masked with
+// SIZE_MAX.
+TEST(Harness, RestoreContextRejectsTablesThatDoNotFitTheCore)
+{
+    Fixture f;
+    SimHarness harness(fastConfig());
+    harness.loadProgram(f.fp.get());
+    const auto ctx = harness.saveContext();
+    const auto reference = harness.runInput(f.input).trace;
+    std::vector<executor::UarchContext> bad(6, ctx);
+    bad[0].bp.pht.clear();
+    bad[1].bp.pht.pop_back();
+    bad[2].bp.btbTags.clear();
+    bad[3].bp.btbTargets.clear();
+    bad[4].mdp.clear();
+    bad[5].mdp.push_back(0);
+    for (const auto &b : bad)
+        EXPECT_THROW(harness.restoreContext(b), std::invalid_argument);
+    harness.restoreContext(ctx);
+    EXPECT_EQ(harness.runInput(f.input).trace, reference);
 }
 
 TEST(Harness, NaiveRestartsPerInputOptDoesNot)

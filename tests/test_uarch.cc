@@ -4,8 +4,10 @@
  * noClean metadata), TLB, branch/memory-dependence predictors (including
  * context snapshot round-trips), side buffers, the memory system's
  * MSHR/queue behaviour, the MemSnapshot warm-state save/restore the
- * prime cache rests on, and the incremental bookkeeping's reference
- * checks (safety frontier, dirty-set reset, sort-free trace extraction).
+ * prime cache rests on, the incremental bookkeeping's reference
+ * checks (safety frontier, dataflow edges, STT taint, dirty-set reset,
+ * sort-free trace extraction), and a pinned digest of the simulator's
+ * event stream.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <initializer_list>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
 #include "common/event_log.hh"
 #include "common/rng.hh"
@@ -623,17 +626,28 @@ TEST_F(MemSystemTest, DirtySetRestoreMatchesFullCopyWithSideBuffer)
 
 /**
  * Forwards every hook to a real defense and, each cycle, checks the
- * pipeline's safe flags against the reference walk: an entry is safe
- * iff no older entry is an unresolved branch, an unexecuted fence, or
- * (Futuristic mode) a store whose address is unresolved. Defense::tick
- * runs right after computeSafety, so the flags it sees are final. It
- * also counts which kind of risk was the oldest, to prove coverage.
+ * pipeline's incremental bookkeeping against full reference walks:
+ *
+ * - Safety: an entry is safe iff no older entry is an unresolved
+ *   branch, an unexecuted fence, or (Futuristic mode) a store whose
+ *   address is unresolved. Defense::tick runs right after
+ *   computeSafety, so the flags it sees are final. It also counts which
+ *   kind of risk was the oldest, to prove coverage.
+ * - Dataflow edges: each live entry's consumer list holds, as live
+ *   handles, exactly the younger entries naming it as a source or (with
+ *   needsFlags) as flags producer, in seq order, and its stale handles
+ *   sit after the last live one.
+ * - Taint: after the wrapped tick(), every tainted bit equals the full
+ *   forward fixpoint (STT), or is clear (every other defense).
+ *   Producers resolve by seq through Pipeline::entry, independently of
+ *   the slot links the code under test uses.
  */
-class SafetyAudit final : public defense::Defense
+class BookkeepingAudit final : public defense::Defense
 {
   public:
-    SafetyAudit(std::unique_ptr<defense::Defense> inner, SpecMode mode)
-        : inner_(std::move(inner)), mode_(mode)
+    BookkeepingAudit(std::unique_ptr<defense::Defense> inner, SpecMode mode,
+                     bool tracks_taint)
+        : inner_(std::move(inner)), mode_(mode), tracksTaint_(tracks_taint)
     {
     }
 
@@ -643,7 +657,12 @@ class SafetyAudit final : public defense::Defense
         Defense::attach(pipeline, mem, log);
         inner_->attach(pipeline, mem, log);
     }
-    void reset() override { inner_->reset(); }
+    void
+    reset() override
+    {
+        inner_->reset();
+        staleSeen_.clear(); // seqs restart every run
+    }
     SpecMode specMode() const override { return mode_; }
     bool blockLoadIssue(DynInst &e) override
     {
@@ -665,6 +684,7 @@ class SafetyAudit final : public defense::Defense
     {
         return inner_->installStoreAtCommit(e);
     }
+    void onIssue(DynInst &e) override { inner_->onIssue(e); }
     void onBecameSafe(DynInst &e) override { inner_->onBecameSafe(e); }
     void onSquash(DynInst &e) override { inner_->onSquash(e); }
     void onReqComplete(const MemReq &r) override { inner_->onReqComplete(r); }
@@ -694,6 +714,8 @@ class SafetyAudit final : public defense::Defense
             risk = risk || branch || fence || store;
         }
         inner_->tick();
+        checkConsumers();
+        checkTaint();
     }
 
     std::uint64_t checks = 0;
@@ -701,10 +723,98 @@ class SafetyAudit final : public defense::Defense
     std::uint64_t branchRisks = 0;
     std::uint64_t fenceRisks = 0;
     std::uint64_t storeRisks = 0;
+    std::uint64_t consumerChecks = 0;
+    std::uint64_t consumerMismatches = 0;
+    std::size_t maxConsumers = 0;
+    std::uint64_t trimsAfterSquash = 0;
+    std::uint64_t taintChecks = 0;
+    std::uint64_t taintMismatches = 0;
 
   private:
+    void
+    checkConsumers()
+    {
+        // Reference lists, one per ROB position, from one forward walk.
+        RingDeque<DynInst> &rob = pipe_->rob();
+        std::vector<std::vector<SeqNum>> expected(rob.size());
+        auto index_of = [&rob](SeqNum seq) {
+            const auto it = std::lower_bound(
+                rob.begin(), rob.end(), seq,
+                [](const DynInst &e, SeqNum s) { return e.seq < s; });
+            return static_cast<std::size_t>(it - rob.begin());
+        };
+        for (const DynInst &c : rob) {
+            auto name = [&](SeqNum producer) {
+                if (!pipe_->entry(producer))
+                    return;
+                std::vector<SeqNum> &list = expected[index_of(producer)];
+                if (list.empty() || list.back() != c.seq)
+                    list.push_back(c.seq);
+            };
+            for (const auto &src : c.srcs)
+                name(src.producer);
+            if (c.needsFlags)
+                name(c.flagsProducer);
+        }
+        for (std::size_t i = 0; i < rob.size(); ++i) {
+            const DynInst &p = rob[i];
+            ++consumerChecks;
+            std::vector<SeqNum> live;
+            bool stale_seen = false;
+            SeqNum newest_stale = kNoSeq;
+            for (const SlotRef &ref : pipe_->consumers(p)) {
+                if (!pipe_->liveAt(ref)) {
+                    stale_seen = true;
+                    newest_stale = std::max(newest_stale, ref.seq);
+                    continue;
+                }
+                if (stale_seen)
+                    ++consumerMismatches; // a live handle after a stale
+                live.push_back(ref.seq);
+                // Linked after handles a squash left: the link trimmed
+                // them (they are gone, or the line above fired).
+                const auto it = staleSeen_.find(p.seq);
+                if (it != staleSeen_.end() && ref.seq > it->second) {
+                    ++trimsAfterSquash;
+                    staleSeen_.erase(it);
+                }
+            }
+            if (stale_seen)
+                staleSeen_[p.seq] = newest_stale;
+            if (live != expected[i])
+                ++consumerMismatches;
+            maxConsumers = std::max(maxConsumers, live.size());
+        }
+    }
+
+    void
+    checkTaint()
+    {
+        for (const DynInst &e : pipe_->rob()) {
+            ++taintChecks;
+            bool tainted = false;
+            if (tracksTaint_) {
+                tainted = e.isLoad && e.issued && e.wasUnsafeAtIssue &&
+                          !e.safe;
+                for (const auto &src : e.srcs) {
+                    const DynInst *p = pipe_->entry(src.producer);
+                    tainted = tainted || (p && p->tainted);
+                }
+                if (e.needsFlags) {
+                    const DynInst *p = pipe_->entry(e.flagsProducer);
+                    tainted = tainted || (p && p->tainted);
+                }
+            }
+            if (tainted != e.tainted)
+                ++taintMismatches;
+        }
+    }
+
     std::unique_ptr<defense::Defense> inner_;
     SpecMode mode_;
+    bool tracksTaint_;
+    /** Producer seq -> newest stale consumer handle seen in its list. */
+    std::unordered_map<SeqNum, SeqNum> staleSeen_;
 };
 
 /** Branch squash, then a store whose address resolves late (a
@@ -737,14 +847,15 @@ safetyProgram()
 }
 
 void
-auditSafety(defense::DefenseKind kind, std::optional<SpecMode> mode)
+auditBookkeeping(defense::DefenseKind kind, std::optional<SpecMode> mode)
 {
     executor::HarnessConfig cfg;
     cfg.defense.kind = kind;
     cfg.bootInsts = 500;
     auto inner = defense::makeDefense(cfg.defense, cfg.core);
     const SpecMode spec_mode = mode.value_or(inner->specMode());
-    SafetyAudit audit(std::move(inner), spec_mode);
+    const bool stt = kind == defense::DefenseKind::Stt;
+    BookkeepingAudit audit(std::move(inner), spec_mode, stt);
     executor::SimHarness harness(cfg);
     harness.start();
     harness.pipeline().setDefense(&audit);
@@ -783,19 +894,31 @@ auditSafety(defense::DefenseKind kind, std::optional<SpecMode> mode)
         EXPECT_EQ(audit.storeRisks, 0u);
     EXPECT_TRUE(harness.eventLog().has(EventKind::SquashBranch));
     EXPECT_TRUE(harness.eventLog().has(EventKind::SquashMemOrder));
+
+    EXPECT_GT(audit.consumerChecks, 1000u);
+    EXPECT_EQ(audit.consumerMismatches, 0u);
+    EXPECT_GE(audit.maxConsumers, 2u);
+    EXPECT_GT(audit.trimsAfterSquash, 0u);
+    EXPECT_GT(audit.taintChecks, 1000u);
+    EXPECT_EQ(audit.taintMismatches, 0u);
+    EXPECT_EQ(harness.eventLog().has(EventKind::TaintSet), stt);
+    EXPECT_EQ(harness.eventLog().has(EventKind::TaintLift), stt);
 }
 
-TEST(SafetyFrontier, MatchesFullWalkEveryCyclePerDefense)
+TEST(IncrementalBookkeeping, MatchesFullWalksEveryCyclePerDefense)
 {
     for (defense::DefenseKind kind : defense::allDefenseKinds()) {
         SCOPED_TRACE(defense::defenseKindName(kind));
-        auditSafety(kind, std::nullopt);
+        auditBookkeeping(kind, std::nullopt);
     }
 }
 
-TEST(SafetyFrontier, MatchesFullWalkEveryCycleSpectreMode)
+TEST(IncrementalBookkeeping, MatchesFullWalksEveryCycleSpectreMode)
 {
-    auditSafety(defense::DefenseKind::Baseline, SpecMode::Spectre);
+    for (defense::DefenseKind kind : defense::allDefenseKinds()) {
+        SCOPED_TRACE(defense::defenseKindName(kind));
+        auditBookkeeping(kind, SpecMode::Spectre);
+    }
 }
 
 /** The trace words extractTrace must produce, rebuilt from full scans;
@@ -867,6 +990,92 @@ TEST(UarchTraceExtraction, SortFreeMatchesSortedReference)
             EXPECT_TRUE(harness.eventLog().has(evidence));
         }
     }
+}
+
+/** FNV-1a over little-endian words: a digest that reads the same on
+ *  every host and build type. */
+class StreamDigest
+{
+  public:
+    void
+    add(std::uint64_t word)
+    {
+        for (unsigned i = 0; i < 8; ++i) {
+            h_ ^= (word >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ULL;
+        }
+    }
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// The simulator's whole observable output, pinned: every event field,
+// RunResult and trace word of generated programs, for every defense,
+// as published and patched, at 1 and 128 sandbox pages. A change meant
+// to keep every cycle (an incremental data structure, a faster walk)
+// must reproduce the digest recorded before it; a change that means to
+// move a cycle or an event re-records it and says why.
+TEST(EventStream, MatchesPinnedDigest)
+{
+    StreamDigest digest;
+    std::uint64_t events = 0;
+    std::uint64_t taint_events = 0;
+    for (defense::DefenseKind kind : defense::allDefenseKinds()) {
+        for (bool patched : {false, true}) {
+            for (unsigned pages : {1u, 128u}) {
+                executor::HarnessConfig cfg;
+                cfg.defense = patched ? defense::DefenseConfig::patched(kind)
+                                      : defense::DefenseConfig{kind};
+                cfg.map.sandboxPages = pages;
+                cfg.bootInsts = 500;
+                executor::SimHarness harness(cfg);
+                harness.setEventLogging(true);
+                core::GeneratorConfig gcfg;
+                gcfg.map = cfg.map;
+                core::InputGenConfig icfg;
+                icfg.map = cfg.map;
+                for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+                    core::ProgramGenerator gen(gcfg, Rng(seed));
+                    const isa::FlatProgram fp(gen.generate(),
+                                              cfg.map.codeBase);
+                    harness.loadProgram(&fp);
+                    core::InputGenerator igen(icfg, Rng(seed + 1000));
+                    for (unsigned i = 0; i < 6; ++i) {
+                        const auto out = harness.runInput(igen.generate(i));
+                        digest.add(out.run.halted);
+                        digest.add(out.run.cycles);
+                        digest.add(out.run.committedInsts);
+                        digest.add(out.run.squashes);
+                        digest.add(out.run.hitCycleCap);
+                        digest.add(static_cast<std::uint64_t>(
+                            out.trace.format));
+                        digest.add(out.trace.words.size());
+                        for (std::uint64_t w : out.trace.words)
+                            digest.add(w);
+                        for (const Event &e : harness.eventLog().events()) {
+                            digest.add(e.cycle);
+                            digest.add(static_cast<std::uint64_t>(e.kind));
+                            digest.add(e.seq);
+                            digest.add(e.pc);
+                            digest.add(e.addr);
+                            digest.add(e.note.size());
+                            for (char c : e.note)
+                                digest.add(static_cast<unsigned char>(c));
+                            taint_events += e.kind == EventKind::TaintSet ||
+                                            e.kind == EventKind::TaintLift;
+                        }
+                        events += harness.eventLog().events().size();
+                        harness.eventLog().clear();
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(events, 1000000u);
+    EXPECT_GT(taint_events, 10000u);
+    EXPECT_EQ(digest.value(), 0x3561302168fc6157ULL) << std::hex << digest.value();
 }
 
 } // namespace
