@@ -45,7 +45,24 @@ echo "--- sandbox-bytes gate: STT KV3 export must hash to the pinned value"
     > /dev/null
 echo "d6856be994323330810b49b5f44e803aa27a5718c82fcf4416c3fefab24f79ea" \
      " ${SMOKE}/stt.jsonl" | sha256sum --check --quiet -
-rm -rf "${SMOKE}/stt" "${SMOKE}/stt.jsonl"
+
+# --- Forensics gate: the pipeline traces `inspect` renders must not move ----
+# Record 0 of the same corpus, re-run under the per-instruction tracer:
+# the Konata, O3PipeView and Perfetto files pin every traced lifecycle,
+# the runahead NOPs fetched past the program's end included. report.txt
+# and sidebyside.txt are left out: they carry the corpus path and the
+# wall-clock detection time.
+echo "--- forensics gate: inspect artifacts of STT record 0 must hash to" \
+     "the pinned values"
+"${CLI}" inspect "${SMOKE}/stt" 0 --out "${SMOKE}/stt_inspect" > /dev/null
+(cd "${SMOKE}/stt_inspect" && sha256sum --check --quiet -) <<'EOF'
+9366bd2efc814700d2d62e85c78cebaf6936b8750f627d80a8b3c4d871472004  inputA.kanata
+add45b5a6833f53801f9d8e3b017404525b3453683f66fb0391ce47500982dce  inputB.kanata
+378f99fd211192224d41d0c4a46e29058bb5d3b6048a1eff680122773dbd02d2  inputA.o3pipe.txt
+d32c54030622d35a6742affca26e6fe5379d4db64f77cc3e99c0f1270d0268b5  inputB.o3pipe.txt
+35280b100b02a6ea42b91df0f5e1ec3afa09edfa5fdd463fb87eedf56c182725  pipeline.trace.json
+EOF
+rm -rf "${SMOKE}/stt" "${SMOKE}/stt.jsonl" "${SMOKE}/stt_inspect"
 
 echo "--- corpus smoke: friendly CLI errors"
 if "${CLI}" --programs banana > /dev/null 2>&1; then
@@ -134,6 +151,19 @@ rc=0
     2> "${SMOKE}/nobtb.err" || rc=$?
 if [ "${rc}" -ne 1 ] || ! grep -q "does not fit" "${SMOKE}/nobtb.err"; then
   echo "FAIL: replay of an empty-BTB record must exit 1 with a corpus" \
+       "error, got ${rc}" >&2
+  exit 1
+fi
+
+echo "--- corpus smoke: a record whose input flags overflow a byte is refused"
+cp -r "${SMOKE}/part" "${SMOKE}/flags257"
+sed -i 's/"flags":[0-9]*/"flags":257/' "${SMOKE}/flags257/journal.jsonl"
+rc=0
+"${CLI}" replay --corpus-dir "${SMOKE}/flags257" > /dev/null \
+    2> "${SMOKE}/flags257.err" || rc=$?
+if [ "${rc}" -ne 1 ] || ! grep -q "do not fit a byte" "${SMOKE}/flags257.err"
+then
+  echo "FAIL: replay of a flags-257 record must exit 1 with a corpus" \
        "error, got ${rc}" >&2
   exit 1
 fi

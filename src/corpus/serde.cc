@@ -659,7 +659,11 @@ inputFromJson(const Json &json)
         throw CorpusError("input: wrong register count");
     for (std::size_t i = 0; i < regs.size(); ++i)
         input.regs[i] = regs[i].asU64();
-    input.flagsByte = static_cast<std::uint8_t>(json.at("flags").asU64());
+    const std::uint64_t flags = json.at("flags").asU64();
+    if (flags > 0xff) // 257 must not replay as flags byte 1
+        throw CorpusError("input: flags " + std::to_string(flags) +
+                          " do not fit a byte");
+    input.flagsByte = static_cast<std::uint8_t>(flags);
     const std::string &hex = json.at("sandbox").asStr();
     // Whole pages only, at most the largest legal sandbox — checked on
     // the text, before decoding allocates anything.

@@ -93,7 +93,10 @@ class Defense
     virtual bool installStoreAtCommit(const DynInst &) { return true; }
     /// @}
 
-    /** @name Lifecycle hooks */
+    /** @name Lifecycle hooks
+     *  They fire for program instructions only: the runahead NOPs fetched
+     *  past the program's end are counts in the pipeline, not DynInsts,
+     *  and no hook sees them (src/uarch/README.md, "Runahead tail"). */
     /// @{
     /** Instruction issued this cycle: an ALU op, branch, load or store
      *  whose operands were ready and that no blocking hook vetoed

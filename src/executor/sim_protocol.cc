@@ -304,8 +304,13 @@ uarchRunTraceFromJson(const Json &json)
         inst.completeCycle = fields[5].asU64();
         inst.commitCycle = fields[6].asU64();
         inst.squashCycle = fields[7].asU64();
-        inst.squashCause =
-            static_cast<telemetry::SquashCause>(fields[8].asU64());
+        const std::uint64_t cause = fields[8].asU64();
+        if (cause > static_cast<std::uint64_t>(
+                        telemetry::SquashCause::MemOrder))
+            throw corpus::CorpusError("sim protocol: utrace squash cause " +
+                                      std::to_string(cause) +
+                                      " out of range");
+        inst.squashCause = static_cast<telemetry::SquashCause>(cause);
         inst.squashTrigger = fields[9].asU64();
         inst.memAddr = fields[10].asU64();
         unpackLifecycleFlags(inst, fields[11].asU64());

@@ -4,11 +4,12 @@
  * tracing.
  *
  * A UarchTracer attaches to uarch::Pipeline (Pipeline::setTracer) and
- * records one InstLifecycle per fetched DynInst — fetch/issue/complete/
- * commit/squash ticks, squash cause and trigger, branch-prediction
- * outcome, the effective memory address, and the defense annotations
- * (taint, undo-log, spec-buffer, LFB) present when the instruction left
- * the ROB. Squashed (transient) instructions are first-class records:
+ * records one InstLifecycle per fetched instruction, runahead NOPs past
+ * the program's end included — fetch/issue/complete/commit/squash ticks,
+ * squash cause and trigger, branch-prediction outcome, the effective
+ * memory address, and the defense annotations (taint, undo-log,
+ * spec-buffer, LFB) present when the instruction left the ROB or the
+ * runahead tail. Squashed (transient) instructions are first-class records:
  * they are exactly the mis-speculation window the defenses exist to
  * police, and what Spectector-style leak localization diffs.
  *

@@ -2,11 +2,13 @@
  * @file
  * Dynamic (in-flight) instruction state.
  *
- * One DynInst per fetched instruction; read-modify-write memory ops carry
- * both a load and a store side. Defense-visible speculation metadata
- * (safety, taint, expose/LFB/undo bookkeeping) lives here so defenses can
- * be implemented without intrusive pipeline changes — the design goal the
- * paper states for AMuLeT integrations.
+ * One DynInst per fetched program instruction (the runahead NOPs fetched
+ * past the program's end are counted by the pipeline instead);
+ * read-modify-write memory ops carry both a load and a store side.
+ * Defense-visible speculation metadata (safety, taint, expose/LFB/undo
+ * bookkeeping) lives here so defenses can be implemented without
+ * intrusive pipeline changes — the design goal the paper states for
+ * AMuLeT integrations.
  */
 
 #ifndef AMULET_UARCH_DYN_INST_HH

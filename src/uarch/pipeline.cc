@@ -122,6 +122,7 @@ Pipeline::reset()
     safeFrontier_ = nextSeq_;
     specMode_ = defense_->specMode();
     memWork_.clear();
+    tailFetched_ = tailIssued_ = tailExecuted_ = tailSafe_ = 0;
     skippedCycles_ = 0;
     skipWindows_ = 0;
     skipLengths_.clear();
@@ -347,15 +348,12 @@ Pipeline::computeEffAddr(const DynInst &inst) const
 DynInst
 Pipeline::makeDynInst(std::size_t idx)
 {
+    assert(idx < prog_->numInsts() && "runahead NOPs are tail counts");
     DynInst d;
     d.seq = nextSeq_++;
     d.idx = idx;
     d.pc = prog_->pcOf(idx);
-    if (idx < prog_->numInsts()) {
-        d.si = prog_->inst(idx);
-    } else {
-        d.si = Inst{}; // runahead NOP beyond the program
-    }
+    d.si = prog_->inst(idx);
     d.isLoad = d.si.isLoad();
     d.isStore = d.si.isStore();
     d.memSize = d.si.width;
@@ -428,6 +426,18 @@ Pipeline::makeDynInst(std::size_t idx)
     return d;
 }
 
+DynInst
+Pipeline::tailInst(std::size_t k) const
+{
+    // A default Inst is a NOP, and every other field of a NOP's entry
+    // keeps its default from fetch to squash.
+    DynInst d;
+    d.seq = tailSeq_ + k;
+    d.idx = tailIdx_ + k;
+    d.pc = prog_->pcOf(d.idx);
+    return d;
+}
+
 void
 Pipeline::rebuildRenameTable()
 {
@@ -457,6 +467,15 @@ Pipeline::squashAfter(SeqNum keep_up_to, std::size_t new_fetch_idx,
     const auto cause = reason == EventKind::SquashBranch
                            ? telemetry::SquashCause::BranchMispredict
                            : telemetry::SquashCause::MemOrder;
+    // Every squash is triggered by a program instruction, which is older
+    // than the whole runahead tail.
+    assert((tailFetched_ == 0 || keep_up_to < tailSeq_) &&
+           "squash inside the runahead tail");
+    if (tracer_) {
+        for (std::size_t k = tailFetched_; k > 0; --k)
+            tracer_->onSquash(tailInst(k - 1), now_, cause, trigger_seq);
+    }
+    tailFetched_ = tailIssued_ = tailExecuted_ = tailSafe_ = 0;
     while (!rob_.empty() && rob_.back().seq > keep_up_to) {
         DynInst &victim = rob_.back();
         victim.squashed = true;
@@ -501,7 +520,8 @@ Pipeline::safetyMatchesScan() const
             return false;
         risk = risk || isSafetyRisk(e);
     }
-    return true;
+    // The tail is younger than every entry and never a risk itself.
+    return tailSafe_ == (risk ? 0 : tailFetched_);
 }
 
 void
@@ -523,6 +543,12 @@ Pipeline::computeSafety()
             break;
     }
     safeFrontier_ = i < rob_.size() ? rob_[i].seq : nextSeq_;
+    // No risk left in the ROB: the whole tail is safe. Its NOPs take no
+    // onBecameSafe (lifecycle hooks are for program instructions).
+    if (i == rob_.size() && tailSafe_ < tailFetched_) {
+        tailSafe_ = tailFetched_;
+        progress_ = true;
+    }
     assert(safetyMatchesScan() && "safety frontier out of sync");
 
     // The hooks run once every flag is final, oldest first. They must
@@ -904,6 +930,25 @@ Pipeline::issueStage()
     for (; i < issueReady_.size(); ++i)
         issueReady_[out++] = issueReady_[i];
     issueReady_.resize(out);
+    issueTail(budget);
+}
+
+void
+Pipeline::issueTail(unsigned budget)
+{
+    // The tail is younger than every ROB entry, so it gets the issue
+    // width they left. Its NOPs are always ready and never vetoed (no
+    // onIssue: lifecycle hooks are for program instructions).
+    const std::size_t n =
+        std::min<std::size_t>(budget, tailFetched_ - tailIssued_);
+    if (n == 0)
+        return;
+    if (tracer_) {
+        for (std::size_t k = tailIssued_; k < tailIssued_ + n; ++k)
+            tracer_->onIssue(tailInst(k), now_);
+    }
+    tailIssued_ += n;
+    progress_ = true;
 }
 
 void
@@ -926,7 +971,7 @@ Pipeline::issueStageWithFences()
                 progress_ = true;
             }
             if (!e.executed)
-                break; // younger instructions wait for the fence
+                return; // younger instructions wait for the fence
         }
 
         if (!e.issued && e.si.op != Op::Fence) {
@@ -935,6 +980,7 @@ Pipeline::issueStageWithFences()
         }
         all_older_executed = all_older_executed && e.executed;
     }
+    issueTail(budget);
 }
 
 void
@@ -978,6 +1024,18 @@ Pipeline::executeStage()
             execList_[out++] = execList_[i];
     }
     execList_.resize(out);
+
+    // Every tail NOP issued so far did so in an earlier cycle (issue runs
+    // after execute), so at latency 1 they all complete now, after the
+    // older entries. A squash above would have removed them.
+    if (tailExecuted_ < tailIssued_) {
+        if (tracer_) {
+            for (std::size_t k = tailExecuted_; k < tailIssued_; ++k)
+                tracer_->onComplete(tailInst(k), now_);
+        }
+        tailExecuted_ = tailIssued_;
+        progress_ = true;
+    }
 }
 
 void
@@ -1070,20 +1128,33 @@ void
 Pipeline::fetchStage()
 {
     for (unsigned n = 0; n < params_.fetchWidth; ++n) {
-        if (rob_.size() >= params_.robSize)
+        if (rob_.size() + tailFetched_ >= params_.robSize)
             return;
         const std::size_t idx = fetchIdx_;
-        const Inst si =
-            idx < prog_->numInsts() ? prog_->inst(idx) : Inst{};
-        if (si.isLoad() && loadsInFlight_ >= params_.lqSize)
-            return;
-        if (si.isStore() && storesInFlight_ >= params_.sqSize)
+        if (lsqFullFor(idx))
             return;
 
         const Addr pc = prog_->pcOf(idx);
         if (!mem_.ifetchHit(pc)) {
             mem_.requestIfetch(mem_.l1i().lineAddrOf(pc));
             return; // fetch stalls until the line arrives
+        }
+
+        if (idx >= prog_->numInsts()) {
+            // Runahead past the program's end: a NOP joins the tail with
+            // its seq, Fetch event and progress mark, but no ROB entry.
+            if (tailFetched_ == 0) {
+                tailSeq_ = nextSeq_;
+                tailIdx_ = idx;
+            }
+            const SeqNum seq = nextSeq_++;
+            ++tailFetched_;
+            log_.record(now_, EventKind::Fetch, seq, pc);
+            if (tracer_)
+                tracer_->onFetch(tailInst(tailFetched_ - 1), now_);
+            fetchIdx_ = idx + 1;
+            progress_ = true;
+            continue;
         }
 
         DynInst d = makeDynInst(idx);
@@ -1175,12 +1246,22 @@ Pipeline::nextLocalEventCycle() const
     // One-step safety lookahead: an unsafe entry with no older risk
     // becomes safe at the next computeSafety, firing defense hooks.
     // Entries older than the frontier are already safe and riskless.
-    for (std::size_t i = safeFrontierIndex(); i < rob_.size(); ++i) {
+    std::size_t i = safeFrontierIndex();
+    for (; i < rob_.size(); ++i) {
         const DynInst &e = rob_[i];
         if (!e.safe)
             return next_cycle;
         if (isSafetyRisk(e))
             break;
+    }
+
+    // The tail acts next cycle if it holds an unsafe NOP behind no risk,
+    // a NOP to issue (always ready), or an issued NOP, which completes
+    // next cycle (latency 1). next_cycle is the earliest horizon, so
+    // returning it before the ROB scan is exact.
+    if ((i == rob_.size() && tailSafe_ < tailFetched_) ||
+        tailExecuted_ < tailFetched_) {
+        return next_cycle;
     }
 
     for (const DynInst &e : rob_) {
@@ -1224,17 +1305,10 @@ Pipeline::nextLocalEventCycle() const
     // Fetch: can a new instruction enter next cycle? Probe the same
     // gates fetchStage checks, without side effects (Cache::present()
     // leaves LRU alone; ifetchHit would refresh it).
-    if (rob_.size() < params_.robSize) {
-        const std::size_t idx = fetchIdx_;
-        const Inst si = idx < prog_->numInsts() ? prog_->inst(idx)
-                                                : Inst{};
-        const bool lsq_full =
-            (si.isLoad() && loadsInFlight_ >= params_.lqSize) ||
-            (si.isStore() && storesInFlight_ >= params_.sqSize);
-        if (!lsq_full &&
-            mem_.l1i().present(mem_.l1i().lineAddrOf(prog_->pcOf(idx)))) {
-            return next_cycle;
-        }
+    if (rob_.size() + tailFetched_ < params_.robSize &&
+        !lsqFullFor(fetchIdx_) &&
+        mem_.l1i().present(mem_.l1i().lineAddrOf(prog_->pcOf(fetchIdx_)))) {
+        return next_cycle;
     }
 
     return next;

@@ -9,6 +9,11 @@
  * memory-order squashes, and in-order commit. The memory side runs through
  * MemSystem's in-order L1D controller queue with finite MSHRs.
  *
+ * The ROB holds program instructions only. The NOPs fetched past the
+ * program's end occupy ROB capacity and issue width but are counted in a
+ * runahead tail behind the last entry, not built as DynInsts
+ * (src/uarch/README.md has why that is exact).
+ *
  * Execution is execute-at-issue: architectural values are computed from
  * the dataflow graph while the memory system provides timing and the
  * cache/TLB state that μarch traces snapshot. A Defense object is
@@ -207,8 +212,11 @@ class Pipeline
     {
         return consumers_[producer.robSlot];
     }
-    /** The reorder buffer, oldest first. */
+    /** The reorder buffer, oldest first: program instructions only (the
+     *  runahead NOPs past the program's end are counted, not stored). */
     RingDeque<DynInst> &rob() { return rob_; }
+    /** The program being run (nullptr before setProgram). */
+    const isa::FlatProgram *program() const { return prog_; }
     /** Is there an older in-flight load than @p seq marked unsafe-held?
      *  (SpecLFB's isPrevNoUnsafe check.) */
     bool olderUnsafeLoadExists(SeqNum seq) const;
@@ -232,6 +240,19 @@ class Pipeline
     /// @{
     void reset();
     DynInst makeDynInst(std::size_t idx);
+    /** Would fetching @p idx overflow the load or store queue? */
+    bool
+    lsqFullFor(std::size_t idx) const
+    {
+        if (idx >= prog_->numInsts())
+            return false; // a runahead NOP
+        const isa::Inst &si = prog_->inst(idx);
+        return (si.isLoad() && loadsInFlight_ >= params_.lqSize) ||
+               (si.isStore() && storesInFlight_ >= params_.sqSize);
+    }
+    /** The @p k-th runahead NOP as the tracer records it. */
+    DynInst tailInst(std::size_t k) const;
+    void issueTail(unsigned budget);
     isa::Flags readFlagsValue(const DynInst &inst) const;
     bool srcsReady(const DynInst &inst, bool address_only) const;
     bool srcsReadyScan(const DynInst &inst, bool address_only) const;
@@ -340,6 +361,20 @@ class Pipeline
     SeqNum safeFrontier_ = 1;
     SpecMode specMode_ = SpecMode::Futuristic; ///< the defense's, per run
     std::vector<SlotRef> memWork_;
+    /// @}
+
+    /** @name Runahead tail (src/uarch/README.md)
+     *  The NOPs fetched past the program's end, always the youngest run
+     *  of in-flight instructions: seqs and idxs consecutive from
+     *  tailSeq_/tailIdx_. Each count is the length of a prefix of the
+     *  tail: fetched >= issued >= executed, and fetched >= safe. */
+    /// @{
+    SeqNum tailSeq_ = kNoSeq;
+    std::size_t tailIdx_ = 0;
+    std::size_t tailFetched_ = 0;
+    std::size_t tailIssued_ = 0;
+    std::size_t tailExecuted_ = 0;
+    std::size_t tailSafe_ = 0;
     /// @}
 
     /** @name Cycle skipping */

@@ -401,6 +401,22 @@ TEST(CorpusSerde, ContextGhrWiderThan32BitsIsRejected)
     EXPECT_EQ(corpus::contextFromJson(j).bp.ghr, 0xffffffffu);
 }
 
+// An input's flags are one byte: 256 is refused, not truncated to 0 (a
+// different input, so a replay that silently tests something else).
+TEST(CorpusSerde, InputFlagsWiderThanAByteAreRejected)
+{
+    arch::Input input;
+    input.sandbox.assign(4096, 0);
+    corpus::Json j = corpus::toJson(input);
+    for (std::uint64_t flags : {256u, 257u, 0x1ffu}) {
+        j.set("flags", corpus::Json::number(flags));
+        EXPECT_THROW(corpus::inputFromJson(j), corpus::CorpusError) << flags;
+    }
+    input.flagsByte = 0xff;
+    EXPECT_TRUE(corpus::inputFromJson(corpus::Json::parse(
+                    corpus::toJson(input).dump())) == input);
+}
+
 TEST(CorpusSerde, RngStreamStateResumesSequence)
 {
     Rng rng(42);

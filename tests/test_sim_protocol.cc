@@ -2,9 +2,9 @@
  * @file
  * Wire codec tests for the subprocess protocol's batch replies
  * (executor/sim_protocol.hh): seeded round trips of delta-coded
- * predictor contexts, and hostile deltas that must fail as CorpusError
- * — never std::out_of_range, a crash, or undefined behaviour (this
- * suite also runs under ASan+UBSan in CI).
+ * predictor contexts, and hostile deltas and traced-run tuples that must
+ * fail as CorpusError — never std::out_of_range, a crash, or undefined
+ * behaviour (this suite also runs under ASan+UBSan in CI).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "common/rng.hh"
 #include "corpus/serde.hh"
 #include "executor/sim_protocol.hh"
+#include "telemetry/uarch_trace.hh"
 #include "uarch/params.hh"
 
 namespace
@@ -301,6 +302,52 @@ TEST(SimProtocol, DeltaAgainstMalformedFullContextStaysInBounds)
     Json body = executor::protocol::batchOutputToJson({});
     body.set("contexts", std::move(contexts));
     EXPECT_THROW(executor::protocol::batchOutputFromJson(body),
+                 corpus::CorpusError);
+}
+
+// A traced run's instruction tuples come back from the worker too: a
+// squash cause past the last enumerator (an unnamed value, or 256
+// wrapping to None) fails like a malformed tuple.
+TEST(SimProtocol, HostileUtraceTupleThrowsCorpusError)
+{
+    telemetry::UarchRunTrace run;
+    run.label = "inputA";
+    run.cycles = 40;
+    run.disasm = {"HALT"};
+    telemetry::InstLifecycle inst;
+    inst.seq = 3;
+    inst.idx = 1;
+    inst.pc = 0x404;
+    inst.fetchCycle = 2;
+    inst.squashed = true;
+    inst.squashCycle = 9;
+    inst.squashCause = telemetry::SquashCause::MemOrder;
+    inst.squashTrigger = 2;
+    run.insts.push_back(inst);
+    const Json good = Json::parse(
+        executor::protocol::uarchRunTraceToJson(run).dump());
+    EXPECT_EQ(executor::protocol::uarchRunTraceFromJson(good), run);
+
+    auto with_cause = [&good](const Json &cause) {
+        const std::vector<Json> &fields =
+            good.at("insts").items().at(0).items();
+        Json tuple = Json::array();
+        for (std::size_t i = 0; i < fields.size(); ++i)
+            tuple.push(i == 8 ? cause : fields[i]);
+        Json insts = Json::array();
+        insts.push(std::move(tuple));
+        Json j = good;
+        j.set("insts", std::move(insts));
+        return Json::parse(j.dump());
+    };
+    for (std::uint64_t cause : {3u, 7u, 256u}) {
+        EXPECT_THROW(executor::protocol::uarchRunTraceFromJson(
+                         with_cause(Json::number(cause))),
+                     corpus::CorpusError)
+            << cause;
+    }
+    EXPECT_THROW(executor::protocol::uarchRunTraceFromJson(
+                     with_cause(Json::str("mem-order"))),
                  corpus::CorpusError);
 }
 

@@ -6,8 +6,8 @@
  * MSHR/queue behaviour, the MemSnapshot warm-state save/restore the
  * prime cache rests on, the incremental bookkeeping's reference
  * checks (safety frontier, dataflow edges, STT taint, dirty-set reset,
- * sort-free trace extraction), and a pinned digest of the simulator's
- * event stream.
+ * sort-free trace extraction), and pinned digests of the simulator's
+ * event stream and of every tracer lifecycle.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include "defense/factory.hh"
 #include "executor/sim_harness.hh"
 #include "isa/assembler.hh"
+#include "telemetry/uarch_trace.hh"
 #include "uarch/cache.hh"
 #include "uarch/mem_system.hh"
 #include "uarch/pipeline.hh"
@@ -641,6 +642,9 @@ TEST_F(MemSystemTest, DirtySetRestoreMatchesFullCopyWithSideBuffer)
  *   forward fixpoint (STT), or is clear (every other defense).
  *   Producers resolve by seq through Pipeline::entry, independently of
  *   the slot links the code under test uses.
+ * - Program instructions only: every ROB entry's idx is inside the
+ *   running program; the NOPs fetched past its end are counted, not
+ *   stored.
  */
 class BookkeepingAudit final : public defense::Defense
 {
@@ -700,6 +704,8 @@ class BookkeepingAudit final : public defense::Defense
         bool risk = false;
         for (const DynInst &e : pipe_->rob()) {
             ++checks;
+            if (e.idx >= pipe_->program()->numInsts())
+                ++runaheadEntries;
             if (e.safe == risk)
                 ++mismatches;
             const bool branch = e.isBranch() && !e.executed;
@@ -729,6 +735,7 @@ class BookkeepingAudit final : public defense::Defense
     std::uint64_t trimsAfterSquash = 0;
     std::uint64_t taintChecks = 0;
     std::uint64_t taintMismatches = 0;
+    std::uint64_t runaheadEntries = 0;
 
   private:
     void
@@ -864,12 +871,26 @@ auditBookkeeping(defense::DefenseKind kind, std::optional<SpecMode> mode)
     // The hand-built shape from cold predictors, then random programs.
     const isa::FlatProgram shaped(safetyProgram(), cfg.map.codeBase);
     harness.loadProgram(&shaped);
+    // Fetch events past the test program's end: the runahead tail is
+    // exercised, not just absent from the ROB.
+    std::uint64_t runahead_fetches = 0;
+    auto run = [&harness, &runahead_fetches](const isa::FlatProgram &fp,
+                                             const arch::Input &in) {
+        const std::size_t mark = harness.eventLog().events().size();
+        const bool halted = harness.runInput(in).run.halted;
+        const std::vector<Event> &events = harness.eventLog().events();
+        for (std::size_t i = mark; i < events.size(); ++i) {
+            runahead_fetches += events[i].kind == EventKind::Fetch &&
+                                events[i].pc >= fp.codeEnd();
+        }
+        return halted;
+    };
     arch::Input input;
     input.regs.fill(0);
     input.regs[isa::regIndex(isa::Reg::Rcx)] = 0x200;
     input.sandbox.assign(cfg.map.sandboxSize(), 0);
     input.sandbox.set(0, 3); // JNE taken, predicted fall-through
-    EXPECT_TRUE(harness.runInput(input).run.halted);
+    EXPECT_TRUE(run(shaped, input));
 
     core::GeneratorConfig gcfg;
     gcfg.map = cfg.map;
@@ -881,7 +902,7 @@ auditBookkeeping(defense::DefenseKind kind, std::optional<SpecMode> mode)
         harness.loadProgram(&fp);
         core::InputGenerator igen(icfg, Rng(seed + 100));
         for (unsigned i = 0; i < 4; ++i)
-            harness.runInput(igen.generate(i));
+            run(fp, igen.generate(i));
     }
 
     EXPECT_GT(audit.checks, 1000u);
@@ -903,6 +924,9 @@ auditBookkeeping(defense::DefenseKind kind, std::optional<SpecMode> mode)
     EXPECT_EQ(audit.taintMismatches, 0u);
     EXPECT_EQ(harness.eventLog().has(EventKind::TaintSet), stt);
     EXPECT_EQ(harness.eventLog().has(EventKind::TaintLift), stt);
+
+    EXPECT_EQ(audit.runaheadEntries, 0u);
+    EXPECT_GT(runahead_fetches, 1000u);
 }
 
 TEST(IncrementalBookkeeping, MatchesFullWalksEveryCyclePerDefense)
@@ -1076,6 +1100,89 @@ TEST(EventStream, MatchesPinnedDigest)
     EXPECT_GT(events, 1000000u);
     EXPECT_GT(taint_events, 10000u);
     EXPECT_EQ(digest.value(), 0x3561302168fc6157ULL) << std::hex << digest.value();
+}
+
+// Every UarchTracer lifecycle, pinned: each InstLifecycle field of every
+// traced run of generated programs, for the same defense, patch and
+// sandbox cells as EventStream. Most records are runahead NOPs fetched
+// past the program's HALT, so their fetch, issue, complete and squash
+// cycles are pinned here as well as the program's own; re-record the
+// digest only for a deliberate timing change.
+TEST(UarchTrace, MatchesPinnedDigest)
+{
+    StreamDigest digest;
+    std::uint64_t records = 0;
+    std::uint64_t runahead = 0;
+    std::uint64_t runahead_issued = 0;
+    std::uint64_t runahead_completed = 0;
+    std::uint64_t runahead_squashed = 0;
+    for (defense::DefenseKind kind : defense::allDefenseKinds()) {
+        for (bool patched : {false, true}) {
+            for (unsigned pages : {1u, 128u}) {
+                executor::HarnessConfig cfg;
+                cfg.defense = patched ? defense::DefenseConfig::patched(kind)
+                                      : defense::DefenseConfig{kind};
+                cfg.map.sandboxPages = pages;
+                cfg.bootInsts = 500;
+                executor::SimHarness harness(cfg);
+                telemetry::UarchTracer tracer;
+                harness.setUarchTracer(&tracer);
+                core::GeneratorConfig gcfg;
+                gcfg.map = cfg.map;
+                core::InputGenConfig icfg;
+                icfg.map = cfg.map;
+                for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+                    core::ProgramGenerator gen(gcfg, Rng(seed));
+                    const isa::FlatProgram fp(gen.generate(),
+                                              cfg.map.codeBase);
+                    harness.loadProgram(&fp);
+                    core::InputGenerator igen(icfg, Rng(seed + 2000));
+                    for (unsigned i = 0; i < 4; ++i)
+                        harness.runInput(igen.generate(i));
+                }
+                for (const telemetry::UarchRunTrace &run :
+                     tracer.takeRuns()) {
+                    digest.add(run.cycles);
+                    digest.add(run.disasm.size());
+                    digest.add(run.insts.size());
+                    for (const telemetry::InstLifecycle &r : run.insts) {
+                        for (std::uint64_t word :
+                             {r.seq, r.idx, r.pc, r.fetchCycle, r.issueCycle,
+                              r.completeCycle, r.commitCycle, r.squashCycle,
+                              r.squashTrigger, r.memAddr}) {
+                            digest.add(word);
+                        }
+                        for (bool flag :
+                             {r.issued, r.completed, r.committed, r.squashed,
+                              r.isLoad, r.isStore, r.isBranch, r.predTaken,
+                              r.actualTaken, r.mispredicted, r.memAddrKnown,
+                              r.wasUnsafeAtIssue, r.tainted, r.exposePending,
+                              r.inSpecBuffer, r.lfbHeld, r.undoLogged,
+                              r.forwardedFromStore,
+                              r.bypassedUnknownStore}) {
+                            digest.add(flag);
+                        }
+                        digest.add(static_cast<std::uint64_t>(r.squashCause));
+                        ++records;
+                        if (r.idx < run.disasm.size())
+                            continue;
+                        ++runahead;
+                        runahead_issued += r.issued;
+                        runahead_completed += r.completed;
+                        runahead_squashed += r.squashed;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(records, 100000u);
+    EXPECT_GT(runahead, records / 2);
+    EXPECT_GT(runahead_issued, 0u);
+    EXPECT_GT(runahead_completed, 0u);
+    EXPECT_GT(runahead_squashed, 0u);
+    EXPECT_EQ(digest.value(), 0x065329878f55d8cdULL)
+        << std::hex << digest.value() << std::dec << " over " << records
+        << " records, " << runahead << " past the program end";
 }
 
 } // namespace
