@@ -95,8 +95,6 @@ campaignFor(defense::DefenseKind kind, bool patched = false,
     }
     if (contract)
         cfg.contract = *contracts::findContract(contract);
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
     cfg.baseInputsPerProgram = 6;
     cfg.siblingsPerBase = 4;
     cfg.seed = 33;

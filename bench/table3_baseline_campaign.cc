@@ -100,7 +100,7 @@ main()
     // filtering off. CT-COND is where filtering bites — wrong-path
     // reads split sibling classes, producing singleton test cases the
     // filter prunes before the simulator. Verdicts are identical by the
-    // filter equivalence contract (tests/test_filter.cc); only
+    // filter equivalence contract (tests/test_equivalence.cc); only
     // simulator runs and wall time change. CI greps this line.
     {
         core::CampaignConfig cfg = campaignFor(

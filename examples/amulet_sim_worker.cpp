@@ -5,10 +5,12 @@
  *
  * Speaks the JSONL protocol of src/executor/sim_protocol.hh on
  * stdin/stdout: one request line in, one reply line out, until EOF or
- * an "exit" op. The worker owns exactly one SimHarness, configured by
- * the "hello" message; programs arrive as disassembly and are reparsed
- * through the assembler — the same round trip the violation corpus
- * relies on.
+ * an "exit" op. The worker owns exactly one InProcessBackend,
+ * configured by the "hello" message, and serves every op through it, so
+ * its results are the in-process backend's by construction (the backend
+ * variant of tests/test_equivalence.cc checks the wire in between).
+ * Programs arrive as disassembly and are reparsed through the assembler
+ * — the same round trip the violation corpus relies on.
  *
  * Test hooks (both count state-mutating operations — batch/run/
  * classify — and fire *before* executing the op, so recovery reruns a
@@ -23,8 +25,9 @@
  *                                     $AMULET_SIM_OP_TIMEOUT_SEC) must
  *                                     kill and restart it.
  *
- * tests/test_backend.cc uses these to prove that backend crash and
- * hang recovery reproduce an uninterrupted campaign byte for byte.
+ * SubprocessRecovery.* (tests/test_backend.cc) uses these to prove that
+ * backend crash and hang recovery reproduce an uninterrupted campaign
+ * byte for byte.
  */
 
 #include <cstdio>
@@ -35,12 +38,10 @@
 
 #include <unistd.h>
 
-#include "core/signature.hh"
 #include "corpus/fields.hh"
-#include "executor/sim_harness.hh"
+#include "executor/backend.hh"
 #include "executor/sim_protocol.hh"
 #include "isa/assembler.hh"
-#include "telemetry/uarch_trace.hh"
 
 namespace
 {
@@ -53,19 +54,21 @@ using Formats = std::vector<executor::TraceFormat>;
 
 struct Worker
 {
-    std::optional<executor::SimHarness> harness;
+    /** Serves every op, so replies match the in-process backend's
+     *  results by construction. */
+    std::optional<executor::InProcessBackend> backend;
     std::optional<isa::Program> program; ///< keeps the source alive
     std::optional<isa::FlatProgram> flat;
     unsigned long crashAfter = 0; ///< 0: never (test hook)
     unsigned long hangAfter = 0;  ///< 0: never (test hook)
     unsigned long mutatingOps = 0;
 
-    executor::SimHarness &
+    executor::InProcessBackend &
     sim()
     {
-        if (!harness)
+        if (!backend)
             throw std::runtime_error("no hello received yet");
-        return *harness;
+        return *backend;
     }
 
     /** Count a state-mutating op; fire the fault-injection hooks. */
@@ -86,27 +89,32 @@ struct Worker
     }
 
     /** Pipeline tracing for one request (protocol v3 "utrace"). The
-     *  RAII shape guarantees the tracer detaches even when the run
-     *  throws, so a failed op cannot leave the harness tracing. */
+     *  scope guard turns tracing off and drops undelivered runs even
+     *  when the op throws, so a failed op cannot leave the backend
+     *  tracing. */
     struct TraceScope
     {
-        executor::SimHarness &sim;
-        telemetry::UarchTracer tracer;
+        executor::InProcessBackend &sim;
         bool on;
 
-        TraceScope(executor::SimHarness &h, const Json &req)
-            : sim(h), on(false)
+        TraceScope(executor::InProcessBackend &b, const Json &req)
+            : sim(b), on(false)
         {
             const Json *flag = req.find("utrace");
             on = flag && flag->asBool();
             if (on)
-                sim.setUarchTracer(&tracer);
+                sim.setUarchTracing(true);
         }
+
+        TraceScope(const TraceScope &) = delete;
+        TraceScope &operator=(const TraceScope &) = delete;
 
         ~TraceScope()
         {
-            if (on)
-                sim.setUarchTracer(nullptr);
+            if (on) {
+                sim.setUarchTracing(false);
+                sim.takeUarchTraces();
+            }
         }
 
         /** Attach the traced runs to @p reply as "utraces". */
@@ -116,12 +124,32 @@ struct Worker
             if (!on)
                 return;
             Json traces = Json::array();
-            for (const telemetry::UarchRunTrace &run : tracer.takeRuns())
+            for (const telemetry::UarchRunTrace &run :
+                 sim.takeUarchTraces())
                 traces.push(
                     executor::protocol::uarchRunTraceToJson(run));
             reply.set("utraces", std::move(traces));
         }
     };
+
+    /** Attach the cumulative breakdown. It rides along every mutating
+     *  op's reply so the parent loses at most one operation's worth of
+     *  timing when this worker later dies (backend_subprocess times
+     *  accounting). */
+    void
+    attachTimes(Json &reply)
+    {
+        reply.set("times", corpus::encode(sim().times()));
+    }
+
+    /** The request's extra trace formats, if it names any. */
+    static std::optional<Formats>
+    extrasOf(const Json &req)
+    {
+        if (const Json *e = req.find("extras"))
+            return corpus::decode<Formats>(*e);
+        return std::nullopt;
+    }
 
     Json
     handle(const Json &req)
@@ -133,15 +161,15 @@ struct Worker
                 return errorReply("protocol version mismatch: got " +
                                   std::to_string(version));
             }
-            harness.emplace(
+            backend.emplace(
                 corpus::decode<executor::HarnessConfig,
                                corpus::Scope::Runtime>(req.at("harness")));
             return okReply();
         }
         if (op == "load") {
             program = isa::assemble(req.at("program").asStr());
-            flat.emplace(*program, sim().config().map.codeBase);
-            sim().loadProgram(&*flat);
+            flat.emplace(*program, sim().harness().config().map.codeBase);
+            sim().loadProgram(*program, *flat);
             return okReply();
         }
         if (op == "save") {
@@ -155,75 +183,56 @@ struct Worker
         }
         if (op == "batch") {
             mutatingOp();
+            const auto extras = extrasOf(req);
             const auto inputs =
                 corpus::decode<std::vector<arch::Input>>(req.at("inputs"));
             std::vector<const arch::Input *> batch;
             batch.reserve(inputs.size());
             for (const arch::Input &input : inputs)
                 batch.push_back(&input);
-            std::optional<Formats> extras;
-            if (const Json *e = req.find("extras"))
-                extras = corpus::decode<Formats>(*e);
             TraceScope trace(sim(), req);
             const auto out =
-                sim().runBatch(batch, extras ? &*extras : nullptr);
+                sim().dispatchBatch(batch, extras ? &*extras : nullptr);
             const executor::UarchContext endCtx = sim().saveContext();
             Json reply = executor::protocol::batchOutputToJson(out, &endCtx);
             reply.set("ok", Json::boolean(true));
             trace.attach(reply);
-            // Cumulative breakdown rides along so the parent loses at
-            // most one operation's worth of timing when this worker
-            // later dies (backend_subprocess times accounting).
-            reply.set("times", corpus::encode(sim().times()));
+            attachTimes(reply);
             return reply;
         }
         if (op == "run") {
             mutatingOp();
             const arch::Input input =
                 corpus::inputFromJson(req.at("input"));
+            const auto extras = extrasOf(req);
             TraceScope trace(sim(), req);
-            const auto out = sim().runInput(input);
+            const auto out =
+                sim().runOne(input, extras ? &*extras : nullptr);
             Json reply = okReply();
             trace.attach(reply);
             reply.set("trace", corpus::toJson(out.trace));
-            reply.set("hitCycleCap",
-                      Json::boolean(out.run.hitCycleCap));
-            Json extra_traces = Json::array();
-            if (const Json *e = req.find("extras")) {
-                for (executor::TraceFormat fmt : corpus::decode<Formats>(*e)) {
-                    extra_traces.push(
-                        corpus::toJson(sim().extractExtra(fmt)));
-                }
-            }
-            reply.set("extras", std::move(extra_traces));
+            reply.set("hitCycleCap", Json::boolean(out.hitCycleCap));
+            reply.set("extras", corpus::encode(out.extras));
             reply.set("endCtx", corpus::toJson(sim().saveContext()));
-            // Cumulative breakdown rides along so the parent loses at
-            // most one operation's worth of timing when this worker
-            // later dies (backend_subprocess times accounting).
-            reply.set("times", corpus::encode(sim().times()));
+            attachTimes(reply);
             return reply;
         }
         if (op == "classify") {
             mutatingOp();
-            if (!flat)
-                return errorReply("classify with no loaded program");
-            const std::string signature = core::classifyViolation(
-                sim(), *flat, corpus::inputFromJson(req.at("inputA")),
+            const std::string signature = sim().classify(
+                corpus::inputFromJson(req.at("inputA")),
                 corpus::inputFromJson(req.at("inputB")),
                 corpus::contextFromJson(req.at("ctxA")),
                 corpus::contextFromJson(req.at("ctxB")));
             Json reply = okReply();
             reply.set("signature", Json::str(signature));
             reply.set("endCtx", corpus::toJson(sim().saveContext()));
-            // Cumulative breakdown rides along so the parent loses at
-            // most one operation's worth of timing when this worker
-            // later dies (backend_subprocess times accounting).
-            reply.set("times", corpus::encode(sim().times()));
+            attachTimes(reply);
             return reply;
         }
         if (op == "times") {
             Json reply = okReply();
-            reply.set("times", corpus::encode(sim().times()));
+            attachTimes(reply);
             return reply;
         }
         return errorReply("unknown op: " + op);

@@ -933,8 +933,6 @@ main(int argc, char **argv)
          kind == defense::DefenseKind::SpecLfb)) {
         cfg.harness.prime = executor::PrimeMode::Invalidate;
     }
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
 
     std::printf("campaign: defense=%s%s contract=%s trace=%s programs=%u "
                 "inputs=%u x %u pages=%u seed=%llu jobs=%u "

@@ -20,8 +20,6 @@ main()
     cfg.harness.defense.kind = defense::DefenseKind::Baseline;
     cfg.harness.prime = executor::PrimeMode::ConflictFill;
     cfg.contract = contracts::ctSeq();
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
     cfg.numPrograms = 200;
     cfg.baseInputsPerProgram = 6;
     cfg.siblingsPerBase = 4;

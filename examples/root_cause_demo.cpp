@@ -49,8 +49,6 @@ main(int argc, char **argv)
         cfg.harness.defense.kind = defense::DefenseKind::CleanupSpec;
         cfg.harness.prime = executor::PrimeMode::Invalidate;
         cfg.contract = contracts::ctSeq();
-        cfg.gen.map = cfg.harness.map;
-        cfg.inputs.map = cfg.harness.map;
         cfg.numPrograms = 120;
         cfg.baseInputsPerProgram = 6;
         cfg.siblingsPerBase = 4;

@@ -214,72 +214,37 @@ fi
 
 echo "filter smoke: OK"
 
-# --- Prime-cache smoke: memoized priming must not move a record byte --------
-# The prime-cache equivalence contract (src/executor/README.md): restoring
-# the post-prime MemSnapshot is state-identical to re-simulating the
-# conflict-fill priming program, so corpus exports — headers included,
-# the knob is excluded from the config fingerprint — are byte-identical
-# with the memo on (default) and off.
+# --- Runtime-knob smokes: turning a fast path off must not move a byte -----
+# Every --no-* flag on the runtime-knobs line of --list turns off a fast
+# path with an equivalence contract: the memoized priming run
+# (src/executor/README.md), the forked contract-trace emulator
+# (src/contracts/README.md) and cycle skipping (src/uarch/README.md) are
+# each state-identical to the slow path. So corpus exports — headers
+# included, runtime knobs are outside the config fingerprint — are
+# byte-identical with the knob on (default) and off, and a corpus written
+# with it off resumes and replays with it on. The loop reads the flags
+# from --list, so a knob listed there cannot miss its smoke.
 
-echo "--- prime-cache smoke: on/off export equivalence"
-"${CLI}" "${CAMPAIGN[@]}" --no-prime-cache --corpus-dir "${SMOKE}/pcoff" \
-    --jobs 2 > /dev/null
-"${CLI}" export --corpus-dir "${SMOKE}/pcoff" --out "${SMOKE}/pcoff.jsonl" \
-    > /dev/null
-test "$(wc -l < "${SMOKE}/pcoff.jsonl")" -gt 1
-cmp "${SMOKE}/full.jsonl" "${SMOKE}/pcoff.jsonl"
-# Runtime knob: a corpus written without the memo resumes and replays
-# with it (and vice versa) — same contract as --jobs/--backend.
-"${CLI}" replay --corpus-dir "${SMOKE}/pcoff" > /dev/null
-"${CLI}" --list | grep -q -- "--no-prime-cache"
-
-echo "prime-cache smoke: OK"
-
-# --- Ctrace-memo smoke: memoized collection must not move a record byte -----
-# The ctrace-memo equivalence contract (src/contracts/README.md): forking
-# the emulator at the first divergent initial-state read and replaying
-# only the suffix reproduces the cold collector's trace exactly, so
-# corpus exports — headers included, the knob is excluded from the config
-# fingerprint — are byte-identical with the memo on (default) and off.
-
-echo "--- ctrace-memo smoke: on/off export equivalence"
-"${CLI}" "${CAMPAIGN[@]}" --no-ctrace-memo --corpus-dir "${SMOKE}/cmoff" \
-    --jobs 2 > /dev/null
-"${CLI}" export --corpus-dir "${SMOKE}/cmoff" --out "${SMOKE}/cmoff.jsonl" \
-    > /dev/null
-test "$(wc -l < "${SMOKE}/cmoff.jsonl")" -gt 1
-cmp "${SMOKE}/full.jsonl" "${SMOKE}/cmoff.jsonl"
-# Runtime knob: a corpus written without the memo resumes and replays
-# with it (and vice versa) — same contract as --jobs/--no-prime-cache.
-"${CLI}" replay --corpus-dir "${SMOKE}/cmoff" > /dev/null
-"${CLI}" --list | grep -q -- "--no-ctrace-memo"
-
-echo "ctrace-memo smoke: OK"
-
-# --- Cycle-skip smoke: fast-forwarding must not move a record byte ----------
-# The cycle-skip equivalence contract (src/uarch/README.md): jumping the
-# simulator over quiescent cycles — cycles with no pipeline, memory, or
-# defense event before the next scheduled one — lands exactly on the
-# event cycle, so corpus exports — headers included, the knob is
-# excluded from the config fingerprint — are byte-identical with
-# skipping on (default) and off.
-
-echo "--- cycle-skip smoke: on/off export equivalence"
-"${CLI}" "${CAMPAIGN[@]}" --no-cycle-skip --corpus-dir "${SMOKE}/csoff" \
-    --jobs 2 > /dev/null
-"${CLI}" export --corpus-dir "${SMOKE}/csoff" --out "${SMOKE}/csoff.jsonl" \
-    > /dev/null
-test "$(wc -l < "${SMOKE}/csoff.jsonl")" -gt 1
-cmp "${SMOKE}/full.jsonl" "${SMOKE}/csoff.jsonl"
-# Runtime knob: a corpus written without skipping resumes and replays
-# with it (and vice versa) — same contract as --jobs/--no-prime-cache.
-"${CLI}" replay --corpus-dir "${SMOKE}/csoff" > /dev/null
-"${CLI}" --list | grep -q -- "--no-cycle-skip"
+KNOBS=$("${CLI}" --list | sed -n 's/^runtime knobs: //p' | tr ' ' '\n' |
+  grep -- '^--no-')
+for knob in --no-prime-cache --no-ctrace-memo --no-cycle-skip; do
+  grep -qx -- "${knob}" <<< "${KNOBS}"
+done
+for knob in ${KNOBS}; do
+  name=${knob#--no-}
+  echo "--- ${name} smoke: on/off export equivalence"
+  "${CLI}" "${CAMPAIGN[@]}" "${knob}" --corpus-dir "${SMOKE}/${name}" \
+      --jobs 2 > /dev/null
+  "${CLI}" export --corpus-dir "${SMOKE}/${name}" \
+      --out "${SMOKE}/${name}.jsonl" > /dev/null
+  test "$(wc -l < "${SMOKE}/${name}.jsonl")" -gt 1
+  cmp "${SMOKE}/full.jsonl" "${SMOKE}/${name}.jsonl"
+  "${CLI}" replay --corpus-dir "${SMOKE}/${name}" > /dev/null
+  echo "${name} smoke: OK"
+done
 # And the campaign must actually skip: the telemetry registry's cycle
 # counters are live in the default (skipping) reference corpus.
 "${CLI}" stats --corpus-dir "${SMOKE}/full" | grep -q "cycle skipping"
-
-echo "cycle-skip smoke: OK"
 
 # --- Backend smoke: inproc/subprocess must export identically ---------------
 # The backend equivalence contract (src/executor/backend.hh): for a fixed

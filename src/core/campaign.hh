@@ -32,6 +32,9 @@ namespace amulet::core
 /** Campaign configuration. */
 struct CampaignConfig
 {
+    /** harness.map is the campaign's one address map: TestGenStage and
+     *  CTraceStage generate programs and sandboxes with it, so gen.map
+     *  and inputs.map are ignored here. */
     executor::HarnessConfig harness;
     contracts::ContractSpec contract = contracts::ctSeq();
     GeneratorConfig gen;
@@ -69,7 +72,7 @@ struct CampaignConfig
      *  (subprocess). A runtime knob like jobs — excluded from the
      *  corpus config fingerprint; confirmed violations, signatures,
      *  counters, and records are byte-identical across backends
-     *  (tests/test_backend.cc). */
+     *  (tests/test_equivalence.cc). */
     executor::BackendKind backend = executor::BackendKind::InProcess;
 
     /** Contract-trace batch memoization (src/contracts/README.md):
@@ -78,7 +81,7 @@ struct CampaignConfig
      *  re-execution. A runtime knob like backend/primeCache — excluded
      *  from the corpus config fingerprint; traces, verdicts, and
      *  records are byte-identical with it on or off
-     *  (tests/test_ctrace_memo.cc), and Debug builds re-collect every
+     *  (tests/test_equivalence.cc), and Debug builds re-collect every
      *  32nd batch cold and assert equality. */
     bool ctraceMemo = true;
 
@@ -113,7 +116,7 @@ struct CampaignConfig
      *  and live heartbeats (--heartbeat). Runtime-only like jobs: never
      *  part of the campaign definition or the corpus fingerprint, and
      *  results are byte-identical with every knob on or off
-     *  (tests/test_telemetry.cc). */
+     *  (tests/test_equivalence.cc). */
     telemetry::TelemetryConfig telemetry;
 
     /** Deterministic fault-injection plan (src/runtime/fault.hh; empty:

@@ -10,7 +10,9 @@
  * results-invisible knobs the corpus never holds. The subprocess hello
  * encodes the harness at Scope::Runtime, so its Runtime entries travel
  * to the worker. Adding a field takes one entry; a Definition entry
- * changes every corpus fingerprint.
+ * changes every corpus fingerprint, and a Runtime entry needs a variant
+ * (or a named exemption) in the equivalence matrix,
+ * tests/test_equivalence.cc, whose completeness test walks these tables.
  */
 
 #ifndef AMULET_CORPUS_FIELDS_HH
@@ -193,7 +195,7 @@ struct Fields<contracts::ContractSpec>
     };
 };
 
-/** No map entry: configFromJson copies gen.map from harness.map. */
+/** No map entry: a campaign's stages generate with harness.map. */
 template <>
 struct Fields<core::GeneratorConfig>
 {
@@ -243,7 +245,7 @@ struct Fields<core::CampaignConfig>
         field("harness", &S::harness),
         field("contract", &S::contract),
         field("gen", &S::gen),
-        // inputs.map is copied from harness.map, like gen.map.
+        // No inputs.map entry: like gen.map, the stages use harness.map.
         field("inputSmallRegPct",
               [](auto &c) -> auto & { return c.inputs.smallRegPct; }),
         field("numPrograms", &S::numPrograms),

@@ -800,10 +800,7 @@ configFromJson(const Json &json)
         throw CorpusError("corpus config version " +
                           std::to_string(version) + " unsupported");
     }
-    core::CampaignConfig config = decode<core::CampaignConfig>(json);
-    config.gen.map = config.harness.map;
-    config.inputs.map = config.harness.map;
-    return config;
+    return decode<core::CampaignConfig>(json);
 }
 
 std::string

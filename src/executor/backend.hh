@@ -16,7 +16,8 @@
  * restores, per-input priming, batch order — so for a fixed
  * (config, seed), confirmed violations, signatures, counters, and
  * journaled records are byte-identical across backends.
- * tests/test_backend.cc enforces this per defense.
+ * The backend variant of tests/test_equivalence.cc enforces this per
+ * defense.
  *
  * Two backends ship behind makeBackend():
  *  - InProcessBackend: wraps a SimHarness directly (default).

@@ -136,7 +136,7 @@ struct HarnessConfig
      * corpus config fingerprint because results are identical either
      * way — for fixed (config, seed), confirmed violations, signatures,
      * counters, and record bytes match for every (jobs, backend,
-     * primeCache) triple (tests/test_prime_cache.cc). Debug builds
+     * primeCache) triple (tests/test_equivalence.cc). Debug builds
      * periodically re-run the real prime and assert the memo has not
      * drifted.
      */
@@ -152,7 +152,7 @@ struct HarnessConfig
      * fingerprint because results are byte-identical either way —
      * committed-instruction cycles, EventLog timestamps, traces, and
      * verdicts match for every (jobs, backend, cycleSkip) triple
-     * (tests/test_cycle_skip.cc). Debug builds periodically replay an
+     * (tests/test_equivalence.cc). Debug builds periodically replay an
      * input with skipping off and assert identical results.
      */
     bool cycleSkip = true;

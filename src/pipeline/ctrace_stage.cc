@@ -17,8 +17,11 @@ CTraceStage::run(StageContext &ctx, ProgramPlan &plan)
     const isa::FlatProgram &fp = *plan.flat;
     // The shard's buffer pool feeds the generator warm one-page
     // sandbox storage from completed plans; generated bytes are
-    // pool-invariant.
-    core::InputGenerator input_gen(cfg.inputs, plan.inputRng,
+    // pool-invariant. Sandboxes take the harness's map (inputs.map is
+    // ignored), the one address map of the campaign.
+    core::InputGenConfig inputs = cfg.inputs;
+    inputs.map = cfg.harness.map;
+    core::InputGenerator input_gen(std::move(inputs), plan.inputRng,
                                    ctx.inputPool);
 
     // Reserving the full plan up front keeps references into

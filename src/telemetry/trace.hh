@@ -16,7 +16,7 @@
  * Overhead contract: tracing is off by default, and a disabled sink's
  * span path is a single branch — no clock read, no allocation. Spans
  * never feed back into campaign results, so exports are byte-identical
- * with tracing on or off (tests/test_telemetry.cc).
+ * with tracing on or off (tests/test_equivalence.cc).
  */
 
 #ifndef AMULET_TELEMETRY_TRACE_HH

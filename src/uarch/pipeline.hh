@@ -155,7 +155,7 @@ class Pipeline
      *  — are elided by jumping now_ to the next scheduled event, so
      *  committed-instruction cycles, EventLog timestamps, tracer
      *  lifecycles, and traces are byte-identical either way
-     *  (tests/test_cycle_skip.cc; src/uarch/README.md has the soundness
+     *  (tests/test_equivalence.cc; src/uarch/README.md has the soundness
      *  argument). */
     /// @{
     void setCycleSkip(bool on) { cycleSkip_ = on; }

@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/campaign.hh"
 #include "core/signature.hh"
+#include "support/campaign_fixture.hh"
 
 namespace
 {
@@ -19,24 +19,9 @@ using namespace amulet;
 core::CampaignConfig
 baseConfig(defense::DefenseKind kind, bool patched = false)
 {
-    core::CampaignConfig cfg;
-    cfg.harness.defense = patched ? defense::DefenseConfig::patched(kind)
-                                  : defense::DefenseConfig{};
-    cfg.harness.defense.kind = kind;
-    cfg.harness.prime = (kind == defense::DefenseKind::CleanupSpec ||
-                         kind == defense::DefenseKind::SpecLfb)
-                            ? executor::PrimeMode::Invalidate
-                            : executor::PrimeMode::ConflictFill;
+    core::CampaignConfig cfg = fixture::paperCell(kind, patched);
     cfg.harness.bootInsts = 2000;
-    if (kind == defense::DefenseKind::Stt) {
-        cfg.harness.map.sandboxPages = 128;
-        cfg.contract = contracts::archSeq();
-    }
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
     cfg.numPrograms = 40;
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
     cfg.seed = 33;
     return cfg;
 }
@@ -105,6 +90,31 @@ TEST(CampaignE2E, SttBuggyFindsKv3PatchedIsClean)
     core::Campaign patched(cfg);
     const auto ps = patched.run();
     EXPECT_EQ(ps.confirmedViolations, 0u);
+}
+
+// A campaign has one address map, the harness's: the stages generate
+// programs and sandboxes with it, whatever gen.map and inputs.map hold.
+// An STT cell that leaves those at their one-page defaults must run
+// exactly the campaign of one that copies its 128-page map into them.
+TEST(CampaignE2E, StagesUseTheHarnessMap)
+{
+    fixture::ScratchDir scratch("maps");
+    core::CampaignConfig cfg = fixture::campaignConfig(
+        defense::DefenseKind::Stt, 1, executor::BackendKind::InProcess);
+    ASSERT_EQ(cfg.gen.map.sandboxPages, 1u);
+    ASSERT_EQ(cfg.inputs.map.sandboxPages, 1u);
+    core::CampaignConfig synced = cfg;
+    synced.gen.map = synced.harness.map;
+    synced.inputs.map = synced.harness.map;
+    cfg.corpusDir = scratch.sub("default");
+    synced.corpusDir = scratch.sub("synced");
+    const auto stats = core::Campaign(cfg).run();
+    const auto expected = core::Campaign(synced).run();
+    EXPECT_GT(expected.candidateViolations, 0u)
+        << "the comparison is vacuous without candidates";
+    fixture::expectEquivalent(expected, stats);
+    EXPECT_EQ(corpus::CorpusStore::exportCanonical(synced.corpusDir),
+              corpus::CorpusStore::exportCanonical(cfg.corpusDir));
 }
 
 TEST(CampaignE2E, DeterministicForEqualSeeds)

@@ -30,44 +30,22 @@ namespace
 using namespace amulet;
 using namespace amulet::fixture;
 
+/** Seed 1 detects spectre-v1 within these 12 programs. */
 core::CampaignConfig
-smallCampaign(std::uint64_t seed = 1)
+smallCampaign()
 {
-    core::CampaignConfig cfg;
-    cfg.harness.defense.kind = defense::DefenseKind::Baseline;
-    cfg.harness.prime = executor::PrimeMode::ConflictFill;
-    cfg.harness.bootInsts = 2000;
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
-    cfg.numPrograms = 12;
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
-    cfg.seed = seed; // seed 1 detects spectre-v1 within 12 programs
-    return cfg;
+    return campaignConfig(defense::DefenseKind::Baseline, 1,
+                          executor::BackendKind::InProcess, {2000, 12});
 }
 
-/** The defense-campaign recipe of tests/test_campaign.cc. */
+/** The defense campaigns of tests/test_campaign.cc (STT on seed 8). */
 core::CampaignConfig
 defenseCampaign(defense::DefenseKind kind)
 {
-    core::CampaignConfig cfg;
-    cfg.harness.defense.kind = kind;
-    cfg.harness.prime = (kind == defense::DefenseKind::CleanupSpec ||
-                         kind == defense::DefenseKind::SpecLfb)
-                            ? executor::PrimeMode::Invalidate
-                            : executor::PrimeMode::ConflictFill;
+    core::CampaignConfig cfg = paperCell(kind);
     cfg.harness.bootInsts = 2000;
-    cfg.seed = 33;
-    if (kind == defense::DefenseKind::Stt) {
-        cfg.harness.map.sandboxPages = 128;
-        cfg.contract = contracts::archSeq();
-        cfg.seed = 8;
-    }
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
     cfg.numPrograms = 40;
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
+    cfg.seed = kind == defense::DefenseKind::Stt ? 8 : 33;
     // Bound the journal: STT inputs carry a 512 KiB sandbox each.
     cfg.maxViolationsRecorded = 4;
     return cfg;
@@ -522,8 +500,6 @@ TEST(CorpusSerde, EncodingMatchesPinnedBytes)
     stt.harness.defense.kind = defense::DefenseKind::Stt;
     stt.contract = contracts::archSeq();
     stt.harness.map.sandboxPages = 128;
-    stt.gen.map = stt.harness.map;
-    stt.inputs.map = stt.harness.map;
     core::CampaignConfig cleanup;
     cleanup.harness.defense =
         defense::DefenseConfig::patched(defense::DefenseKind::CleanupSpec);

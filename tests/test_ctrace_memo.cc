@@ -1,14 +1,13 @@
 /**
  * @file
- * Contract-trace memoization equivalence contract
- * (src/contracts/README.md): serving probes/siblings from a snapshot of
- * the base input's instrumented emulator pass — forking at the first
- * read of a divergent initial location and replaying only the suffix —
- * must not move a single byte of campaign output. Covers the
- * arch::Emulator snapshot/fork primitives, LeakageModel::collectAll
- * vs cold collect() on random programs per contract, per-defense
- * campaign export equivalence at jobs {1,4} on every executor backend,
- * and the fingerprint exclusion of the knob.
+ * Contract-trace memoization (src/contracts/README.md): serving
+ * probes/siblings from a snapshot of the base input's instrumented
+ * emulator pass — forking at the first read of a divergent initial
+ * location and replaying only the suffix — must reproduce the cold
+ * collector exactly. Covers the arch::Emulator snapshot/fork primitives
+ * and LeakageModel::collectAll vs cold collect() on random programs per
+ * contract. Campaign-level equivalence with the memo on and off is the
+ * ctraceMemo variant of tests/test_equivalence.cc.
  */
 
 #include <gtest/gtest.h>
@@ -20,13 +19,11 @@
 #include "core/generator.hh"
 #include "core/input_gen.hh"
 #include "isa/assembler.hh"
-#include "support/campaign_fixture.hh"
 
 namespace
 {
 
 using namespace amulet;
-using namespace amulet::fixture;
 
 mem::AddressMap
 testMap(unsigned pages = 1)
@@ -271,91 +268,6 @@ TEST(CTraceMemo, SiblingsAreFullHitsUnderCtSeq)
     EXPECT_EQ(stats.memoReplaySteps, 0u);
     for (const auto &t : traces)
         EXPECT_EQ(t, traces[0]);
-}
-
-// === Campaign-level equivalence ===========================================
-
-void
-ctraceMemoOff(core::CampaignConfig &cfg)
-{
-    cfg.ctraceMemo = false;
-}
-
-TEST(CTraceMemoEquivalence, Baseline)
-{
-    runEquivalence(defense::DefenseKind::Baseline, true, ctraceMemoOff);
-}
-
-TEST(CTraceMemoEquivalence, InvisiSpec)
-{
-    runEquivalence(defense::DefenseKind::InvisiSpec, false, ctraceMemoOff);
-}
-
-TEST(CTraceMemoEquivalence, CleanupSpec)
-{
-    runEquivalence(defense::DefenseKind::CleanupSpec, false, ctraceMemoOff);
-}
-
-TEST(CTraceMemoEquivalence, SpecLfb)
-{
-    runEquivalence(defense::DefenseKind::SpecLfb, false, ctraceMemoOff);
-}
-
-TEST(CTraceMemoEquivalence, Stt)
-{
-    runEquivalence(defense::DefenseKind::Stt, false, ctraceMemoOff);
-}
-
-// CT-COND with register mutation enabled is the densest client of the
-// batch API (16 dead-register probes + mutation confirmations per base
-// input, all under speculative exploration). Check export equivalence
-// and that the memo actually removes emulator work rather than moving
-// it around.
-TEST(CTraceMemoEquivalence, CtCondAblationCampaign)
-{
-    ScratchDir scratch("ctcond");
-    auto make = [&](bool memo) {
-        auto cfg = campaignConfig(defense::DefenseKind::Baseline, 1,
-                                  executor::BackendKind::InProcess);
-        cfg.ctraceMemo = memo;
-        cfg.contract = contracts::ctCond();
-        cfg.numPrograms = 10;
-        return cfg;
-    };
-    core::CampaignConfig on_cfg = make(true);
-    on_cfg.corpusDir = scratch.sub("on");
-    const auto on = core::Campaign(on_cfg).run();
-    core::CampaignConfig off_cfg = make(false);
-    off_cfg.corpusDir = scratch.sub("off");
-    const auto off = core::Campaign(off_cfg).run();
-
-    EXPECT_EQ(corpus::CorpusStore::exportCanonical(scratch.sub("on")),
-              corpus::CorpusStore::exportCanonical(scratch.sub("off")));
-    EXPECT_EQ(on.confirmedViolations, off.confirmedViolations);
-    EXPECT_EQ(on.violatingTestCases, off.violatingTestCases);
-    EXPECT_EQ(on.candidateViolations, off.candidateViolations);
-    EXPECT_EQ(on.signatureCounts, off.signatureCounts);
-    // The off run re-executes the whole program per probe/sibling; the
-    // memoized run serves them from the batch session. The memo
-    // counters are the deterministic witness (a wall-clock comparison
-    // here would flap under load: this cell's sandbox is small, so the
-    // absolute margin is tiny).
-    const auto counter = [](const core::CampaignStats &s,
-                            const char *name) {
-        const auto it = s.metrics.find(name);
-        return it == s.metrics.end() ? 0.0 : it->second.value;
-    };
-    EXPECT_GT(counter(on, "ctrace.memoHits"), 0.0);
-    EXPECT_EQ(counter(off, "ctrace.memoHits"), 0.0);
-    EXPECT_LT(counter(on, "ctrace.fullRuns"),
-              counter(off, "ctrace.fullRuns"));
-}
-
-// A corpus journaled without the memo resumes under it (and the other
-// way around).
-TEST(CTraceMemoEquivalence, FingerprintIgnoresTheKnob)
-{
-    expectResumeAcrossKnob(ctraceMemoOff);
 }
 
 } // namespace

@@ -1,14 +1,10 @@
 /**
  * @file
- * Cycle-skip equivalence contract (src/uarch/README.md): fast-forwarding
- * the simulator over quiescent cycles — cycles in which no pipeline,
- * memory-system, or defense state can change before the next scheduled
- * event — must not move a single byte of campaign output. For every
- * defense, the canonical corpus export (header included: the knob is
- * excluded from the config fingerprint) is byte-identical with skipping
- * on (default) and off, at jobs 1 and 4, on every executor backend.
- * The event-horizon sources (Defense::nextEventCycle,
- * MemSystem::nextEventCycle) are unit-tested directly.
+ * Cycle-skip event horizons (src/uarch/README.md): the horizon sources
+ * (Defense::nextEventCycle, MemSystem::nextEventCycle) unit-tested
+ * directly, and a harness run that skips and still reproduces its result
+ * and trace bit for bit. Campaign-level equivalence with skipping on and
+ * off is the cycleSkip variant of tests/test_equivalence.cc.
  */
 
 #include <gtest/gtest.h>
@@ -16,45 +12,12 @@
 #include "defense/factory.hh"
 #include "executor/sim_harness.hh"
 #include "isa/assembler.hh"
-#include "support/campaign_fixture.hh"
 #include "uarch/mem_system.hh"
 
 namespace
 {
 
 using namespace amulet;
-using namespace amulet::fixture;
-
-void
-cycleSkipOff(core::CampaignConfig &cfg)
-{
-    cfg.harness.cycleSkip = false;
-}
-
-TEST(CycleSkipEquivalence, Baseline)
-{
-    runEquivalence(defense::DefenseKind::Baseline, true, cycleSkipOff);
-}
-
-TEST(CycleSkipEquivalence, InvisiSpec)
-{
-    runEquivalence(defense::DefenseKind::InvisiSpec, false, cycleSkipOff);
-}
-
-TEST(CycleSkipEquivalence, CleanupSpec)
-{
-    runEquivalence(defense::DefenseKind::CleanupSpec, false, cycleSkipOff);
-}
-
-TEST(CycleSkipEquivalence, SpecLfb)
-{
-    runEquivalence(defense::DefenseKind::SpecLfb, false, cycleSkipOff);
-}
-
-TEST(CycleSkipEquivalence, Stt)
-{
-    runEquivalence(defense::DefenseKind::Stt, false, cycleSkipOff);
-}
 
 // Every shipped defense has been audited for the event-horizon contract
 // and declares itself fully event-driven (kNoEventCycle); the base
@@ -151,13 +114,6 @@ TEST(CycleSkipHorizon, SkipsAndReproduces)
     // The two cache misses dominate this run: skipping should recover
     // a large fraction of the simulated cycles.
     EXPECT_GT(skipped_on, run_on.cycles / 4);
-}
-
-// A corpus journaled without skipping resumes under it (and the other
-// way around).
-TEST(CycleSkipEquivalence, FingerprintIgnoresTheKnob)
-{
-    expectResumeAcrossKnob(cycleSkipOff);
 }
 
 } // namespace

@@ -37,13 +37,6 @@ chaosCampaign(unsigned jobs, executor::BackendKind backend)
                           {2000, 8});
 }
 
-double
-metric(const core::CampaignStats &stats, const char *name)
-{
-    const auto it = stats.metrics.find(name);
-    return it == stats.metrics.end() ? 0.0 : it->second.value;
-}
-
 /** The clean run's canonical export, restricted to programs outside
  *  @p quarantined — what a chaos run must reproduce byte-for-byte. */
 std::string

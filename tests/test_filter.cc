@@ -1,158 +1,29 @@
 /**
  * @file
- * Filter equivalence contract (src/pipeline/FilterStage): for every
- * defense, a campaign with ineffective-test-case filtering on reaches
- * exactly the verdicts of the same campaign with filtering off —
- * confirmed violations, signature counts, and byte-identical record
- * contents — at jobs=1 and jobs=4; filtering only removes simulator
- * runs. And a corpus written with filtering on refuses to resume with
- * it off (the knob is part of the config fingerprint).
+ * Filtering is part of the campaign definition (src/pipeline/FilterStage):
+ * a corpus written with ineffective-test-case filtering on refuses to
+ * resume with it off, because the knob is in the config fingerprint.
+ * That filtering reaches exactly the verdicts and records of an
+ * unfiltered campaign, and strictly fewer simulator runs on CT-COND, is
+ * the filterIneffective variant of tests/test_equivalence.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
-#include "core/campaign.hh"
-#include "corpus/serde.hh"
+#include "support/campaign_fixture.hh"
 
 namespace
 {
 
 using namespace amulet;
-
-core::CampaignConfig
-campaignConfig(defense::DefenseKind kind, unsigned jobs, bool filter)
-{
-    core::CampaignConfig cfg;
-    cfg.harness.defense.kind = kind;
-    cfg.harness.prime = (kind == defense::DefenseKind::CleanupSpec ||
-                         kind == defense::DefenseKind::SpecLfb)
-                            ? executor::PrimeMode::Invalidate
-                            : executor::PrimeMode::ConflictFill;
-    cfg.harness.bootInsts = 2000;
-    if (kind == defense::DefenseKind::Stt) {
-        cfg.harness.map.sandboxPages = 128;
-        cfg.contract = contracts::archSeq();
-    }
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
-    cfg.numPrograms = 12;
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
-    cfg.seed = 1;
-    cfg.jobs = jobs;
-    cfg.filterIneffective = filter;
-    return cfg;
-}
-
-/** Everything but wall-clock and the filtering counters must match. */
-void
-expectEquivalent(const core::CampaignStats &on,
-                 const core::CampaignStats &off)
-{
-    EXPECT_EQ(on.confirmedViolations, off.confirmedViolations);
-    EXPECT_EQ(on.signatureCounts, off.signatureCounts);
-    EXPECT_EQ(on.candidateViolations, off.candidateViolations);
-    EXPECT_EQ(on.violatingTestCases, off.violatingTestCases);
-    EXPECT_EQ(on.validationRuns, off.validationRuns);
-    EXPECT_EQ(on.programs, off.programs);
-    EXPECT_EQ(on.testCases, off.testCases);
-    EXPECT_EQ(on.effectiveClasses, off.effectiveClasses);
-    EXPECT_EQ(off.filteredTestCases, 0u);
-    // Per-record contents are byte-identical modulo detectSeconds, the
-    // one wall-clock field (compared through the canonical serde dump,
-    // the same normalization corpus exports use).
-    ASSERT_EQ(on.records.size(), off.records.size());
-    for (std::size_t i = 0; i < on.records.size(); ++i) {
-        core::ViolationRecord a = on.records[i];
-        core::ViolationRecord b = off.records[i];
-        a.detectSeconds = 0;
-        b.detectSeconds = 0;
-        EXPECT_EQ(corpus::toJson(a).dump(), corpus::toJson(b).dump())
-            << "record " << i;
-    }
-}
-
-void
-runEquivalence(defense::DefenseKind kind, bool expect_detection,
-               const contracts::ContractSpec *contract = nullptr)
-{
-    for (unsigned jobs : {1u, 4u}) {
-        auto cfg_on = campaignConfig(kind, jobs, true);
-        auto cfg_off = campaignConfig(kind, jobs, false);
-        if (contract) {
-            cfg_on.contract = *contract;
-            cfg_off.contract = *contract;
-        }
-        const auto on = core::Campaign(cfg_on).run();
-        const auto off = core::Campaign(cfg_off).run();
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        expectEquivalent(on, off);
-        if (expect_detection)
-            EXPECT_TRUE(on.detected());
-    }
-}
-
-TEST(FilterEquivalence, Baseline)
-{
-    runEquivalence(defense::DefenseKind::Baseline, true);
-}
-
-TEST(FilterEquivalence, InvisiSpec)
-{
-    runEquivalence(defense::DefenseKind::InvisiSpec, false);
-}
-
-TEST(FilterEquivalence, CleanupSpec)
-{
-    runEquivalence(defense::DefenseKind::CleanupSpec, false);
-}
-
-TEST(FilterEquivalence, SpecLfb)
-{
-    runEquivalence(defense::DefenseKind::SpecLfb, false);
-}
-
-TEST(FilterEquivalence, Stt)
-{
-    runEquivalence(defense::DefenseKind::Stt, false);
-}
-
-// CT-COND is where filtering actually bites: sibling wrong-path reads
-// split classes, so singleton test cases exist and the simulator runs
-// strictly decrease — while every verdict stays identical.
-TEST(FilterEquivalence, CtCondFiltersNonVacuously)
-{
-    for (unsigned jobs : {1u, 4u}) {
-        auto cfg_on = campaignConfig(defense::DefenseKind::Baseline,
-                                     jobs, true);
-        auto cfg_off = campaignConfig(defense::DefenseKind::Baseline,
-                                      jobs, false);
-        cfg_on.contract = contracts::ctCond();
-        cfg_off.contract = contracts::ctCond();
-        cfg_on.numPrograms = cfg_off.numPrograms = 15;
-        const auto on = core::Campaign(cfg_on).run();
-        const auto off = core::Campaign(cfg_off).run();
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        expectEquivalent(on, off);
-        EXPECT_GT(on.filteredTestCases, 0u);
-        EXPECT_LT(on.simInputRuns() + on.validationRuns,
-                  off.simInputRuns() + off.validationRuns);
-    }
-}
+using namespace amulet::fixture;
 
 TEST(FilterCorpus, CorpusWrittenWithFilteringOnRefusesToResumeOff)
 {
-    const std::string dir =
-        (std::filesystem::temp_directory_path() /
-         "amulet_filter_fingerprint_test")
-            .string();
-    std::filesystem::remove_all(dir);
-
-    auto cfg = campaignConfig(defense::DefenseKind::Baseline, 1, true);
-    cfg.numPrograms = 4;
-    cfg.corpusDir = dir;
+    ScratchDir scratch("filter_fingerprint");
+    auto cfg = campaignConfig(defense::DefenseKind::Baseline, 1,
+                              executor::BackendKind::InProcess, {2000, 4});
+    cfg.corpusDir = scratch.sub("c");
     core::Campaign(cfg).run();
 
     auto off = cfg;
@@ -164,7 +35,6 @@ TEST(FilterCorpus, CorpusWrittenWithFilteringOnRefusesToResumeOff)
     auto again = cfg;
     again.resume = true;
     EXPECT_NO_THROW(core::Campaign(again).run());
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -27,8 +27,6 @@ smallConfig()
 {
     core::CampaignConfig cfg;
     cfg.harness.bootInsts = 500;
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
     cfg.baseInputsPerProgram = 2;
     cfg.siblingsPerBase = 2;
     cfg.seed = 7;

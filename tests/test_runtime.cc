@@ -11,31 +11,23 @@
 #include <thread>
 #include <vector>
 
-#include "core/campaign.hh"
 #include "runtime/matrix.hh"
 #include "runtime/violation_sink.hh"
 #include "runtime/worker_pool.hh"
+#include "support/campaign_fixture.hh"
 
 namespace
 {
 
 using namespace amulet;
 
+/** Seed 1 detects spectre-v1 within these 12 programs. */
 core::CampaignConfig
 smallCampaign(unsigned jobs)
 {
-    core::CampaignConfig cfg;
-    cfg.harness.defense.kind = defense::DefenseKind::Baseline;
-    cfg.harness.prime = executor::PrimeMode::ConflictFill;
-    cfg.harness.bootInsts = 2000;
-    cfg.gen.map = cfg.harness.map;
-    cfg.inputs.map = cfg.harness.map;
-    cfg.numPrograms = 12;
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
-    cfg.seed = 1; // detects spectre-v1 within 12 programs
-    cfg.jobs = jobs;
-    return cfg;
+    return fixture::campaignConfig(defense::DefenseKind::Baseline, jobs,
+                                   executor::BackendKind::InProcess,
+                                   {2000, 12});
 }
 
 // The determinism contract: a campaign sharded over 4 workers must reach

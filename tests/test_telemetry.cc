@@ -4,37 +4,25 @@
  *
  *  - the metrics registry's instruments record, merge, and snapshot
  *    deterministically (histogram decimation is RNG-free);
- *  - telemetry is observability only: for every defense, the canonical
- *    corpus export is byte-identical with tracing + heartbeats + the
- *    per-violation uarch trace dir on and off, at jobs 1 and 4, on
- *    every executor backend;
- *  - the heartbeat stream is well-formed JSONL with monotonic per-shard
- *    progress indices, and the trace file is one valid JSON document
- *    with the Chrome trace-event shape (timestamps ordered per thread
- *    by completion);
- *  - a campaign with uarchTraceDir set writes Konata-parseable pipeline
- *    traces for journaled violations (per-instruction contracts live in
- *    tests/test_uarch_trace.cc);
+ *  - campaign stats (the time breakdown, metrics.json) derive from the
+ *    merged registry, resumed campaigns included;
  *  - EventLog's configurable capacity drops oldest-first and counts
  *    what it dropped.
+ *
+ * That telemetry is invisible to campaign results, and that the
+ * heartbeat, span-trace and Konata outputs are well-formed, is the
+ * telemetry variant of tests/test_equivalence.cc; per-instruction
+ * tracer contracts live in tests/test_uarch_trace.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/event_log.hh"
 #include "support/campaign_fixture.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
-#include "telemetry/trace.hh"
-
-namespace fs = std::filesystem;
 
 namespace
 {
@@ -157,192 +145,6 @@ TEST(EventLogCapacity, DropsOldestAndCounts)
         unbounded.record(i, EventKind::Commit);
     EXPECT_EQ(unbounded.events().size(), 100u);
     EXPECT_EQ(unbounded.dropped(), 0u);
-}
-
-// --- e2e: telemetry is invisible to campaign results ------------------
-
-std::string
-readFileText(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
-/** Every line parses as JSON; per-shard "progress" never decreases and
- *  the final line accounts for every program. */
-void
-checkHeartbeat(const std::string &path, unsigned expect_programs)
-{
-    const std::string text = readFileText(path);
-    ASSERT_FALSE(text.empty()) << path;
-    std::map<std::uint64_t, std::uint64_t> last_progress;
-    double last_elapsed = -1;
-    std::uint64_t final_done = 0;
-    std::istringstream lines(text);
-    std::string line;
-    unsigned count = 0;
-    while (std::getline(lines, line)) {
-        ASSERT_FALSE(line.empty());
-        const corpus::Json doc = corpus::Json::parse(line);
-        ++count;
-        const double elapsed = doc.at("elapsedSec").asDouble();
-        EXPECT_GE(elapsed, last_elapsed);
-        last_elapsed = elapsed;
-        final_done = doc.at("programsDone").asU64() +
-                     doc.at("resumedPrograms").asU64();
-        for (const corpus::Json &sh : doc.at("shards").items()) {
-            const std::uint64_t id = sh.at("shard").asU64();
-            const std::uint64_t progress = sh.at("progress").asU64();
-            auto it = last_progress.find(id);
-            if (it != last_progress.end())
-                EXPECT_GE(progress, it->second) << "shard " << id;
-            last_progress[id] = progress;
-        }
-    }
-    EXPECT_GE(count, 2u); // the immediate line + the final stop() line
-    EXPECT_EQ(final_done, expect_programs);
-}
-
-/** The trace file is one JSON object of Chrome trace events: metadata
- *  thread names plus complete ("X") spans with ts/dur. */
-void
-checkTrace(const std::string &path)
-{
-    const std::string text = readFileText(path);
-    ASSERT_FALSE(text.empty()) << path;
-    const corpus::Json doc = corpus::Json::parse(text);
-    const corpus::Json &events = doc.at("traceEvents");
-    bool sawStage = false;
-    bool sawThreadName = false;
-    // Spans append to each thread's buffer when they *complete*, so the
-    // per-thread completion time (ts + dur) never decreases — raw ts
-    // alone can (a nested span starts after, and ends before, its
-    // parent).
-    std::map<std::uint64_t, double> last_end;
-    for (const corpus::Json &ev : events.items()) {
-        const std::string ph = ev.at("ph").asStr();
-        if (ph == "M") {
-            sawThreadName |=
-                ev.at("name").asStr() == std::string("thread_name");
-            continue;
-        }
-        ASSERT_EQ(ph, "X");
-        EXPECT_GE(ev.at("dur").asDouble(), 0.0);
-        const std::uint64_t tid = ev.at("tid").asU64();
-        const double end =
-            ev.at("ts").asDouble() + ev.at("dur").asDouble();
-        auto it = last_end.find(tid);
-        if (it != last_end.end())
-            EXPECT_GE(end, it->second) << "tid " << tid;
-        last_end[tid] = end;
-        sawStage |= ev.at("name").asStr().rfind("stage.", 0) == 0;
-    }
-    EXPECT_TRUE(sawThreadName);
-    EXPECT_TRUE(sawStage);
-}
-
-/** Every .kanata file under @p dir parses as a Kanata 0004 log whose
- *  stage begins/ends balance per instruction lane. */
-void
-checkKanataDir(const std::string &dir, bool expect_some)
-{
-    unsigned files = 0;
-    if (fs::exists(dir)) {
-        for (const auto &entry : fs::directory_iterator(dir)) {
-            if (entry.path().extension() != ".kanata")
-                continue;
-            ++files;
-            std::istringstream lines(readFileText(entry.path().string()));
-            std::string line;
-            ASSERT_TRUE(std::getline(lines, line));
-            EXPECT_EQ(line, "Kanata\t0004") << entry.path();
-            std::map<std::string, std::string> open; // lane -> stage
-            while (std::getline(lines, line)) {
-                std::istringstream cells(line);
-                std::vector<std::string> f;
-                for (std::string cell; std::getline(cells, cell, '\t');)
-                    f.push_back(cell);
-                if (f.empty())
-                    continue;
-                if (f[0] == "S") {
-                    EXPECT_FALSE(open.count(f.at(1))) << line;
-                    open[f.at(1)] = f.at(3);
-                } else if (f[0] == "E") {
-                    auto it = open.find(f.at(1));
-                    ASSERT_NE(it, open.end()) << line;
-                    EXPECT_EQ(it->second, f.at(3)) << line;
-                    open.erase(it);
-                }
-            }
-            EXPECT_TRUE(open.empty()) << entry.path();
-        }
-    }
-    if (expect_some)
-        EXPECT_GT(files, 0u) << dir;
-}
-
-void
-runTelemetryEquivalence(defense::DefenseKind kind)
-{
-    ScratchDir scratch(defense::defenseKindName(kind));
-    // Reference: telemetry off, in-process, serial.
-    core::CampaignConfig ref_cfg = campaignConfig(
-        kind, 1, executor::BackendKind::InProcess);
-    ref_cfg.corpusDir = scratch.sub("ref");
-    core::Campaign(ref_cfg).run();
-    const std::string reference =
-        corpus::CorpusStore::exportCanonical(scratch.sub("ref"));
-
-    unsigned n = 0;
-    for (unsigned jobs : {1u, 4u}) {
-        for (auto backend : executor::allBackendKinds()) {
-            SCOPED_TRACE("jobs=" + std::to_string(jobs) + " backend=" +
-                         executor::backendKindName(backend));
-            const std::string tag = "on" + std::to_string(n++);
-            core::CampaignConfig cfg = campaignConfig(kind, jobs, backend);
-            cfg.corpusDir = scratch.sub(tag);
-            cfg.telemetry.traceOutPath = scratch.sub(tag + ".trace.json");
-            cfg.telemetry.heartbeatPath = scratch.sub(tag + ".hb.jsonl");
-            cfg.telemetry.heartbeatIntervalSec = 0.05;
-            cfg.telemetry.uarchTraceDir = scratch.sub(tag + ".utraces");
-            const core::CampaignStats stats = core::Campaign(cfg).run();
-            EXPECT_EQ(reference,
-                      corpus::CorpusStore::exportCanonical(cfg.corpusDir));
-            checkHeartbeat(cfg.telemetry.heartbeatPath, cfg.numPrograms);
-            checkTrace(cfg.telemetry.traceOutPath);
-            // Per-violation pipeline traces exist whenever violations
-            // were journaled, and parse as balanced Kanata logs.
-            checkKanataDir(cfg.telemetry.uarchTraceDir,
-                           !stats.records.empty());
-        }
-    }
-}
-
-TEST(TelemetryEquivalence, Baseline)
-{
-    runTelemetryEquivalence(defense::DefenseKind::Baseline);
-}
-
-TEST(TelemetryEquivalence, InvisiSpec)
-{
-    runTelemetryEquivalence(defense::DefenseKind::InvisiSpec);
-}
-
-TEST(TelemetryEquivalence, CleanupSpec)
-{
-    runTelemetryEquivalence(defense::DefenseKind::CleanupSpec);
-}
-
-TEST(TelemetryEquivalence, SpecLfb)
-{
-    runTelemetryEquivalence(defense::DefenseKind::SpecLfb);
-}
-
-TEST(TelemetryEquivalence, Stt)
-{
-    runTelemetryEquivalence(defense::DefenseKind::Stt);
 }
 
 // --- campaign stats are registry-derived ------------------------------
