@@ -69,34 +69,15 @@ scaled(unsigned n)
     return v < 1 ? 1 : static_cast<unsigned>(v);
 }
 
-/** Standard campaign configuration for one defense target. */
+/** Standard campaign configuration for one defense target: its paper
+ *  cell (core::paperCell) at seed 33, on @p contract when given. */
 inline core::CampaignConfig
 campaignFor(defense::DefenseKind kind, bool patched = false,
             const char *contract = nullptr)
 {
-    core::CampaignConfig cfg;
-    cfg.harness.defense = patched ? defense::DefenseConfig::patched(kind)
-                                  : defense::DefenseConfig{};
-    cfg.harness.defense.kind = kind;
-    // Paper setup (§3.5/§4.4): CleanupSpec and SpecLFB reset caches via
-    // the invalidation hook; InvisiSpec/STT/baseline use conflict fill.
-    // STT is tested with a 128-page sandbox against ARCH-SEQ.
-    if (kind == defense::DefenseKind::CleanupSpec ||
-        kind == defense::DefenseKind::SpecLfb) {
-        cfg.harness.prime = executor::PrimeMode::Invalidate;
-    } else {
-        cfg.harness.prime = executor::PrimeMode::ConflictFill;
-    }
-    if (kind == defense::DefenseKind::Stt) {
-        cfg.harness.map.sandboxPages = 128;
-        cfg.contract = contracts::archSeq();
-    } else {
-        cfg.contract = contracts::ctSeq();
-    }
+    core::CampaignConfig cfg = core::paperCell(kind, patched);
     if (contract)
         cfg.contract = *contracts::findContract(contract);
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
     cfg.seed = 33;
     return cfg;
 }

@@ -30,10 +30,8 @@ main()
                 isa::formatProgram(prog).c_str());
 
     for (bool patched : {false, true}) {
-        executor::HarnessConfig cfg;
-        cfg.defense.kind = defense::DefenseKind::SpecLfb;
-        cfg.defense.speclfbBugFirstLoad = !patched;
-        cfg.prime = executor::PrimeMode::Invalidate;
+        executor::HarnessConfig cfg =
+            core::paperHarness(defense::DefenseKind::SpecLfb, patched);
         cfg.bootInsts = 2000;
         executor::SimHarness harness(cfg);
         const isa::FlatProgram fp(prog, cfg.map.codeBase);

@@ -32,10 +32,8 @@ main()
                 isa::formatProgram(prog).c_str());
 
     for (bool patched : {false, true}) {
-        executor::HarnessConfig cfg;
-        cfg.defense.kind = defense::DefenseKind::Stt;
-        cfg.defense.sttBugTaintedStoreTlb = !patched;
-        cfg.prime = executor::PrimeMode::ConflictFill;
+        executor::HarnessConfig cfg =
+            core::paperHarness(defense::DefenseKind::Stt, patched);
         cfg.map.sandboxPages = 128;
         cfg.bootInsts = 2000;
         executor::SimHarness harness(cfg);

@@ -40,10 +40,9 @@ main()
 
     for (auto fmt : {executor::TraceFormat::L1dTlb,
                      executor::TraceFormat::L1dTlbL1i}) {
-        executor::HarnessConfig cfg;
-        cfg.defense.kind = defense::DefenseKind::CleanupSpec;
+        executor::HarnessConfig cfg =
+            core::paperHarness(defense::DefenseKind::CleanupSpec);
         cfg.defense.cleanupNoCleanPatch = true; // isolate the timing leak
-        cfg.prime = executor::PrimeMode::Invalidate;
         cfg.traceFormat = fmt;
         cfg.bootInsts = 2000;
         executor::SimHarness harness(cfg);

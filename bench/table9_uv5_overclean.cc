@@ -32,10 +32,9 @@ main()
     std::printf("%s\n", isa::formatProgram(prog).c_str());
 
     for (bool no_clean : {false, true}) {
-        executor::HarnessConfig cfg;
-        cfg.defense.kind = defense::DefenseKind::CleanupSpec;
+        executor::HarnessConfig cfg =
+            core::paperHarness(defense::DefenseKind::CleanupSpec);
         cfg.defense.cleanupNoCleanPatch = no_clean;
-        cfg.prime = executor::PrimeMode::Invalidate;
         cfg.bootInsts = 2000;
         executor::SimHarness harness(cfg);
         const isa::FlatProgram fp(prog, cfg.map.codeBase);

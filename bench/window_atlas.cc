@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "core/campaign.hh"
 #include "corpus/serde.hh"
 #include "defense/defense.hh"
 #include "executor/sim_harness.hh"
@@ -92,15 +93,9 @@ atlasProgram(std::int32_t trig_disp)
 Json
 measureCell(defense::DefenseKind kind, const Trigger &trigger)
 {
-    executor::HarnessConfig cfg;
-    cfg.defense.kind = kind;
+    executor::HarnessConfig cfg = core::paperHarness(kind);
     cfg.map.sandboxPages = trigger.sandboxPages;
     cfg.tlbPrefill = trigger.prefill;
-    // Paper setup: CleanupSpec/SpecLFB reset caches via the hook.
-    cfg.prime = (kind == defense::DefenseKind::CleanupSpec ||
-                 kind == defense::DefenseKind::SpecLfb)
-                    ? executor::PrimeMode::Invalidate
-                    : executor::PrimeMode::ConflictFill;
     cfg.bootInsts = 1500;
     // AMULET_NO_CYCLE_SKIP=1 disables event-horizon cycle skipping.
     // scripts/verify.sh compares an atlas produced each way with the

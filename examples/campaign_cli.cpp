@@ -5,11 +5,22 @@
  * amplification, exactly like driving the paper's artifact — and work
  * with persisted violation corpora.
  *
+ * A run starts from its defense's paper cell (core::paperCell): STT on
+ * ARCH-SEQ with a 128-page sandbox, CleanupSpec and SpecLFB resetting
+ * caches through the invalidation hook. Every other flag edits that
+ * cell wherever it stands, so `--pages 1 --defense stt` runs one page.
+ *
+ * A flag is one row of kFlags: its name, argument, help, the subcommands
+ * that accept it, the field-table key (src/corpus/fields.hh) of the
+ * config field it sets, and its setter. The parser, the subcommand
+ * scoping, --help, --list and the run banner all read those rows; the
+ * runtime-knobs line of --list names every row whose key is a Runtime
+ * entry. A subcommand is one row of kCommands.
+ *
  * Usage examples:
  *   ./build/examples/campaign_cli --defense invisispec --programs 100
  *   ./build/examples/campaign_cli --defense speclfb --patched
- *   ./build/examples/campaign_cli --defense stt --contract ARCH-SEQ \
- *        --pages 128 --programs 100
+ *   ./build/examples/campaign_cli --defense stt --programs 100
  *   ./build/examples/campaign_cli --defense invisispec --patched \
  *        --ways 2 --mshrs 2            # Table 6 amplification
  *
@@ -31,7 +42,11 @@
  *   campaign_cli inspect corpus/ 0 --out report0/   # replay + localize
  */
 
-#include <cerrno>
+#include <strings.h>
+
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -39,7 +54,12 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.hh"
@@ -56,204 +76,351 @@
 namespace
 {
 
+using namespace amulet;
+using Cfg = core::CampaignConfig;
+using Harness = executor::HarnessConfig;
+using Telemetry = telemetry::TelemetryConfig;
+
+/** The subcommands, as bits of Flag::commands. */
+enum : unsigned
+{
+    kRun = 1u << 0,
+    kReplay = 1u << 1,
+    kExport = 1u << 2,
+    kMerge = 1u << 3,
+    kStats = 1u << 4,
+    kQuarantined = 1u << 5,
+    kInspect = 1u << 6,
+    kAny = (1u << 7) - 1,
+};
+
+struct Flag;
+
+/** What the flags set. */
+struct Options
+{
+    /** The paper cell, set by the defense rows before cfg is built. */
+    defense::DefenseKind kind = defense::DefenseKind::Baseline;
+    bool patched = false;
+    Cfg cfg;
+    std::string out;
+    bool minimize = false;
+    bool rootCause = false;
+    unsigned top = 20;
+    std::vector<std::string> operands;
+    /** Every flag given, with its argument (null for a switch). */
+    std::vector<std::pair<const Flag *, const char *>> given;
+};
+
+/** All of @p text as a T: an unsigned integer that fits T, or a positive
+ *  double. */
+template <class T>
+T
+number(const char *text)
+{
+    T value{};
+    const char *end = text + std::strlen(text);
+    const auto [stop, ec] = std::from_chars(text, end, value);
+    if (ec == std::errc{} && stop == end &&
+        (std::is_integral_v<T> || value > 0))
+        return value;
+    std::string expected = "a positive number";
+    if constexpr (std::is_integral_v<T>)
+        expected = "an integer in 0.." +
+                   std::to_string(std::numeric_limits<T>::max());
+    throw std::invalid_argument("invalid value '" + std::string(text) +
+                                "' (expected " + expected + ")");
+}
+
+/** The values a choice flag accepts: their noun and names. */
+struct Choices
+{
+    const char *what;
+    std::vector<std::string> names;
+};
+
+/** The index of @p text in @p choices, ignoring case. */
+std::size_t
+pick(const Choices &choices, const char *text)
+{
+    std::string valid;
+    for (std::size_t i = 0; i < choices.names.size(); ++i) {
+        if (strcasecmp(text, choices.names[i].c_str()) == 0)
+            return i;
+        valid += " " + choices.names[i];
+    }
+    throw std::invalid_argument(std::string("unknown ") + choices.what +
+                                " '" + text + "' (valid:" + valid + ")");
+}
+
+/** An enum's choices: its field-table tokens. */
+template <class E>
+Choices
+tokens()
+{
+    Choices choices{corpus::Tokens<E>::what, {}};
+    for (const auto &[value, token] : corpus::Tokens<E>::list)
+        choices.names.emplace_back(token);
+    return choices;
+}
+
+Choices
+contractNames()
+{
+    Choices choices{"contract", {}};
+    for (const auto &contract : contracts::allContracts())
+        choices.names.push_back(contract.name);
+    return choices;
+}
+
+// A member path names a field of Options from the outside in, the way a
+// field-table entry names its member: assign<kCfg, &Cfg::seed> parses a
+// flag's argument into o.cfg.seed.
+constexpr auto kCfg = &Options::cfg;
+constexpr auto kHarness = &Cfg::harness;
+
+/** Parse @p arg into the field at @p path by its type: an enum by its
+ *  field-table token, a string as is, a number by number(). */
+template <auto... path>
 void
-usage(const char *argv0)
+assign(Options &o, const char *arg)
 {
-    std::printf(
-        "usage: %s [run] [options]\n"
-        "       %s replay --corpus-dir DIR [--minimize] [--root-cause]\n"
-        "       %s export --corpus-dir DIR [--out FILE]\n"
-        "       %s merge  --corpus-dir DST SRC...\n"
-        "       %s stats  --corpus-dir DIR [--top N]\n"
-        "       %s quarantined --corpus-dir DIR    list quarantined "
-        "programs\n"
-        "       %s inspect DIR INDEX [--out DIR]   violation forensics\n"
-        "run options:\n"
-        "  --defense NAME    baseline|invisispec|cleanupspec|stt|speclfb\n"
-        "  --contract NAME   CT-SEQ|CT-COND|ARCH-SEQ   (default CT-SEQ)\n"
-        "  --trace NAME      l1dtlb|l1dtlbl1i|bpstate|memorder|"
-        "branchorder\n"
-        "  --programs N      test programs (default 50)\n"
-        "  --inputs N        base inputs per program (default 6)\n"
-        "  --siblings N      siblings per base input (default 4)\n"
-        "  --pages N         sandbox pages, a power of two in 1..128\n"
-        "                    (default 1; STT uses 128)\n"
-        "  --seed N          RNG seed (default 1)\n"
-        "  --jobs N          worker threads (default 1; 0 = all cores)\n"
-        "  --backend NAME    executor backend: inproc|subprocess\n"
-        "                    (default inproc; results are identical, see "
-        "--list)\n"
-        "  --ways N          L1D ways (amplification)\n"
-        "  --mshrs N         L1D MSHRs (amplification)\n"
-        "  --boot-insts N    simulator boot-program length (default "
-        "8000)\n"
-        "  --patched         apply all published fixes to the defense\n"
-        "  --no-filter       disable ineffective-test-case filtering\n"
-        "  --no-prime-cache  re-simulate conflict-fill priming per input\n"
-        "                    (runtime knob; results are identical, see "
-        "--list)\n"
-        "  --no-ctrace-memo  re-run the contract-trace emulator cold per\n"
-        "                    input (runtime knob; results are identical, "
-        "see --list)\n"
-        "  --no-cycle-skip   simulate every quiescent cycle instead of\n"
-        "                    fast-forwarding to the next event (runtime "
-        "knob;\n"
-        "                    results are identical, see --list)\n"
-        "  --naive           AMuLeT-Naive (restart per input)\n"
-        "  --invalidate      invalidate-hook cache reset (default: "
-        "conflict fill)\n"
-        "  --stop-first      stop at the first confirmed violation\n"
-        "  --fault-plan SPEC deterministic chaos layer (testing; see\n"
-        "                    src/runtime/fault.hh for the grammar; "
-        "runtime\n"
-        "                    knob — unaffected programs are identical, "
-        "see --list)\n"
-        "corpus options (run):\n"
-        "  --corpus-dir DIR  journal confirmed violations + checkpoints\n"
-        "  --resume          continue from DIR's checkpoint\n"
-        "  --checkpoint-every N   programs per checkpoint (default 8)\n"
-        "  --max-programs N  stop after N programs this process "
-        "(resumable)\n"
-        "telemetry options (run; observability only — results and "
-        "exports are byte-identical on/off):\n"
-        "  --trace-out FILE  write a Chrome/Perfetto trace-event JSON "
-        "of every\n"
-        "                    pipeline stage, backend op, and wire round "
-        "trip\n"
-        "  --heartbeat FILE  stream live campaign progress as JSONL "
-        "('-' = stdout)\n"
-        "  --heartbeat-interval SEC   seconds between heartbeat lines "
-        "(default 1)\n"
-        "  --uarch-trace-dir DIR      write per-instruction pipeline "
-        "traces (Konata\n"
-        "                    .kanata + Perfetto .pipetrace.json) for "
-        "every journaled\n"
-        "                    violation into DIR\n"
-        "discovery:\n"
-        "  --list            print every defense, contract, trace format "
-        "and backend\n",
-        argv0, argv0, argv0, argv0, argv0, argv0, argv0);
+    auto &field = (o .* ... .* path);
+    using T = std::remove_reference_t<decltype(field)>;
+    if constexpr (std::is_enum_v<T>)
+        field = corpus::Tokens<T>::list[pick(tokens<T>(), arg)].first;
+    else if constexpr (std::is_same_v<T, std::string>)
+        field = arg;
+    else
+        field = number<T>(arg);
 }
 
-/** Flag-value discovery: every name each selector flag accepts. */
+/** A switch: store @p value at @p path. */
+template <auto value, auto... path>
 void
-listChoices()
+put(Options &o, const char *)
 {
-    std::printf("defenses (--defense):");
-    for (amulet::defense::DefenseKind kind :
-         amulet::defense::allDefenseKinds())
-        std::printf(" %s", amulet::defense::defenseKindName(kind));
-    std::printf("\ncontracts (--contract):");
-    for (const auto &contract : amulet::contracts::allContracts())
-        std::printf(" %s", contract.name.c_str());
-    std::printf("\ntrace formats (--trace):");
-    for (auto format : amulet::executor::allTraceFormats())
-        std::printf(" %s", amulet::corpus::enumToken(format));
-    std::printf("\nbackends (--backend):");
-    for (auto backend : amulet::executor::allBackendKinds())
-        std::printf(" %s", amulet::executor::backendKindName(backend));
-    // Runtime knobs never change campaign results (violations,
-    // signatures, counters, record bytes) — only how/where the same
-    // work runs. They are excluded from the corpus config fingerprint.
-    std::printf("\nruntime knobs: --jobs --backend --no-prime-cache "
-                "--no-ctrace-memo --no-cycle-skip --fault-plan\n"
-                "(prime cache + ctrace memo + cycle skip default: on; "
-                "fault plan default: off)\n");
+    (o .* ... .* path) = value;
 }
 
-/**
- * Parse a non-negative integer argument, or die with a friendly message
- * (exit 2) instead of the uncaught-exception/garbage-value behaviour of
- * the stoi/atoi family.
- */
-std::uint64_t
-parseNum(const char *flag, const char *text)
+/** The banner text of the field at @p path. */
+template <auto... path>
+std::string
+shown(const Options &o)
 {
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (errno != 0 || end == text || *end != '\0' ||
-        std::strchr(text, '-') != nullptr) {
-        std::fprintf(stderr,
-                     "campaign_cli: invalid value '%s' for %s "
-                     "(expected a non-negative integer)\n",
-                     text, flag);
-        std::exit(2);
-    }
-    return value;
+    const auto &field = (o .* ... .* path);
+    using T = std::remove_cvref_t<decltype(field)>;
+    if constexpr (std::is_enum_v<T>)
+        return corpus::enumToken(field);
+    else if constexpr (std::is_same_v<T, std::string>)
+        return field;
+    else
+        return std::to_string(field);
 }
 
-unsigned
-parseU32(const char *flag, const char *text)
+/** One flag. */
+struct Flag
 {
-    const std::uint64_t value = parseNum(flag, text);
-    if (value > ~0u) {
-        std::fprintf(stderr, "campaign_cli: value '%s' for %s is too "
-                             "large\n",
-                     text, flag);
-        std::exit(2);
-    }
-    return static_cast<unsigned>(value);
+    const char *name;
+    /** Placeholder of its argument; null for a switch. */
+    const char *arg;
+    const char *help;
+    /** The subcommands that accept it. */
+    unsigned commands;
+    /** Field-table key of the config field it sets (null: none). A row
+     *  that sets the defense picks the paper cell. */
+    const char *key;
+    void (*set)(Options &o, const char *arg);
+    /** Its value in the run banner (null: none; a switch shows its tag
+     *  when given). */
+    std::string (*show)(const Options &o) = nullptr;
+    /** The values it accepts, for --list (null: any). */
+    Choices (*choices)() = nullptr;
+    /** A second name for it (null: none). */
+    const char *alias = nullptr;
+};
+
+void usage(std::FILE *out);
+void listChoices();
+
+/** Report a usage error, "campaign_cli: @p what" (and the usage with
+ *  @p withUsage), and return its exit status, 2. */
+int
+usageError(const std::string &what, bool withUsage = false)
+{
+    std::fprintf(stderr, "campaign_cli: %s\n", what.c_str());
+    if (withUsage)
+        usage(stderr);
+    return 2;
 }
 
-/** Parse a positive seconds value (fractions allowed). */
-double
-parseSec(const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (errno != 0 || end == text || *end != '\0' || !(value > 0)) {
-        std::fprintf(stderr,
-                     "campaign_cli: invalid value '%s' for %s "
-                     "(expected a positive number of seconds)\n",
-                     text, flag);
-        std::exit(2);
-    }
-    return value;
-}
+const Flag kFlags[] = {
+    {"--defense", "NAME", "defense and its paper cell (default Baseline)",
+     kRun, "defense", assign<&Options::kind>, shown<&Options::kind>,
+     tokens<defense::DefenseKind>},
+    {"--patched", nullptr, "apply every published fix to the defense", kRun,
+     "defense", put<true, &Options::patched>},
+    {"--contract", "NAME", "contract (default CT-SEQ; STT: ARCH-SEQ)", kRun,
+     "contract",
+     [](Options &o, const char *arg) {
+         o.cfg.contract = contracts::allContracts()[pick(contractNames(), arg)];
+     },
+     shown<kCfg, &Cfg::contract, &contracts::ContractSpec::name>,
+     contractNames},
+    {"--trace", "NAME", "uarch trace format (default l1dtlb)", kRun,
+     "traceFormat", assign<kCfg, kHarness, &Harness::traceFormat>,
+     shown<kCfg, kHarness, &Harness::traceFormat>,
+     tokens<executor::TraceFormat>},
+    {"--programs", "N", "test programs (default 50)", kRun, "numPrograms",
+     assign<kCfg, &Cfg::numPrograms>, shown<kCfg, &Cfg::numPrograms>},
+    {"--inputs", "N", "base inputs per program (default 6)", kRun,
+     "baseInputsPerProgram", assign<kCfg, &Cfg::baseInputsPerProgram>,
+     shown<kCfg, &Cfg::baseInputsPerProgram>},
+    {"--siblings", "N", "siblings per base input (default 4)", kRun,
+     "siblingsPerBase", assign<kCfg, &Cfg::siblingsPerBase>,
+     shown<kCfg, &Cfg::siblingsPerBase>},
+    {"--pages", "N", "sandbox pages, a power of two in 1..128 (STT: 128)",
+     kRun, "sandboxPages",
+     assign<kCfg, kHarness, &Harness::map, &mem::AddressMap::sandboxPages>,
+     shown<kCfg, kHarness, &Harness::map, &mem::AddressMap::sandboxPages>},
+    {"--seed", "N", "RNG seed (default 1)", kRun, "seed",
+     assign<kCfg, &Cfg::seed>, shown<kCfg, &Cfg::seed>},
+    {"--jobs", "N", "worker threads (default 1; 0 = all cores)", kRun, "jobs",
+     assign<kCfg, &Cfg::jobs>, shown<kCfg, &Cfg::jobs>},
+    {"--backend", "NAME", "executor backend (default inproc)", kRun,
+     "backend", assign<kCfg, &Cfg::backend>, shown<kCfg, &Cfg::backend>,
+     tokens<executor::BackendKind>},
+    {"--ways", "N", "L1D ways (amplification)", kRun, "ways",
+     assign<kCfg, kHarness, &Harness::core, &uarch::CoreParams::l1d,
+            &uarch::CacheParams::ways>},
+    {"--mshrs", "N", "L1D MSHRs (amplification)", kRun, "l1dMshrs",
+     assign<kCfg, kHarness, &Harness::core, &uarch::CoreParams::l1dMshrs>},
+    {"--boot-insts", "N", "simulator boot-program length (default 8000)",
+     kRun, "bootInsts", assign<kCfg, kHarness, &Harness::bootInsts>},
+    {"--no-filter", nullptr, "disable ineffective-test-case filtering", kRun,
+     "filterIneffective", put<false, kCfg, &Cfg::filterIneffective>},
+    {"--no-prime-cache", nullptr, "re-simulate conflict-fill priming per input",
+     kRun, "primeCache", put<false, kCfg, kHarness, &Harness::primeCache>},
+    {"--no-ctrace-memo", nullptr,
+     "re-run the contract-trace emulator cold per input", kRun, "ctraceMemo",
+     put<false, kCfg, &Cfg::ctraceMemo>},
+    {"--no-cycle-skip", nullptr,
+     "simulate every quiescent cycle instead of skipping it", kRun,
+     "cycleSkip", put<false, kCfg, kHarness, &Harness::cycleSkip>},
+    {"--naive", nullptr, "AMuLeT-Naive (restart per input)", kRun, "naiveMode",
+     put<true, kCfg, kHarness, &Harness::naiveMode>},
+    {"--invalidate", nullptr, "reset caches through the invalidation hook",
+     kRun, "prime",
+     put<executor::PrimeMode::Invalidate, kCfg, kHarness, &Harness::prime>},
+    {"--stop-first", nullptr, "stop at the first confirmed violation", kRun,
+     "stopAtFirstViolation", put<true, kCfg, &Cfg::stopAtFirstViolation>},
+    {"--fault-plan", "SPEC",
+     "fault injection plan (grammar: src/runtime/fault.hh)", kRun,
+     "faultPlan", assign<kCfg, &Cfg::faultPlan>},
+    {"--corpus-dir", "DIR", "journal and checkpoint directory", kAny,
+     "corpusDir", assign<kCfg, &Cfg::corpusDir>,
+     shown<kCfg, &Cfg::corpusDir>},
+    {"--resume", nullptr, "continue from the corpus checkpoint", kRun,
+     "resume", put<true, kCfg, &Cfg::resume>},
+    {"--checkpoint-every", "N", "programs per checkpoint (default 8)", kRun,
+     "checkpointEvery", assign<kCfg, &Cfg::checkpointEvery>},
+    {"--max-programs", "N", "stop after N programs this process (resumable)",
+     kRun, "maxProgramsThisRun", assign<kCfg, &Cfg::maxProgramsThisRun>},
+    {"--trace-out", "FILE", "Chrome/Perfetto span trace of the campaign",
+     kRun, "telemetry",
+     assign<kCfg, &Cfg::telemetry, &Telemetry::traceOutPath>},
+    {"--heartbeat", "FILE", "live campaign progress as JSONL ('-' = stdout)",
+     kRun, "telemetry",
+     assign<kCfg, &Cfg::telemetry, &Telemetry::heartbeatPath>},
+    {"--heartbeat-interval", "SEC", "seconds between heartbeat lines "
+     "(default 1)", kRun, "telemetry",
+     assign<kCfg, &Cfg::telemetry, &Telemetry::heartbeatIntervalSec>},
+    {"--uarch-trace-dir", "DIR", "pipeline traces of every journaled violation",
+     kRun, "telemetry",
+     assign<kCfg, &Cfg::telemetry, &Telemetry::uarchTraceDir>},
+    {"--minimize", nullptr, "minimize every confirmed record", kReplay,
+     nullptr, put<true, &Options::minimize>},
+    {"--root-cause", nullptr, "side-by-side view of every confirmed record",
+     kReplay, nullptr, put<true, &Options::rootCause>},
+    {"--out", "FILE", "export file or inspect report dir", kExport | kInspect,
+     nullptr, assign<&Options::out>},
+    {"--top", "N", "slowest spans to list (default 20)", kStats, nullptr,
+     assign<&Options::top>},
+    {"--list", nullptr, "list flag values and runtime knobs", kAny, nullptr,
+     [](Options &, const char *) {
+         listChoices();
+         std::exit(0);
+     }},
+    {"--help", nullptr, "print this help", kAny, nullptr,
+     [](Options &, const char *) {
+         usage(stdout);
+         std::exit(0);
+     },
+     nullptr, nullptr, "-h"},
+};
 
-[[noreturn]] void
-unknownOption(const char *argv0, const std::string &arg)
-{
-    std::fprintf(stderr, "campaign_cli: unknown option '%s'; valid "
-                         "options are:\n",
-                 arg.c_str());
-    usage(argv0);
-    std::exit(2);
-}
-
-/** Load a corpus (config + journal) or die with a readable error. */
+/** A corpus's config and journal. */
 struct LoadedCorpus
 {
-    amulet::core::CampaignConfig config;
-    std::vector<amulet::core::ViolationRecord> records;
+    core::CampaignConfig config;
+    std::vector<core::ViolationRecord> records;
 };
 
 LoadedCorpus
 loadCorpus(const std::string &dir)
 {
-    using namespace amulet;
-    if (dir.empty()) {
-        std::fprintf(stderr, "campaign_cli: --corpus-dir is required for "
-                             "this subcommand\n");
-        std::exit(2);
+    return {corpus::CorpusStore::readConfig(dir),
+            corpus::CorpusStore::readJournal(dir)};
+}
+
+/** The run banner, in table order: every banner row's value and the tag
+ *  of every switch given (--no-cycle-skip: NOCYCLESKIP). */
+std::string
+banner(const Options &o)
+{
+    std::string line = "campaign:";
+    for (const Flag &flag : kFlags) {
+        const std::string value = flag.show ? flag.show(o) : "";
+        if (!value.empty()) {
+            line += " " + std::string(flag.name + 2) + "=" + value;
+        } else if (!flag.arg &&
+                   std::any_of(o.given.begin(), o.given.end(),
+                               [&](auto &g) { return g.first == &flag; })) {
+            line += ' ';
+            for (const char *c = flag.name; *c; ++c) {
+                if (*c != '-')
+                    line += static_cast<char>(std::toupper(*c));
+            }
+        }
     }
-    try {
-        LoadedCorpus corpus;
-        corpus.config = corpus::CorpusStore::readConfig(dir);
-        corpus.records = corpus::CorpusStore::readJournal(dir);
-        return corpus;
-    } catch (const corpus::CorpusError &e) {
-        std::fprintf(stderr, "campaign_cli: %s\n", e.what());
-        std::exit(1);
-    }
+    return line;
 }
 
 int
-cmdReplay(const std::string &dir, bool minimize, bool root_cause)
+cmdRun(Options &o)
 {
-    using namespace amulet;
+    const core::CampaignConfig &cfg = o.cfg;
+    if (cfg.resume && cfg.corpusDir.empty())
+        return usageError("--resume requires --corpus-dir (nothing to "
+                          "resume from)");
+    try {
+        // The field tables' checks, the ones decode runs on a meta.json.
+        corpus::decode<core::CampaignConfig>(corpus::encode(cfg));
+    } catch (const corpus::CorpusError &e) {
+        return usageError(e.what());
+    }
+    std::printf("%s\n\n", banner(o).c_str());
+    const core::CampaignStats stats = core::Campaign(cfg).run();
+    std::printf("%s\n", stats.report().c_str());
+    for (const auto &rec : stats.records)
+        std::printf("  %s\n", rec.summary().c_str());
+    return 0;
+}
+
+int
+cmdReplay(Options &o)
+{
+    const std::string &dir = o.cfg.corpusDir;
     const LoadedCorpus corpus = loadCorpus(dir);
     std::printf("replaying %zu record(s) from %s\n",
                 corpus.records.size(), dir.c_str());
@@ -277,7 +444,7 @@ cmdReplay(const std::string &dir, bool minimize, bool root_cause)
             std::printf("     %s\n", outcome.detail.c_str());
             continue;
         }
-        if (minimize) {
+        if (o.minimize) {
             const isa::Program prog = corpus::reparseProgram(rec);
             const core::MinimizeResult reduced = core::minimizeViolation(
                 harness, model, corpus.config.harness.map, prog, rec);
@@ -286,7 +453,7 @@ cmdReplay(const std::string &dir, bool minimize, bool root_cause)
                         reduced.removedInsts, reduced.checks,
                         isa::formatProgram(reduced.program).c_str());
         }
-        if (root_cause) {
+        if (o.rootCause) {
             const isa::Program prog = corpus::reparseProgram(rec);
             const isa::FlatProgram fp(prog,
                                       corpus.config.harness.map.codeBase);
@@ -300,59 +467,42 @@ cmdReplay(const std::string &dir, bool minimize, bool root_cause)
 }
 
 int
-cmdExport(const std::string &dir, const std::string &out_file)
+cmdExport(Options &o)
 {
-    using namespace amulet;
-    if (dir.empty()) {
-        std::fprintf(stderr, "campaign_cli: --corpus-dir is required for "
-                             "this subcommand\n");
-        return 2;
-    }
-    try {
-        // One journal pass serves both the export text and the listing.
-        const auto records = corpus::CorpusStore::readJournal(dir);
-        const std::string text =
-            corpus::CorpusStore::exportCanonical(dir, records);
-        if (out_file.empty()) {
-            fputs(text.c_str(), stdout);
-            return 0;
-        }
-        std::FILE *f = std::fopen(out_file.c_str(), "wb");
-        if (!f) {
-            std::fprintf(stderr, "campaign_cli: cannot write %s\n",
-                         out_file.c_str());
-            return 1;
-        }
-        const bool wrote =
-            std::fwrite(text.data(), 1, text.size(), f) == text.size();
-        if (std::fclose(f) != 0 || !wrote) {
-            std::fprintf(stderr, "campaign_cli: short write to %s "
-                                 "(disk full?)\n",
-                         out_file.c_str());
-            return 1;
-        }
-        // The one-line summaries make the listing self-describing
-        // without loading full records.
-        std::printf("exported %zu record(s) to %s\n", records.size(),
-                    out_file.c_str());
-        for (const auto &rec : records)
-            std::printf("  %s\n", rec.summary().c_str());
+    const std::string &dir = o.cfg.corpusDir;
+    // One journal pass serves both the export text and the listing.
+    const auto records = corpus::CorpusStore::readJournal(dir);
+    const std::string text = corpus::CorpusStore::exportCanonical(dir, records);
+    if (o.out.empty()) {
+        fputs(text.c_str(), stdout);
         return 0;
-    } catch (const corpus::CorpusError &e) {
-        std::fprintf(stderr, "campaign_cli: %s\n", e.what());
+    }
+    std::FILE *f = std::fopen(o.out.c_str(), "wb");
+    if (!f) {
+        std::fprintf(stderr, "campaign_cli: cannot write %s\n",
+                     o.out.c_str());
         return 1;
     }
+    const bool wrote =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    if (std::fclose(f) != 0 || !wrote) {
+        std::fprintf(stderr, "campaign_cli: short write to %s (disk full?)\n",
+                     o.out.c_str());
+        return 1;
+    }
+    // The one-line summaries make the listing self-describing without
+    // loading full records.
+    std::printf("exported %zu record(s) to %s\n", records.size(),
+                o.out.c_str());
+    for (const auto &rec : records)
+        std::printf("  %s\n", rec.summary().c_str());
+    return 0;
 }
 
 int
-cmdStats(const std::string &dir, unsigned top)
+cmdStats(Options &o)
 {
-    using namespace amulet;
-    if (dir.empty()) {
-        std::fprintf(stderr, "campaign_cli: --corpus-dir is required for "
-                             "this subcommand\n");
-        return 2;
-    }
+    const std::string &dir = o.cfg.corpusDir;
     const std::string text = corpus::CorpusStore::readMetricsText(dir);
     if (text.empty()) {
         // Corpora journaled before the telemetry layer existed have no
@@ -441,7 +591,7 @@ cmdStats(const std::string &dir, unsigned top)
         std::printf("slowest spans:\n");
         unsigned shown = 0;
         for (const corpus::Json &span : spans.items()) {
-            if (shown++ >= top)
+            if (shown++ >= o.top)
                 break;
             const std::int64_t program = static_cast<std::int64_t>(
                 span.at("program").asDouble());
@@ -485,36 +635,41 @@ cmdStats(const std::string &dir, unsigned top)
  * own throwaway SimHarness from the journaled config.
  */
 int
-cmdInspect(const std::string &dir, const std::string &index_text,
-           std::string out_dir)
+cmdInspect(Options &o)
 {
-    using namespace amulet;
+    // DIR INDEX, or --corpus-dir DIR INDEX.
+    std::string &dir = o.cfg.corpusDir;
+    if (dir.empty() && o.operands.size() == 2) {
+        dir = o.operands[0];
+    } else if (dir.empty() || o.operands.size() != 1) {
+        return usageError("inspect needs a corpus dir and a record index",
+                          true);
+    }
     const LoadedCorpus corpus = loadCorpus(dir);
-    const std::uint64_t index = parseNum("record index", index_text.c_str());
+    std::size_t index = 0;
+    try {
+        index = number<std::size_t>(o.operands.back().c_str());
+    } catch (const std::invalid_argument &e) {
+        return usageError(std::string("record index: ") + e.what());
+    }
     if (index >= corpus.records.size()) {
-        std::fprintf(stderr,
-                     "campaign_cli: record %llu out of range (%s has "
-                     "%zu record(s))\n",
-                     static_cast<unsigned long long>(index), dir.c_str(),
-                     corpus.records.size());
-        return 2;
+        return usageError("record " + std::to_string(index) +
+                          " out of range (" + dir + " has " +
+                          std::to_string(corpus.records.size()) +
+                          " record(s))");
     }
     const core::ViolationRecord &rec = corpus.records[index];
-    if (out_dir.empty())
-        out_dir = dir + "/inspect/record" + std::to_string(index);
+    const std::string out_dir =
+        o.out.empty() ? dir + "/inspect/record" + std::to_string(index)
+                      : o.out;
 
     executor::SimHarness harness(corpus.config.harness);
     telemetry::UarchTracer tracer;
     harness.setUarchTracer(&tracer);
     // replayViolation runs exactly inputA then inputB (each from its
     // saved context), so the tracer captures exactly two runs.
-    corpus::ReplayOutcome outcome;
-    try {
-        outcome = corpus::replayViolation(harness, rec);
-    } catch (const corpus::CorpusError &e) {
-        std::fprintf(stderr, "campaign_cli: %s\n", e.what());
-        return 1;
-    }
+    const corpus::ReplayOutcome outcome =
+        corpus::replayViolation(harness, rec);
     harness.setUarchTracer(nullptr);
     std::vector<telemetry::UarchRunTrace> runs = tracer.takeRuns();
     if (runs.size() != 2) {
@@ -608,23 +763,16 @@ cmdInspect(const std::string &dir, const std::string &index_text,
 }
 
 int
-cmdMerge(const std::string &dst, const std::vector<std::string> &srcs)
+cmdMerge(Options &o)
 {
-    using namespace amulet;
-    if (dst.empty() || srcs.empty()) {
-        std::fprintf(stderr, "campaign_cli: merge needs --corpus-dir DST "
-                             "and at least one SRC dir\n");
-        return 2;
-    }
-    try {
-        const std::size_t added = corpus::CorpusStore::mergeInto(dst, srcs);
-        std::printf("merged %zu new record(s) into %s\n", added,
-                    dst.c_str());
-        return 0;
-    } catch (const corpus::CorpusError &e) {
-        std::fprintf(stderr, "campaign_cli: %s\n", e.what());
-        return 1;
-    }
+    if (o.cfg.corpusDir.empty() || o.operands.empty())
+        return usageError("merge needs --corpus-dir DST and at least one "
+                          "SRC dir");
+    const std::size_t added =
+        corpus::CorpusStore::mergeInto(o.cfg.corpusDir, o.operands);
+    std::printf("merged %zu new record(s) into %s\n", added,
+                o.cfg.corpusDir.c_str());
+    return 0;
 }
 
 /**
@@ -634,22 +782,114 @@ cmdMerge(const std::string &dst, const std::vector<std::string> &srcs)
  * corpus, not an error — so scripts gate on the line count.
  */
 int
-cmdQuarantined(const std::string &dir)
+cmdQuarantined(Options &o)
 {
-    using namespace amulet;
-    if (dir.empty()) {
-        std::fprintf(stderr, "campaign_cli: --corpus-dir is required for "
-                             "this subcommand\n");
-        return 2;
+    for (const auto &entry :
+         corpus::CorpusStore::readQuarantined(o.cfg.corpusDir))
+        std::printf("%u\t%s\n", entry.programIndex, entry.reason.c_str());
+    return 0;
+}
+
+/** One subcommand. */
+struct Command
+{
+    const char *name;
+    unsigned bit;
+    const char *synopsis;
+    int (*run)(Options &o);
+    /** Only merge (SRC corpus dirs) and inspect (DIR INDEX) take
+     *  operands; anywhere else a stray operand is a typo that must not
+     *  be silently ignored. */
+    bool operands = false;
+    bool needsCorpusDir = false;
+};
+
+const Command kCommands[] = {
+    {"run", kRun, "[run] [options]", cmdRun},
+    {"replay", kReplay, "replay --corpus-dir DIR [--minimize] [--root-cause]",
+     cmdReplay, false, true},
+    {"export", kExport, "export --corpus-dir DIR [--out FILE]", cmdExport,
+     false, true},
+    {"merge", kMerge, "merge  --corpus-dir DST SRC...", cmdMerge, true},
+    {"stats", kStats, "stats  --corpus-dir DIR [--top N]", cmdStats, false,
+     true},
+    {"quarantined", kQuarantined,
+     "quarantined --corpus-dir DIR    list quarantined programs",
+     cmdQuarantined, false, true},
+    {"inspect", kInspect, "inspect DIR INDEX [--out DIR]   violation forensics",
+     cmdInspect, true},
+};
+
+void
+usage(std::FILE *out)
+{
+    for (const Command &command : kCommands) {
+        std::fprintf(out, "%s campaign_cli %s\n",
+                     &command == kCommands ? "usage:" : "      ",
+                     command.synopsis);
     }
-    try {
-        for (const auto &entry : corpus::CorpusStore::readQuarantined(dir))
-            std::printf("%u\t%s\n", entry.programIndex,
-                        entry.reason.c_str());
-        return 0;
-    } catch (const corpus::CorpusError &e) {
-        std::fprintf(stderr, "campaign_cli: %s\n", e.what());
-        return 1;
+    std::fprintf(out, "options (run only unless [subcommands] follow):\n");
+    for (const Flag &flag : kFlags) {
+        std::string lhs = flag.name;
+        if (flag.alias)
+            lhs += std::string(", ") + flag.alias;
+        if (flag.arg)
+            lhs += std::string(" ") + flag.arg;
+        std::string where;
+        for (const Command &command : kCommands) {
+            if (flag.commands & command.bit && flag.commands != kRun)
+                where += std::string(where.empty() ? " [" : " ") + command.name;
+        }
+        if (flag.commands == kAny)
+            where = " [any";
+        std::fprintf(out, "  %-24s %s%s%s\n", lhs.c_str(), flag.help,
+                     where.c_str(), where.empty() ? "" : "]");
+    }
+}
+
+/** Flag-value discovery: every value each choice flag accepts, and the
+ *  runtime knobs. Runtime knobs never change campaign results
+ *  (violations, signatures, counters, record bytes), only how and where
+ *  the same work runs: they are outside the corpus config fingerprint. */
+void
+listChoices()
+{
+    for (const Flag &flag : kFlags) {
+        if (!flag.choices)
+            continue;
+        const Choices choices = flag.choices();
+        std::printf("%ss (%s):", choices.what, flag.name);
+        for (const std::string &name : choices.names)
+            std::printf(" %s", name.c_str());
+        std::printf("\n");
+    }
+    std::set<std::string> runtime;
+    corpus::forEachConfigEntry(
+        [&](const std::string &key, corpus::Scope scope, bool) {
+            if (scope == corpus::Scope::Runtime)
+                runtime.insert(key);
+        });
+    std::printf("runtime knobs:");
+    for (const Flag &flag : kFlags) {
+        if (flag.key && runtime.count(flag.key))
+            std::printf(" %s", flag.name);
+    }
+    std::printf("\n");
+}
+
+/** Apply the given rows that do (@p cell) or do not set the defense, in
+ *  command-line order; exit 2 on an argument that does not parse. */
+void
+apply(Options &o, bool cell)
+{
+    for (const auto &[flag, arg] : o.given) {
+        if ((flag->key && std::strcmp(flag->key, "defense") == 0) != cell)
+            continue;
+        try {
+            flag->set(o, arg);
+        } catch (const std::invalid_argument &e) {
+            std::exit(usageError(std::string(flag->name) + ": " + e.what()));
+        }
     }
 }
 
@@ -658,314 +898,61 @@ cmdQuarantined(const std::string &dir)
 int
 main(int argc, char **argv)
 {
-    using namespace amulet;
-
-    // Subcommand dispatch: "run" is implicit when the first argument is
-    // a flag (backwards compatible with the pre-corpus CLI).
-    std::string command = "run";
-    int first_arg = 1;
+    // "run" is implicit when the first argument is a flag (backwards
+    // compatible with the pre-corpus CLI).
+    const Command *command = &kCommands[0];
+    int i = 1;
     if (argc > 1 && argv[1][0] != '-') {
-        command = argv[1];
-        first_arg = 2;
-        if (command != "run" && command != "replay" && command != "export"
-            && command != "merge" && command != "stats"
-            && command != "quarantined" && command != "inspect") {
-            std::fprintf(stderr, "campaign_cli: unknown subcommand '%s'\n",
-                         command.c_str());
-            usage(argv[0]);
-            return 2;
-        }
+        const std::string name = argv[i++];
+        command = std::find_if(std::begin(kCommands), std::end(kCommands),
+                               [&](auto &c) { return name == c.name; });
+        if (command == std::end(kCommands))
+            return usageError("unknown subcommand '" + name + "'", true);
     }
 
-    core::CampaignConfig cfg;
-    cfg.numPrograms = 50;
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
-    bool patched = false;
-    defense::DefenseKind kind = defense::DefenseKind::Baseline;
-    std::string corpus_dir;
-    std::string out_file;
-    std::vector<std::string> positional;
-    bool minimize = false;
-    bool root_cause = false;
-    unsigned stats_top = 20;
-
-    std::string current_arg;
-    // Silently ignoring a flag the subcommand never reads (e.g.
-    // `replay --patched`) would let the user misattribute results to a
-    // configuration that was never applied.
-    auto only = [&](const char *valid_command) {
-        if (command != valid_command) {
-            std::fprintf(stderr,
-                         "campaign_cli: %s is only valid for the %s "
-                         "subcommand\n",
-                         current_arg.c_str(), valid_command);
-            std::exit(2);
-        }
-    };
-
-    for (int i = first_arg; i < argc; ++i) {
+    Options o;
+    for (; i < argc; ++i) {
         const std::string arg = argv[i];
-        current_arg = arg;
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "campaign_cli: %s needs an argument\n",
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg == "--list") {
-            listChoices();
-            return 0;
-        } else if (arg[0] != '-') {
-            positional.push_back(arg);
-        } else if (arg == "--defense") {
-            only("run");
-            auto k = defense::parseDefenseKind(next());
-            if (!k) {
-                std::fprintf(stderr, "campaign_cli: unknown defense\n");
-                return 2;
-            }
-            kind = *k;
-        } else if (arg == "--contract") {
-            only("run");
-            auto c = contracts::findContract(next());
-            if (!c) {
-                std::fprintf(stderr, "campaign_cli: unknown contract\n");
-                return 2;
-            }
-            cfg.contract = *c;
-        } else if (arg == "--trace") {
-            only("run");
-            auto f = executor::parseTraceFormat(next());
-            if (!f) {
-                std::fprintf(stderr,
-                             "campaign_cli: unknown trace format\n");
-                return 2;
-            }
-            cfg.harness.traceFormat = *f;
-        } else if (arg == "--programs") {
-            only("run");
-            cfg.numPrograms = parseU32("--programs", next());
-        } else if (arg == "--inputs") {
-            only("run");
-            cfg.baseInputsPerProgram = parseU32("--inputs", next());
-        } else if (arg == "--siblings") {
-            only("run");
-            cfg.siblingsPerBase = parseU32("--siblings", next());
-        } else if (arg == "--pages") {
-            only("run");
-            const unsigned pages = parseU32("--pages", next());
-            if (!mem::AddressMap::validSandboxPages(pages)) {
-                std::fprintf(stderr,
-                             "campaign_cli: --pages must be a power of "
-                             "two in 1..%u (got %u)\n",
-                             mem::kMaxSandboxPages, pages);
-                return 2;
-            }
-            cfg.harness.map.sandboxPages = pages;
-        } else if (arg == "--seed") {
-            only("run");
-            cfg.seed = parseNum("--seed", next());
-        } else if (arg == "--jobs") {
-            only("run");
-            cfg.jobs = parseU32("--jobs", next());
-        } else if (arg == "--backend") {
-            only("run");
-            const char *name = next();
-            auto b = executor::parseBackendKind(name);
-            if (!b) {
-                std::fprintf(stderr,
-                             "campaign_cli: unknown backend '%s' "
-                             "(valid:",
-                             name);
-                for (auto kind : executor::allBackendKinds())
-                    std::fprintf(stderr, " %s",
-                                 executor::backendKindName(kind));
-                std::fprintf(stderr, ")\n");
-                return 2;
-            }
-            cfg.backend = *b;
-        } else if (arg == "--ways") {
-            only("run");
-            cfg.harness.core.l1d.ways = parseU32("--ways", next());
-        } else if (arg == "--mshrs") {
-            only("run");
-            cfg.harness.core.l1dMshrs = parseU32("--mshrs", next());
-        } else if (arg == "--boot-insts") {
-            only("run");
-            cfg.harness.bootInsts = parseU32("--boot-insts", next());
-        } else if (arg == "--patched") {
-            only("run");
-            patched = true;
-        } else if (arg == "--no-filter") {
-            only("run");
-            cfg.filterIneffective = false;
-        } else if (arg == "--no-prime-cache") {
-            only("run");
-            cfg.harness.primeCache = false;
-        } else if (arg == "--no-ctrace-memo") {
-            only("run");
-            cfg.ctraceMemo = false;
-        } else if (arg == "--no-cycle-skip") {
-            only("run");
-            cfg.harness.cycleSkip = false;
-        } else if (arg == "--naive") {
-            only("run");
-            cfg.harness.naiveMode = true;
-        } else if (arg == "--invalidate") {
-            only("run");
-            cfg.harness.prime = executor::PrimeMode::Invalidate;
-        } else if (arg == "--stop-first") {
-            only("run");
-            cfg.stopAtFirstViolation = true;
-        } else if (arg == "--fault-plan") {
-            only("run");
-            cfg.faultPlan = next();
-        } else if (arg == "--corpus-dir") {
-            corpus_dir = next();
-        } else if (arg == "--resume") {
-            only("run");
-            cfg.resume = true;
-        } else if (arg == "--checkpoint-every") {
-            only("run");
-            cfg.checkpointEvery = parseU32("--checkpoint-every", next());
-        } else if (arg == "--max-programs") {
-            only("run");
-            cfg.maxProgramsThisRun = parseU32("--max-programs", next());
-        } else if (arg == "--trace-out") {
-            only("run");
-            cfg.telemetry.traceOutPath = next();
-        } else if (arg == "--heartbeat") {
-            only("run");
-            cfg.telemetry.heartbeatPath = next();
-        } else if (arg == "--heartbeat-interval") {
-            only("run");
-            cfg.telemetry.heartbeatIntervalSec =
-                parseSec("--heartbeat-interval", next());
-        } else if (arg == "--uarch-trace-dir") {
-            only("run");
-            cfg.telemetry.uarchTraceDir = next();
-        } else if (arg == "--top") {
-            only("stats");
-            stats_top = parseU32("--top", next());
-        } else if (arg == "--out") {
-            if (command != "export" && command != "inspect") {
-                std::fprintf(stderr,
-                             "campaign_cli: --out is only valid for the "
-                             "export and inspect subcommands\n");
-                return 2;
-            }
-            out_file = next();
-        } else if (arg == "--minimize") {
-            only("replay");
-            minimize = true;
-        } else if (arg == "--root-cause") {
-            only("replay");
-            root_cause = true;
-        } else {
-            unknownOption(argv[0], arg);
+        if (arg[0] != '-') {
+            o.operands.push_back(arg);
+            continue;
         }
-    }
-
-    // Only merge (SRC corpus dirs) and inspect (DIR INDEX) take
-    // positional operands; anywhere else a stray operand is a typo that
-    // must not be silently ignored.
-    if (command != "merge" && command != "inspect" &&
-        !positional.empty()) {
-        std::fprintf(stderr, "campaign_cli: unexpected argument '%s'\n",
-                     positional.front().c_str());
-        usage(argv[0]);
-        return 2;
-    }
-
-    if (command == "replay")
-        return cmdReplay(corpus_dir, minimize, root_cause);
-    if (command == "export")
-        return cmdExport(corpus_dir, out_file);
-    if (command == "merge")
-        return cmdMerge(corpus_dir, positional);
-    if (command == "stats")
-        return cmdStats(corpus_dir, stats_top);
-    if (command == "quarantined")
-        return cmdQuarantined(corpus_dir);
-    if (command == "inspect") {
-        std::string index_text;
-        if (corpus_dir.empty() && positional.size() == 2) {
-            corpus_dir = positional[0];
-            index_text = positional[1];
-        } else if (!corpus_dir.empty() && positional.size() == 1) {
-            index_text = positional[0];
-        } else {
-            std::fprintf(stderr,
-                         "campaign_cli: inspect needs a corpus dir and "
-                         "a record index\n");
-            usage(argv[0]);
-            return 2;
+        const Flag *flag = std::find_if(
+            std::begin(kFlags), std::end(kFlags),
+            [&](const Flag &f) {
+                return arg == f.name || (f.alias && arg == f.alias);
+            });
+        if (flag == std::end(kFlags))
+            return usageError("unknown option '" + arg + "'", true);
+        // Silently ignoring a flag the subcommand never reads (e.g.
+        // `replay --patched`) would let the user misattribute results to
+        // a configuration that was never applied.
+        if (!(flag->commands & command->bit)) {
+            return usageError(std::string(flag->name) +
+                              " is not valid for the " + command->name +
+                              " subcommand (see --help)");
         }
-        return cmdInspect(corpus_dir, index_text, out_file);
+        if (flag->arg && i + 1 >= argc)
+            return usageError(std::string(flag->name) + " needs an argument");
+        o.given.emplace_back(flag, flag->arg ? argv[++i] : nullptr);
     }
 
-    if (cfg.resume && corpus_dir.empty()) {
-        std::fprintf(stderr, "campaign_cli: --resume requires "
-                             "--corpus-dir (nothing to resume from)\n");
-        return 2;
-    }
-    if (!cfg.harness.core.validGeometry()) {
-        std::fprintf(stderr,
-                     "campaign_cli: --ways %u --mshrs %u: the L1D needs a "
-                     "power-of-two set count and at least one MSHR\n",
-                     cfg.harness.core.l1d.ways, cfg.harness.core.l1dMshrs);
-        return 2;
-    }
-    cfg.corpusDir = corpus_dir;
-    cfg.harness.defense =
-        patched ? defense::DefenseConfig::patched(kind)
-                : defense::DefenseConfig{};
-    cfg.harness.defense.kind = kind;
-    // Paper defaults: CleanupSpec/SpecLFB reset caches via the hook.
-    if ((kind == defense::DefenseKind::CleanupSpec ||
-         kind == defense::DefenseKind::SpecLfb)) {
-        cfg.harness.prime = executor::PrimeMode::Invalidate;
-    }
+    // The defense rows pick the paper cell; every other row then edits
+    // it, so an explicit flag wins over the cell wherever it stands.
+    apply(o, true);
+    o.cfg = core::paperCell(o.kind, o.patched);
+    apply(o, false);
 
-    std::printf("campaign: defense=%s%s contract=%s trace=%s programs=%u "
-                "inputs=%u x %u pages=%u seed=%llu jobs=%u "
-                "backend=%s%s%s%s%s%s%s%s%s\n\n",
-                defense::defenseKindName(kind), patched ? " (patched)" : "",
-                cfg.contract.name.c_str(),
-                executor::traceFormatName(cfg.harness.traceFormat),
-                cfg.numPrograms, cfg.baseInputsPerProgram,
-                1 + cfg.siblingsPerBase, cfg.harness.map.sandboxPages,
-                static_cast<unsigned long long>(cfg.seed), cfg.jobs,
-                executor::backendKindName(cfg.backend),
-                cfg.filterIneffective ? "" : " NOFILTER",
-                cfg.harness.primeCache ? "" : " NOPRIMECACHE",
-                cfg.ctraceMemo ? "" : " NOCTRACEMEMO",
-                cfg.harness.cycleSkip ? "" : " NOCYCLESKIP",
-                cfg.harness.naiveMode ? " NAIVE" : "",
-                cfg.corpusDir.empty() ? "" : " corpus=",
-                cfg.corpusDir.c_str(), cfg.resume ? " (resume)" : "");
-
+    if (!command->operands && !o.operands.empty())
+        return usageError("unexpected argument '" + o.operands[0] + "'", true);
+    if (command->needsCorpusDir && o.cfg.corpusDir.empty())
+        return usageError("--corpus-dir is required for this subcommand");
     try {
-        core::Campaign campaign(cfg);
-        const core::CampaignStats stats = campaign.run();
-        std::printf("%s\n", stats.report().c_str());
-        for (const auto &rec : stats.records)
-            std::printf("  %s\n", rec.summary().c_str());
-    } catch (const corpus::CorpusError &e) {
-        std::fprintf(stderr, "campaign_cli: %s\n", e.what());
-        return 1;
+        return command->run(o);
     } catch (const std::exception &e) {
-        // Telemetry I/O failures (unwritable --trace-out/--heartbeat
-        // paths) surface here.
+        // Corpus errors, and telemetry I/O failures (unwritable
+        // --trace-out/--heartbeat paths).
         std::fprintf(stderr, "campaign_cli: %s\n", e.what());
         return 1;
     }
-    return 0;
 }

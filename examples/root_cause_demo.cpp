@@ -46,12 +46,8 @@ main(int argc, char **argv)
         std::printf("Loaded %zu violation(s) from corpus %s\n\n",
                     records.size(), dir.c_str());
     } else {
-        cfg.harness.defense.kind = defense::DefenseKind::CleanupSpec;
-        cfg.harness.prime = executor::PrimeMode::Invalidate;
-        cfg.contract = contracts::ctSeq();
+        cfg = core::paperCell(defense::DefenseKind::CleanupSpec);
         cfg.numPrograms = 120;
-        cfg.baseInputsPerProgram = 6;
-        cfg.siblingsPerBase = 4;
         cfg.seed = 17;
 
         std::printf("Fuzzing the as-published CleanupSpec (CT-SEQ)...\n\n");

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 
+#include "core/campaign.hh"
 #include "executor/sim_harness.hh"
 #include "isa/assembler.hh"
 
@@ -88,14 +89,7 @@ bool
 leaks(defense::DefenseKind kind, bool patched, const isa::Program &prog,
       bool reg_secret, bool v4)
 {
-    executor::HarnessConfig cfg;
-    cfg.defense = patched ? defense::DefenseConfig::patched(kind)
-                          : defense::DefenseConfig{};
-    cfg.defense.kind = kind;
-    cfg.prime = (kind == defense::DefenseKind::CleanupSpec ||
-                 kind == defense::DefenseKind::SpecLfb)
-                    ? executor::PrimeMode::Invalidate
-                    : executor::PrimeMode::ConflictFill;
+    executor::HarnessConfig cfg = core::paperHarness(kind, patched);
     cfg.bootInsts = 2000;
 
     executor::SimHarness harness(cfg);

@@ -87,6 +87,32 @@ if [ "${rc}" -ne 2 ] ||
        "got ${rc}" >&2
   exit 1
 fi
+# Every choice flag reads its values from one table: an unknown value
+# exits 2 and lists the valid ones.
+for flag in --defense --contract --trace; do
+  rc=0
+  "${CLI}" "${flag}" warp > /dev/null 2> "${SMOKE}/choice.err" || rc=$?
+  if [ "${rc}" -ne 2 ] || ! grep -q "(valid: " "${SMOKE}/choice.err"; then
+    echo "FAIL: ${flag} warp must exit 2 listing the valid values," \
+         "got ${rc}" >&2
+    exit 1
+  fi
+done
+# A fault-plan number that does not fit its field is refused, not
+# truncated (4294967297 would poison program 1).
+if "${CLI}" --fault-plan 'seed=1;poison=4294967297' --programs 2 \
+    > /dev/null 2> "${SMOKE}/plan.err" ||
+   ! grep -q "fault plan" "${SMOKE}/plan.err"; then
+  echo "FAIL: an out-of-range poison index must fail naming the plan" >&2
+  exit 1
+fi
+# --defense stt alone runs the paper's STT cell.
+"${CLI}" --defense stt --programs 2 --boot-insts 500 > "${SMOKE}/stt.txt"
+if ! head -n 1 "${SMOKE}/stt.txt" | grep -q "contract=ARCH-SEQ" ||
+   ! head -n 1 "${SMOKE}/stt.txt" | grep -q "pages=128"; then
+  echo "FAIL: --defense stt must run ARCH-SEQ on 128 pages" >&2
+  exit 1
+fi
 # A sandbox must be a power of two in 1..128 pages: 0 underflows the
 # index mask, 3 masks to 0x2fff and never reaches page 1.
 for pages in 0 3; do

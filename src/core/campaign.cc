@@ -7,6 +7,33 @@
 namespace amulet::core
 {
 
+executor::HarnessConfig
+paperHarness(defense::DefenseKind kind, bool patched)
+{
+    executor::HarnessConfig harness;
+    harness.defense = patched ? defense::DefenseConfig::patched(kind)
+                              : defense::DefenseConfig{kind};
+    harness.prime = kind == defense::DefenseKind::CleanupSpec ||
+                            kind == defense::DefenseKind::SpecLfb
+                        ? executor::PrimeMode::Invalidate
+                        : executor::PrimeMode::ConflictFill;
+    return harness;
+}
+
+CampaignConfig
+paperCell(defense::DefenseKind kind, bool patched)
+{
+    CampaignConfig cfg;
+    cfg.harness = paperHarness(kind, patched);
+    if (kind == defense::DefenseKind::Stt) {
+        cfg.harness.map.sandboxPages = 128;
+        cfg.contract = contracts::archSeq();
+    }
+    cfg.baseInputsPerProgram = 6;
+    cfg.siblingsPerBase = 4;
+    return cfg;
+}
+
 std::string
 ViolationRecord::summary() const
 {

@@ -128,6 +128,22 @@ struct CampaignConfig
     std::string faultPlan;
 };
 
+/**
+ * The harness of @p kind's paper setup (§3.5/§4.4), as published or
+ * @p patched: CleanupSpec and SpecLFB reset caches through the
+ * invalidation hook, every other defense by conflict fill. Every other
+ * field keeps its default.
+ */
+executor::HarnessConfig paperHarness(defense::DefenseKind kind,
+                                     bool patched = false);
+
+/**
+ * The paper cell of @p kind (Table 4): paperHarness, STT on ARCH-SEQ
+ * with a 128-page sandbox, and 6 base inputs with 4 siblings each. The
+ * caller sets the campaign's size and seed.
+ */
+CampaignConfig paperCell(defense::DefenseKind kind, bool patched = false);
+
 /** Per-trace-format tallies for the all-formats mode. */
 struct FormatTally
 {

@@ -13,6 +13,10 @@
  * changes every corpus fingerprint, and a Runtime entry needs a variant
  * (or a named exemption) in the equivalence matrix,
  * tests/test_equivalence.cc, whose completeness test walks these tables.
+ * A campaign_cli flag row names the key of the field it sets: a Runtime
+ * entry with a row is listed on the runtime-knobs line of
+ * `campaign_cli --list`, and scripts/verify.sh smokes each `--no-*` flag
+ * on that line.
  */
 
 #ifndef AMULET_CORPUS_FIELDS_HH
@@ -84,6 +88,19 @@ constexpr void
 forEachField(Fn &&fn)
 {
     std::apply([&](const auto &...f) { (fn(f), ...); }, Fields<S>::list);
+}
+
+/** Call @p fn(key, scope, is_bool) on every entry of S's table. */
+template <class S, class Fn>
+void
+forEachEntry(Fn &&fn)
+{
+    forEachField<S>([&](const auto &f) {
+        using Member = std::remove_cvref_t<decltype(std::invoke(
+            f.get, std::declval<S &>()))>;
+        fn(std::string(f.key), std::remove_cvref_t<decltype(f)>::scope,
+           std::is_same_v<Member, bool>);
+    });
 }
 
 // === The tables ============================================================
@@ -275,6 +292,15 @@ struct Fields<core::CampaignConfig>
     };
 };
 
+/** Every entry of the two tables that carry Runtime entries. */
+template <class Fn>
+void
+forEachConfigEntry(Fn &&fn)
+{
+    forEachEntry<executor::HarnessConfig>(fn);
+    forEachEntry<core::CampaignConfig>(fn);
+}
+
 template <>
 struct Fields<core::FormatTally>
 {
@@ -404,6 +430,7 @@ struct Tokens<executor::TraceFormat>
     };
 };
 
+/** In Table 4's row order, which `campaign_cli --list` prints. */
 template <>
 struct Tokens<defense::DefenseKind>
 {
@@ -413,8 +440,19 @@ struct Tokens<defense::DefenseKind>
         {E::Baseline, "Baseline"},
         {E::InvisiSpec, "InvisiSpec"},
         {E::CleanupSpec, "CleanupSpec"},
-        {E::Stt, "STT"},
         {E::SpecLfb, "SpecLFB"},
+        {E::Stt, "STT"},
+    };
+};
+
+template <>
+struct Tokens<executor::BackendKind>
+{
+    using E = executor::BackendKind;
+    static constexpr const char *what = "backend";
+    static constexpr std::pair<E, const char *> list[] = {
+        {E::InProcess, "inproc"},
+        {E::Subprocess, "subprocess"},
     };
 };
 

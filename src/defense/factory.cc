@@ -1,8 +1,5 @@
 #include "defense/factory.hh"
 
-#include <algorithm>
-#include <cctype>
-
 #include "defense/cleanupspec.hh"
 #include "defense/invisispec.hh"
 #include "defense/speclfb.hh"
@@ -22,25 +19,6 @@ defenseKindName(DefenseKind kind)
       case DefenseKind::SpecLfb:     return "SpecLFB";
     }
     return "?";
-}
-
-std::optional<DefenseKind>
-parseDefenseKind(const std::string &name)
-{
-    std::string n = name;
-    std::transform(n.begin(), n.end(), n.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    if (n == "baseline" || n == "o3" || n == "none")
-        return DefenseKind::Baseline;
-    if (n == "invisispec")
-        return DefenseKind::InvisiSpec;
-    if (n == "cleanupspec")
-        return DefenseKind::CleanupSpec;
-    if (n == "stt")
-        return DefenseKind::Stt;
-    if (n == "speclfb")
-        return DefenseKind::SpecLfb;
-    return std::nullopt;
 }
 
 std::vector<DefenseKind>

@@ -12,8 +12,6 @@
 #define AMULET_DEFENSE_FACTORY_HH
 
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "defense/defense.hh"
@@ -33,9 +31,6 @@ enum class DefenseKind
 
 /** Display name ("InvisiSpec"). */
 const char *defenseKindName(DefenseKind kind);
-
-/** Parse a defense name (case-insensitive). */
-std::optional<DefenseKind> parseDefenseKind(const std::string &name);
 
 /** All testable targets, baseline first (Table 4's row order). */
 std::vector<DefenseKind> allDefenseKinds();

@@ -9,39 +9,6 @@
 namespace amulet::executor
 {
 
-// === Backend registry ======================================================
-
-const char *
-backendKindName(BackendKind kind)
-{
-    switch (kind) {
-      case BackendKind::InProcess:  return "inproc";
-      case BackendKind::Subprocess: return "subprocess";
-    }
-    return "?";
-}
-
-std::optional<BackendKind>
-parseBackendKind(const std::string &name)
-{
-    std::string lower;
-    lower.reserve(name.size());
-    for (char c : name)
-        lower += static_cast<char>(
-            c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c);
-    for (BackendKind kind : allBackendKinds()) {
-        if (lower == backendKindName(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-std::vector<BackendKind>
-allBackendKinds()
-{
-    return {BackendKind::InProcess, BackendKind::Subprocess};
-}
-
 // === InProcessBackend ======================================================
 
 InProcessBackend::InProcessBackend(const HarnessConfig &config)

@@ -31,7 +31,6 @@
 #define AMULET_EXECUTOR_BACKEND_HH
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -53,16 +52,6 @@ enum class BackendKind
     InProcess,  ///< harness in the calling thread (default)
     Subprocess, ///< harness in a forked amulet_sim_worker process
 };
-
-/** Stable token ("inproc", "subprocess") — CLI flag values, report
- *  lines. */
-const char *backendKindName(BackendKind kind);
-
-/** Parse a backend token (case-insensitive). */
-std::optional<BackendKind> parseBackendKind(const std::string &name);
-
-/** All selectable backends, default first. */
-std::vector<BackendKind> allBackendKinds();
 
 /** What a backend supports beyond the core interface. */
 struct BackendCaps
@@ -99,7 +88,7 @@ class SimBackend
 
     virtual ~SimBackend() = default;
 
-    /** Stable backend token (matches backendKindName). */
+    /** Stable backend token, its corpus::Tokens<BackendKind> token. */
     virtual const char *name() const = 0;
 
     virtual BackendCaps caps() const = 0;

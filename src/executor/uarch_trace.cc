@@ -29,25 +29,6 @@ traceFormatName(TraceFormat format)
     return "?";
 }
 
-std::optional<TraceFormat>
-parseTraceFormat(const std::string &name)
-{
-    std::string n;
-    for (char c : name)
-        n += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (n == "l1dtlb" || n == "l1d+tlb" || n == "default")
-        return TraceFormat::L1dTlb;
-    if (n == "l1dtlbl1i" || n == "l1d+tlb+l1i")
-        return TraceFormat::L1dTlbL1i;
-    if (n == "bpstate" || n == "bp")
-        return TraceFormat::BpState;
-    if (n == "memorder" || n == "accessorder")
-        return TraceFormat::MemAccessOrder;
-    if (n == "branchorder" || n == "predorder")
-        return TraceFormat::BranchPredOrder;
-    return std::nullopt;
-}
-
 std::vector<TraceFormat>
 allTraceFormats()
 {

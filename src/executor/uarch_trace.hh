@@ -13,7 +13,6 @@
 #define AMULET_EXECUTOR_UARCH_TRACE_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,7 +33,6 @@ enum class TraceFormat
 };
 
 const char *traceFormatName(TraceFormat format);
-std::optional<TraceFormat> parseTraceFormat(const std::string &name);
 std::vector<TraceFormat> allTraceFormats();
 
 /** One μarch trace: canonical word sequence; equality is the relation of

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -56,6 +58,23 @@ splitOperands(const std::string &s)
     return out;
 }
 
+/** All of unsigned token @p t (0x hex, 0b binary or decimal). */
+std::uint64_t
+parseMagnitude(const std::string &t, std::size_t line)
+{
+    const bool prefixed = t.size() > 2 && t[0] == '0';
+    const int base = prefixed && (t[1] == 'x' || t[1] == 'X')   ? 16
+                     : prefixed && (t[1] == 'b' || t[1] == 'B') ? 2
+                                                                : 10;
+    const char *end = t.data() + t.size();
+    std::uint64_t v = 0;
+    const auto [stop, ec] =
+        std::from_chars(t.data() + (base == 10 ? 0 : 2), end, v, base);
+    if (ec != std::errc{} || stop != end)
+        throw AsmError(line, "bad immediate '" + t + "'");
+    return v;
+}
+
 std::int64_t
 parseImm(const std::string &tok, std::size_t line)
 {
@@ -67,19 +86,10 @@ parseImm(const std::string &tok, std::size_t line)
     }
     if (t.empty())
         throw AsmError(line, "empty immediate");
-    std::uint64_t v = 0;
-    try {
-        if (t.size() > 2 && t[0] == '0' && (t[1] == 'x' || t[1] == 'X'))
-            v = std::stoull(t.substr(2), nullptr, 16);
-        else if (t.size() > 2 && t[0] == '0' && (t[1] == 'b' || t[1] == 'B'))
-            v = std::stoull(t.substr(2), nullptr, 2);
-        else
-            v = std::stoull(t, nullptr, 10);
-    } catch (const std::exception &) {
-        throw AsmError(line, "bad immediate '" + tok + "'");
-    }
-    auto sv = static_cast<std::int64_t>(v);
-    return neg ? -sv : sv;
+    // Negated modulo 2^64, so -9223372036854775808 (how the disassembler
+    // prints INT64_MIN) does not overflow.
+    const std::uint64_t v = parseMagnitude(t, line);
+    return static_cast<std::int64_t>(neg ? 0 - v : v);
 }
 
 struct ParsedOperand
@@ -163,8 +173,17 @@ parseOperand(const std::string &tok, std::size_t line)
                     throw AsmError(line, "too many address registers");
                 }
             } else {
-                std::int64_t d = parseImm(term, line);
-                p.mem.disp += static_cast<std::int32_t>(sgn == '-' ? -d : d);
+                // Every partial sum must fit the int32 displacement; a
+                // term clamped to 2^32 leaves int32 from any start.
+                const auto d = static_cast<std::int64_t>(
+                    std::min<std::uint64_t>(parseMagnitude(term, line),
+                                            std::uint64_t{1} << 32));
+                const std::int64_t disp =
+                    sgn == '-' ? p.mem.disp - d : p.mem.disp + d;
+                if (disp < INT32_MIN || disp > INT32_MAX)
+                    throw AsmError(line, "displacement out of range in '" +
+                                             t + "'");
+                p.mem.disp = static_cast<std::int32_t>(disp);
             }
         }
         if (!have_base)

@@ -1,5 +1,6 @@
 #include "runtime/fault.hh"
 
+#include <charconv>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -71,17 +72,16 @@ splitAny(const std::string &text, const char *seps)
     return out;
 }
 
-std::uint64_t
-parseU64(const std::string &text, const std::string &what)
+/** All of @p text as a decimal T (a sign, a stray character or a value
+ *  that does not fit T is malformed). */
+template <class T>
+T
+parseNumber(const std::string &text, const std::string &what)
 {
-    std::size_t used = 0;
-    std::uint64_t value = 0;
-    try {
-        value = std::stoull(text, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used != text.size() || text.empty())
+    T value = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || stop != end)
         throw std::runtime_error("fault plan: bad number for " + what +
                                  ": '" + text + "'");
     return value;
@@ -110,19 +110,18 @@ FaultPlan::parse(const std::string &spec)
         const std::string key = pair.substr(0, eq);
         const std::string value = pair.substr(eq + 1);
         if (key == "seed") {
-            plan.seed_ = parseU64(value, key);
+            plan.seed_ = parseNumber<std::uint64_t>(value, key);
         } else if (key == "poison") {
             for (const std::string &p : splitAny(value, ":"))
-                plan.poison_.insert(
-                    static_cast<unsigned>(parseU64(p, "poison index")));
+                plan.poison_.insert(parseNumber<unsigned>(p, "poison index"));
         } else if (key == "journal.once") {
-            plan.journalOnce_ = parseU64(value, key);
+            plan.journalOnce_ = parseNumber<std::uint64_t>(value, key);
         } else if (isRateSite(key)) {
-            const std::uint64_t rate = parseU64(value, key);
+            const unsigned rate = parseNumber<unsigned>(value, key);
             if (rate > 1000)
                 throw std::runtime_error("fault plan: rate for " + key +
                                          " must be 0..1000 per mille");
-            plan.rates_[key] = static_cast<unsigned>(rate);
+            plan.rates_[key] = rate;
         } else {
             throw std::runtime_error("fault plan: unknown site '" + key +
                                      "'");

@@ -16,6 +16,7 @@
 #include "common/rng.hh"
 #include "corpus/checkpoint.hh"
 #include "corpus/corpus_store.hh"
+#include "corpus/fields.hh"
 #include "corpus/serde.hh"
 #include "runtime/fault.hh"
 #include "runtime/shard_executor.hh"
@@ -42,7 +43,7 @@ CampaignScheduler::run()
         // any simulator (also guards absurd jobs requests).
         core::CampaignStats stats;
         stats.jobs = 1;
-        stats.backend = executor::backendKindName(cfg_.backend);
+        stats.backend = corpus::enumToken(cfg_.backend);
         return stats;
     }
     if (jobs > num_programs)
@@ -478,7 +479,7 @@ CampaignScheduler::run()
 
     core::CampaignStats stats = sink.finalize();
     stats.jobs = jobs;
-    stats.backend = executor::backendKindName(cfg_.backend);
+    stats.backend = corpus::enumToken(cfg_.backend);
     stats.resumedPrograms = static_cast<unsigned>(completed.size());
     stats.wallSeconds = secondsSince(t0);
 

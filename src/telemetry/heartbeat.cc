@@ -1,5 +1,6 @@
 #include "telemetry/heartbeat.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -83,7 +84,11 @@ HeartbeatEmitter::start(const std::string &path, double intervalSec)
                 "heartbeat: cannot open '" + path + "'");
         ownsFile_ = true;
     }
-    intervalSec_ = intervalSec > 0 ? intervalSec : 1.0;
+    // wait_for converts the interval to clock ticks, which overflow for
+    // 1e300 or inf and make every wait return at once: a day fits.
+    constexpr double kMaxIntervalSec = 86400;
+    intervalSec_ = intervalSec > 0 ? std::min(intervalSec, kMaxIntervalSec)
+                                   : 1.0;
     stopping_ = false;
     running_ = true;
     emitLine();

@@ -100,8 +100,9 @@ class HeartbeatEmitter
     HeartbeatEmitter(const HeartbeatEmitter &) = delete;
     HeartbeatEmitter &operator=(const HeartbeatEmitter &) = delete;
 
-    /** Begin emitting. Throws std::runtime_error when @p path cannot be
-     *  opened. No-op when already running. */
+    /** Begin emitting, one line every @p intervalSec seconds (at most a
+     *  day; 1 s when not positive). Throws std::runtime_error when
+     *  @p path cannot be opened. No-op when already running. */
     void start(const std::string &path, double intervalSec);
 
     /** Emit the final snapshot and stop the thread. Idempotent. */

@@ -1,9 +1,8 @@
 /**
  * @file
  * Shared fixture for the campaign-level test suites: a scratch
- * directory, the paper cell of each defense, the small campaign the
- * equivalence matrix runs, and canonical export, metric and stats
- * comparison helpers.
+ * directory, the small campaign the equivalence matrix runs, and
+ * canonical export, metric and stats comparison helpers.
  */
 
 #ifndef AMULET_TESTS_SUPPORT_CAMPAIGN_FIXTURE_HH
@@ -48,32 +47,6 @@ class ScratchDir
     std::string path_;
 };
 
-/**
- * The paper cell of @p kind (Table 4), as published or @p patched: the
- * invalidate reset for CleanupSpec and SpecLFB, STT on ARCH-SEQ with a
- * 128-page sandbox, 6 base inputs with 4 siblings each. The caller sets
- * the campaign's size and seed.
- */
-inline core::CampaignConfig
-paperCell(defense::DefenseKind kind, bool patched = false)
-{
-    core::CampaignConfig cfg;
-    cfg.harness.defense = patched ? defense::DefenseConfig::patched(kind)
-                                  : defense::DefenseConfig{};
-    cfg.harness.defense.kind = kind;
-    cfg.harness.prime = (kind == defense::DefenseKind::CleanupSpec ||
-                         kind == defense::DefenseKind::SpecLfb)
-                            ? executor::PrimeMode::Invalidate
-                            : executor::PrimeMode::ConflictFill;
-    if (kind == defense::DefenseKind::Stt) {
-        cfg.harness.map.sandboxPages = 128;
-        cfg.contract = contracts::archSeq();
-    }
-    cfg.baseInputsPerProgram = 6;
-    cfg.siblingsPerBase = 4;
-    return cfg;
-}
-
 /** The sizes a suite chooses for campaignConfig(). */
 struct CampaignSize
 {
@@ -87,7 +60,7 @@ inline core::CampaignConfig
 campaignConfig(defense::DefenseKind kind, unsigned jobs,
                executor::BackendKind backend, CampaignSize size = {})
 {
-    core::CampaignConfig cfg = paperCell(kind);
+    core::CampaignConfig cfg = core::paperCell(kind);
     cfg.harness.bootInsts = size.bootInsts;
     cfg.numPrograms = size.numPrograms;
     cfg.seed = 1;

@@ -19,7 +19,7 @@ using namespace amulet;
 core::CampaignConfig
 baseConfig(defense::DefenseKind kind, bool patched = false)
 {
-    core::CampaignConfig cfg = fixture::paperCell(kind, patched);
+    core::CampaignConfig cfg = core::paperCell(kind, patched);
     cfg.harness.bootInsts = 2000;
     cfg.numPrograms = 40;
     cfg.seed = 33;
@@ -85,7 +85,6 @@ TEST(CampaignE2E, SttBuggyFindsKv3PatchedIsClean)
     EXPECT_TRUE(bs.signatureCounts.count(core::sig::kKv3TaintedStoreTlb));
 
     auto cfg = baseConfig(defense::DefenseKind::Stt, true);
-    cfg.harness.defense.kind = defense::DefenseKind::Stt;
     cfg.seed = 8;
     core::Campaign patched(cfg);
     const auto ps = patched.run();

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -42,7 +43,7 @@ smallCampaign()
 core::CampaignConfig
 defenseCampaign(defense::DefenseKind kind)
 {
-    core::CampaignConfig cfg = paperCell(kind);
+    core::CampaignConfig cfg = core::paperCell(kind);
     cfg.harness.bootInsts = 2000;
     cfg.numPrograms = 40;
     cfg.seed = kind == defense::DefenseKind::Stt ? 8 : 33;
@@ -610,6 +611,22 @@ TEST(CorpusSerde, EncodingMatchesPinnedBytes)
                       corpus::configFromJson(corpus::Json::parse(pin.dump)))
                       .dump(),
                   pin.dump);
+    }
+
+    // The paper cell of every defense, as published and patched: the
+    // campaigns of the benches, tests and examples build on these.
+    using K = defense::DefenseKind;
+    const std::tuple<K, const char *, const char *> cells[] = {
+        {K::Baseline, "02ea769ffd88a88e", "a9c9407b382c800a"},
+        {K::InvisiSpec, "7c53ac17cae86c88", "8a0661e8ad0e56f4"},
+        {K::CleanupSpec, "9f15de59ba5e86fa", "bb3d1e580ea1b676"},
+        {K::SpecLfb, "5c751d3f957b6fa4", "3b2694928a94b600"},
+        {K::Stt, "ac0662453de5ef15", "4d3eb356402d8cf9"},
+    };
+    for (const auto &[kind, published, patched] : cells) {
+        EXPECT_EQ(corpus::configFingerprint(core::paperCell(kind)), published);
+        EXPECT_EQ(corpus::configFingerprint(core::paperCell(kind, true)),
+                  patched);
     }
 
     const std::string outcome =

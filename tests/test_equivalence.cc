@@ -23,13 +23,11 @@
 
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
-#include <type_traits>
 #include <vector>
 
 #include "corpus/fields.hh"
@@ -355,28 +353,6 @@ variantFor(const std::string &key)
     return nullptr;
 }
 
-/** Call @p fn(key, scope, is_bool) for every entry of S's field table. */
-template <class S, class Fn>
-void
-forEachEntry(Fn &&fn)
-{
-    corpus::forEachField<S>([&](const auto &f) {
-        using Member = std::remove_cvref_t<decltype(std::invoke(
-            f.get, std::declval<S &>()))>;
-        fn(std::string(f.key), std::remove_cvref_t<decltype(f)>::scope,
-           std::is_same_v<Member, bool>);
-    });
-}
-
-/** Every entry of the two tables that carry Runtime entries. */
-template <class Fn>
-void
-forEachConfigEntry(Fn &&fn)
-{
-    forEachEntry<executor::HarnessConfig>(fn);
-    forEachEntry<core::CampaignConfig>(fn);
-}
-
 // === The matrix ============================================================
 
 /** The export without its header line (config dump and fingerprint). */
@@ -399,7 +375,7 @@ TEST_P(Equivalence, Cells)
     unsigned n = 0;
     for (const Cell &cell : variant.cells) {
         SCOPED_TRACE("jobs=" + std::to_string(cell.jobs) + " backend=" +
-                     executor::backendKindName(cell.backend));
+                     corpus::enumToken(cell.backend));
         core::CampaignConfig cfg = rowConfig(row, cell.jobs, cell.backend);
         cfg.corpusDir = scratch.sub("cell" + std::to_string(n++));
         if (variant.apply)
@@ -438,8 +414,8 @@ TEST(EquivalenceMatrix, EveryRuntimeEntryHasAVariantOrAnExemption)
 {
     std::set<std::string> runtime_keys;
     std::set<std::string> definition_keys;
-    forEachConfigEntry([&](const std::string &key, corpus::Scope scope,
-                           bool) {
+    corpus::forEachConfigEntry([&](const std::string &key,
+                                   corpus::Scope scope, bool) {
         if (scope == corpus::Scope::Definition) {
             definition_keys.insert(key);
             return;
@@ -468,8 +444,8 @@ TEST(EquivalenceMatrix, BooleanKnobsResumeAcrossTheirSettings)
 {
     const Row &row = kRows[0];
     unsigned tested = 0;
-    forEachConfigEntry([&](const std::string &key, corpus::Scope scope,
-                           bool is_bool) {
+    corpus::forEachConfigEntry([&](const std::string &key,
+                                   corpus::Scope scope, bool is_bool) {
         const Variant *variant = variantFor(key);
         if (scope != corpus::Scope::Runtime || !is_bool || !variant)
             return;

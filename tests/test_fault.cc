@@ -84,6 +84,12 @@ TEST(FaultPlanSpec, RejectsMalformedSpecs)
                  std::runtime_error);
     EXPECT_THROW(FaultPlan::parse("wire.crash=1001"), std::runtime_error);
     EXPECT_THROW(FaultPlan::parse("poison=1:x"), std::runtime_error);
+    // Negatives and values that do not fit their field are malformed,
+    // not wrapped: 4294967297 must not poison program 1.
+    EXPECT_THROW(FaultPlan::parse("seed=-1"), std::runtime_error);
+    EXPECT_THROW(FaultPlan::parse("journal.once=-1"), std::runtime_error);
+    EXPECT_THROW(FaultPlan::parse("poison=-5"), std::runtime_error);
+    EXPECT_THROW(FaultPlan::parse("poison=4294967297"), std::runtime_error);
 }
 
 TEST(FaultPlanSpec, DecisionsAreDeterministicSeededAndSiteScoped)

@@ -288,6 +288,19 @@ TEST(Assembler, ErrorsCarryLineNumbers)
     EXPECT_THROW(assemble("JMP nowhere"), AsmError);
     EXPECT_THROW(assemble("JMP .undefined_label"), AsmError);
     EXPECT_THROW(assemble("MOV [R14], [R14]"), AsmError);
+    // A number is a whole token, and a displacement must fit int32 after
+    // every term.
+    for (const char *bad :
+         {"MOV RAX, 12abc", "MOV RAX, 0x1zz", "MOV RAX, --5", "MOV RAX, 5 6",
+          "MOV RAX, qword ptr [R14 + 0x100000000]",
+          "MOV RAX, qword ptr [R14 + 0x7fffffff + 1]"}) {
+        EXPECT_THROW(assemble(bad), AsmError) << bad;
+    }
+    // The extremes the disassembler prints still assemble.
+    const Program extremes = assemble("MOV RAX, -9223372036854775808\n"
+                                      "MOV RAX, qword ptr [R14 - 0x80000000]");
+    EXPECT_EQ(extremes.blocks[0].body[0].imm, INT64_MIN);
+    EXPECT_EQ(extremes.blocks[0].body[1].mem.disp, INT32_MIN);
     try {
         assemble("NOP\nBADOP\n");
         FAIL() << "expected AsmError";

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/campaign.hh"
 #include "executor/sim_harness.hh"
 #include "isa/assembler.hh"
 
@@ -18,7 +19,6 @@ namespace
 
 using namespace amulet;
 using executor::HarnessConfig;
-using executor::PrimeMode;
 using executor::SimHarness;
 using executor::TraceFormat;
 
@@ -89,17 +89,11 @@ spectreV1RegSecret()
 }
 
 HarnessConfig
-makeConfig(defense::DefenseKind kind, PrimeMode prime,
-           TraceFormat format = TraceFormat::L1dTlb, bool patched = false,
-           unsigned sandbox_pages = 1)
+makeConfig(defense::DefenseKind kind, TraceFormat format = TraceFormat::L1dTlb,
+           bool patched = false, unsigned sandbox_pages = 1)
 {
-    HarnessConfig cfg;
-    cfg.defense =
-        patched ? defense::DefenseConfig::patched(kind)
-                : defense::DefenseConfig{};
-    cfg.defense.kind = kind;
+    HarnessConfig cfg = core::paperHarness(kind, patched);
     cfg.map.sandboxPages = sandbox_pages;
-    cfg.prime = prime;
     cfg.traceFormat = format;
     cfg.bootInsts = 2000; // keep unit tests fast
     return cfg;
@@ -174,8 +168,7 @@ regSecretInputs(const mem::AddressMap &map)
 
 TEST(LeakDeterminism, SameInputSameTrace)
 {
-    const auto cfg = makeConfig(defense::DefenseKind::Baseline,
-                                PrimeMode::ConflictFill);
+    const auto cfg = makeConfig(defense::DefenseKind::Baseline);
     const isa::Program prog = spectreV1MemSecret();
     const auto [a, b] = memSecretInputs(cfg.map);
     const LeakOutcome o1 = runPair(cfg, prog, a, a);
@@ -186,8 +179,7 @@ TEST(LeakDeterminism, SameInputSameTrace)
 
 TEST(LeakBaseline, SpectreV1MemorySecretLeaks)
 {
-    const auto cfg = makeConfig(defense::DefenseKind::Baseline,
-                                PrimeMode::ConflictFill);
+    const auto cfg = makeConfig(defense::DefenseKind::Baseline);
     const isa::Program prog = spectreV1MemSecret();
     const auto [a, b] = memSecretInputs(cfg.map);
     const LeakOutcome o = runPair(cfg, prog, a, b);
@@ -197,8 +189,7 @@ TEST(LeakBaseline, SpectreV1MemorySecretLeaks)
 
 TEST(LeakBaseline, SpectreV1RegisterSecretLeaks)
 {
-    const auto cfg = makeConfig(defense::DefenseKind::Baseline,
-                                PrimeMode::ConflictFill);
+    const auto cfg = makeConfig(defense::DefenseKind::Baseline);
     const isa::Program prog = spectreV1RegSecret();
     const auto [a, b] = regSecretInputs(cfg.map);
     const LeakOutcome o = runPair(cfg, prog, a, b);
@@ -211,15 +202,13 @@ TEST(LeakInvisiSpec, BuggyLeaksViaSpecEvictionPatchedDoesNot)
 
     // Buggy (as published): the speculative miss evicts a victim from the
     // conflict-filled set (UV1).
-    auto buggy = makeConfig(defense::DefenseKind::InvisiSpec,
-                            PrimeMode::ConflictFill);
+    auto buggy = makeConfig(defense::DefenseKind::InvisiSpec);
     const auto [a, b] = memSecretInputs(buggy.map);
     const LeakOutcome ob = runPair(buggy, prog, a, b);
     EXPECT_TRUE(ob.differs) << "InvisiSpec UV1 must leak via evictions";
 
     // Patched (Listing 2): no replacement for speculative loads.
     auto patched = makeConfig(defense::DefenseKind::InvisiSpec,
-                              PrimeMode::ConflictFill,
                               TraceFormat::L1dTlb, true);
     const LeakOutcome op = runPair(patched, prog, a, b);
     EXPECT_FALSE(op.differs) << "patched InvisiSpec must not leak v1";
@@ -229,16 +218,14 @@ TEST(LeakSpecLfb, FirstLoadBypassLeaksPatchedDoesNot)
 {
     const isa::Program prog = spectreV1RegSecret();
 
-    auto buggy = makeConfig(defense::DefenseKind::SpecLfb,
-                            PrimeMode::Invalidate);
+    auto buggy = makeConfig(defense::DefenseKind::SpecLfb);
     const auto [a, b] = regSecretInputs(buggy.map);
     const LeakOutcome ob = runPair(buggy, prog, a, b);
     EXPECT_TRUE(ob.differs)
         << "SpecLFB UV6: first spec load must install and leak";
 
     auto patched = makeConfig(defense::DefenseKind::SpecLfb,
-                              PrimeMode::Invalidate, TraceFormat::L1dTlb,
-                              true);
+                              TraceFormat::L1dTlb, true);
     const LeakOutcome op = runPair(patched, prog, a, b);
     EXPECT_FALSE(op.differs) << "patched SpecLFB must hold";
 }
@@ -248,8 +235,7 @@ TEST(LeakSpecLfb, ClassicTwoLoadSpectreIsBlockedEvenWhenBuggy)
     // With the memory-secret pattern the *transmitter* is the second
     // speculative load; UV6 only unprotects the first.
     const isa::Program prog = spectreV1MemSecret();
-    auto buggy = makeConfig(defense::DefenseKind::SpecLfb,
-                            PrimeMode::Invalidate);
+    auto buggy = makeConfig(defense::DefenseKind::SpecLfb);
     const auto [a, b] = memSecretInputs(buggy.map);
     const LeakOutcome o = runPair(buggy, prog, a, b);
     EXPECT_FALSE(o.differs)
@@ -261,8 +247,7 @@ TEST(LeakStt, TransmitterLoadBlocked)
     // STT taints the speculatively loaded secret; the dependent
     // transmitter load must be delayed, so no leak in either variant.
     const isa::Program prog = spectreV1MemSecret();
-    const auto cfg = makeConfig(defense::DefenseKind::Stt,
-                                PrimeMode::ConflictFill);
+    const auto cfg = makeConfig(defense::DefenseKind::Stt);
     const auto [a, b] = memSecretInputs(cfg.map);
     const LeakOutcome o = runPair(cfg, prog, a, b);
     EXPECT_FALSE(o.differs) << "STT must block the tainted transmitter";
@@ -273,8 +258,7 @@ TEST(LeakCleanupSpec, SpectreV1IsCleanedUp)
     // CleanupSpec undoes the transient installs, so the plain v1 pattern
     // must not leak through the D-cache.
     const isa::Program prog = spectreV1MemSecret();
-    const auto cfg = makeConfig(defense::DefenseKind::CleanupSpec,
-                                PrimeMode::Invalidate);
+    const auto cfg = makeConfig(defense::DefenseKind::CleanupSpec);
     const auto [a, b] = memSecretInputs(cfg.map);
     const LeakOutcome o = runPair(cfg, prog, a, b);
     EXPECT_FALSE(o.differs) << "CleanupSpec must roll back spec loads";

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/campaign.hh"
 #include "executor/sim_harness.hh"
 #include "isa/assembler.hh"
 
@@ -17,7 +18,6 @@ namespace
 
 using namespace amulet;
 using executor::HarnessConfig;
-using executor::PrimeMode;
 using executor::SimHarness;
 using executor::TraceFormat;
 
@@ -69,14 +69,11 @@ runPair(const HarnessConfig &cfg, const isa::Program &prog,
 }
 
 HarnessConfig
-makeConfig(defense::DefenseKind kind, PrimeMode prime,
-           TraceFormat format = TraceFormat::L1dTlb,
+makeConfig(defense::DefenseKind kind, TraceFormat format = TraceFormat::L1dTlb,
            unsigned sandbox_pages = 1)
 {
-    HarnessConfig cfg;
-    cfg.defense.kind = kind;
+    HarnessConfig cfg = core::paperHarness(kind);
     cfg.map.sandboxPages = sandbox_pages;
-    cfg.prime = prime;
     cfg.traceFormat = format;
     cfg.bootInsts = 2000;
     return cfg;
@@ -117,8 +114,7 @@ spectreV4()
 
 TEST(LeakBaselineV4, StoreBypassLeaksStaleValue)
 {
-    const auto cfg = makeConfig(defense::DefenseKind::Baseline,
-                                PrimeMode::ConflictFill);
+    const auto cfg = makeConfig(defense::DefenseKind::Baseline);
     const isa::Program prog = spectreV4();
     arch::Input a = zeroInput(cfg.map);
     a.regs[isa::regIndex(isa::Reg::Rdi)] = 0; // stored (new) value
@@ -169,8 +165,7 @@ memSecretInputs(const mem::AddressMap &map)
 TEST(LeakCleanupSpecUv3, SpecStoreNotCleanedLeaks)
 {
     const isa::Program prog = specStoreLeak();
-    auto cfg = makeConfig(defense::DefenseKind::CleanupSpec,
-                          PrimeMode::Invalidate);
+    auto cfg = makeConfig(defense::DefenseKind::CleanupSpec);
     const auto [a, b] = memSecretInputs(cfg.map);
     const LeakOutcome o = runPair(cfg, prog, a, b);
     EXPECT_TRUE(o.differs)
@@ -208,8 +203,7 @@ splitLoadLeak()
 TEST(LeakCleanupSpecUv4, SplitRequestNotCleanedLeaks)
 {
     const isa::Program prog = splitLoadLeak();
-    auto cfg = makeConfig(defense::DefenseKind::CleanupSpec,
-                          PrimeMode::Invalidate);
+    auto cfg = makeConfig(defense::DefenseKind::CleanupSpec);
     // Isolate UV4: fix the store bug, keep the split bug.
     cfg.defense.cleanupBugStoreNotCleaned = false;
     const auto [a, b] = memSecretInputs(cfg.map);
@@ -252,8 +246,7 @@ overcleanProgram()
 TEST(LeakCleanupSpecUv5, OvercleanErasesNonSpecFootprint)
 {
     const isa::Program prog = overcleanProgram();
-    auto cfg = makeConfig(defense::DefenseKind::CleanupSpec,
-                          PrimeMode::Invalidate);
+    auto cfg = makeConfig(defense::DefenseKind::CleanupSpec);
     arch::Input a = zeroInput(cfg.map);
     arch::Input b = a;
     a.regs[isa::regIndex(isa::Reg::Rbx)] = 0x140; // SL == NSL line
@@ -296,8 +289,7 @@ TEST(LeakSttKv3, TaintedStoreInstallsTlbEntry)
 {
     const isa::Program prog = taintedStoreTlbLeak();
     // STT is tested with a 128-page sandbox so TLB leakage is visible.
-    auto cfg = makeConfig(defense::DefenseKind::Stt,
-                          PrimeMode::ConflictFill, TraceFormat::L1dTlb,
+    auto cfg = makeConfig(defense::DefenseKind::Stt, TraceFormat::L1dTlb,
                           128);
     arch::Input a = zeroInput(cfg.map);
     a.regs[isa::regIndex(isa::Reg::Rcx)] = 0x200;
@@ -358,8 +350,7 @@ TEST(LeakInvisiSpecKv1, L1iTraceDetectsTimingButDefaultDoesNot)
 {
     const isa::Program prog = ifetchTimingProgram(8, 4);
     auto patched_cfg = [](TraceFormat fmt) {
-        auto cfg = makeConfig(defense::DefenseKind::InvisiSpec,
-                              PrimeMode::ConflictFill, fmt);
+        auto cfg = makeConfig(defense::DefenseKind::InvisiSpec, fmt);
         cfg.defense.invisispecBugSpecEviction = false;
         // Moderate amplification: enough MSHR pressure that speculative
         // misses delay the architectural path, and a longer runahead
@@ -397,7 +388,7 @@ TEST(LeakCleanupSpecKv2, CleanupLatencyLeaksViaL1i)
 {
     const isa::Program prog = ifetchTimingProgram(8, 8, 8);
     auto cfg = makeConfig(defense::DefenseKind::CleanupSpec,
-                          PrimeMode::Invalidate, TraceFormat::L1dTlbL1i);
+                          TraceFormat::L1dTlbL1i);
     // Isolate the unXpec timing channel from UV5 (speculative hits on
     // architecturally warmed lines would otherwise overclean).
     cfg.defense.cleanupNoCleanPatch = true;
@@ -458,8 +449,7 @@ mshrInterferenceProgram()
 TEST(LeakInvisiSpecUv2, MshrInterferenceWithAmplification)
 {
     const isa::Program prog = mshrInterferenceProgram();
-    auto cfg = makeConfig(defense::DefenseKind::InvisiSpec,
-                          PrimeMode::ConflictFill);
+    auto cfg = makeConfig(defense::DefenseKind::InvisiSpec);
     cfg.defense.invisispecBugSpecEviction = false; // patched (Table 6)
     arch::Input a = zeroInput(cfg.map);
     arch::Input b = a;

@@ -7,7 +7,8 @@
  *  - campaign stats (the time breakdown, metrics.json) derive from the
  *    merged registry, resumed campaigns included;
  *  - EventLog's configurable capacity drops oldest-first and counts
- *    what it dropped.
+ *    what it dropped;
+ *  - the heartbeat emitter waits its interval, however long.
  *
  * That telemetry is invisible to campaign results, and that the
  * heartbeat, span-trace and Konata outputs are well-formed, is the
@@ -17,10 +18,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
 
 #include "common/event_log.hh"
 #include "support/campaign_fixture.hh"
+#include "telemetry/heartbeat.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 
@@ -218,6 +226,25 @@ TEST(TelemetryStats, ResumeFoldsRestoredOutcomesIntoRegistry)
     // freshly run alike.
     EXPECT_EQ(resumed.metrics.at("time.testGen").count,
               std::uint64_t{cfg.numPrograms});
+}
+
+// An interval too long for the clock must wait, not return at once: over
+// 100 ms the emitter writes its first line and the final one, nothing in
+// between.
+TEST(Heartbeat, HugeIntervalWritesOnlyTheFirstAndFinalLines)
+{
+    ScratchDir scratch("heartbeat");
+    std::filesystem::create_directories(scratch.sub(""));
+    const std::string path = scratch.sub("hb.jsonl");
+    telemetry::CampaignProgress progress(1, 1);
+    telemetry::HeartbeatEmitter emitter(progress, telemetry::Clock::now());
+    emitter.start(path, 1e300);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    emitter.stop();
+
+    std::ifstream in(path);
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 
 #include "common/event_log.hh"
 #include "common/rng.hh"
+#include "core/campaign.hh"
 #include "core/generator.hh"
 #include "core/input_gen.hh"
 #include "defense/factory.hh"
@@ -448,13 +449,8 @@ TEST(MemSnapshot, RoundTripPerDefense)
 
     for (def::DefenseKind kind : def::allDefenseKinds()) {
         SCOPED_TRACE(def::defenseKindName(kind));
-        executor::HarnessConfig cfg;
+        executor::HarnessConfig cfg = core::paperHarness(kind);
         cfg.bootInsts = 500;
-        cfg.defense.kind = kind;
-        cfg.prime = (kind == def::DefenseKind::CleanupSpec ||
-                     kind == def::DefenseKind::SpecLfb)
-                        ? executor::PrimeMode::Invalidate
-                        : executor::PrimeMode::ConflictFill;
         executor::SimHarness harness(cfg);
         harness.loadProgram(&fp);
         harness.runInput(input);

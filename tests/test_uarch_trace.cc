@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "corpus/fields.hh"
 #include "corpus/serde.hh"
 #include "executor/backend.hh"
 #include "executor/sim_harness.hh"
@@ -301,8 +302,9 @@ TEST(UarchTraceBackends, EveryBackendProducesIdenticalTraces)
     const arch::Input b = secretInput(cfg.map, 7, 1);
 
     std::vector<std::vector<telemetry::UarchRunTrace>> per_backend;
-    for (executor::BackendKind kind : executor::allBackendKinds()) {
-        SCOPED_TRACE(executor::backendKindName(kind));
+    for (const auto &[kind, token] :
+         corpus::Tokens<executor::BackendKind>::list) {
+        SCOPED_TRACE(token);
         auto backend = executor::makeBackend(kind, cfg);
         ASSERT_TRUE(backend->caps().uarchTrace);
         backend->loadProgram(prog, fp);
