@@ -48,6 +48,7 @@ namespace
 
 using namespace amulet;
 using corpus::Json;
+using executor::UarchContext;
 using executor::protocol::errorReply;
 using executor::protocol::okReply;
 using Formats = std::vector<executor::TraceFormat>;
@@ -174,11 +175,11 @@ struct Worker
         }
         if (op == "save") {
             Json reply = okReply();
-            reply.set("ctx", corpus::toJson(sim().saveContext()));
+            reply.set("ctx", corpus::encode(sim().saveContext()));
             return reply;
         }
         if (op == "restore") {
-            sim().restoreContext(corpus::contextFromJson(req.at("ctx")));
+            sim().restoreContext(corpus::decode<UarchContext>(req.at("ctx")));
             return okReply();
         }
         if (op == "batch") {
@@ -193,7 +194,7 @@ struct Worker
             TraceScope trace(sim(), req);
             const auto out =
                 sim().dispatchBatch(batch, extras ? &*extras : nullptr);
-            const executor::UarchContext endCtx = sim().saveContext();
+            const UarchContext endCtx = sim().saveContext();
             Json reply = executor::protocol::batchOutputToJson(out, &endCtx);
             reply.set("ok", Json::boolean(true));
             trace.attach(reply);
@@ -202,31 +203,30 @@ struct Worker
         }
         if (op == "run") {
             mutatingOp();
-            const arch::Input input =
-                corpus::inputFromJson(req.at("input"));
+            const auto input = corpus::decode<arch::Input>(req.at("input"));
             const auto extras = extrasOf(req);
             TraceScope trace(sim(), req);
             const auto out =
                 sim().runOne(input, extras ? &*extras : nullptr);
             Json reply = okReply();
             trace.attach(reply);
-            reply.set("trace", corpus::toJson(out.trace));
+            reply.set("trace", corpus::encode(out.trace));
             reply.set("hitCycleCap", Json::boolean(out.hitCycleCap));
             reply.set("extras", corpus::encode(out.extras));
-            reply.set("endCtx", corpus::toJson(sim().saveContext()));
+            reply.set("endCtx", corpus::encode(sim().saveContext()));
             attachTimes(reply);
             return reply;
         }
         if (op == "classify") {
             mutatingOp();
             const std::string signature = sim().classify(
-                corpus::inputFromJson(req.at("inputA")),
-                corpus::inputFromJson(req.at("inputB")),
-                corpus::contextFromJson(req.at("ctxA")),
-                corpus::contextFromJson(req.at("ctxB")));
+                corpus::decode<arch::Input>(req.at("inputA")),
+                corpus::decode<arch::Input>(req.at("inputB")),
+                corpus::decode<UarchContext>(req.at("ctxA")),
+                corpus::decode<UarchContext>(req.at("ctxB")));
             Json reply = okReply();
             reply.set("signature", Json::str(signature));
-            reply.set("endCtx", corpus::toJson(sim().saveContext()));
+            reply.set("endCtx", corpus::encode(sim().saveContext()));
             attachTimes(reply);
             return reply;
         }

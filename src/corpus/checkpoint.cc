@@ -86,11 +86,7 @@ loadCheckpoint(const std::string &dir, const core::CampaignConfig &config)
     std::ostringstream os;
     os << in.rdbuf();
     const Json j = Json::parse(os.str());
-    const unsigned version = j.at("version").asUnsigned();
-    if (version != kFormatVersion) {
-        throw CorpusError("checkpoint version " + std::to_string(version) +
-                          " unsupported");
-    }
+    checkFormatVersion(j, "checkpoint");
     const std::string fingerprint = configFingerprint(config);
     if (j.at("fingerprint").asStr() != fingerprint) {
         throw CorpusError("checkpoint in " + dir +

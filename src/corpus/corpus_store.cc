@@ -331,11 +331,7 @@ core::CampaignConfig
 CorpusStore::readConfig(const std::string &dir)
 {
     const Json meta = Json::parse(readFile(metaPath(dir)));
-    const unsigned version = meta.at("version").asUnsigned();
-    if (version != kFormatVersion) {
-        throw CorpusError("corpus format version " +
-                          std::to_string(version) + " unsupported");
-    }
+    checkFormatVersion(meta, "corpus meta.json");
     core::CampaignConfig config = configFromJson(meta.at("config"));
     // An edited or mis-decoded config must not replay silently under
     // another definition than the one the corpus was written with.
@@ -369,16 +365,9 @@ CorpusStore::readQuarantined(const std::string &dir)
                 [&](const Json &j) {
                     if (!isQuarantineLine(j))
                         return;
-                    const unsigned version = j.at("version").asUnsigned();
-                    if (version != kFormatVersion) {
-                        throw CorpusError(
-                            "quarantine line version " +
-                            std::to_string(version) + " unsupported");
-                    }
-                    by_program.emplace(
-                        static_cast<unsigned>(
-                            j.at("programIndex").asU64()),
-                        j.at("reason").asStr());
+                    checkFormatVersion(j, "quarantine line");
+                    by_program.emplace(j.at("programIndex").asUnsigned(),
+                                       j.at("reason").asStr());
                 });
     std::vector<QuarantineEntry> entries;
     entries.reserve(by_program.size());

@@ -1,11 +1,20 @@
 /**
  * @file
- * Field tables: the one declaration of every flat struct the corpus and
- * the simulator wire serialize, and the generic codec that walks them.
+ * Field tables: the one declaration of every struct the corpus and the
+ * simulator wire serialize, and the generic codec that walks them.
  *
  * A table lists a struct's fields in key order; each entry names the JSON
- * key and the member. Entries of HarnessConfig and CampaignConfig also
- * carry a class (Scope): Definition entries define a campaign and are in
+ * key and the member. Members that are not tables are leaves of a few
+ * kinds, each decoded with its bound: unsigned and 64-bit numbers,
+ * bytes (at most 0xff), bools, strings, enums (corpus::Tokens), vectors,
+ * fixed-size arrays (exact item count), byte vectors as hex, and
+ * sandbox images as hex of whole pages (at most kMaxSandboxPages). Every
+ * decoder of foreign bytes (meta.json, checkpoints, the journal, the
+ * subprocess wire) is one walk over these tables, so the hostile-entry
+ * test in tests/test_corpus.cc covers each leaf with no per-leaf code.
+ *
+ * Entries of HarnessConfig and CampaignConfig also carry a class
+ * (Scope): Definition entries define a campaign and are in
  * the corpus dump, and so in configFingerprint; Runtime entries are
  * results-invisible knobs the corpus never holds. The subprocess hello
  * encodes the harness at Scope::Runtime, so its Runtime entries travel
@@ -22,6 +31,7 @@
 #ifndef AMULET_CORPUS_FIELDS_HH
 #define AMULET_CORPUS_FIELDS_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -31,7 +41,14 @@
 #include <utility>
 #include <vector>
 
+#include "arch/input.hh"
 #include "corpus/serde.hh"
+#include "executor/sim_harness.hh"
+#include "executor/uarch_trace.hh"
+#include "mem/sandbox_image.hh"
+#include "runtime/violation_sink.hh"
+#include "uarch/params.hh"
+#include "uarch/predictors.hh"
 
 namespace amulet::corpus
 {
@@ -69,8 +86,9 @@ runtimeField(const char *key, Get get)
 }
 
 /** Field table of S: `static constexpr std::tuple list`, and optionally
- *  `static void check(const S &)`, which decode runs on the decoded
- *  value and which throws CorpusError when an invariant fails. */
+ *  `static void check(S &)`, which decode runs on the decoded value: it
+ *  throws CorpusError when an invariant fails, and may rebuild a member
+ *  the encoding leaves out. */
 template <class S>
 struct Fields;
 
@@ -81,6 +99,11 @@ template <class T>
 inline constexpr bool kIsVector = false;
 template <class T>
 inline constexpr bool kIsVector<std::vector<T>> = true;
+
+template <class T>
+inline constexpr bool kIsArray = false;
+template <class T, std::size_t N>
+inline constexpr bool kIsArray<std::array<T, N>> = true;
 
 /** Call @p fn on every entry of S's table, in key order. */
 template <class S, class Fn>
@@ -155,8 +178,9 @@ struct Fields<uarch::CoreParams>
     check(const S &core)
     {
         if (!core.validGeometry())
-            throw CorpusError("cache geometry the simulator cannot model "
-                              "(see CoreParams::validGeometry)");
+            throw CorpusError("cache geometry or predictor tables the "
+                              "simulator cannot model (see "
+                              "CoreParams::validGeometry)");
     }
 };
 
@@ -388,6 +412,90 @@ struct Fields<executor::TimeBreakdown>
     };
 };
 
+/** An input (record field, wire request): registers, flags, sandbox. */
+template <>
+struct Fields<arch::Input>
+{
+    using S = arch::Input;
+    static constexpr std::tuple list{
+        field("id", &S::id),
+        field("regs", &S::regs),
+        field("flags", &S::flagsByte),
+        field("sandbox", &S::sandbox),
+    };
+};
+
+template <>
+struct Fields<executor::UTrace>
+{
+    using S = executor::UTrace;
+    static constexpr std::tuple list{
+        field("format", &S::format),
+        field("words", &S::words),
+    };
+
+    /** The hash cache is never serialized; rebuild it so traces that
+     *  crossed the wire or the journal take the same fast-inequality
+     *  path as freshly extracted ones. */
+    static void check(S &trace) { trace.finalizeHash(); }
+};
+
+/** Branch-predictor snapshot. Decode bounds its tables by the largest
+ *  core (uarch/params.hh); restoreContext then requires the exact
+ *  geometry of its own core. */
+template <>
+struct Fields<uarch::BranchPredictor::State>
+{
+    using S = uarch::BranchPredictor::State;
+    static constexpr std::tuple list{
+        field("ghr", &S::ghr),
+        field("pht", &S::pht),
+        field("btbTags", &S::btbTags),
+        field("btbTargets", &S::btbTargets),
+    };
+
+    static void
+    check(const S &bp)
+    {
+        if (bp.pht.size() > std::size_t{1} << uarch::kMaxPhtBits ||
+            bp.btbTags.size() > uarch::kMaxBtbEntries)
+            throw CorpusError("predictor context does not fit any core: "
+                              "tables larger than the largest core's");
+        if (bp.btbTargets.size() != bp.btbTags.size())
+            throw CorpusError("predictor context does not fit any core: "
+                              "BTB tags and targets differ in length");
+    }
+};
+
+template <>
+struct Fields<executor::UarchContext>
+{
+    using S = executor::UarchContext;
+    static constexpr std::tuple list{
+        field("bp", &S::bp),
+        field("mdp", &S::mdp),
+    };
+
+    static void
+    check(const S &ctx)
+    {
+        if (ctx.mdp.size() > uarch::kMaxMdpEntries)
+            throw CorpusError("predictor context does not fit any core: "
+                              "MDP larger than the largest core's");
+    }
+};
+
+/** One run of a batch reply (executor/sim_protocol.hh). */
+template <>
+struct Fields<executor::SimHarness::RunOutput>
+{
+    using S = executor::SimHarness::RunOutput;
+    static constexpr std::tuple list{
+        field("trace", &S::trace),
+        field("run", &S::run),
+    };
+};
+
 /** Token table of an enum a table member holds: each enumerator with
  *  its JSON token. The tokens are the format; display names may differ. */
 template <class E>
@@ -470,8 +578,8 @@ enumToken(E value)
 
 // === The codec =============================================================
 
-/** Encode a scalar, enum, vector, leaf (serde.hh) or Tabled struct. A
- *  walk at Scope::Definition (the corpus) skips Runtime entries; one at
+/** Encode a leaf (see the file comment) or Tabled struct. A walk at
+ *  Scope::Definition (the corpus) skips Runtime entries; one at
  *  Scope::Runtime (the subprocess hello) writes them too. */
 template <Scope kScope = Scope::Definition, class T>
 Json encode(const T &value);
@@ -489,7 +597,8 @@ encodeInto(const S &s, Json &obj)
 
 /** Decode what encode<kScope> writes (out-of-scope entries keep their
  *  defaults), then run the table's check. Throws CorpusError on a missing
- *  key, a wrong JSON kind, an out-of-range number or a failed check. */
+ *  key, a wrong JSON kind, an out-of-range number, a wrong item count or
+ *  length, or a failed check. */
 template <class T, Scope kScope = Scope::Definition>
 T
 decode(const Json &json)
@@ -497,6 +606,12 @@ decode(const Json &json)
     using FormatTallies = std::map<executor::TraceFormat, core::FormatTally>;
     if constexpr (std::is_same_v<T, bool>) {
         return json.asBool();
+    } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+        const std::uint64_t v = json.asU64();
+        if (v > 0xff) // 257 must not read as 1
+            throw CorpusError("JSON: values over 0xff do not fit a byte: " +
+                              std::to_string(v));
+        return static_cast<std::uint8_t>(v);
     } else if constexpr (std::is_same_v<T, unsigned>) {
         return json.asUnsigned();
     } else if constexpr (std::is_same_v<T, std::uint64_t>) {
@@ -538,22 +653,35 @@ decode(const Json &json)
         for (const auto &[key, value] : json.members())
             out[key] = value.asU64();
         return out;
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+        return hexDecode(json.asStr());
+    } else if constexpr (std::is_same_v<T, mem::SandboxImage>) {
+        const std::string &hex = json.asStr();
+        // Whole pages only, at most the largest legal sandbox: checked on
+        // the text, before decoding allocates anything.
+        if (hex.size() % (2 * mem::kPageSize) != 0 ||
+            hex.size() / (2 * mem::kPageSize) > mem::kMaxSandboxPages)
+            throw CorpusError("sandbox is not a whole number of pages up "
+                              "to " +
+                              std::to_string(mem::kMaxSandboxPages));
+        return mem::SandboxImage(hexDecode(hex));
     } else if constexpr (kIsVector<T>) {
         T out;
         out.reserve(json.items().size());
         for (const Json &item : json.items())
             out.push_back(decode<typename T::value_type, kScope>(item));
         return out;
-    } else if constexpr (std::is_same_v<T, arch::Input>) {
-        return inputFromJson(json);
-    } else if constexpr (std::is_same_v<T, executor::UTrace>) {
-        return traceFromJson(json);
-    } else if constexpr (std::is_same_v<T, executor::UarchContext>) {
-        return contextFromJson(json);
     } else {
-        static_assert(std::is_same_v<T, Rng::State>,
-                      "no JSON codec for this type");
-        return rngStateFromJson(json);
+        static_assert(kIsArray<T>, "no JSON codec for this type");
+        T out{};
+        const auto &items = json.items();
+        if (items.size() != out.size())
+            throw CorpusError("JSON: expected " +
+                              std::to_string(out.size()) + " items, got " +
+                              std::to_string(items.size()));
+        for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] = decode<typename T::value_type, kScope>(items[i]);
+        return out;
     }
 }
 
@@ -564,7 +692,8 @@ encode(const T &value)
     using FormatTallies = std::map<executor::TraceFormat, core::FormatTally>;
     if constexpr (std::is_same_v<T, bool>) {
         return Json::boolean(value);
-    } else if constexpr (std::is_same_v<T, unsigned> ||
+    } else if constexpr (std::is_same_v<T, std::uint8_t> ||
+                         std::is_same_v<T, unsigned> ||
                          std::is_same_v<T, std::uint64_t>) {
         return Json::number(std::uint64_t{value});
     } else if constexpr (std::is_same_v<T, double>) {
@@ -593,13 +722,19 @@ encode(const T &value)
         for (const auto &[key, count] : value)
             obj.set(key, Json::number(count));
         return obj;
-    } else if constexpr (kIsVector<T>) {
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+        return Json::str(hexEncode(value.data(), value.size()));
+    } else if constexpr (std::is_same_v<T, mem::SandboxImage>) {
+        if (const std::vector<std::uint8_t> *bytes = value.explicitBytes())
+            return encode(*bytes);
+        return encode(value.toBytes());
+    } else {
+        static_assert(kIsVector<T> || kIsArray<T>,
+                      "no JSON codec for this type");
         Json arr = Json::array();
         for (const auto &item : value)
             arr.push(encode<kScope>(item));
         return arr;
-    } else {
-        return toJson(value); // hand-written leaf codec (serde.hh)
     }
 }
 

@@ -585,10 +585,7 @@ Json::parse(const std::string &text)
     return Parser(text).parseDocument();
 }
 
-// === Field helpers =========================================================
-
-namespace
-{
+// === Building blocks =======================================================
 
 std::string
 hexEncode(const std::uint8_t *data, std::size_t size)
@@ -625,127 +622,15 @@ hexDecode(const std::string &hex)
     return out;
 }
 
-} // namespace
-
-// === Building blocks =======================================================
-
-Json
-toJson(const arch::Input &input)
+void
+checkFormatVersion(const Json &json, const std::string &what)
 {
-    Json j = Json::object();
-    j.set("id", Json::number(input.id));
-    Json regs = Json::array();
-    for (RegVal r : input.regs)
-        regs.push(Json::number(r));
-    j.set("regs", std::move(regs));
-    j.set("flags", Json::number(std::uint64_t{input.flagsByte}));
-    const std::vector<std::uint8_t> *bytes = input.sandbox.explicitBytes();
-    std::vector<std::uint8_t> generated;
-    if (!bytes) {
-        generated = input.sandbox.toBytes();
-        bytes = &generated;
+    const unsigned version = json.at("version").asUnsigned();
+    if (version != kFormatVersion) {
+        throw CorpusError(what + " version " + std::to_string(version) +
+                          " unsupported (have " +
+                          std::to_string(kFormatVersion) + ")");
     }
-    j.set("sandbox", Json::str(hexEncode(bytes->data(), bytes->size())));
-    return j;
-}
-
-arch::Input
-inputFromJson(const Json &json)
-{
-    arch::Input input;
-    input.id = json.at("id").asU64();
-    const auto &regs = json.at("regs").items();
-    if (regs.size() != input.regs.size())
-        throw CorpusError("input: wrong register count");
-    for (std::size_t i = 0; i < regs.size(); ++i)
-        input.regs[i] = regs[i].asU64();
-    const std::uint64_t flags = json.at("flags").asU64();
-    if (flags > 0xff) // 257 must not replay as flags byte 1
-        throw CorpusError("input: flags " + std::to_string(flags) +
-                          " do not fit a byte");
-    input.flagsByte = static_cast<std::uint8_t>(flags);
-    const std::string &hex = json.at("sandbox").asStr();
-    // Whole pages only, at most the largest legal sandbox — checked on
-    // the text, before decoding allocates anything.
-    if (hex.size() % (2 * mem::kPageSize) != 0 ||
-        hex.size() / (2 * mem::kPageSize) > mem::kMaxSandboxPages)
-        throw CorpusError("input: sandbox is not a whole number of pages "
-                          "up to " +
-                          std::to_string(mem::kMaxSandboxPages));
-    input.sandbox = mem::SandboxImage(hexDecode(hex));
-    return input;
-}
-
-Json
-toJson(const executor::UTrace &trace)
-{
-    Json j = Json::object();
-    j.set("format", encode(trace.format));
-    j.set("words", encode(trace.words));
-    return j;
-}
-
-executor::UTrace
-traceFromJson(const Json &json)
-{
-    executor::UTrace trace;
-    trace.format = decode<executor::TraceFormat>(json.at("format"));
-    trace.words = decode<std::vector<std::uint64_t>>(json.at("words"));
-    // The hash cache is never serialized; rebuild it so traces that
-    // crossed the wire (subprocess backend) or the journal take the
-    // same fast-inequality path as freshly extracted ones.
-    trace.finalizeHash();
-    return trace;
-}
-
-Json
-toJson(const executor::UarchContext &ctx)
-{
-    Json bp = Json::object();
-    bp.set("ghr", Json::number(std::uint64_t{ctx.bp.ghr}));
-    bp.set("pht", Json::str(hexEncode(ctx.bp.pht.data(),
-                                      ctx.bp.pht.size())));
-    bp.set("btbTags", encode(ctx.bp.btbTags));
-    bp.set("btbTargets", encode(ctx.bp.btbTargets));
-    Json j = Json::object();
-    j.set("bp", std::move(bp));
-    j.set("mdp", Json::str(hexEncode(ctx.mdp.data(), ctx.mdp.size())));
-    return j;
-}
-
-executor::UarchContext
-contextFromJson(const Json &json)
-{
-    executor::UarchContext ctx;
-    const Json &bp = json.at("bp");
-    ctx.bp.ghr = bp.at("ghr").asUnsigned(); // 2^32 + 1 must not read as 1
-    ctx.bp.pht = hexDecode(bp.at("pht").asStr());
-    using Words = std::vector<std::uint64_t>;
-    ctx.bp.btbTags = decode<Words>(bp.at("btbTags"));
-    ctx.bp.btbTargets = decode<Words>(bp.at("btbTargets"));
-    ctx.mdp = hexDecode(json.at("mdp").asStr());
-    return ctx;
-}
-
-Json
-toJson(const Rng::State &state)
-{
-    Json arr = Json::array();
-    for (std::uint64_t word : state)
-        arr.push(Json::number(word));
-    return arr;
-}
-
-Rng::State
-rngStateFromJson(const Json &json)
-{
-    Rng::State state{};
-    const auto &items = json.items();
-    if (items.size() != state.size())
-        throw CorpusError("rng state: wrong word count");
-    for (std::size_t i = 0; i < state.size(); ++i)
-        state[i] = items[i].asU64();
-    return state;
 }
 
 // === Violation records =====================================================
@@ -762,12 +647,7 @@ toJson(const core::ViolationRecord &record)
 core::ViolationRecord
 recordFromJson(const Json &json)
 {
-    const unsigned version = json.at("version").asUnsigned();
-    if (version != kFormatVersion) {
-        throw CorpusError("corpus record version " +
-                          std::to_string(version) + " unsupported (have " +
-                          std::to_string(kFormatVersion) + ")");
-    }
+    checkFormatVersion(json, "corpus record");
     core::ViolationRecord record = decode<core::ViolationRecord>(json);
     // The program travels as disassembly; reparse it now so a corrupt
     // listing fails at load time, not mid-replay.
@@ -795,11 +675,7 @@ configToJson(const core::CampaignConfig &config)
 core::CampaignConfig
 configFromJson(const Json &json)
 {
-    const unsigned version = json.at("version").asUnsigned();
-    if (version != kFormatVersion) {
-        throw CorpusError("corpus config version " +
-                          std::to_string(version) + " unsupported");
-    }
+    checkFormatVersion(json, "corpus config");
     return decode<core::CampaignConfig>(json);
 }
 

@@ -15,12 +15,13 @@
  * equal values produce byte-equal dumps, which is what corpus exports
  * and config fingerprints are built on.
  *
- * Flat structs (configs, records, checkpointed outcomes, wire run
- * results and times) are declared once, as field tables in
- * corpus/fields.hh that one generic encode/decode walks. Adding a field
- * takes one table entry; a Definition entry changes every corpus
- * fingerprint. This header keeps the leaf codecs with their own shapes
- * and the entry points that add a version check.
+ * Every serialized struct (configs, records with their inputs, traces,
+ * predictor contexts and RNG state, checkpointed outcomes, wire runs
+ * and times) is declared once, as a field table in corpus/fields.hh that
+ * one generic encode/decode walks. Adding a field takes one table entry;
+ * a Definition entry changes every corpus fingerprint. This header keeps
+ * the Json value, the hex codec the tables' byte leaves use, the format
+ * version check and the entry points that add it.
  */
 
 #ifndef AMULET_CORPUS_SERDE_HH
@@ -32,13 +33,8 @@
 #include <utility>
 #include <vector>
 
-#include "arch/input.hh"
-#include "common/rng.hh"
 #include "core/campaign.hh"
 #include "core/violation.hh"
-#include "executor/sim_harness.hh"
-#include "executor/uarch_trace.hh"
-#include "runtime/violation_sink.hh"
 
 namespace amulet::corpus
 {
@@ -130,17 +126,15 @@ class Json
 
 /** @name Building blocks */
 /// @{
-Json toJson(const arch::Input &input);
-arch::Input inputFromJson(const Json &json);
+/** Lower-case hex of @p size bytes at @p data. */
+std::string hexEncode(const std::uint8_t *data, std::size_t size);
+/** The bytes of @p hex; throws CorpusError on an odd length or a
+ *  non-hex digit. */
+std::vector<std::uint8_t> hexDecode(const std::string &hex);
 
-Json toJson(const executor::UTrace &trace);
-executor::UTrace traceFromJson(const Json &json);
-
-Json toJson(const executor::UarchContext &ctx);
-executor::UarchContext contextFromJson(const Json &json);
-
-Json toJson(const Rng::State &state);
-Rng::State rngStateFromJson(const Json &json);
+/** Throw CorpusError unless @p json's "version" is kFormatVersion; the
+ *  message names @p what, the document that was read. */
+void checkFormatVersion(const Json &json, const std::string &what);
 /// @}
 
 /**

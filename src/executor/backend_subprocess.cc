@@ -197,7 +197,7 @@ SubprocessBackend::spawnWorker()
     if (ctx_) {
         Json restore = Json::object();
         restore.set("op", Json::str("restore"));
-        restore.set("ctx", corpus::toJson(*ctx_));
+        restore.set("ctx", corpus::encode(*ctx_));
         must(restore, "context restore");
     }
 }
@@ -433,7 +433,7 @@ SubprocessBackend::saveContext()
     Json req = Json::object();
     req.set("op", Json::str("save"));
     const Json reply = roundTrip(req);
-    UarchContext ctx = corpus::contextFromJson(reply.at("ctx"));
+    UarchContext ctx = corpus::decode<UarchContext>(reply.at("ctx"));
     // saveContext boots an idle worker; remember the state so a crash
     // before the next mutating op restores to it.
     ctx_ = ctx;
@@ -446,7 +446,7 @@ SubprocessBackend::restoreContext(const UarchContext &ctx)
     telemetry::SpanScope span(telemetry_, "op.restoreContext");
     Json req = Json::object();
     req.set("op", Json::str("restore"));
-    req.set("ctx", corpus::toJson(ctx));
+    req.set("ctx", corpus::encode(ctx));
     roundTrip(req);
     ctx_ = ctx;
 }
@@ -458,7 +458,7 @@ SubprocessBackend::dispatchBatch(const std::vector<const arch::Input *> &batch,
     telemetry::SpanScope span(telemetry_, "op.dispatchBatch");
     Json inputs = Json::array();
     for (const arch::Input *input : batch)
-        inputs.push(corpus::toJson(*input));
+        inputs.push(corpus::encode(*input));
     Json req = Json::object();
     req.set("op", Json::str("batch"));
     req.set("inputs", std::move(inputs));
@@ -484,17 +484,17 @@ SubprocessBackend::runOne(const arch::Input &input,
     telemetry::SpanScope span(telemetry_, "op.runOne");
     Json req = Json::object();
     req.set("op", Json::str("run"));
-    req.set("input", corpus::toJson(input));
+    req.set("input", corpus::encode(input));
     if (extraFormats)
         req.set("extras", corpus::encode(*extraFormats));
     if (utrace_)
         req.set("utrace", Json::boolean(true));
     const Json reply = roundTrip(req);
     SingleOutput out;
-    out.trace = corpus::traceFromJson(reply.at("trace"));
+    out.trace = corpus::decode<UTrace>(reply.at("trace"));
     out.hitCycleCap = reply.at("hitCycleCap").asBool();
     out.extras = corpus::decode<std::vector<UTrace>>(reply.at("extras"));
-    ctx_ = corpus::contextFromJson(reply.at("endCtx"));
+    ctx_ = corpus::decode<UarchContext>(reply.at("endCtx"));
     lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
     collectReplyTraces(reply);
     return out;
@@ -528,12 +528,12 @@ SubprocessBackend::classify(const arch::Input &inputA,
     telemetry::SpanScope span(telemetry_, "op.classify");
     Json req = Json::object();
     req.set("op", Json::str("classify"));
-    req.set("inputA", corpus::toJson(inputA));
-    req.set("inputB", corpus::toJson(inputB));
-    req.set("ctxA", corpus::toJson(ctxA));
-    req.set("ctxB", corpus::toJson(ctxB));
+    req.set("inputA", corpus::encode(inputA));
+    req.set("inputB", corpus::encode(inputB));
+    req.set("ctxA", corpus::encode(ctxA));
+    req.set("ctxB", corpus::encode(ctxB));
     const Json reply = roundTrip(req);
-    ctx_ = corpus::contextFromJson(reply.at("endCtx"));
+    ctx_ = corpus::decode<UarchContext>(reply.at("endCtx"));
     lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
     return reply.at("signature").asStr();
 }

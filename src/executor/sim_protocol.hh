@@ -1,9 +1,9 @@
 /**
  * @file
  * Wire protocol between SubprocessBackend and the amulet_sim_worker
- * process: newline-delimited JSON over stdin/stdout, reusing the corpus
- * serde building blocks (inputs, traces, contexts travel in exactly the
- * journal's canonical encoding; programs travel as disassembly).
+ * process: newline-delimited JSON over stdin/stdout. Inputs, traces and
+ * contexts travel as their corpus/fields.hh tables, in exactly the
+ * journal's canonical encoding; programs travel as disassembly.
  *
  * Each request line gets exactly one reply line ({"ok":true,...} or
  * {"ok":false,"error":...}). Operations:
@@ -22,9 +22,10 @@
  *   times    {}                        -> {times}
  *   exit     {}                        -> (worker exits)
  *
- * Flat structs travel as their corpus/fields.hh tables: the hello's
- * harness is encoded at Scope::Runtime (its Runtime entries included),
- * run results and times at the default scope.
+ * Every struct travels as its corpus/fields.hh table, so the worker and
+ * the parent decode what the other wrote through the same bounded walk:
+ * the hello's harness at Scope::Runtime (its Runtime entries included),
+ * everything else at the default scope.
  *
  * Every state-mutating reply carries endCtx, the worker's predictor
  * state after the operation. The backend tracks it so a crashed worker

@@ -85,9 +85,13 @@ HeartbeatEmitter::start(const std::string &path, double intervalSec)
         ownsFile_ = true;
     }
     // wait_for converts the interval to clock ticks, which overflow for
-    // 1e300 or inf and make every wait return at once: a day fits.
+    // 1e300 or inf and make every wait return at once: a day fits. A
+    // wait shorter than a tick returns at once too, so 1e-300 would spin
+    // writing lines: a millisecond is the floor.
+    constexpr double kMinIntervalSec = 1e-3;
     constexpr double kMaxIntervalSec = 86400;
-    intervalSec_ = intervalSec > 0 ? std::min(intervalSec, kMaxIntervalSec)
+    intervalSec_ = intervalSec > 0 ? std::clamp(intervalSec, kMinIntervalSec,
+                                                kMaxIntervalSec)
                                    : 1.0;
     stopping_ = false;
     running_ = true;

@@ -100,8 +100,8 @@ class HeartbeatEmitter
     HeartbeatEmitter(const HeartbeatEmitter &) = delete;
     HeartbeatEmitter &operator=(const HeartbeatEmitter &) = delete;
 
-    /** Begin emitting, one line every @p intervalSec seconds (at most a
-     *  day; 1 s when not positive). Throws std::runtime_error when
+    /** Begin emitting, one line every @p intervalSec seconds (clamped to
+     *  1 ms..1 day; 1 s when not positive). Throws std::runtime_error when
      *  @p path cannot be opened. No-op when already running. */
     void start(const std::string &path, double intervalSec);
 

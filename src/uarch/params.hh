@@ -31,6 +31,16 @@ struct CacheParams
     unsigned numLines() const { return sizeBytes / lineBytes; }
 };
 
+/** @name Largest predictor tables a core may configure
+ *  Every input run and every saved context copies these tables, so a
+ *  config or context from disk or the wire must not ask for gigabytes
+ *  (phtBits 40 would be a 1 TiB PHT). */
+/// @{
+inline constexpr unsigned kMaxPhtBits = 16;
+inline constexpr unsigned kMaxBtbEntries = 1u << 16;
+inline constexpr unsigned kMaxMdpEntries = 1u << 16;
+/// @}
+
 /** Safety model used by the speculation tracker (§4.1: Futuristic). */
 enum class SpecMode
 {
@@ -99,8 +109,10 @@ struct CoreParams
 
     /** Geometry the simulator can model: l1d, l1i and l2 each need a
      *  way, a power-of-two line size and a power-of-two set count that
-     *  divides the size exactly (sets are indexed by mask), and each L1
-     *  an MSHR. The CLI and the corpus decoder refuse anything else. */
+     *  divides the size exactly (sets are indexed by mask), each L1 an
+     *  MSHR, and the predictors a BTB and an MDP entry (both index by
+     *  modulo) and tables within the kMax* bounds. The CLI and the
+     *  corpus decoder refuse anything else. */
     bool
     validGeometry() const
     {
@@ -113,7 +125,9 @@ struct CoreParams
                 !isPowerOfTwo(c->sizeBytes / way_bytes))
                 return false;
         }
-        return l1dMshrs >= 1 && l1iMshrs >= 1;
+        return l1dMshrs >= 1 && l1iMshrs >= 1 && phtBits <= kMaxPhtBits &&
+               btbEntries >= 1 && btbEntries <= kMaxBtbEntries &&
+               mdpEntries >= 1 && mdpEntries <= kMaxMdpEntries;
     }
 };
 

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -71,6 +74,8 @@ sampleRecord()
     rec.inputA.sandbox.set(13, 0x07);
     rec.inputB = rec.inputA;
     rec.inputB.id = 70004;
+    for (std::size_t i = 0; i < rec.inputB.regs.size(); ++i)
+        rec.inputB.regs[i] = i * 0x0101010101010101ULL;
     rec.inputB.sandbox.set(512, 0xcd);
     rec.traceA.format = executor::TraceFormat::L1dTlb;
     rec.traceA.words = {0xd1d1000000000001ULL, 42, 99};
@@ -88,6 +93,42 @@ sampleRecord()
     rec.detectSeconds = 12.25;
     rec.rngState = {1, 2, 0xffffffffffffffffULL, 4};
     return rec;
+}
+
+/** @p json with every string longer than 256 characters replaced by its
+ *  length and FNV-1a hash, so a pinned dump stays readable. */
+corpus::Json
+hashLongStrings(const corpus::Json &json)
+{
+    using corpus::Json;
+    switch (json.kind()) {
+      case Json::Kind::Str: {
+        const std::string &s = json.asStr();
+        if (s.size() <= 256)
+            return json;
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (unsigned char c : s)
+            h = (h ^ c) * 0x100000001b3ULL;
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%zu:%016llx", s.size(),
+                      static_cast<unsigned long long>(h));
+        return Json::str(buf);
+      }
+      case Json::Kind::Arr: {
+        Json out = Json::array();
+        for (const Json &item : json.items())
+            out.push(hashLongStrings(item));
+        return out;
+      }
+      case Json::Kind::Obj: {
+        Json out = Json::object();
+        for (const auto &[key, value] : json.members())
+            out.set(key, hashLongStrings(value));
+        return out;
+      }
+      default:
+        return json;
+    }
 }
 
 /** A fully populated checkpoint outcome (every counter distinct). */
@@ -161,6 +202,45 @@ forEachLeaf(const std::string &prefix, corpus::Scope scope, Get get,
     });
 }
 
+/** A value of @p good's kind that T's decoder must refuse: a number past
+ *  T's range, a vector holding one past its element's, an array one item
+ *  short, hex that is not whole bytes (whole pages, for a sandbox); none
+ *  for the other kinds. */
+template <class T>
+std::optional<corpus::Json>
+outOfRange(const corpus::Json &good)
+{
+    using corpus::Json;
+    if constexpr (std::is_same_v<T, std::uint8_t>) {
+        return Json::number(std::uint64_t{256});
+    } else if constexpr (std::is_same_v<T, unsigned>) {
+        return Json::number(std::uint64_t{1} << 32);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+        return Json::parse("18446744073709551616");
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+        return Json::str(good.asStr() + "0");
+    } else if constexpr (std::is_same_v<T, mem::SandboxImage>) {
+        return Json::str(good.asStr() + "00");
+    } else if constexpr (corpus::kIsVector<T>) {
+        using E = typename T::value_type;
+        if constexpr (std::is_arithmetic_v<E>) {
+            if (const auto bad = outOfRange<E>(Json{})) {
+                Json arr = Json::array();
+                arr.push(Json::number(std::uint64_t{2}));
+                arr.push(*bad);
+                return arr;
+            }
+        }
+    } else if constexpr (corpus::kIsArray<T>) {
+        const auto &items = good.items();
+        Json fewer = Json::array();
+        for (std::size_t i = 0; i + 1 < items.size(); ++i)
+            fewer.push(items[i]);
+        return fewer;
+    }
+    return std::nullopt;
+}
+
 /**
  * Decode @p sample's encoding with one entry of S's table at a time
  * missing, of the wrong JSON kind, or out of range for its member type;
@@ -195,19 +275,8 @@ expectHostileEntriesThrow(const S &sample)
                                    : Json::str("x");
             EXPECT_THROW(decodeWith(&wrong), corpus::CorpusError)
                 << f.key << " of the wrong kind";
-            Json big = Json::number(std::uint64_t{1} << 32);
-            if constexpr (std::is_same_v<T, std::uint64_t>)
-                big = Json::parse("18446744073709551616");
-            if constexpr (std::is_same_v<T, std::vector<std::uint32_t>>) {
-                Json arr = Json::array();
-                arr.push(Json::number(std::uint64_t{2}));
-                arr.push(big);
-                big = arr;
-            }
-            if constexpr (std::is_same_v<T, unsigned> ||
-                          std::is_same_v<T, std::uint64_t> ||
-                          std::is_same_v<T, std::vector<std::uint32_t>>) {
-                EXPECT_THROW(decodeWith(&big), corpus::CorpusError)
+            if (const auto bad = outOfRange<T>(good.at(f.key))) {
+                EXPECT_THROW(decodeWith(&*bad), corpus::CorpusError)
                     << f.key << " out of range";
             }
         }
@@ -289,15 +358,16 @@ TEST(CorpusSerde, CanonicalDumpsReparseByteIdentically)
     for (std::size_t i = 0; i < bytes.size(); ++i)
         bytes[i] = static_cast<std::uint8_t>(i * 37);
     input.sandbox = mem::SandboxImage(std::move(bytes));
-    const std::string dump = corpus::toJson(input).dump();
-    EXPECT_TRUE(corpus::inputFromJson(corpus::Json::parse(dump)) == input);
+    const std::string dump = corpus::encode(input).dump();
+    EXPECT_TRUE(corpus::decode<arch::Input>(corpus::Json::parse(dump)) ==
+                input);
 }
 
 TEST(CorpusSerde, MalformedHexAndStringsThrow)
 {
     arch::Input input;
     input.sandbox.assign(4096, 0xab);
-    const corpus::Json good = corpus::toJson(input);
+    const corpus::Json good = corpus::encode(input);
     // Bytes >= 0x80 are bad digits too (the digit table is indexed as
     // unsigned char), as is an embedded NUL. Each ends a page-long
     // string, so the digit check — not the length check — rejects it.
@@ -306,7 +376,8 @@ TEST(CorpusSerde, MalformedHexAndStringsThrow)
         corpus::Json j = good;
         j.set("sandbox",
               corpus::Json::str(std::string(2 * 4096 - 2, '0') + bad));
-        EXPECT_THROW(corpus::inputFromJson(j), corpus::CorpusError) << bad;
+        EXPECT_THROW(corpus::decode<arch::Input>(j), corpus::CorpusError)
+            << bad;
     }
     // Unterminated strings: the bulk-copy run reaches end of text.
     const std::string hex(8192, 'a');
@@ -322,18 +393,18 @@ TEST(CorpusSerde, BrokenSandboxGeometryIsRejected)
     // Inputs: a sandbox must be whole pages, at most 128 of them.
     arch::Input input;
     input.sandbox.assign(4096, 0x5a);
-    const corpus::Json good = corpus::toJson(input);
-    EXPECT_TRUE(corpus::inputFromJson(good) == input);
+    const corpus::Json good = corpus::encode(input);
+    EXPECT_TRUE(corpus::decode<arch::Input>(good) == input);
     for (std::size_t bytes : {std::size_t{1}, std::size_t{4095},
                               std::size_t{4097}, std::size_t{129 * 4096}}) {
         corpus::Json j = good;
         j.set("sandbox", corpus::Json::str(std::string(2 * bytes, '0')));
-        EXPECT_THROW(corpus::inputFromJson(j), corpus::CorpusError)
+        EXPECT_THROW(corpus::decode<arch::Input>(j), corpus::CorpusError)
             << bytes;
     }
     corpus::Json odd = good;
     odd.set("sandbox", corpus::Json::str(std::string(2 * 4096 + 1, '0')));
-    EXPECT_THROW(corpus::inputFromJson(odd), corpus::CorpusError);
+    EXPECT_THROW(corpus::decode<arch::Input>(odd), corpus::CorpusError);
 
     // Configs: sandboxPages must be a power of two in 1..128, or the
     // generated index mask lets accesses escape (0) or skip pages (3).
@@ -366,34 +437,21 @@ TEST(CorpusSerde, RecordWithBadProgramIsRejected)
     EXPECT_THROW(corpus::recordFromJson(j), corpus::CorpusError);
 }
 
-// A predictor context's ghr is 32 bits wide: 2^32 + 1 is refused, not
-// truncated to 1 (a different predictor state, so a drifting replay).
-TEST(CorpusSerde, ContextGhrWiderThan32BitsIsRejected)
-{
-    corpus::Json j = corpus::toJson(sampleRecord().ctxA);
-    corpus::Json bp = j.at("bp");
-    bp.set("ghr", corpus::Json::number((std::uint64_t{1} << 32) + 1));
-    j.set("bp", bp);
-    EXPECT_THROW(corpus::contextFromJson(j), corpus::CorpusError);
-    bp.set("ghr", corpus::Json::number(std::uint64_t{0xffffffff}));
-    j.set("bp", bp);
-    EXPECT_EQ(corpus::contextFromJson(j).bp.ghr, 0xffffffffu);
-}
-
 // An input's flags are one byte: 256 is refused, not truncated to 0 (a
 // different input, so a replay that silently tests something else).
 TEST(CorpusSerde, InputFlagsWiderThanAByteAreRejected)
 {
     arch::Input input;
     input.sandbox.assign(4096, 0);
-    corpus::Json j = corpus::toJson(input);
+    corpus::Json j = corpus::encode(input);
     for (std::uint64_t flags : {256u, 257u, 0x1ffu}) {
         j.set("flags", corpus::Json::number(flags));
-        EXPECT_THROW(corpus::inputFromJson(j), corpus::CorpusError) << flags;
+        EXPECT_THROW(corpus::decode<arch::Input>(j), corpus::CorpusError)
+            << flags;
     }
     input.flagsByte = 0xff;
-    EXPECT_TRUE(corpus::inputFromJson(corpus::Json::parse(
-                    corpus::toJson(input).dump())) == input);
+    EXPECT_TRUE(corpus::decode<arch::Input>(corpus::Json::parse(
+                    corpus::encode(input).dump())) == input);
 }
 
 TEST(CorpusSerde, RngStreamStateResumesSequence)
@@ -401,9 +459,9 @@ TEST(CorpusSerde, RngStreamStateResumesSequence)
     Rng rng(42);
     rng.next();
     const Rng::State state = rng.state();
-    const std::string dump = corpus::toJson(state).dump();
+    const std::string dump = corpus::encode(state).dump();
     Rng restored = Rng::fromState(
-        corpus::rngStateFromJson(corpus::Json::parse(dump)));
+        corpus::decode<Rng::State>(corpus::Json::parse(dump)));
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(restored.next(), rng.next());
 }
@@ -644,11 +702,47 @@ TEST(CorpusSerde, EncodingMatchesPinnedBytes)
                                  corpus::Json::parse(outcome)))
                   .dump(),
               outcome);
+
+    // A record's leaves, pinned before they moved onto field tables:
+    // both inputs (each 4 KiB sandbox as its hex length and hash), both
+    // traces, both predictor contexts and the RNG state.
+    const std::string record = corpus::toJson(sampleRecord()).dump();
+    const std::string record_pin =
+        R"({"version":3,"defense":"Baseline","contract":"CT-SEQ","programInde)"
+        R"(x":7,"program":".bb_main.0:\n    AND RBX, 0b111111111111\n    MOV )"
+        R"(RAX, qword ptr [R14 + RBX]\n    JNE .exit\n","inputA":{"id":70001,)"
+        R"("regs":[1234605616436508552,1234605616436508552,123460561643650855)"
+        R"(2,1234605616436508552,1234605616436508552,1234605616436508552,1234)"
+        R"(605616436508552,1234605616436508552,1234605616436508552,1234605616)"
+        R"(436508552,1234605616436508552,1234605616436508552,1234605616436508)"
+        R"(552,1234605616436508552,1234605616436508552,1234605616436508552],")"
+        R"(flags":21,"sandbox":"8192:9ef45b100eaf59df"},"inputB":{"id":70004,)"
+        R"("regs":[0,72340172838076673,144680345676153346,217020518514230019,)"
+        R"(289360691352306692,361700864190383365,434041037028460038,506381209)"
+        R"(866536711,578721382704613384,651061555542690057,723401728380766730)"
+        R"(,795741901218843403,868082074056920076,940422246894996749,10127624)"
+        R"(19733073422,1085102592571150095],"flags":21,"sandbox":"8192:8a96a2)"
+        R"(165b8daea7"},"traceA":{"format":"l1dtlb","words":[1511886542405946)"
+        R"(5729,42,99]},"traceB":{"format":"l1dtlb","words":[1511886542405946)"
+        R"(5729,42,99,1234567]},"ctxA":{"bp":{"ghr":48879,"pht":"000102030201)"
+        R"(","btbTags":[18446744073709551615,4194320],"btbTargets":[5,9]},"md)"
+        R"(p":"000301"},"ctxB":{"bp":{"ghr":61453,"pht":"000102030201","btbTa)"
+        R"(gs":[18446744073709551615,4194320],"btbTargets":[5,9]},"mdp":"0003)"
+        R"(01"},"ctraceHash":16045690984503111693,"signature":"spectre-v1-bra)"
+        R"(nch","rngState":[1,2,18446744073709551615,4],"detectSeconds":12.25)"
+        R"(})";
+    EXPECT_EQ(hashLongStrings(corpus::Json::parse(record)).dump(),
+              record_pin);
+    EXPECT_EQ(corpus::toJson(corpus::recordFromJson(
+                                 corpus::Json::parse(record)))
+                  .dump(),
+              record);
 }
 
 // Every decoder of foreign bytes (meta.json, checkpoints, the journal,
 // the subprocess wire) walks the tables: for every entry a missing key,
-// a wrong JSON kind or an out-of-range number must raise CorpusError.
+// a wrong JSON kind or an out-of-range value (number, byte, item count,
+// hex length) must raise CorpusError.
 TEST(CorpusSerde, HostileEntriesThrowForEveryTable)
 {
     expectHostileEntriesThrow(uarch::CacheParams{});
@@ -667,6 +761,13 @@ TEST(CorpusSerde, HostileEntriesThrowForEveryTable)
     expectHostileEntriesThrow(sampleRecord());
     expectHostileEntriesThrow(uarch::RunResult{true, 120, 40, 2, false});
     expectHostileEntriesThrow(executor::TimeBreakdown{0.5, 0.25, 2, 1});
+    const core::ViolationRecord rec = sampleRecord();
+    expectHostileEntriesThrow(rec.inputB);
+    expectHostileEntriesThrow(rec.traceB);
+    expectHostileEntriesThrow(rec.ctxA.bp);
+    expectHostileEntriesThrow(rec.ctxA);
+    expectHostileEntriesThrow(executor::SimHarness::RunOutput{
+        rec.traceA, uarch::RunResult{true, 120, 40, 2, false}});
 }
 
 // §3.4 amplification shrinks ways and MSHRs; geometry the cache model
@@ -686,6 +787,16 @@ TEST(CorpusSerde, BrokenCacheGeometryIsRejected)
         [](auto &c) { c.l1d.sizeBytes = 0; },
         [](auto &c) { c.l1dMshrs = 0; },
         [](auto &c) { c.l1iMshrs = 0; },
+        // The predictors index by modulo (0 divides by zero), and
+        // phtBits sizes the PHT as 1 << phtBits (64 is an undefined
+        // shift, 40 a 1 TiB table).
+        [](auto &c) { c.btbEntries = 0; },
+        [](auto &c) { c.mdpEntries = 0; },
+        [](auto &c) { c.phtBits = 64; },
+        [](auto &c) { c.phtBits = 40; },
+        [](auto &c) { c.phtBits = 17; },
+        [](auto &c) { c.btbEntries = 65537; },
+        [](auto &c) { c.mdpEntries = 65537; },
     };
     for (std::size_t i = 0; i < broken.size(); ++i) {
         core::CampaignConfig bad = cfg;
@@ -715,6 +826,62 @@ TEST(CorpusSerde, BrokenCacheGeometryIsRejected)
             EXPECT_EQ(back.harness.core.l1d.ways, ways);
             EXPECT_EQ(back.harness.core.l1dMshrs, mshrs);
         }
+    }
+    // The predictor bounds are inclusive.
+    core::CampaignConfig ok = cfg;
+    ok.harness.core.phtBits = uarch::kMaxPhtBits;
+    ok.harness.core.btbEntries = uarch::kMaxBtbEntries;
+    ok.harness.core.mdpEntries = uarch::kMaxMdpEntries;
+    EXPECT_TRUE(ok.harness.core.validGeometry());
+    ok.harness.core.phtBits = 0;
+    ok.harness.core.btbEntries = 1;
+    ok.harness.core.mdpEntries = 1;
+    EXPECT_EQ(corpus::configToJson(
+                  corpus::configFromJson(corpus::configToJson(ok)))
+                  .dump(),
+              corpus::configToJson(ok).dump());
+}
+
+// A predictor context is refused at decode, not at restoreContext, when
+// no core could hold it: a ghr wider than 32 bits (2^32 + 1 would
+// otherwise truncate to 1, a different predictor state, so a drifting
+// replay), tables larger than the largest core's, or BTB tags and
+// targets that do not pair up.
+TEST(CorpusSerde, ContextOutsideAnyCoreIsRejected)
+{
+    using Ctx = executor::UarchContext;
+    corpus::Json j = corpus::encode(sampleRecord().ctxA);
+    corpus::Json bp = j.at("bp");
+    bp.set("ghr", corpus::Json::number((std::uint64_t{1} << 32) + 1));
+    j.set("bp", bp);
+    EXPECT_THROW(corpus::decode<Ctx>(j), corpus::CorpusError);
+    bp.set("ghr", corpus::Json::number(std::uint64_t{0xffffffff}));
+    j.set("bp", bp);
+    EXPECT_EQ(corpus::decode<Ctx>(j).bp.ghr, 0xffffffffu);
+
+    Ctx max;
+    max.bp.pht.assign(std::size_t{1} << uarch::kMaxPhtBits, 1);
+    max.bp.btbTags.assign(uarch::kMaxBtbEntries, 7);
+    max.bp.btbTargets.assign(uarch::kMaxBtbEntries, 9);
+    max.mdp.assign(uarch::kMaxMdpEntries, 2);
+    EXPECT_EQ(corpus::decode<Ctx>(corpus::encode(max)).bp, max.bp);
+    const std::vector<std::pair<const char *, std::function<void(Ctx &)>>>
+        broken = {
+            {"pht", [](Ctx &c) { c.bp.pht.push_back(0); }},
+            {"btb", [](Ctx &c) {
+                 c.bp.btbTags.push_back(0);
+                 c.bp.btbTargets.push_back(0);
+             }},
+            {"mdp", [](Ctx &c) { c.mdp.push_back(0); }},
+            {"btb targets", [](Ctx &c) { c.bp.btbTargets.pop_back(); }},
+            {"btb tags", [](Ctx &c) { c.bp.btbTags.pop_back(); }},
+        };
+    for (const auto &[what, edit] : broken) {
+        Ctx bad = max;
+        edit(bad);
+        EXPECT_THROW(corpus::decode<Ctx>(corpus::encode(bad)),
+                     corpus::CorpusError)
+            << what;
     }
 }
 
@@ -1133,6 +1300,58 @@ TEST(CorpusCheckpoint, RefusesForeignCampaigns)
 
     // Missing checkpoint: clean empty resume.
     EXPECT_TRUE(corpus::loadCheckpoint(scratch.sub("nope"), cfg).empty());
+}
+
+// Every reader of a versioned document refuses another format version
+// and names what it read: records, configs, meta.json, quarantine lines
+// and checkpoints.
+TEST(CorpusStore, EveryReaderRefusesAnotherFormatVersion)
+{
+    auto expectRefused = [](const std::function<void()> &read,
+                            const std::string &what) {
+        try {
+            read();
+            ADD_FAILURE() << what << " accepted version 2";
+        } catch (const corpus::CorpusError &e) {
+            EXPECT_NE(std::string(e.what()).find(what + " version 2 "),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    const corpus::Json v2 = corpus::Json::number(std::uint64_t{2});
+    corpus::Json record = corpus::toJson(sampleRecord());
+    record.set("version", v2);
+    expectRefused([&] { corpus::recordFromJson(record); }, "corpus record");
+    const core::CampaignConfig cfg = smallCampaign();
+    corpus::Json config = corpus::configToJson(cfg);
+    config.set("version", v2);
+    expectRefused([&] { corpus::configFromJson(config); }, "corpus config");
+
+    ScratchDir scratch("version");
+    const std::string dir = scratch.sub("c");
+    {
+        corpus::CorpusStore store(dir, cfg);
+        store.appendQuarantine(1, "hung");
+    }
+    corpus::writeCheckpoint(dir, cfg, corpus::CompletedOutcomes{});
+    for (const char *file :
+         {"meta.json", "journal.jsonl", "checkpoint.json"}) {
+        const std::string path = dir + "/" + file;
+        std::string text;
+        {
+            std::ifstream in(path, std::ios::binary);
+            text.assign(std::istreambuf_iterator<char>(in), {});
+        }
+        const std::size_t at = text.find("\"version\":3");
+        ASSERT_NE(at, std::string::npos) << file;
+        text[at + 10] = '2';
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+    }
+    expectRefused([&] { corpus::CorpusStore::readConfig(dir); },
+                  "corpus meta.json");
+    expectRefused([&] { corpus::CorpusStore::readQuarantined(dir); },
+                  "quarantine line");
+    expectRefused([&] { corpus::loadCheckpoint(dir, cfg); }, "checkpoint");
 }
 
 } // namespace

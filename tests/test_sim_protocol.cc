@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "corpus/serde.hh"
+#include "corpus/fields.hh"
 #include "executor/sim_protocol.hh"
 #include "telemetry/uarch_trace.hh"
 #include "uarch/params.hh"
@@ -292,17 +292,129 @@ TEST(SimProtocol, HostileDeltasThrowCorpusError)
 TEST(SimProtocol, DeltaAgainstMalformedFullContextStaysInBounds)
 {
     // contexts[0] is itself foreign: a base whose BTB target table is
-    // shorter than its tag table must not let a delta write past it.
+    // shorter than its tag table is refused at decode, before a delta
+    // could write past it.
     Rng rng(11);
     UarchContext base = randomContext(rng);
     base.bp.btbTargets.resize(4);
     Json contexts = Json::array();
-    contexts.push(corpus::toJson(base));
+    contexts.push(corpus::encode(base));
     contexts.push(delta(Json::array(), numbers({4, 1, 2}), Json::array()));
     Json body = executor::protocol::batchOutputToJson({});
     body.set("contexts", std::move(contexts));
     EXPECT_THROW(executor::protocol::batchOutputFromJson(body),
                  corpus::CorpusError);
+}
+
+// Wire bytes pinned before the leaf codecs moved onto field tables: a
+// batch body with three contexts (one full, two deltas) and an endCtx
+// delta.
+TEST(SimProtocol, BatchBodyMatchesPinnedBytes)
+{
+    UarchContext ctx;
+    ctx.bp.ghr = 0x5a5;
+    ctx.bp.pht = {1, 2, 3, 0, 1, 1, 2, 3};
+    ctx.bp.btbTags = {0, 0x400010, ~std::uint64_t{0}};
+    ctx.bp.btbTargets = {0, 7, 1};
+    ctx.mdp = {0, 3, 2, 0xff};
+    SimHarness::BatchOutput out;
+    out.startContexts.push_back(ctx);
+    ctx.bp.pht[6] = 0;
+    ctx.bp.btbTags[0] = 0x400020;
+    ctx.bp.btbTargets[0] = 12;
+    out.startContexts.push_back(ctx);
+    ctx.bp.ghr = 0xb4b;
+    ctx.mdp[1] = 1;
+    out.startContexts.push_back(ctx);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        SimHarness::RunOutput run;
+        run.trace.format = executor::TraceFormat::L1dTlb;
+        run.trace.words = {0xd1d1000000000000ULL + i, 64 * i};
+        run.run = {i != 1, 100 + i, 20 + i, i, false};
+        out.runs.push_back(run);
+        std::vector<executor::UTrace> extra(1);
+        extra[0].format = executor::TraceFormat::BpState;
+        extra[0].words = {i};
+        out.extras.push_back(std::move(extra));
+    }
+    out.hitCycleCap = true;
+    UarchContext endCtx = ctx;
+    endCtx.bp.pht[0] = 3;
+    endCtx.bp.btbTargets[2] = 0;
+
+    const std::string body =
+        executor::protocol::batchOutputToJson(out, &endCtx).dump();
+    EXPECT_EQ(body,
+              R"({"runs":[{"trace":{"format":"l1dtlb","words":[15118865424059)"
+              R"(465728,0]},"run":{"halted":true,"cycles":100,"committedInsts)"
+              R"(":20,"squashes":0,"hitCycleCap":false}},{"trace":{"format":")"
+              R"(l1dtlb","words":[15118865424059465729,64]},"run":{"halted":f)"
+              R"(alse,"cycles":101,"committedInsts":21,"squashes":1,"hitCycle)"
+              R"(Cap":false}},{"trace":{"format":"l1dtlb","words":[1511886542)"
+              R"(4059465730,128]},"run":{"halted":true,"cycles":102,"committe)"
+              R"(dInsts":22,"squashes":2,"hitCycleCap":false}}],"contexts":[{)"
+              R"("bp":{"ghr":1445,"pht":"0102030001010203","btbTags":[0,41943)"
+              R"(20,18446744073709551615],"btbTargets":[0,7,1]},"mdp":"000302)"
+              R"(ff"},{"ghr":1445,"pht":[6,0],"btb":[0,4194336,12],"mdp":[]},)"
+              R"({"ghr":2891,"pht":[],"btb":[],"mdp":[1,1]}],"extras":[[{"for)"
+              R"(mat":"bpstate","words":[0]}],[{"format":"bpstate","words":[1)"
+              R"(]}],[{"format":"bpstate","words":[2]}]],"hitCycleCap":true,")"
+              R"(endCtx":{"ghr":2891,"pht":[0,3],"btb":[2,1844674407370955161)"
+              R"(5,0],"mdp":[]}})");
+    UarchContext endBack;
+    const SimHarness::BatchOutput back =
+        executor::protocol::batchOutputFromJson(Json::parse(body), &endBack);
+    EXPECT_EQ(executor::protocol::batchOutputToJson(back, &endBack).dump(),
+              body);
+}
+
+// A traced run's instruction tuples, pinned: between them the
+// instructions set each of the 19 wire flag bits.
+TEST(SimProtocol, UtraceMatchesPinnedBytes)
+{
+    using L = telemetry::InstLifecycle;
+    // The wire bit order of the packed "flags" slot (protocol v3).
+    const std::vector<bool L::*> bits = {
+        &L::issued,          &L::completed,     &L::committed,
+        &L::squashed,        &L::isLoad,        &L::isStore,
+        &L::isBranch,        &L::predTaken,     &L::actualTaken,
+        &L::mispredicted,    &L::memAddrKnown,  &L::wasUnsafeAtIssue,
+        &L::tainted,         &L::exposePending, &L::inSpecBuffer,
+        &L::lfbHeld,         &L::undoLogged,    &L::forwardedFromStore,
+        &L::bypassedUnknownStore,
+    };
+    telemetry::UarchRunTrace run;
+    run.label = "inputB";
+    run.cycles = 77;
+    run.disasm = {"0: MOV RAX, 1", "1: HALT"};
+    const std::uint64_t masks[] = {0x55555, 0x2aaaa, 0x7ffff, 0x40001, 0};
+    for (std::uint64_t i = 0; i < std::size(masks); ++i) {
+        L inst;
+        inst.seq = 10 + i;
+        inst.idx = i;
+        inst.pc = 0x400000 + 4 * i;
+        inst.fetchCycle = 1 + i;
+        inst.issueCycle = 3 + i;
+        inst.completeCycle = 5 + i;
+        inst.commitCycle = 7 + i;
+        inst.squashCycle = 9 + i;
+        inst.squashCause = static_cast<telemetry::SquashCause>(i % 3);
+        inst.squashTrigger = i;
+        inst.memAddr = 0x800000 + 8 * i;
+        for (std::size_t b = 0; b < bits.size(); ++b)
+            inst.*bits[b] = (masks[i] >> b) & 1;
+        run.insts.push_back(inst);
+    }
+    const std::string text =
+        executor::protocol::uarchRunTraceToJson(run).dump();
+    EXPECT_EQ(text,
+              R"({"label":"inputB","cycles":77,"disasm":["0: MOV RAX, 1","1: )"
+              R"(HALT"],"insts":[[10,0,4194304,1,3,5,7,9,0,0,8388608,349525],)"
+              R"([11,1,4194308,2,4,6,8,10,1,1,8388616,174762],[12,2,4194312,3)"
+              R"(,5,7,9,11,2,2,8388624,524287],[13,3,4194316,4,6,8,10,12,0,3,)"
+              R"(8388632,262145],[14,4,4194320,5,7,9,11,13,1,4,8388640,0]]})");
+    EXPECT_EQ(executor::protocol::uarchRunTraceFromJson(Json::parse(text)),
+              run);
 }
 
 // A traced run's instruction tuples come back from the worker too: a

@@ -25,6 +25,7 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/event_log.hh"
 #include "support/campaign_fixture.hh"
@@ -228,23 +229,46 @@ TEST(TelemetryStats, ResumeFoldsRestoredOutcomesIntoRegistry)
               std::uint64_t{cfg.numPrograms});
 }
 
-// An interval too long for the clock must wait, not return at once: over
-// 100 ms the emitter writes its first line and the final one, nothing in
-// between.
-TEST(Heartbeat, HugeIntervalWritesOnlyTheFirstAndFinalLines)
+/** Run a heartbeat at @p intervalSec for about @p ms; returns the lines
+ *  it wrote and the milliseconds from start() through stop(). */
+std::pair<long, long>
+heartbeatLines(double intervalSec, int ms)
 {
     ScratchDir scratch("heartbeat");
     std::filesystem::create_directories(scratch.sub(""));
     const std::string path = scratch.sub("hb.jsonl");
     telemetry::CampaignProgress progress(1, 1);
     telemetry::HeartbeatEmitter emitter(progress, telemetry::Clock::now());
-    emitter.start(path, 1e300);
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto start = std::chrono::steady_clock::now();
+    emitter.start(path, intervalSec);
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
     emitter.stop();
+    const long elapsed_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
 
     std::ifstream in(path);
     const std::string text{std::istreambuf_iterator<char>(in), {}};
-    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
+    return {std::count(text.begin(), text.end(), '\n'), elapsed_ms};
+}
+
+// An interval too long for the clock must wait, not return at once: over
+// 100 ms the emitter writes its first line and the final one, nothing in
+// between.
+TEST(Heartbeat, HugeIntervalWritesOnlyTheFirstAndFinalLines)
+{
+    EXPECT_EQ(heartbeatLines(1e300, 100).first, 2);
+}
+
+// An interval shorter than a clock tick must not spin either: the
+// emitter waits at least a millisecond between lines, so it writes at
+// most one per elapsed millisecond plus the first and final ones (and
+// one for rounding).
+TEST(Heartbeat, TinyIntervalWritesAtMostOneLinePerMillisecond)
+{
+    const auto [lines, elapsed_ms] = heartbeatLines(1e-300, 50);
+    EXPECT_LE(lines, elapsed_ms + 3);
 }
 
 } // namespace
