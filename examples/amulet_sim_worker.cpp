@@ -49,6 +49,8 @@ namespace
 using namespace amulet;
 using corpus::Json;
 using executor::UarchContext;
+using executor::protocol::contextFromWire;
+using executor::protocol::contextToWire;
 using executor::protocol::errorReply;
 using executor::protocol::okReply;
 using Formats = std::vector<executor::TraceFormat>;
@@ -60,6 +62,9 @@ struct Worker
     std::optional<executor::InProcessBackend> backend;
     std::optional<isa::Program> program; ///< keeps the source alive
     std::optional<isa::FlatProgram> flat;
+    /** The boot context hello sent in full: every other context on the
+     *  wire is a delta against it (sim_protocol.hh). */
+    UarchContext anchor;
     unsigned long crashAfter = 0; ///< 0: never (test hook)
     unsigned long hangAfter = 0;  ///< 0: never (test hook)
     unsigned long mutatingOps = 0;
@@ -165,7 +170,12 @@ struct Worker
             backend.emplace(
                 corpus::decode<executor::HarnessConfig,
                                corpus::Scope::Runtime>(req.at("harness")));
-            return okReply();
+            // Boot now: it does not depend on the program, and the boot
+            // context is the anchor both sides code contexts against.
+            anchor = sim().saveContext();
+            Json reply = okReply();
+            reply.set("ctx", contextToWire(nullptr, anchor));
+            return reply;
         }
         if (op == "load") {
             program = isa::assemble(req.at("program").asStr());
@@ -175,11 +185,11 @@ struct Worker
         }
         if (op == "save") {
             Json reply = okReply();
-            reply.set("ctx", corpus::encode(sim().saveContext()));
+            reply.set("ctx", contextToWire(&anchor, sim().saveContext()));
             return reply;
         }
         if (op == "restore") {
-            sim().restoreContext(corpus::decode<UarchContext>(req.at("ctx")));
+            sim().restoreContext(contextFromWire(&anchor, req.at("ctx")));
             return okReply();
         }
         if (op == "batch") {
@@ -195,7 +205,8 @@ struct Worker
             const auto out =
                 sim().dispatchBatch(batch, extras ? &*extras : nullptr);
             const UarchContext endCtx = sim().saveContext();
-            Json reply = executor::protocol::batchOutputToJson(out, &endCtx);
+            Json reply =
+                executor::protocol::batchOutputToJson(out, &endCtx, &anchor);
             reply.set("ok", Json::boolean(true));
             trace.attach(reply);
             attachTimes(reply);
@@ -213,7 +224,7 @@ struct Worker
             reply.set("trace", corpus::encode(out.trace));
             reply.set("hitCycleCap", Json::boolean(out.hitCycleCap));
             reply.set("extras", corpus::encode(out.extras));
-            reply.set("endCtx", corpus::encode(sim().saveContext()));
+            reply.set("endCtx", contextToWire(&anchor, sim().saveContext()));
             attachTimes(reply);
             return reply;
         }
@@ -222,11 +233,11 @@ struct Worker
             const std::string signature = sim().classify(
                 corpus::decode<arch::Input>(req.at("inputA")),
                 corpus::decode<arch::Input>(req.at("inputB")),
-                corpus::decode<UarchContext>(req.at("ctxA")),
-                corpus::decode<UarchContext>(req.at("ctxB")));
+                contextFromWire(&anchor, req.at("ctxA")),
+                contextFromWire(&anchor, req.at("ctxB")));
             Json reply = okReply();
             reply.set("signature", Json::str(signature));
-            reply.set("endCtx", corpus::encode(sim().saveContext()));
+            reply.set("endCtx", contextToWire(&anchor, sim().saveContext()));
             attachTimes(reply);
             return reply;
         }

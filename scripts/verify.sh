@@ -287,6 +287,18 @@ for b in inproc subprocess; do
 done
 test "$(wc -l < "${SMOKE}/be_inproc.jsonl")" -gt 1
 cmp "${SMOKE}/be_inproc.jsonl" "${SMOKE}/be_subprocess.jsonl"
+# The wire byte counters are the subprocess backend's, taken on the
+# client side of the pipe; the in-process backend has no wire to count.
+"${CLI}" stats --corpus-dir "${SMOKE}/be_subprocess" > "${SMOKE}/be_sub.stats"
+"${CLI}" stats --corpus-dir "${SMOKE}/be_inproc" > "${SMOKE}/be_in.stats"
+for counter in wire.requestBytes wire.replyBytes; do
+  if ! grep -q "^  ${counter} " "${SMOKE}/be_sub.stats" ||
+     grep -q "${counter}" "${SMOKE}/be_in.stats"; then
+    echo "FAIL: ${counter} must be counted by the subprocess backend" \
+         "and only there" >&2
+    exit 1
+  fi
+done
 # The corpus workflows accept either backend transparently: the knob is
 # runtime-only (like --jobs), so the reference corpus from the smoke above
 # resumes and replays under a different backend.

@@ -103,6 +103,9 @@ SubprocessBackend::~SubprocessBackend()
 {
     if (pid_ < 0)
         return;
+    // The sink may be gone before its backend; the exit line is not
+    // counted.
+    telemetry_ = nullptr;
     // Polite shutdown first; the worker exits on "exit" or on EOF.
     Json req = Json::object();
     req.set("op", Json::str("exit"));
@@ -134,14 +137,21 @@ SubprocessBackend::spawnWorker()
     // not inherit this backend's pipe ends — a stray write end held
     // open in another worker would defeat EOF-based crash detection
     // (dup2 below clears the flag on the child's stdio copies).
-    if (pipe2(to_child, O_CLOEXEC) != 0 ||
-        pipe2(from_child, O_CLOEXEC) != 0) {
+    if (pipe2(to_child, O_CLOEXEC) != 0)
+        throw std::runtime_error("subprocess backend: pipe() failed");
+    if (pipe2(from_child, O_CLOEXEC) != 0) {
+        close(to_child[0]);
+        close(to_child[1]);
         throw std::runtime_error("subprocess backend: pipe() failed");
     }
 
     const pid_t pid = fork();
-    if (pid < 0)
+    if (pid < 0) {
+        for (const int fd : {to_child[0], to_child[1], from_child[0],
+                             from_child[1]})
+            close(fd);
         throw std::runtime_error("subprocess backend: fork() failed");
+    }
     if (pid == 0) {
         // Child: wire the pipes to stdio and become the worker.
         dup2(to_child[0], STDIN_FILENO);
@@ -162,43 +172,57 @@ SubprocessBackend::spawnWorker()
     rbuf_.clear();
 
     // Handshake, then re-establish the worker's session state. These go
-    // through raw send/recv (not roundTrip) — a worker that cannot even
-    // say hello is not worth retry loops.
-    auto must = [&](const Json &req, const char *what) {
+    // through raw send/recv (not roundTrip): a worker that cannot even
+    // say hello is not worth retry loops. Every failure kills and reaps
+    // the worker before it throws, so a failed spawn leaves no process
+    // and no pipe behind, and the message names the step that failed.
+    auto exchange = [&](const Json &req) {
         std::string reply_text;
-        if (!sendLine(req.dump()) || !recvLine(reply_text)) {
-            killWorker();
-            throw std::runtime_error(
-                std::string("subprocess backend: worker failed during ") +
-                what + " (bad executable or crash at startup?)");
-        }
+        if (!sendLine(req.dump()) || !recvLine(reply_text))
+            throw std::runtime_error("no reply (bad executable or crash "
+                                     "at startup?)");
         Json reply = Json::parse(reply_text);
         if (!reply.at("ok").asBool())
-            throw std::runtime_error("subprocess backend: worker " +
-                                     std::string(what) + " error: " +
-                                     reply.at("error").asStr());
+            throw std::runtime_error("error: " + reply.at("error").asStr());
         return reply;
     };
+    const char *step = "hello";
+    try {
+        Json hello = Json::object();
+        hello.set("op", Json::str("hello"));
+        hello.set("version",
+                  Json::number(std::uint64_t{kProtocolVersion}));
+        // Runtime scope: the worker's simulator must honor the
+        // operator's runtime knobs, which the corpus encoding leaves out.
+        hello.set("harness", corpus::encode<corpus::Scope::Runtime>(cfg_));
+        UarchContext boot =
+            protocol::contextFromWire(nullptr, exchange(hello).at("ctx"));
+        // A request being retried was coded against the anchor of the
+        // worker this one replaces. Boot is deterministic, so a worker
+        // that booted another context is broken, not merely different.
+        if (anchor_ && (boot.bp != anchor_->bp || boot.mdp != anchor_->mdp))
+            throw std::runtime_error("booted another context than the "
+                                     "worker it replaces");
+        anchor_ = std::move(boot);
 
-    Json hello = Json::object();
-    hello.set("op", Json::str("hello"));
-    hello.set("version", Json::number(std::uint64_t{kProtocolVersion}));
-    // Runtime scope: the worker's simulator must honor the operator's
-    // runtime knobs, which the corpus encoding leaves out.
-    hello.set("harness", corpus::encode<corpus::Scope::Runtime>(cfg_));
-    must(hello, "hello");
-
-    if (!programText_.empty()) {
-        Json load = Json::object();
-        load.set("op", Json::str("load"));
-        load.set("program", Json::str(programText_));
-        must(load, "program reload");
-    }
-    if (ctx_) {
-        Json restore = Json::object();
-        restore.set("op", Json::str("restore"));
-        restore.set("ctx", corpus::encode(*ctx_));
-        must(restore, "context restore");
+        if (!programText_.empty()) {
+            step = "program reload";
+            Json load = Json::object();
+            load.set("op", Json::str("load"));
+            load.set("program", Json::str(programText_));
+            exchange(load);
+        }
+        if (ctx_) {
+            step = "context restore";
+            Json restore = Json::object();
+            restore.set("op", Json::str("restore"));
+            restore.set("ctx", protocol::contextToWire(&*anchor_, *ctx_));
+            exchange(restore);
+        }
+    } catch (const std::exception &e) {
+        killWorker();
+        throw std::runtime_error(std::string("subprocess backend: worker ") +
+                                 step + " failed: " + e.what());
     }
 }
 
@@ -252,6 +276,8 @@ SubprocessBackend::sendLine(const std::string &line)
         }
         off += static_cast<std::size_t>(n);
     }
+    if (telemetry_)
+        telemetry_->metrics().counter("wire.requestBytes").add(total);
     return true;
 }
 
@@ -275,6 +301,8 @@ SubprocessBackend::recvLine(std::string &line)
         if (nl != std::string::npos) {
             line = rbuf_.substr(0, nl);
             rbuf_.erase(0, nl + 1);
+            if (telemetry_)
+                telemetry_->metrics().counter("wire.replyBytes").add(nl + 1);
             return true;
         }
         struct pollfd pfd;
@@ -433,9 +461,9 @@ SubprocessBackend::saveContext()
     Json req = Json::object();
     req.set("op", Json::str("save"));
     const Json reply = roundTrip(req);
-    UarchContext ctx = corpus::decode<UarchContext>(reply.at("ctx"));
-    // saveContext boots an idle worker; remember the state so a crash
-    // before the next mutating op restores to it.
+    UarchContext ctx = protocol::contextFromWire(&*anchor_, reply.at("ctx"));
+    // Remember the state so a crash before the next mutating op
+    // restores to it.
     ctx_ = ctx;
     return ctx;
 }
@@ -446,7 +474,9 @@ SubprocessBackend::restoreContext(const UarchContext &ctx)
     telemetry::SpanScope span(telemetry_, "op.restoreContext");
     Json req = Json::object();
     req.set("op", Json::str("restore"));
-    req.set("ctx", corpus::encode(ctx));
+    // A context whose tables do not fit the anchor's is refused here,
+    // before it reaches the wire.
+    req.set("ctx", protocol::contextToWire(&*anchor_, ctx));
     roundTrip(req);
     ctx_ = ctx;
 }
@@ -468,7 +498,8 @@ SubprocessBackend::dispatchBatch(const std::vector<const arch::Input *> &batch,
         req.set("utrace", Json::boolean(true));
     const Json reply = roundTrip(req);
     UarchContext endCtx;
-    BatchOutput out = protocol::batchOutputFromJson(reply, &endCtx);
+    BatchOutput out =
+        protocol::batchOutputFromJson(reply, &endCtx, &*anchor_);
     if (!extraFormats)
         out.extras.clear();
     ctx_ = std::move(endCtx);
@@ -494,7 +525,7 @@ SubprocessBackend::runOne(const arch::Input &input,
     out.trace = corpus::decode<UTrace>(reply.at("trace"));
     out.hitCycleCap = reply.at("hitCycleCap").asBool();
     out.extras = corpus::decode<std::vector<UTrace>>(reply.at("extras"));
-    ctx_ = corpus::decode<UarchContext>(reply.at("endCtx"));
+    ctx_ = protocol::contextFromWire(&*anchor_, reply.at("endCtx"));
     lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
     collectReplyTraces(reply);
     return out;
@@ -530,10 +561,10 @@ SubprocessBackend::classify(const arch::Input &inputA,
     req.set("op", Json::str("classify"));
     req.set("inputA", corpus::encode(inputA));
     req.set("inputB", corpus::encode(inputB));
-    req.set("ctxA", corpus::encode(ctxA));
-    req.set("ctxB", corpus::encode(ctxB));
+    req.set("ctxA", protocol::contextToWire(&*anchor_, ctxA));
+    req.set("ctxB", protocol::contextToWire(&*anchor_, ctxB));
     const Json reply = roundTrip(req);
-    ctx_ = corpus::decode<UarchContext>(reply.at("endCtx"));
+    ctx_ = protocol::contextFromWire(&*anchor_, reply.at("endCtx"));
     lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
     return reply.at("signature").asStr();
 }

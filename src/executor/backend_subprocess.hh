@@ -11,6 +11,12 @@
  * failed operation retried, with results byte-identical to an
  * uninterrupted run. A per-operation timeout bounds how long a wedged
  * worker can stall a shard.
+ *
+ * With a telemetry sink attached, every line written to the worker adds
+ * its bytes (newline included) to the wire.requestBytes counter and
+ * every line read back to wire.replyBytes, retries and respawn
+ * handshakes included: the wire's weight, measured on this side of the
+ * pipe.
  */
 
 #ifndef AMULET_EXECUTOR_BACKEND_SUBPROCESS_HH
@@ -117,6 +123,9 @@ class SubprocessBackend final : public SimBackend
     /** Re-establishable worker state. */
     std::string programText_;
     std::optional<UarchContext> ctx_; ///< last known predictor state
+    /** The current worker's boot context, from its hello reply: every
+     *  context on the wire is a delta against it (sim_protocol.hh). */
+    std::optional<UarchContext> anchor_;
 
     bool utrace_ = false;
     std::vector<telemetry::UarchRunTrace> collectedTraces_;

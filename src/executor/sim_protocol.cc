@@ -1,5 +1,6 @@
 #include "executor/sim_protocol.hh"
 
+#include <cstring>
 #include <iterator>
 
 #include "corpus/fields.hh"
@@ -11,18 +12,34 @@ namespace
 {
 
 /** Flat [index, value, index, value, ...] run of the bytes where
- *  @p next differs from @p base (same table size). */
+ *  @p next differs from @p base (same table size). Equal 8-byte words,
+ *  nearly all of a table, cost one compare; only a word that differs
+ *  is walked byte by byte, and the bytes past the last whole word
+ *  after it. */
 Json
 byteDelta(const std::vector<std::uint8_t> &base,
           const std::vector<std::uint8_t> &next)
 {
     Json runs = Json::array();
-    for (std::size_t i = 0; i < next.size(); ++i) {
-        if (next[i] != base[i]) {
-            runs.push(Json::number(std::uint64_t{i}));
-            runs.push(Json::number(std::uint64_t{next[i]}));
+    auto diff = [&](std::size_t from, std::size_t to) {
+        for (std::size_t i = from; i < to; ++i) {
+            if (next[i] != base[i]) {
+                runs.push(Json::number(std::uint64_t{i}));
+                runs.push(Json::number(std::uint64_t{next[i]}));
+            }
         }
+    };
+    const std::size_t size = next.size();
+    std::size_t i = 0;
+    for (; i + 8 <= size; i += 8) {
+        std::uint64_t a;
+        std::uint64_t b;
+        std::memcpy(&a, base.data() + i, 8);
+        std::memcpy(&b, next.data() + i, 8);
+        if (a != b)
+            diff(i, i + 8);
     }
+    diff(i, size);
     return runs;
 }
 
@@ -45,12 +62,8 @@ applyByteDelta(std::vector<std::uint8_t> &bytes, const Json &json,
     }
 }
 
-/** @p ctx as a sparse delta against @p base, the previous context of
- *  the same reply, or in full when there is none: ghr, changed pht/mdp
- *  bytes, and changed BTB slots as flat [slot, tag, target, ...]
- *  triples. Consecutive contexts differ by the few predictor entries one
- *  run trained, so a delta is a few dozen bytes where a full context is
- *  ~11 KB. */
+} // namespace
+
 Json
 contextToWire(const UarchContext *base, const UarchContext &ctx)
 {
@@ -62,8 +75,15 @@ contextToWire(const UarchContext *base, const UarchContext &ctx)
         bp.btbTargets.size() != bp.btbTags.size() ||
         base->bp.btbTargets.size() != base->bp.btbTags.size() ||
         ctx.mdp.size() != base->mdp.size()) {
-        throw corpus::CorpusError("sim protocol: predictor geometry "
-                                  "changed within one reply");
+        throw corpus::CorpusError(
+            "sim protocol: predictor context does not fit the base it is "
+            "coded against (pht " + std::to_string(bp.pht.size()) +
+            ", btb " + std::to_string(bp.btbTags.size()) + "/" +
+            std::to_string(bp.btbTargets.size()) + ", mdp " +
+            std::to_string(ctx.mdp.size()) + " entries; base " +
+            std::to_string(base->bp.pht.size()) + ", " +
+            std::to_string(base->bp.btbTags.size()) + ", " +
+            std::to_string(base->mdp.size()) + ")");
     }
     Json btb = Json::array();
     for (std::size_t i = 0; i < bp.btbTags.size(); ++i) {
@@ -82,8 +102,6 @@ contextToWire(const UarchContext *base, const UarchContext &ctx)
     return j;
 }
 
-/** Decode what contextToWire(base, ...) writes. A base is a decoded
- *  context (its BTB tables of equal length) or one derived from it. */
 UarchContext
 contextFromWire(const UarchContext *base, const Json &json)
 {
@@ -107,14 +125,12 @@ contextFromWire(const UarchContext *base, const Json &json)
     return ctx;
 }
 
-} // namespace
-
 Json
 batchOutputToJson(const SimHarness::BatchOutput &out,
-                  const UarchContext *endCtx)
+                  const UarchContext *endCtx, const UarchContext *anchor)
 {
     Json contexts = Json::array();
-    const UarchContext *prev = nullptr;
+    const UarchContext *prev = anchor;
     for (const UarchContext &ctx : out.startContexts) {
         contexts.push(contextToWire(prev, ctx));
         prev = &ctx;
@@ -130,13 +146,14 @@ batchOutputToJson(const SimHarness::BatchOutput &out,
 }
 
 SimHarness::BatchOutput
-batchOutputFromJson(const Json &json, UarchContext *endCtx)
+batchOutputFromJson(const Json &json, UarchContext *endCtx,
+                    const UarchContext *anchor)
 {
     SimHarness::BatchOutput out;
     out.runs = corpus::decode<std::vector<SimHarness::RunOutput>>(
         json.at("runs"));
-    auto last = [&out]() -> const UarchContext * {
-        return out.startContexts.empty() ? nullptr
+    auto last = [&out, anchor]() -> const UarchContext * {
+        return out.startContexts.empty() ? anchor
                                          : &out.startContexts.back();
     };
     for (const Json &c : json.at("contexts").items())

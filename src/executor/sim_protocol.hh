@@ -1,26 +1,31 @@
 /**
  * @file
  * Wire protocol between SubprocessBackend and the amulet_sim_worker
- * process: newline-delimited JSON over stdin/stdout. Inputs, traces and
- * contexts travel as their corpus/fields.hh tables, in exactly the
- * journal's canonical encoding; programs travel as disassembly.
+ * process: newline-delimited JSON over stdin/stdout. Inputs and traces
+ * travel as their corpus/fields.hh tables, in exactly the journal's
+ * canonical encoding; predictor contexts as deltas against the worker's
+ * boot context (below); programs as disassembly.
  *
  * Each request line gets exactly one reply line ({"ok":true,...} or
  * {"ok":false,"error":...}). Operations:
  *
- *   hello    {harness}                 -> {}
+ *   hello    {harness}                 -> {ctx}
  *   load     {program}                 -> {}
  *   save     {}                        -> {ctx}
  *   restore  {ctx}                     -> {}
  *   batch    {inputs, extras?}         -> {runs, contexts, extras?,
  *                                          hitCycleCap, endCtx}
- *            (contexts[1..] and endCtx are deltas, see
- *             batchOutputToJson)
  *   run      {input, extras?}          -> {trace, hitCycleCap, extras?,
  *                                          endCtx}
  *   classify {inputA,inputB,ctxA,ctxB} -> {signature, endCtx}
  *   times    {}                        -> {times}
  *   exit     {}                        -> (worker exits)
+ *
+ * The worker boots its simulator inside hello and answers with that
+ * boot context in full: it is the worker's anchor. Every later ctx on
+ * the wire, in either direction, is a sparse delta against the anchor
+ * (contextToWire); a batch reply chains its contexts from it (see
+ * batchOutputToJson). A respawned worker sends its own anchor.
  *
  * Every struct travels as its corpus/fields.hh table, so the worker and
  * the parent decode what the other wrote through the same bounded walk:
@@ -69,26 +74,46 @@ using corpus::Json;
  *  cycleSkip) inside "harness", encoded from the same field table as
  *  the corpus config; the two side keys of v2/v4 are gone, and a new
  *  harness knob reaches the worker with one table entry.
+ *  v7: hello boots the worker and replies with its boot context in
+ *  full, the anchor; every other context on the wire (save, restore,
+ *  classify's ctxA/ctxB, run and classify endCtx, and a batch reply's
+ *  contexts[0]) is a delta against it. Nothing but the hello carries a
+ *  full context any more: a shard's canonical context is the boot
+ *  context, so its per-program restore is an empty delta.
  *
  *  CampaignConfig::ctraceMemo (the other fingerprint-excluded runtime
  *  knob of its kind) never crosses the wire at all: contract traces
  *  are collected parent-side in CTraceStage, and the worker only ever
  *  sees the simulator half of the pipeline. */
-inline constexpr unsigned kProtocolVersion = 6;
+inline constexpr unsigned kProtocolVersion = 7;
 
 /** @name Shared field encodings */
 /// @{
-/** A batch reply body. contexts[0] is a full context; every later
- *  context, and endCtx when given, is a sparse delta against the
- *  context before it in the same body (the last of contexts for
- *  endCtx, or a full context when contexts is empty). A body is thus
- *  self-contained. fromJson throws corpus::CorpusError on a malformed
- *  or out-of-range delta; with @p endCtx it also decodes "endCtx",
- *  which must then be present. */
+/** The protocol's one context codec: @p ctx in full when @p base is
+ *  null (only the hello's anchor), else a sparse delta against *base:
+ *  ghr, the changed pht/mdp bytes as flat [index, value, ...] runs, and
+ *  the changed BTB slots as flat [slot, tag, target, ...] triples.
+ *  toWire throws corpus::CorpusError ("does not fit") when a table's
+ *  size differs from the base's; fromWire throws it on a malformed or
+ *  out-of-range delta, and a decoded delta has the base's geometry. */
+Json contextToWire(const UarchContext *base, const UarchContext &ctx);
+UarchContext contextFromWire(const UarchContext *base, const Json &json);
+
+/** A batch reply body. Its contexts form one delta chain rooted at
+ *  @p anchor: contexts[0] is a delta against the anchor, every later
+ *  context a delta against the one before it, and endCtx, when given,
+ *  a delta against the last of contexts (the anchor when contexts is
+ *  empty). Without an anchor the chain's root is null, so contexts[0]
+ *  (or endCtx) travels in full and the body is self-contained; the
+ *  product always passes the worker's anchor. fromJson throws
+ *  corpus::CorpusError on a malformed or out-of-range delta; with
+ *  @p endCtx it also decodes "endCtx", which must then be present. */
 Json batchOutputToJson(const SimHarness::BatchOutput &out,
-                       const UarchContext *endCtx = nullptr);
-SimHarness::BatchOutput batchOutputFromJson(const Json &json,
-                                            UarchContext *endCtx = nullptr);
+                       const UarchContext *endCtx = nullptr,
+                       const UarchContext *anchor = nullptr);
+SimHarness::BatchOutput
+batchOutputFromJson(const Json &json, UarchContext *endCtx = nullptr,
+                    const UarchContext *anchor = nullptr);
 
 /** Per-instruction pipeline trace of one run (protocol v3 "utrace"
  *  reply field). Lossless: fromJson(toJson(t)) == t, which is what lets

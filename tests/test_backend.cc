@@ -5,14 +5,17 @@
  * (AMULET_SIM_WORKER_CRASH_AFTER), hang injection
  * (AMULET_SIM_WORKER_HANG_AFTER) and a direct SIGKILL mid-program all end
  * in results identical to an uninterrupted run; a worker that trickles
- * bytes cannot outlast the per-operation deadline; and exhausted retries
- * escalate to a per-program quarantine. That the subprocess backend
+ * bytes cannot outlast the per-operation deadline; a worker that fails
+ * its hello is reaped; and exhausted retries escalate to a per-program
+ * quarantine. The wire counters show that no reply after the hello
+ * carries a full predictor context. That the subprocess backend
  * reproduces the in-process one is the backend variant of
  * tests/test_equivalence.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <signal.h>
 #include <sys/stat.h>
@@ -22,15 +25,18 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "core/generator.hh"
 #include "core/input_gen.hh"
+#include "corpus/fields.hh"
 #include "executor/backend_subprocess.hh"
 #include "runtime/fault.hh"
 #include "support/campaign_fixture.hh"
+#include "telemetry/telemetry.hh"
 
 namespace
 {
@@ -73,6 +79,11 @@ TEST(SubprocessRecovery, CrashInjectedWorkersReproduceTheCampaign)
             .run();
     EXPECT_TRUE(reference.detected());
     expectEquivalent(reference, crashed);
+    // The wire counters are the subprocess backend's alone.
+    EXPECT_EQ(reference.metrics.count("wire.requestBytes"), 0u);
+    EXPECT_EQ(reference.metrics.count("wire.replyBytes"), 0u);
+    EXPECT_GT(metric(crashed, "wire.requestBytes"), 0.0);
+    EXPECT_GT(metric(crashed, "wire.replyBytes"), 0.0);
 }
 
 /** One generated program and two inputs, run as two one-input batches
@@ -189,6 +200,44 @@ TEST(SubprocessRecovery, HangInjectedWorkersReproduceTheCampaign)
         << "the hang hook must actually have wedged a worker";
 }
 
+/** A shell-script worker in the temp directory, removed on scope
+ *  exit. */
+struct ScriptWorker
+{
+    std::string path;
+
+    ScriptWorker(const std::string &name, const std::string &body)
+        : path((std::filesystem::temp_directory_path() /
+                ("amulet_" + name + "_" + std::to_string(::getpid()) +
+                 ".sh"))
+                   .string())
+    {
+        std::ofstream(path) << "#!/bin/sh\n" << body;
+        chmod(path.c_str(), 0755);
+    }
+    ~ScriptWorker() { std::filesystem::remove(path); }
+
+    executor::BackendOptions
+    options() const
+    {
+        executor::BackendOptions opts;
+        opts.workerPath = path;
+        return opts;
+    }
+};
+
+/** The script line that prints a hello reply: a boot context with
+ *  empty predictor tables (it decodes; no scripted op needs more) whose
+ *  ghr is the shell word @p ghr. */
+std::string
+cannedHello(const std::string &ghr = "0")
+{
+    return "printf '{\"ok\":true,\"ctx\":{\"bp\":{\"ghr\":%s,"
+           "\"pht\":\"\",\"btbTags\":[],\"btbTargets\":[]},"
+           "\"mdp\":\"\"}}\\n' " +
+           ghr + "\n";
+}
+
 // Watchdog regression: the receive deadline is per *operation*, not per
 // poll. A worker trickling bytes forever — each arriving well inside
 // the poll window, the full line never — must still be timed out; with
@@ -196,26 +245,15 @@ TEST(SubprocessRecovery, HangInjectedWorkersReproduceTheCampaign)
 // would hang for good.
 TEST(SubprocessRecovery, TricklingWorkerCannotEvadeTheWatchdog)
 {
-    namespace fs = std::filesystem;
-    const std::string script =
-        (fs::temp_directory_path() /
-         ("amulet_trickle_worker_" + std::to_string(::getpid()) + ".sh"))
-            .string();
-    {
-        std::ofstream out(script);
-        // Answers the hello handshake properly, then dribbles one byte
-        // every 50 ms — a fifth of the deadline — without ever
-        // terminating the reply line.
-        out << "#!/bin/sh\n"
-               "read line\n"
-               "printf '{\"ok\":true}\\n'\n"
-               "read line\n"
-               "while :; do printf 'x'; sleep 0.05; done\n";
-    }
-    chmod(script.c_str(), 0755);
-
-    executor::BackendOptions opts;
-    opts.workerPath = script;
+    // Answers the hello handshake properly, then dribbles one byte
+    // every 50 ms — a fifth of the deadline — without ever terminating
+    // the reply line.
+    const ScriptWorker script("trickle_worker",
+                              "read line\n" + cannedHello() +
+                                  "read line\n"
+                                  "while :; do printf 'x'; sleep 0.05; "
+                                  "done\n");
+    executor::BackendOptions opts = script.options();
     opts.opTimeoutSec = 0.25;
     const auto t0 = std::chrono::steady_clock::now();
     {
@@ -232,13 +270,91 @@ TEST(SubprocessRecovery, TricklingWorkerCannotEvadeTheWatchdog)
     // 3 attempts x 0.25 s plus backoff and process churn; anything
     // close to a minute means the deadline reset per poll.
     EXPECT_LT(elapsed, 30.0);
-    fs::remove(script);
 }
 
-// A context that does not fit the worker's core gets an error reply and
-// the worker stays up. It used to crash the worker (an empty BTB read
-// past its end), which the backend retried into quarantine.
-TEST(SubprocessRecovery, MalformedContextGetsAnErrorReply)
+/** Open file descriptors of this process. */
+std::size_t
+openFds()
+{
+    namespace fs = std::filesystem;
+    return static_cast<std::size_t>(std::distance(
+        fs::directory_iterator("/proc/self/fd"), fs::directory_iterator()));
+}
+
+// A worker whose hello fails is killed and reaped before the
+// constructor throws, its pipes closed, and the error names the step.
+// The constructor's throw skips the destructor, so the failure path is
+// the only one that can reap it; an orphan would keep the test's output
+// pipe open for its whole sleep.
+TEST(SubprocessRecovery, FailedHelloLeavesNoWorkerBehind)
+{
+    const std::string pidFile =
+        (std::filesystem::temp_directory_path() /
+         ("amulet_hello_pid_" + std::to_string(::getpid())))
+            .string();
+    for (const char *reply : {R"({"ok":false,"error":"nope"})", "garbage"}) {
+        const ScriptWorker script("failing_hello",
+                                  "echo $$ > " + pidFile + "\nread line\n" +
+                                      "printf '%s\\n' '" + reply + "'\n" +
+                                      "exec sleep 30\n");
+        const std::size_t fds = openFds();
+        try {
+            executor::SubprocessBackend backend(executor::HarnessConfig{},
+                                                script.options());
+            ADD_FAILURE() << "a failed hello must throw: " << reply;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("hello"),
+                      std::string::npos)
+                << e.what();
+        }
+        pid_t pid = 0;
+        std::ifstream(pidFile) >> pid;
+        ASSERT_GT(pid, 0) << reply;
+        errno = 0;
+        EXPECT_EQ(kill(pid, 0), -1) << reply;
+        EXPECT_EQ(errno, ESRCH) << "the worker is still alive: " << reply;
+        EXPECT_EQ(openFds(), fds) << reply;
+    }
+    std::filesystem::remove(pidFile);
+}
+
+// Requests in flight are coded against the anchor of the worker that
+// died; a respawned worker that boots another context must be refused,
+// not fed deltas against a base it does not have.
+TEST(SubprocessRecovery, RespawnWithAnotherBootContextIsRefused)
+{
+    const std::string countFile =
+        (std::filesystem::temp_directory_path() /
+         ("amulet_boot_count_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove(countFile);
+    // Each incarnation boots a ghr one higher, then dies on its first op.
+    const ScriptWorker script(
+        "drifting_boot",
+        "n=$(cat " + countFile + " 2>/dev/null || echo 0)\n"
+        "echo $((n + 1)) > " + countFile + "\n"
+        "read line\n" +
+            cannedHello("\"$n\"") + "read line\n");
+    executor::SubprocessBackend backend(executor::HarnessConfig{},
+                                        script.options());
+    try {
+        backend.saveContext();
+        ADD_FAILURE() << "a respawn with another anchor must be refused";
+    } catch (const executor::WorkerQuarantineError &e) {
+        ADD_FAILURE() << "retried into quarantine: " << e.what();
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("booted another context"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(backend.workerPid(), -1);
+    std::filesystem::remove(countFile);
+}
+
+// A context whose tables do not fit the worker's is refused in the
+// parent, before it reaches the wire: a delta against the anchor cannot
+// express it. The worker stays up and is not restarted.
+TEST(SubprocessRecovery, ContextThatDoesNotFitIsRefusedBeforeTheWire)
 {
     executor::HarnessConfig hcfg;
     hcfg.bootInsts = 1000;
@@ -253,13 +369,59 @@ TEST(SubprocessRecovery, MalformedContextGetsAnErrorReply)
         ADD_FAILURE() << "a malformed context must be refused";
     } catch (const executor::WorkerQuarantineError &e) {
         ADD_FAILURE() << "the worker crashed: " << e.what();
-    } catch (const std::runtime_error &e) {
+    } catch (const corpus::CorpusError &e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find("worker error"), std::string::npos) << what;
         EXPECT_NE(what.find("does not fit"), std::string::npos) << what;
     }
     EXPECT_NO_THROW(backend.restoreContext(ctx));
     EXPECT_EQ(backend.restarts(), restarts);
+}
+
+// === Wire weight ===========================================================
+
+// Protocol v7 codes every context after the hello as a delta against
+// the worker's boot context: no op's reply, and no restore request,
+// weighs as much as one full default-geometry context. The bytes come
+// from the backend's own wire counters.
+TEST(SubprocessWire, NoOpAfterHelloShipsAFullContext)
+{
+    DispatchPair pair;
+    telemetry::TelemetrySink sink("wire", telemetry::Clock::now(), false,
+                                  nullptr);
+    executor::SubprocessBackend backend(pair.hcfg, {});
+    backend.setTelemetry(&sink);
+    auto bytes = [&sink](const char *counter) {
+        return sink.metrics().counter(counter).value();
+    };
+    std::uint64_t replyBefore = 0;
+    std::size_t fullContext = 0;
+    auto expectLight = [&](const char *op) {
+        const std::uint64_t reply = bytes("wire.replyBytes") - replyBefore;
+        EXPECT_GT(reply, 0u) << op;
+        EXPECT_LT(reply, fullContext) << op;
+        replyBefore = bytes("wire.replyBytes");
+    };
+
+    const executor::UarchContext boot = backend.saveContext();
+    fullContext = corpus::encode(boot).dump().size();
+    EXPECT_GT(fullContext, 8000u);
+    expectLight("save");
+    backend.loadProgram(pair.prog, *pair.flat);
+    replyBefore = bytes("wire.replyBytes");
+    const std::uint64_t requestBefore = bytes("wire.requestBytes");
+    backend.restoreContext(boot);
+    EXPECT_LT(bytes("wire.requestBytes") - requestBefore, 256u)
+        << "restoring the boot context is an empty delta";
+    expectLight("restore");
+    const auto batch = backend.dispatchBatch({&pair.in0, &pair.in1}, nullptr);
+    ASSERT_EQ(batch.startContexts.size(), 2u);
+    expectLight("batch");
+    backend.runOne(pair.in0, nullptr);
+    expectLight("run");
+    backend.classify(pair.in0, pair.in1, batch.startContexts[0],
+                     batch.startContexts[1]);
+    expectLight("classify");
+    EXPECT_EQ(backend.restarts(), 0u);
 }
 
 // === Per-program quarantine at the backend boundary ========================

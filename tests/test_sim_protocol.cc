@@ -1,10 +1,11 @@
 /**
  * @file
- * Wire codec tests for the subprocess protocol's batch replies
- * (executor/sim_protocol.hh): seeded round trips of delta-coded
- * predictor contexts, and hostile deltas and traced-run tuples that must
- * fail as CorpusError — never std::out_of_range, a crash, or undefined
- * behaviour (this suite also runs under ASan+UBSan in CI).
+ * Wire codec tests for the subprocess protocol (executor/sim_protocol.hh):
+ * seeded round trips of delta-coded predictor contexts, anchored and
+ * not, the word scan's boundaries, pinned v7 bytes, and hostile deltas
+ * and traced-run tuples that must fail as CorpusError — never
+ * std::out_of_range, a crash, or undefined behaviour (this suite also
+ * runs under ASan+UBSan in CI).
  */
 
 #include <gtest/gtest.h>
@@ -109,18 +110,20 @@ expectSameContext(const UarchContext &a, const UarchContext &b)
     EXPECT_EQ(a.mdp, b.mdp);
 }
 
-/** Encode, dump, reparse and decode; check the batch and endCtx come
- *  back exactly and that the re-encoding is byte-identical. */
+/** Encode, dump, reparse and decode, rooted at @p anchor; check the
+ *  batch and endCtx come back exactly and that the re-encoding is
+ *  byte-identical. */
 void
 expectRoundTrip(const SimHarness::BatchOutput &out,
-                const UarchContext &endCtx)
+                const UarchContext &endCtx,
+                const UarchContext *anchor = nullptr)
 {
     const std::string text =
-        executor::protocol::batchOutputToJson(out, &endCtx).dump();
+        executor::protocol::batchOutputToJson(out, &endCtx, anchor).dump();
     UarchContext endBack;
     const SimHarness::BatchOutput back =
         executor::protocol::batchOutputFromJson(Json::parse(text),
-                                                &endBack);
+                                                &endBack, anchor);
     ASSERT_EQ(back.runs.size(), out.runs.size());
     for (std::size_t i = 0; i < out.runs.size(); ++i) {
         EXPECT_TRUE(back.runs[i].trace == out.runs[i].trace);
@@ -132,8 +135,9 @@ expectRoundTrip(const SimHarness::BatchOutput &out,
     EXPECT_EQ(back.extras, out.extras);
     EXPECT_EQ(back.hitCycleCap, out.hitCycleCap);
     expectSameContext(endBack, endCtx);
-    EXPECT_EQ(executor::protocol::batchOutputToJson(back, &endBack).dump(),
-              text);
+    EXPECT_EQ(
+        executor::protocol::batchOutputToJson(back, &endBack, anchor).dump(),
+        text);
 }
 
 TEST(SimProtocol, BatchRoundTripsAcrossSizesAndSeeds)
@@ -150,6 +154,12 @@ TEST(SimProtocol, BatchRoundTripsAcrossSizesAndSeeds)
                 runs ? mutated(out.startContexts.back(), rng)
                      : randomContext(rng);
             expectRoundTrip(out, endCtx);
+            // Rooted at an anchor a few entries away, as the worker
+            // sends it.
+            const UarchContext anchor =
+                runs ? mutated(out.startContexts.front(), rng)
+                     : mutated(endCtx, rng);
+            expectRoundTrip(out, endCtx, &anchor);
             // The bench's body-only encoding still decodes.
             const auto back = executor::protocol::batchOutputFromJson(
                 executor::protocol::batchOutputToJson(out));
@@ -180,14 +190,78 @@ TEST(SimProtocol, DeltaCoversEveryKindOfNeighbour)
     endCtx.bp.ghr ^= 0x80000000u; // ghr-only change
     expectRoundTrip(out, endCtx);
 
-    // Only contexts[0] travels in full: a one-entry change costs bytes,
-    // not kilobytes.
+    // Without an anchor only contexts[0] travels in full: a one-entry
+    // change costs bytes, not kilobytes.
     const Json body = executor::protocol::batchOutputToJson(out, &endCtx);
     const auto &contexts = body.at("contexts").items();
     EXPECT_GT(contexts[0].dump().size(), 8000u);
     for (std::size_t i = 1; i <= 4; ++i)
         EXPECT_LT(contexts[i].dump().size(), 96u) << "context " << i;
     EXPECT_LT(body.at("endCtx").dump().size(), 64u);
+}
+
+/** The bytes of @p next that differ from @p base as a flat [index,
+ *  value, ...] list, found one byte at a time. */
+Json
+changedBytes(const std::vector<std::uint8_t> &base,
+             const std::vector<std::uint8_t> &next)
+{
+    Json runs = Json::array();
+    for (std::size_t i = 0; i < next.size(); ++i) {
+        if (next[i] != base[i]) {
+            runs.push(Json::number(std::uint64_t{i}));
+            runs.push(Json::number(std::uint64_t{next[i]}));
+        }
+    }
+    return runs;
+}
+
+// The delta scans whole 8-byte words and walks only the words that
+// differ, then the bytes past the last whole word. On tables whose sizes
+// are not multiples of 8 (a pht of phtBits 2, an mdp of 13 entries, and
+// their neighbours), changes on word boundaries and in the tail must
+// come out exactly as a byte-by-byte scan finds them, and round trip.
+TEST(SimProtocol, WordScanFindsChangesOnBoundariesAndInTheTail)
+{
+    Rng rng(19);
+    for (std::size_t size : {1u, 4u, 7u, 8u, 9u, 13u, 16u, 17u, 31u}) {
+        UarchContext base;
+        base.bp.ghr = 9;
+        base.bp.btbTags = {0x400000};
+        base.bp.btbTargets = {0x400040};
+        for (std::size_t i = 0; i < size; ++i) {
+            base.bp.pht.push_back(static_cast<std::uint8_t>(rng.next() & 3));
+            base.mdp.push_back(static_cast<std::uint8_t>(rng.next()));
+        }
+        // Every single byte, then the word boundaries and the last byte
+        // together.
+        std::vector<std::vector<std::size_t>> changes;
+        for (std::size_t i = 0; i < size; ++i)
+            changes.push_back({i});
+        std::vector<std::size_t> edges;
+        for (std::size_t i : {std::size_t{0}, std::size_t{7}, std::size_t{8},
+                              size - 1})
+            if (i < size && (edges.empty() || edges.back() < i))
+                edges.push_back(i);
+        changes.push_back(edges);
+        for (const auto &at : changes) {
+            UarchContext ctx = base;
+            for (std::size_t i : at) {
+                ctx.bp.pht[i] ^= 1;
+                ctx.mdp[i] += 1;
+            }
+            const Json wire = executor::protocol::contextToWire(&base, ctx);
+            EXPECT_EQ(wire.at("pht").dump(),
+                      changedBytes(base.bp.pht, ctx.bp.pht).dump())
+                << "size " << size << ", first change " << at[0];
+            EXPECT_EQ(wire.at("mdp").dump(),
+                      changedBytes(base.mdp, ctx.mdp).dump())
+                << "size " << size << ", first change " << at[0];
+            expectSameContext(executor::protocol::contextFromWire(
+                                  &base, Json::parse(wire.dump())),
+                              ctx);
+        }
+    }
 }
 
 /** A valid two-run body whose contexts[1] is replaced by @p delta. */
@@ -259,13 +333,33 @@ TEST(SimProtocol, HostileDeltasThrowCorpusError)
              return delta(none, std::move(btb), none);
          }()},
     };
+    // The anchored root: as the worker sends it, contexts[0] is a
+    // delta against the anchor and meets the same checks.
+    Rng anchorRng(5);
+    const UarchContext anchor = randomContext(anchorRng);
+    const auto anchoredRoot = [](const Json &root) {
+        Json body = executor::protocol::batchOutputToJson({});
+        Json contexts = Json::array();
+        contexts.push(root);
+        body.set("contexts", std::move(contexts));
+        return Json::parse(body.dump());
+    };
     for (const auto &[what, d] : hostile) {
         // Through a real parse, as the bytes would arrive off the pipe.
         const Json body = Json::parse(bodyWithDelta(d).dump());
         EXPECT_THROW(executor::protocol::batchOutputFromJson(body),
                      corpus::CorpusError)
             << what;
+        EXPECT_THROW(executor::protocol::batchOutputFromJson(
+                         anchoredRoot(d), nullptr, &anchor),
+                     corpus::CorpusError)
+            << "anchored root: " << what;
     }
+    // A full context where the anchored root's delta belongs.
+    EXPECT_THROW(executor::protocol::batchOutputFromJson(
+                     anchoredRoot(corpus::encode(anchor)), nullptr,
+                     &anchor),
+                 corpus::CorpusError);
 
     Json wideGhr = delta(none, none, none);
     wideGhr.set("ghr", Json::number(std::uint64_t{1} << 32));
@@ -306,10 +400,10 @@ TEST(SimProtocol, DeltaAgainstMalformedFullContextStaysInBounds)
                  corpus::CorpusError);
 }
 
-// Wire bytes pinned before the leaf codecs moved onto field tables: a
-// batch body with three contexts (one full, two deltas) and an endCtx
-// delta.
-TEST(SimProtocol, BatchBodyMatchesPinnedBytes)
+/** The pinned tests' context, of a tiny geometry (pht 8, btb 3, mdp
+ *  4) so the pins stay readable. */
+UarchContext
+pinnedContext()
 {
     UarchContext ctx;
     ctx.bp.ghr = 0x5a5;
@@ -317,6 +411,16 @@ TEST(SimProtocol, BatchBodyMatchesPinnedBytes)
     ctx.bp.btbTags = {0, 0x400010, ~std::uint64_t{0}};
     ctx.bp.btbTargets = {0, 7, 1};
     ctx.mdp = {0, 3, 2, 0xff};
+    return ctx;
+}
+
+/** The pinned batch: three runs whose contexts start at
+ *  pinnedContext() and train a few entries each; @p endCtx gets the
+ *  context after the last run. */
+SimHarness::BatchOutput
+pinnedBatch(UarchContext &endCtx)
+{
+    UarchContext ctx = pinnedContext();
     SimHarness::BatchOutput out;
     out.startContexts.push_back(ctx);
     ctx.bp.pht[6] = 0;
@@ -338,9 +442,33 @@ TEST(SimProtocol, BatchBodyMatchesPinnedBytes)
         out.extras.push_back(std::move(extra));
     }
     out.hitCycleCap = true;
-    UarchContext endCtx = ctx;
+    endCtx = ctx;
     endCtx.bp.pht[0] = 3;
     endCtx.bp.btbTargets[2] = 0;
+    return out;
+}
+
+/** The anchor of the v7 pins: pinnedContext() before a few entries
+ *  were trained, as a worker's boot context would be. */
+UarchContext
+pinnedAnchor()
+{
+    UarchContext anchor = pinnedContext();
+    anchor.bp.ghr = 0;
+    anchor.bp.pht[2] = 0;
+    anchor.bp.btbTags[1] = 0;
+    anchor.bp.btbTargets[1] = 0;
+    anchor.mdp[3] = 0;
+    return anchor;
+}
+
+// Wire bytes pinned before the leaf codecs moved onto field tables: a
+// batch body with three contexts (one full, two deltas) and an endCtx
+// delta. This is the body without an anchor, which perfbench weighs.
+TEST(SimProtocol, BatchBodyMatchesPinnedBytes)
+{
+    UarchContext endCtx;
+    const SimHarness::BatchOutput out = pinnedBatch(endCtx);
 
     const std::string body =
         executor::protocol::batchOutputToJson(out, &endCtx).dump();
@@ -366,6 +494,82 @@ TEST(SimProtocol, BatchBodyMatchesPinnedBytes)
         executor::protocol::batchOutputFromJson(Json::parse(body), &endBack);
     EXPECT_EQ(executor::protocol::batchOutputToJson(back, &endBack).dump(),
               body);
+}
+
+// The protocol v7 body: rooted at the worker's anchor, contexts[0] is a
+// delta too, so no context in it travels in full.
+TEST(SimProtocol, AnchoredBatchBodyMatchesPinnedBytes)
+{
+    UarchContext endCtx;
+    const SimHarness::BatchOutput out = pinnedBatch(endCtx);
+    const UarchContext anchor = pinnedAnchor();
+
+    const std::string body =
+        executor::protocol::batchOutputToJson(out, &endCtx, &anchor).dump();
+    EXPECT_EQ(body,
+              R"({"runs":[{"trace":{"format":"l1dtlb","words":[15118865424059)"
+              R"(465728,0]},"run":{"halted":true,"cycles":100,"committedInsts)"
+              R"(":20,"squashes":0,"hitCycleCap":false}},{"trace":{"format":")"
+              R"(l1dtlb","words":[15118865424059465729,64]},"run":{"halted":f)"
+              R"(alse,"cycles":101,"committedInsts":21,"squashes":1,"hitCycle)"
+              R"(Cap":false}},{"trace":{"format":"l1dtlb","words":[1511886542)"
+              R"(4059465730,128]},"run":{"halted":true,"cycles":102,"committe)"
+              R"(dInsts":22,"squashes":2,"hitCycleCap":false}}],"contexts":[{)"
+              R"("ghr":1445,"pht":[2,3],"btb":[1,4194320,7],"mdp":[3,255]},{")"
+              R"(ghr":1445,"pht":[6,0],"btb":[0,4194336,12],"mdp":[]},{"ghr":)"
+              R"(2891,"pht":[],"btb":[],"mdp":[1,1]}],"extras":[[{"format":"b)"
+              R"(pstate","words":[0]}],[{"format":"bpstate","words":[1]}],[{")"
+              R"(format":"bpstate","words":[2]}]],"hitCycleCap":true,"endCtx")"
+              R"(:{"ghr":2891,"pht":[0,3],"btb":[2,18446744073709551615,0],"m)"
+              R"(dp":[]}})");
+    UarchContext endBack;
+    const SimHarness::BatchOutput back =
+        executor::protocol::batchOutputFromJson(Json::parse(body), &endBack,
+                                                &anchor);
+    EXPECT_EQ(
+        executor::protocol::batchOutputToJson(back, &endBack, &anchor).dump(),
+        body);
+}
+
+// The protocol v7 requests that carry contexts, built as
+// SubprocessBackend builds them: a restore of the anchor itself (a
+// shard's per-program restore of its canonical context) is an empty
+// delta, and classify's ctxA/ctxB are deltas against the anchor.
+TEST(SimProtocol, ContextRequestsMatchPinnedBytes)
+{
+    const UarchContext anchor = pinnedAnchor();
+    UarchContext trained;
+    pinnedBatch(trained);
+    using executor::protocol::contextToWire;
+
+    Json restore = Json::object();
+    restore.set("op", Json::str("restore"));
+    restore.set("ctx", contextToWire(&anchor, anchor));
+    EXPECT_EQ(restore.dump(),
+              R"({"op":"restore","ctx":{"ghr":0,"pht":[],"btb":[],"mdp":[]})"
+              R"(})");
+
+    arch::Input inputA;
+    inputA.id = 1;
+    inputA.regs[0] = 5;
+    inputA.flagsByte = 2;
+    arch::Input inputB = inputA;
+    inputB.id = 2;
+    inputB.regs[1] = 7;
+    Json classify = Json::object();
+    classify.set("op", Json::str("classify"));
+    classify.set("inputA", corpus::encode(inputA));
+    classify.set("inputB", corpus::encode(inputB));
+    classify.set("ctxA", contextToWire(&anchor, pinnedContext()));
+    classify.set("ctxB", contextToWire(&anchor, trained));
+    EXPECT_EQ(classify.dump(),
+              R"({"op":"classify","inputA":{"id":1,"regs":[5,0,0,0,0,0,0,0,0,)"
+              R"(0,0,0,0,0,0,0],"flags":2,"sandbox":""},"inputB":{"id":2,"reg)"
+              R"(s":[5,7,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"flags":2,"sandbox":""})"
+              R"(,"ctxA":{"ghr":1445,"pht":[2,3],"btb":[1,4194320,7],"mdp":[3)"
+              R"(,255]},"ctxB":{"ghr":2891,"pht":[0,3,2,3,6,0],"btb":[0,41943)"
+              R"(36,12,1,4194320,7,2,18446744073709551615,0],"mdp":[1,1,3,255)"
+              R"(]}})");
 }
 
 // A traced run's instruction tuples, pinned: between them the
