@@ -52,6 +52,7 @@ using executor::UarchContext;
 using executor::protocol::contextFromWire;
 using executor::protocol::contextToWire;
 using executor::protocol::errorReply;
+using executor::protocol::inputFromWire;
 using executor::protocol::okReply;
 using Formats = std::vector<executor::TraceFormat>;
 
@@ -195,8 +196,11 @@ struct Worker
         if (op == "batch") {
             mutatingOp();
             const auto extras = extrasOf(req);
-            const auto inputs =
-                corpus::decode<std::vector<arch::Input>>(req.at("inputs"));
+            const auto &wire = req.at("inputs").items();
+            std::vector<arch::Input> inputs;
+            inputs.reserve(wire.size());
+            for (const Json &input : wire)
+                inputs.push_back(inputFromWire(input));
             std::vector<const arch::Input *> batch;
             batch.reserve(inputs.size());
             for (const arch::Input &input : inputs)
@@ -214,7 +218,7 @@ struct Worker
         }
         if (op == "run") {
             mutatingOp();
-            const auto input = corpus::decode<arch::Input>(req.at("input"));
+            const auto input = inputFromWire(req.at("input"));
             const auto extras = extrasOf(req);
             TraceScope trace(sim(), req);
             const auto out =
@@ -231,8 +235,8 @@ struct Worker
         if (op == "classify") {
             mutatingOp();
             const std::string signature = sim().classify(
-                corpus::decode<arch::Input>(req.at("inputA")),
-                corpus::decode<arch::Input>(req.at("inputB")),
+                inputFromWire(req.at("inputA")),
+                inputFromWire(req.at("inputB")),
                 contextFromWire(&anchor, req.at("ctxA")),
                 contextFromWire(&anchor, req.at("ctxB")));
             Json reply = okReply();

@@ -45,6 +45,25 @@ echo "--- sandbox-bytes gate: STT KV3 export must hash to the pinned value"
     > /dev/null
 echo "d6856be994323330810b49b5f44e803aa27a5718c82fcf4416c3fefab24f79ea" \
      " ${SMOKE}/stt.jsonl" | sha256sum --check --quiet -
+# The same campaign over the subprocess wire, where its generated inputs
+# travel as sandbox descriptors (protocol v8): the worker's lazily mapped
+# images must give the same export, for under 2 MB of requests (as 1 MiB
+# of hex per input, the requests of this campaign weighed 1.96 GB).
+echo "--- sandbox-bytes gate over the subprocess wire"
+"${CLI}" --defense stt --contract ARCH-SEQ --pages 128 --programs 60 \
+    --seed 31 --jobs 1 --boot-insts 2000 --backend subprocess \
+    --corpus-dir "${SMOKE}/stt_sub" > /dev/null
+"${CLI}" export --corpus-dir "${SMOKE}/stt_sub" \
+    --out "${SMOKE}/stt_sub.jsonl" > /dev/null
+cmp "${SMOKE}/stt.jsonl" "${SMOKE}/stt_sub.jsonl"
+request_bytes=$("${CLI}" stats --corpus-dir "${SMOKE}/stt_sub" |
+                awk '$1 == "wire.requestBytes" { print $2 }')
+if [ -z "${request_bytes}" ] || [ "${request_bytes}" -ge 2000000 ]; then
+  echo "FAIL: STT subprocess campaign sent ${request_bytes:-no} request" \
+       "bytes; generated inputs must travel as descriptors" >&2
+  exit 1
+fi
+rm -rf "${SMOKE}/stt_sub" "${SMOKE}/stt_sub.jsonl"
 
 # --- Forensics gate: the pipeline traces `inspect` renders must not move ----
 # Record 0 of the same corpus, re-run under the per-instruction tracer:

@@ -11,11 +11,12 @@ InputGenerator::draw(std::size_t n,
                      const mem::SandboxImage *tail)
 {
     const std::size_t pages = n / mem::kPageSize;
-    if (n % mem::kPageSize == 0 && pages > 1 &&
-        pages <= mem::kMaxSandboxPages) {
-        const Rng::State first = rng_.state();
+    const bool described = n % mem::kPageSize == 0 && pages >= 1 &&
+                           pages <= mem::kMaxSandboxPages;
+    const Rng::State first = rng_.state();
+    if (described && pages > 1) {
         rng_ = Rng::fromState(mem::pageJump(first, pages));
-        return mem::SandboxImage::generated(first, n, patches);
+        return mem::SandboxImage::generated({first, n, patches});
     }
     // A warm buffer's resize is a no-op (same size) or capacity reuse;
     // only a cold pool pays the allocate-and-zero.
@@ -32,6 +33,9 @@ InputGenerator::draw(std::size_t n,
         for (const mem::SandboxImage::Patch &p : *patches)
             buf[p.off] = p.value;
     }
+    if (described)
+        return mem::SandboxImage::filled(std::move(buf),
+                                         {first, n, patches});
     return mem::SandboxImage(std::move(buf));
 }
 

@@ -89,7 +89,9 @@ class InputBufferPool
  * the stream state is captured and jumped past the sandbox in one GF(2)
  * jump, so generating costs O(1) and every later draw is unchanged. A
  * one-page sandbox is filled eagerly, since its page is always touched
- * and regenerating it in each consumer costs more than copying it.
+ * and regenerating it in each consumer costs more than copying it, and
+ * keeps its descriptor beside the bytes (mem::SandboxImage::filled), so
+ * the subprocess wire sends every generator sandbox as its descriptor.
  * Either way every byte equals a plain fill from the stream.
  */
 class InputGenerator

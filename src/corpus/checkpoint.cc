@@ -24,23 +24,43 @@ checkpointPath(const std::string &dir)
 
 } // namespace
 
+std::string
+checkpointEntry(unsigned programIndex, const runtime::ProgramOutcome &outcome)
+{
+    Json entry = Json::object();
+    entry.set("programIndex", Json::number(std::uint64_t{programIndex}));
+    entry.set("outcome", encode(outcome));
+    return entry.dump();
+}
+
 void
 writeCheckpoint(const std::string &dir, const core::CampaignConfig &config,
                 const CompletedOutcomes &completed)
+{
+    std::string entries;
+    for (const auto &[index, outcome] : completed) {
+        if (!entries.empty())
+            entries += ',';
+        entries += checkpointEntry(index, outcome);
+    }
+    writeCheckpointEntries(dir, config, entries);
+}
+
+void
+writeCheckpointEntries(const std::string &dir,
+                       const core::CampaignConfig &config,
+                       const std::string &entries)
 {
     Json j = Json::object();
     j.set("version", Json::number(std::uint64_t{kFormatVersion}));
     // The fingerprint covers the whole campaign definition (including
     // numPrograms), so no further identity fields are needed here.
     j.set("fingerprint", Json::str(configFingerprint(config)));
-    Json outcomes = Json::array();
-    for (const auto &[index, outcome] : completed) {
-        Json entry = Json::object();
-        entry.set("programIndex", Json::number(std::uint64_t{index}));
-        entry.set("outcome", encode(outcome));
-        outcomes.push(std::move(entry));
-    }
-    j.set("outcomes", std::move(outcomes));
+    j.set("outcomes", Json::array());
+    // The canonical dump of the document with the entries as the items
+    // of "outcomes", which its dump ends in: "[]}".
+    std::string dump = j.dump();
+    dump.insert(dump.size() - 2, entries);
 
     const std::string path = checkpointPath(dir);
     const std::string tmp = path + ".tmp";
@@ -52,7 +72,6 @@ writeCheckpoint(const std::string &dir, const core::CampaignConfig &config,
     if (const auto *plan = runtime::fault::FaultPlan::active()) {
         if (plan->fires("checkpoint.fail",
                         plan->occurrence("checkpoint.fail"))) {
-            const std::string dump = j.dump();
             std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
             out << dump.substr(0, dump.size() / 2);
             throw CorpusError("cannot write " + tmp +
@@ -61,7 +80,7 @@ writeCheckpoint(const std::string &dir, const core::CampaignConfig &config,
     }
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out << j.dump() << "\n";
+        out << dump << "\n";
         out.flush();
         if (!out)
             throw CorpusError("cannot write " + tmp);

@@ -40,6 +40,22 @@ void writeCheckpoint(const std::string &dir,
                      const core::CampaignConfig &config,
                      const CompletedOutcomes &completed);
 
+/** One program's entry in checkpoint.json, as writeCheckpoint lists it
+ *  (counters only: the records are journaled). */
+std::string checkpointEntry(unsigned programIndex,
+                            const runtime::ProgramOutcome &outcome);
+
+/**
+ * writeCheckpoint from @p entries, checkpointEntry() texts in program
+ * order joined by commas, writing the same bytes. A campaign encodes
+ * each program's entry once, when the program is reported or restored
+ * (runtime::ViolationSink::setEntryEncoder), so a checkpoint costs one
+ * join and one write instead of re-encoding every completed program.
+ */
+void writeCheckpointEntries(const std::string &dir,
+                            const core::CampaignConfig &config,
+                            const std::string &entries);
+
 /**
  * Load the checkpoint in @p dir, or an empty map when none exists.
  * Throws CorpusError when the checkpoint belongs to a different campaign

@@ -7,20 +7,26 @@
  * key and the member. Members that are not tables are leaves of a few
  * kinds, each decoded with its bound: unsigned and 64-bit numbers,
  * bytes (at most 0xff), bools, strings, enums (corpus::Tokens), vectors,
- * fixed-size arrays (exact item count), byte vectors as hex, and
- * sandbox images as hex of whole pages (at most kMaxSandboxPages). Every
- * decoder of foreign bytes (meta.json, checkpoints, the journal, the
- * subprocess wire) is one walk over these tables, so the hostile-entry
- * test in tests/test_corpus.cc covers each leaf with no per-leaf code.
+ * fixed-size arrays (exact item count), byte vectors as hex, sandbox
+ * patch lists as hex, and sandbox images. A sandbox image has two forms:
+ * hex of whole pages (at most kMaxSandboxPages), the only form at
+ * Scope::Definition, so the corpus always stores bytes that replay
+ * without the generator; and, at Scope::Runtime (the subprocess wire),
+ * the generator's descriptor table (mem::SandboxImage::Descriptor) when
+ * the image has one. Every decoder of foreign bytes (meta.json,
+ * checkpoints, the journal, the subprocess wire) is one walk over these
+ * tables, so the hostile-entry test in tests/test_corpus.cc covers each
+ * leaf with no per-leaf code.
  *
  * Entries of HarnessConfig and CampaignConfig also carry a class
  * (Scope): Definition entries define a campaign and are in
  * the corpus dump, and so in configFingerprint; Runtime entries are
- * results-invisible knobs the corpus never holds. The subprocess hello
- * encodes the harness at Scope::Runtime, so its Runtime entries travel
- * to the worker. Adding a field takes one entry; a Definition entry
- * changes every corpus fingerprint, and a Runtime entry needs a variant
- * (or a named exemption) in the equivalence matrix,
+ * results-invisible knobs the corpus never holds. The subprocess wire
+ * encodes the hello's harness and every input at Scope::Runtime, so the
+ * harness's Runtime entries travel to the worker, and generated inputs
+ * travel as descriptors. Adding a field takes one entry; a Definition
+ * entry changes every corpus fingerprint, and a Runtime entry needs a
+ * variant (or a named exemption) in the equivalence matrix,
  * tests/test_equivalence.cc, whose completeness test walks these tables.
  * A campaign_cli flag row names the key of the field it sets: a Runtime
  * entry with a row is listed on the runtime-knobs line of
@@ -35,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -425,6 +432,39 @@ struct Fields<arch::Input>
     };
 };
 
+/** A generator sandbox's descriptor: the Scope::Runtime form of a
+ *  sandbox image that has one (see the file comment). */
+template <>
+struct Fields<mem::SandboxImage::Descriptor>
+{
+    using S = mem::SandboxImage::Descriptor;
+    static constexpr std::tuple list{
+        field("state", &S::first),
+        field("size", &S::size),
+        field("patches", &S::patches),
+    };
+
+    static void
+    check(const S &desc)
+    {
+        if (desc.size % mem::kPageSize != 0 ||
+            desc.size / mem::kPageSize > mem::kMaxSandboxPages)
+            throw CorpusError("sandbox descriptor is not a whole number of "
+                              "pages up to " +
+                              std::to_string(mem::kMaxSandboxPages));
+        if (!desc.patches)
+            return;
+        std::uint64_t next = 0; // the least offset the next patch may take
+        for (const mem::SandboxImage::Patch &p : *desc.patches) {
+            if (p.off < next || p.off >= desc.size)
+                throw CorpusError("sandbox descriptor patches are not "
+                                  "strictly increasing offsets inside the "
+                                  "sandbox");
+            next = std::uint64_t{p.off} + 1;
+        }
+    }
+};
+
 template <>
 struct Fields<executor::UTrace>
 {
@@ -578,9 +618,19 @@ enumToken(E value)
 
 // === The codec =============================================================
 
+/** The patch-list leaf of a sandbox descriptor. Its hex holds four
+ *  bytes a patch: the offset, most significant byte first, in three,
+ *  then the value. */
+using SandboxPatches = std::shared_ptr<const mem::SandboxImage::Patches>;
+inline constexpr std::size_t kPatchBytes = 4;
+static_assert(mem::kMaxSandboxPages * mem::kPageSize <= std::size_t{1} << 24,
+              "a patch offset must fit its three bytes");
+
 /** Encode a leaf (see the file comment) or Tabled struct. A walk at
- *  Scope::Definition (the corpus) skips Runtime entries; one at
- *  Scope::Runtime (the subprocess hello) writes them too. */
+ *  Scope::Definition (the corpus) skips Runtime entries and writes
+ *  every sandbox as hex; one at Scope::Runtime (the subprocess wire)
+ *  writes Runtime entries too, and a described sandbox as its
+ *  descriptor. */
 template <Scope kScope = Scope::Definition, class T>
 Json encode(const T &value);
 
@@ -655,7 +705,28 @@ decode(const Json &json)
         return out;
     } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
         return hexDecode(json.asStr());
+    } else if constexpr (std::is_same_v<T, SandboxPatches>) {
+        const std::vector<std::uint8_t> raw = hexDecode(json.asStr());
+        if (raw.size() % kPatchBytes != 0)
+            throw CorpusError("sandbox patch list is not whole patches");
+        if (raw.empty())
+            return nullptr;
+        auto patches = std::make_shared<mem::SandboxImage::Patches>();
+        patches->reserve(raw.size() / kPatchBytes);
+        for (std::size_t i = 0; i < raw.size(); i += kPatchBytes) {
+            const std::uint32_t off =
+                std::uint32_t{raw[i]} << 16 | raw[i + 1] << 8 | raw[i + 2];
+            patches->push_back({off, raw[i + 3]});
+        }
+        return patches;
     } else if constexpr (std::is_same_v<T, mem::SandboxImage>) {
+        if (json.kind() == Json::Kind::Obj) {
+            if constexpr (kScope == Scope::Runtime)
+                return mem::SandboxImage::generated(
+                    decode<mem::SandboxImage::Descriptor, kScope>(json));
+            throw CorpusError("sandbox descriptors travel only on the "
+                              "subprocess wire; the corpus holds hex");
+        }
         const std::string &hex = json.asStr();
         // Whole pages only, at most the largest legal sandbox: checked on
         // the text, before decoding allocates anything.
@@ -724,7 +795,23 @@ encode(const T &value)
         return obj;
     } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
         return Json::str(hexEncode(value.data(), value.size()));
+    } else if constexpr (std::is_same_v<T, SandboxPatches>) {
+        std::vector<std::uint8_t> raw;
+        if (value) {
+            raw.reserve(value->size() * kPatchBytes);
+            for (const mem::SandboxImage::Patch &p : *value) {
+                for (int shift = 16; shift >= 0; shift -= 8)
+                    raw.push_back(static_cast<std::uint8_t>(p.off >> shift));
+                raw.push_back(p.value);
+            }
+        }
+        return encode(raw);
     } else if constexpr (std::is_same_v<T, mem::SandboxImage>) {
+        if constexpr (kScope == Scope::Runtime) {
+            if (const mem::SandboxImage::Descriptor *desc =
+                    value.descriptor())
+                return encode<kScope>(*desc);
+        }
         if (const std::vector<std::uint8_t> *bytes = value.explicitBytes())
             return encode(*bytes);
         return encode(value.toBytes());

@@ -486,17 +486,8 @@ SubprocessBackend::dispatchBatch(const std::vector<const arch::Input *> &batch,
                                  const std::vector<TraceFormat> *extraFormats)
 {
     telemetry::SpanScope span(telemetry_, "op.dispatchBatch");
-    Json inputs = Json::array();
-    for (const arch::Input *input : batch)
-        inputs.push(corpus::encode(*input));
-    Json req = Json::object();
-    req.set("op", Json::str("batch"));
-    req.set("inputs", std::move(inputs));
-    if (extraFormats)
-        req.set("extras", corpus::encode(*extraFormats));
-    if (utrace_)
-        req.set("utrace", Json::boolean(true));
-    const Json reply = roundTrip(req);
+    const Json reply =
+        roundTrip(protocol::batchRequest(batch, extraFormats, utrace_));
     UarchContext endCtx;
     BatchOutput out =
         protocol::batchOutputFromJson(reply, &endCtx, &*anchor_);
@@ -513,14 +504,8 @@ SubprocessBackend::runOne(const arch::Input &input,
                           const std::vector<TraceFormat> *extraFormats)
 {
     telemetry::SpanScope span(telemetry_, "op.runOne");
-    Json req = Json::object();
-    req.set("op", Json::str("run"));
-    req.set("input", corpus::encode(input));
-    if (extraFormats)
-        req.set("extras", corpus::encode(*extraFormats));
-    if (utrace_)
-        req.set("utrace", Json::boolean(true));
-    const Json reply = roundTrip(req);
+    const Json reply =
+        roundTrip(protocol::runRequest(input, extraFormats, utrace_));
     SingleOutput out;
     out.trace = corpus::decode<UTrace>(reply.at("trace"));
     out.hitCycleCap = reply.at("hitCycleCap").asBool();
@@ -557,13 +542,8 @@ SubprocessBackend::classify(const arch::Input &inputA,
                             const UarchContext &ctxA, const UarchContext &ctxB)
 {
     telemetry::SpanScope span(telemetry_, "op.classify");
-    Json req = Json::object();
-    req.set("op", Json::str("classify"));
-    req.set("inputA", corpus::encode(inputA));
-    req.set("inputB", corpus::encode(inputB));
-    req.set("ctxA", protocol::contextToWire(&*anchor_, ctxA));
-    req.set("ctxB", protocol::contextToWire(&*anchor_, ctxB));
-    const Json reply = roundTrip(req);
+    const Json reply = roundTrip(
+        protocol::classifyRequest(inputA, inputB, ctxA, ctxB, *anchor_));
     ctx_ = protocol::contextFromWire(&*anchor_, reply.at("endCtx"));
     lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
     return reply.at("signature").asStr();

@@ -166,6 +166,78 @@ batchOutputFromJson(const Json &json, UarchContext *endCtx,
     return out;
 }
 
+Json
+inputToWire(const arch::Input &input)
+{
+    return corpus::encode<corpus::Scope::Runtime>(input);
+}
+
+arch::Input
+inputFromWire(const Json &json)
+{
+    return corpus::decode<arch::Input, corpus::Scope::Runtime>(json);
+}
+
+namespace
+{
+
+/** A request for @p op, without operands. */
+Json
+request(const char *op)
+{
+    Json req = Json::object();
+    req.set("op", Json::str(op));
+    return req;
+}
+
+/** Append a run request's optional keys to @p req. */
+void
+setRunOptions(Json &req, const std::vector<TraceFormat> *extras, bool utrace)
+{
+    if (extras)
+        req.set("extras", corpus::encode(*extras));
+    if (utrace)
+        req.set("utrace", Json::boolean(true));
+}
+
+} // namespace
+
+Json
+batchRequest(const std::vector<const arch::Input *> &batch,
+             const std::vector<TraceFormat> *extras, bool utrace)
+{
+    Json inputs = Json::array();
+    for (const arch::Input *input : batch)
+        inputs.push(inputToWire(*input));
+    Json req = request("batch");
+    req.set("inputs", std::move(inputs));
+    setRunOptions(req, extras, utrace);
+    return req;
+}
+
+Json
+runRequest(const arch::Input &input, const std::vector<TraceFormat> *extras,
+           bool utrace)
+{
+    Json req = request("run");
+    req.set("input", inputToWire(input));
+    setRunOptions(req, extras, utrace);
+    return req;
+}
+
+Json
+classifyRequest(const arch::Input &inputA, const arch::Input &inputB,
+                const UarchContext &ctxA, const UarchContext &ctxB,
+                const UarchContext &anchor)
+{
+    Json req = request("classify");
+    req.set("inputA", inputToWire(inputA));
+    req.set("inputB", inputToWire(inputB));
+    req.set("ctxA", contextToWire(&anchor, ctxA));
+    req.set("ctxB", contextToWire(&anchor, ctxB));
+    return req;
+}
+
 namespace
 {
 

@@ -1,10 +1,12 @@
 /**
  * @file
  * Wire protocol between SubprocessBackend and the amulet_sim_worker
- * process: newline-delimited JSON over stdin/stdout. Inputs and traces
- * travel as their corpus/fields.hh tables, in exactly the journal's
- * canonical encoding; predictor contexts as deltas against the worker's
- * boot context (below); programs as disassembly.
+ * process: newline-delimited JSON over stdin/stdout. Traces travel as
+ * their corpus/fields.hh tables, in exactly the journal's canonical
+ * encoding; inputs as their tables at Scope::Runtime, so a generator
+ * input's sandbox is its descriptor, not its bytes (inputToWire);
+ * predictor contexts as deltas against the worker's boot context
+ * (below); programs as disassembly.
  *
  * Each request line gets exactly one reply line ({"ok":true,...} or
  * {"ok":false,"error":...}). Operations:
@@ -18,6 +20,8 @@
  *   run      {input, extras?}          -> {trace, hitCycleCap, extras?,
  *                                          endCtx}
  *   classify {inputA,inputB,ctxA,ctxB} -> {signature, endCtx}
+ *
+ * (inputs, input, inputA and inputB at Scope::Runtime: inputToWire)
  *   times    {}                        -> {times}
  *   exit     {}                        -> (worker exits)
  *
@@ -29,8 +33,9 @@
  *
  * Every struct travels as its corpus/fields.hh table, so the worker and
  * the parent decode what the other wrote through the same bounded walk:
- * the hello's harness at Scope::Runtime (its Runtime entries included),
- * everything else at the default scope.
+ * the hello's harness and the inputs at Scope::Runtime (the harness's
+ * Runtime entries included, sandboxes as descriptors where they have
+ * one), everything else at the default scope.
  *
  * Every state-mutating reply carries endCtx, the worker's predictor
  * state after the operation. The backend tracks it so a crashed worker
@@ -80,12 +85,18 @@ using corpus::Json;
  *  contexts[0]) is a delta against it. Nothing but the hello carries a
  *  full context any more: a shard's canonical context is the boot
  *  context, so its per-program restore is an empty delta.
+ *  v8: inputs travel at Scope::Runtime: a generator input's sandbox,
+ *  one page or many, is its descriptor (stream state at the first
+ *  word, size, and the sibling patch list as hex) instead of its
+ *  sandbox hex, and the worker maps it as a lazy image. Edited and
+ *  decoded inputs still travel as hex. A one-page input used to be
+ *  8 KiB of hex, a 128-page one 1 MiB.
  *
  *  CampaignConfig::ctraceMemo (the other fingerprint-excluded runtime
  *  knob of its kind) never crosses the wire at all: contract traces
  *  are collected parent-side in CTraceStage, and the worker only ever
  *  sees the simulator half of the pipeline. */
-inline constexpr unsigned kProtocolVersion = 7;
+inline constexpr unsigned kProtocolVersion = 8;
 
 /** @name Shared field encodings */
 /// @{
@@ -114,6 +125,26 @@ Json batchOutputToJson(const SimHarness::BatchOutput &out,
 SimHarness::BatchOutput
 batchOutputFromJson(const Json &json, UarchContext *endCtx = nullptr,
                     const UarchContext *anchor = nullptr);
+
+/** The protocol's input codec: @p input at Scope::Runtime, its sandbox
+ *  as the generator's descriptor when it has one (corpus/fields.hh),
+ *  else as hex. fromWire decodes either form, a descriptor into a lazy
+ *  image, and throws corpus::CorpusError on a malformed one. */
+Json inputToWire(const arch::Input &input);
+arch::Input inputFromWire(const Json &json);
+
+/** @name The requests that carry inputs, as SubprocessBackend sends
+ *  them: "extras" only with @p extras, "utrace" only when @p utrace, and
+ *  classify's contexts as deltas against @p anchor. */
+/// @{
+Json batchRequest(const std::vector<const arch::Input *> &batch,
+                  const std::vector<TraceFormat> *extras, bool utrace);
+Json runRequest(const arch::Input &input,
+                const std::vector<TraceFormat> *extras, bool utrace);
+Json classifyRequest(const arch::Input &inputA, const arch::Input &inputB,
+                     const UarchContext &ctxA, const UarchContext &ctxB,
+                     const UarchContext &anchor);
+/// @}
 
 /** Per-instruction pipeline trace of one run (protocol v3 "utrace"
  *  reply field). Lossless: fromJson(toJson(t)) == t, which is what lets

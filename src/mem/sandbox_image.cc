@@ -47,31 +47,40 @@ pageJump(const Rng::State &state, unsigned pages)
 }
 
 SandboxImage
-SandboxImage::generated(const Rng::State &first, std::size_t size,
-                        std::shared_ptr<const Patches> patches)
+SandboxImage::generated(Descriptor desc)
 {
-    assert(size % kPageSize == 0 && size / kPageSize <= kMaxSandboxPages);
+    assert(desc.size % kPageSize == 0 &&
+           desc.size / kPageSize <= kMaxSandboxPages);
+    if (desc.patches && desc.patches->empty())
+        desc.patches = nullptr;
     SandboxImage image;
     image.generated_ = true;
-    image.size_ = size;
-    image.first_ = first;
-    if (patches && !patches->empty())
-        image.patches_ = std::move(patches);
+    image.desc_ = std::move(desc);
+    return image;
+}
+
+SandboxImage
+SandboxImage::filled(std::vector<std::uint8_t> bytes, Descriptor desc)
+{
+    SandboxImage image = generated(std::move(desc));
+    assert(bytes.size() == image.size());
+    image.generated_ = false;
+    image.bytes_ = std::move(bytes);
     return image;
 }
 
 std::uint8_t
 SandboxImage::generatedByte(std::size_t off) const
 {
-    assert(off < size_);
-    if (patches_) {
+    assert(off < desc_->size);
+    if (const Patches *patches = desc_->patches.get()) {
         const auto it = std::lower_bound(
-            patches_->begin(), patches_->end(), off,
+            patches->begin(), patches->end(), off,
             [](const Patch &p, std::size_t o) { return p.off < o; });
-        if (it != patches_->end() && it->off == off)
+        if (it != patches->end() && it->off == off)
             return it->value;
     }
-    Rng rng = streamAtPage(first_, off >> kPageShift);
+    Rng rng = streamAtPage(desc_->first, off >> kPageShift);
     const std::size_t word = (off & (kPageSize - 1)) / 8;
     for (std::size_t i = 0; i < word; ++i)
         rng.next();
@@ -91,13 +100,14 @@ SandboxImage::copyPage(std::size_t page, std::uint8_t *out) const
         std::memcpy(out, bytes_.data() + lo, n);
         return;
     }
-    streamAtPage(first_, page).fill(out, kWordsPerPage);
-    if (!patches_)
+    streamAtPage(desc_->first, page).fill(out, kWordsPerPage);
+    const Patches *patches = desc_->patches.get();
+    if (!patches)
         return;
     auto it = std::lower_bound(
-        patches_->begin(), patches_->end(), lo,
+        patches->begin(), patches->end(), lo,
         [](const Patch &p, std::size_t o) { return p.off < o; });
-    for (; it != patches_->end() && it->off < lo + kPageSize; ++it)
+    for (; it != patches->end() && it->off < lo + kPageSize; ++it)
         out[it->off - lo] = it->value;
 }
 
@@ -114,7 +124,7 @@ SandboxImage::bytesAt(const std::vector<std::size_t> &offsets) const
     std::uint8_t page[kPageSize];
     std::size_t have = ~std::size_t{0};
     for (std::size_t off : offsets) {
-        assert(off < size_);
+        assert(off < size());
         if ((off >> kPageShift) != have) {
             have = off >> kPageShift;
             copyPage(have, page);
@@ -130,11 +140,11 @@ SandboxImage::toBytes() const
 {
     if (!generated_)
         return bytes_;
-    std::vector<std::uint8_t> out(size_);
-    Rng rng = Rng::fromState(first_);
-    rng.fill(out.data(), size_ / 8);
-    if (patches_) {
-        for (const Patch &p : *patches_)
+    std::vector<std::uint8_t> out(size());
+    Rng rng = Rng::fromState(desc_->first);
+    rng.fill(out.data(), out.size() / 8);
+    if (desc_->patches) {
+        for (const Patch &p : *desc_->patches)
             out[p.off] = p.value;
     }
     return out;
@@ -173,6 +183,7 @@ SandboxImage::set(std::size_t off, std::uint8_t value)
 {
     if (generated_)
         *this = SandboxImage(toBytes());
+    desc_.reset();
     bytes_[off] = value;
 }
 

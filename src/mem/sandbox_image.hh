@@ -14,6 +14,12 @@
  * and hand-built inputs carry explicit bytes instead; both kinds read
  * identically through this interface, so which one an input holds is
  * invisible to every consumer.
+ *
+ * A one-page generator image is filled eagerly (every run touches its
+ * only page) but keeps its descriptor beside the bytes, so the
+ * subprocess wire can send any generator image as its descriptor
+ * (corpus/fields.hh) instead of its bytes. Editing an image drops the
+ * descriptor: an edited image no longer is what the stream wrote.
  */
 
 #ifndef AMULET_MEM_SANDBOX_IMAGE_HH
@@ -21,6 +27,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hh"
@@ -62,6 +69,19 @@ class SandboxImage
      *  read-only, by the siblings of one base input. */
     using Patches = std::vector<Patch>;
 
+    /**
+     * What the generator wrote: the @p size bytes the stream at
+     * @p first writes, 8 per draw in Rng::fill order, overlaid by
+     * @p patches (null: none). @p size is a whole number of pages, at
+     * most kMaxSandboxPages.
+     */
+    struct Descriptor
+    {
+        Rng::State first{};
+        std::uint64_t size = 0;
+        std::shared_ptr<const Patches> patches;
+    };
+
     /** The empty image. */
     SandboxImage() = default;
 
@@ -71,19 +91,31 @@ class SandboxImage
     {
     }
 
-    /**
-     * The @p size bytes the stream at @p first writes, 8 per draw in
-     * Rng::fill order, overlaid by @p patches (null: none). @p size must
-     * be a whole number of pages, at most kMaxSandboxPages. O(1): no
-     * byte is generated until a page is asked for.
-     */
-    static SandboxImage generated(const Rng::State &first, std::size_t size,
-                                  std::shared_ptr<const Patches> patches);
+    /** The bytes of @p desc, generated on demand. O(1): no byte is
+     *  generated until a page is asked for. */
+    static SandboxImage generated(Descriptor desc);
 
-    std::size_t size() const { return generated_ ? size_ : bytes_.size(); }
+    /** Explicit @p bytes that the caller filled from @p desc (a one-page
+     *  generator image): explicit to every consumer, and described to
+     *  the subprocess wire. */
+    static SandboxImage filled(std::vector<std::uint8_t> bytes,
+                               Descriptor desc);
+
+    std::size_t
+    size() const
+    {
+        return generated_ ? desc_->size : bytes_.size();
+    }
     bool empty() const { return size() == 0; }
     /** Generated (lazy) rather than explicit bytes. */
     bool isGenerated() const { return generated_; }
+    /** The generator's descriptor of these bytes (generated and filled
+     *  images), or null (explicit and edited ones). */
+    const Descriptor *
+    descriptor() const
+    {
+        return desc_ ? &*desc_ : nullptr;
+    }
     /** Pages the image spans (the last may be partial when explicit). */
     std::size_t numPages() const
     {
@@ -121,16 +153,19 @@ class SandboxImage
     bool
     sameSource(const SandboxImage &other) const
     {
-        return generated_ && other.generated_ && size_ == other.size_ &&
-               first_ == other.first_ && patches_ == other.patches_;
+        return generated_ && other.generated_ &&
+               desc_->size == other.desc_->size &&
+               desc_->first == other.desc_->first &&
+               desc_->patches == other.desc_->patches;
     }
 
     /** Byte equality, whatever the representations. */
     bool operator==(const SandboxImage &other) const;
 
     /** @name Hand-built editing
-     *  Both leave explicit bytes; editing a generated image first
-     *  materializes it (O(size), tests and demos only). */
+     *  Both leave explicit bytes without a descriptor; editing a
+     *  generated image first materializes it (O(size), tests and demos
+     *  only). */
     /// @{
     void assign(std::size_t n, std::uint8_t value);
     void set(std::size_t off, std::uint8_t value);
@@ -143,11 +178,9 @@ class SandboxImage
   private:
     std::uint8_t generatedByte(std::size_t off) const;
 
-    std::vector<std::uint8_t> bytes_; ///< explicit representation
-    bool generated_ = false;
-    std::size_t size_ = 0;     ///< generated representation from here on
-    Rng::State first_{};
-    std::shared_ptr<const Patches> patches_;
+    std::vector<std::uint8_t> bytes_; ///< explicit bytes (empty if lazy)
+    bool generated_ = false;          ///< lazy: bytes come from desc_
+    std::optional<Descriptor> desc_;  ///< set when generated or filled
 };
 
 } // namespace amulet::mem

@@ -104,6 +104,9 @@ CampaignScheduler::run()
     bool already_detected = false;
     if (!cfg_.corpusDir.empty()) {
         store = std::make_unique<corpus::CorpusStore>(cfg_.corpusDir, cfg_);
+        // Each program's checkpoint entry is encoded once, as it is
+        // reported (restored outcomes included), not at every checkpoint.
+        sink.setEntryEncoder(corpus::checkpointEntry);
         if (cfg_.resume) {
             auto restored = corpus::loadCheckpoint(cfg_.corpusDir, cfg_);
             if (!restored.empty()) {
@@ -155,8 +158,8 @@ CampaignScheduler::run()
     auto write_checkpoint = [&] {
         std::lock_guard<std::mutex> lock(checkpoint_mu);
         try {
-            corpus::writeCheckpoint(cfg_.corpusDir, cfg_,
-                                    sink.snapshotReported());
+            corpus::writeCheckpointEntries(cfg_.corpusDir, cfg_,
+                                           sink.checkpointEntries());
         } catch (const corpus::CorpusError &) {
             // A checkpoint is derived progress-markers, not data, and
             // its write is atomic (tmp + rename): a failed write leaves

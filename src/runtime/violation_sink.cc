@@ -14,6 +14,10 @@ ViolationSink::ViolationSink(unsigned numPrograms, unsigned maxRecords)
 void
 ViolationSink::report(unsigned programIndex, ProgramOutcome outcome)
 {
+    // Encoded before taking the lock (the encoder is fixed before the
+    // first report), and kept under it with the reported flag.
+    std::string entry =
+        encodeEntry_ ? encodeEntry_(programIndex, outcome) : std::string();
     std::lock_guard<std::mutex> lock(mu_);
     // A hard error even in release builds: an out-of-range or duplicate
     // report means the scheduler handed out a bad program index, and
@@ -32,8 +36,37 @@ ViolationSink::report(unsigned programIndex, ProgramOutcome outcome)
         for (const core::ViolationRecord &rec : outcome.records)
             onRecord_(programIndex, rec);
     }
+    if (encodeEntry_)
+        entries_[programIndex] = std::move(entry);
     reported_[programIndex] = true;
     outcomes_[programIndex] = std::move(outcome);
+}
+
+void
+ViolationSink::setEntryEncoder(EntryEncoder encoder)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    encodeEntry_ = std::move(encoder);
+    entries_.resize(outcomes_.size());
+}
+
+std::string
+ViolationSink::checkpointEntries() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::size_t size = 0;
+    for (unsigned p = 0; p < entries_.size(); ++p)
+        size += reported_[p] ? entries_[p].size() + 1 : 0;
+    std::string out;
+    out.reserve(size);
+    for (unsigned p = 0; p < entries_.size(); ++p) {
+        if (!reported_[p])
+            continue;
+        if (!out.empty())
+            out += ',';
+        out += entries_[p];
+    }
+    return out;
 }
 
 void

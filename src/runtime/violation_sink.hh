@@ -59,12 +59,27 @@ class ViolationSink
      */
     void setRecordCallback(RecordCallback callback);
 
-    /** Copy of all reported outcomes keyed by program index — the
+    /** Copy of all reported outcomes keyed by program index — a
      *  checkpoint payload, so the records vectors are left out: they
      *  are journaled separately, and deep-copying every record under
      *  the sink lock would stall workers for data the checkpoint
      *  serializer discards anyway. Thread-safe. */
     std::map<unsigned, ProgramOutcome> snapshotReported() const;
+
+    /** A program's checkpoint entry (corpus::checkpointEntry). */
+    using EntryEncoder = std::function<std::string(
+        unsigned programIndex, const ProgramOutcome &outcome)>;
+
+    /** Encode every subsequently reported outcome (a restored one too)
+     *  once, as it is reported, and keep the text for
+     *  checkpointEntries(). Set it before the first report; reporters
+     *  call it outside the sink lock, concurrently. */
+    void setEntryEncoder(EntryEncoder encoder);
+
+    /** The kept entries of every reported program in program order,
+     *  joined by commas: the payload of corpus::writeCheckpointEntries,
+     *  built without encoding anything. Thread-safe. */
+    std::string checkpointEntries() const;
 
     /**
      * Deterministic merge of all reported outcomes, in program order.
@@ -82,6 +97,8 @@ class ViolationSink
     std::vector<bool> reported_;
     unsigned maxRecords_;
     RecordCallback onRecord_;
+    EntryEncoder encodeEntry_;
+    std::vector<std::string> entries_; ///< indexed by program when encoding
 };
 
 } // namespace amulet::runtime

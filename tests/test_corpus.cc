@@ -19,6 +19,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/input_gen.hh"
 #include "corpus/checkpoint.hh"
 #include "corpus/fields.hh"
 #include "corpus/replayer.hh"
@@ -93,6 +94,19 @@ sampleRecord()
     rec.detectSeconds = 12.25;
     rec.rngState = {1, 2, 0xffffffffffffffffULL, 4};
     return rec;
+}
+
+/** The sibling of a generated @p pages-page base that restores the
+ *  bytes at 1, 0x1000 and the sandbox's last: its sandbox carries a
+ *  descriptor. */
+arch::Input
+generatedSibling(unsigned pages)
+{
+    core::InputGenConfig cfg;
+    cfg.map.sandboxPages = pages;
+    core::InputGenerator gen(cfg, Rng(4));
+    const arch::Input base = gen.generate(0);
+    return gen.sibling(base, {1, 0x1000, pages * mem::kPageSize - 1}, 1);
 }
 
 /** @p json with every string longer than 256 characters replaced by its
@@ -204,8 +218,9 @@ forEachLeaf(const std::string &prefix, corpus::Scope scope, Get get,
 
 /** A value of @p good's kind that T's decoder must refuse: a number past
  *  T's range, a vector holding one past its element's, an array one item
- *  short, hex that is not whole bytes (whole pages, for a sandbox); none
- *  for the other kinds. */
+ *  short, hex that is not whole bytes (whole pages, for a sandbox; whole
+ *  patches, for a patch list), a sandbox descriptor of a page and a
+ *  byte; none for the other kinds. */
 template <class T>
 std::optional<corpus::Json>
 outOfRange(const corpus::Json &good)
@@ -220,6 +235,13 @@ outOfRange(const corpus::Json &good)
     } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
         return Json::str(good.asStr() + "0");
     } else if constexpr (std::is_same_v<T, mem::SandboxImage>) {
+        if (good.kind() == Json::Kind::Obj) { // a descriptor: a page + 1
+            Json bad = good;
+            bad.set("size", Json::number(good.at("size").asU64() + 1));
+            return bad;
+        }
+        return Json::str(good.asStr() + "00");
+    } else if constexpr (std::is_same_v<T, corpus::SandboxPatches>) {
         return Json::str(good.asStr() + "00");
     } else if constexpr (corpus::kIsVector<T>) {
         using E = typename T::value_type;
@@ -743,6 +765,35 @@ TEST(CorpusSerde, EncodingMatchesPinnedBytes)
 // the subprocess wire) walks the tables: for every entry a missing key,
 // a wrong JSON kind or an out-of-range value (number, byte, item count,
 // hex length) must raise CorpusError.
+// Descriptors are a wire form only: a record of generator inputs stores
+// their bytes as hex, and a Definition-scope decode (journal, meta.json,
+// checkpoints) refuses the object form.
+TEST(CorpusSerde, CorpusKeepsGeneratedSandboxesAsHex)
+{
+    core::ViolationRecord rec = sampleRecord();
+    rec.inputA = generatedSibling(1);
+    rec.inputB = generatedSibling(128);
+    ASSERT_NE(rec.inputA.sandbox.descriptor(), nullptr);
+    ASSERT_NE(rec.inputB.sandbox.descriptor(), nullptr);
+    const corpus::Json json = corpus::toJson(rec);
+    EXPECT_EQ(json.at("inputA").at("sandbox").asStr().size(),
+              2 * mem::kPageSize);
+    EXPECT_EQ(json.at("inputB").at("sandbox").asStr().size(),
+              2 * 128 * mem::kPageSize);
+    const core::ViolationRecord back =
+        corpus::recordFromJson(corpus::Json::parse(json.dump()));
+    EXPECT_TRUE(back.inputA == rec.inputA);
+    EXPECT_TRUE(back.inputB == rec.inputB);
+
+    const corpus::Json wire =
+        corpus::encode<corpus::Scope::Runtime>(rec.inputB);
+    ASSERT_EQ(wire.at("sandbox").kind(), corpus::Json::Kind::Obj);
+    EXPECT_THROW(corpus::decode<arch::Input>(wire), corpus::CorpusError);
+    corpus::Json edited = json;
+    edited.set("inputB", wire);
+    EXPECT_THROW(corpus::recordFromJson(edited), corpus::CorpusError);
+}
+
 TEST(CorpusSerde, HostileEntriesThrowForEveryTable)
 {
     expectHostileEntriesThrow(uarch::CacheParams{});
@@ -768,6 +819,50 @@ TEST(CorpusSerde, HostileEntriesThrowForEveryTable)
     expectHostileEntriesThrow(rec.ctxA);
     expectHostileEntriesThrow(executor::SimHarness::RunOutput{
         rec.traceA, uarch::RunResult{true, 120, 40, 2, false}});
+
+    // The wire form of a generator input: its sandbox descriptor.
+    const arch::Input sibling = generatedSibling(2);
+    const mem::SandboxImage::Descriptor &desc = *sibling.sandbox.descriptor();
+    expectHostileEntriesThrow<arch::Input, corpus::Scope::Runtime>(sibling);
+    expectHostileEntriesThrow(desc);
+    const corpus::Json good = corpus::encode(desc);
+    // Four bytes a patch: the offset in three, then the value.
+    const std::string p1 = "00000199", p2 = "0010005f", p3 = "001fff77";
+    ASSERT_EQ(good.at("patches").asStr(), p1 + p2 + p3);
+    auto expectRefused = [&](const char *key, corpus::Json value,
+                             const char *what) {
+        corpus::Json bad = good;
+        bad.set(key, std::move(value));
+        EXPECT_THROW(corpus::decode<mem::SandboxImage::Descriptor>(bad),
+                     corpus::CorpusError)
+            << what;
+        corpus::Json input = corpus::encode<corpus::Scope::Runtime>(sibling);
+        input.set("sandbox", bad);
+        EXPECT_THROW((corpus::decode<arch::Input, corpus::Scope::Runtime>(
+                         input)),
+                     corpus::CorpusError)
+            << what << " (in an input)";
+    };
+    using corpus::Json;
+    expectRefused("size", Json::number(std::uint64_t{8191}),
+                  "size not whole pages");
+    expectRefused("size", Json::number(std::uint64_t{129 * 4096}),
+                  "more than kMaxSandboxPages");
+    expectRefused("patches", Json::str(p1 + p2 + "001fffzz"), "not hex");
+    expectRefused("patches", Json::str(p2 + p1 + p3), "unsorted offsets");
+    expectRefused("patches", Json::str(p1 + p1 + p3), "a repeated offset");
+    expectRefused("patches", Json::str(p1 + p2 + "00200077"),
+                  "an offset past the sandbox");
+    expectRefused("patches", Json::str(p1 + p2 + "001fff100"),
+                  "a patch value above 0xff");
+    const auto &words = good.at("state").items();
+    Json five = good.at("state");
+    five.push(words[0]);
+    expectRefused("state", five, "five state words");
+    Json three = Json::array();
+    for (std::size_t i = 0; i < 3; ++i)
+        three.push(words[i]);
+    expectRefused("state", three, "three state words");
 }
 
 // §3.4 amplification shrinks ways and MSHRs; geometry the cache model
@@ -1262,6 +1357,101 @@ TEST(CorpusReplay, ContextThatDoesNotFitTheCoreIsACorpusError)
     rec.ctxA = rec.ctxB = harness.saveContext();
     rec.ctxB.bp.btbTags.clear();
     EXPECT_THROW(corpus::replayViolation(harness, rec), corpus::CorpusError);
+}
+
+/** The text of @p dir's checkpoint.json. */
+std::string
+checkpointText(const std::string &dir)
+{
+    std::ifstream in(dir + "/checkpoint.json", std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// checkpoint.json bytes for fixed outcomes, pinned from the build that
+// re-encoded every outcome at each checkpoint. The outcome map and a
+// sink's kept entries (reported out of program order) write them alike.
+TEST(CorpusCheckpoint, BytesMatchPinned)
+{
+    const core::CampaignConfig cfg = smallCampaign();
+    corpus::CompletedOutcomes completed;
+    completed[11] = sampleOutcome();
+    runtime::ProgramOutcome small;
+    small.ran = true;
+    small.testCases = 30;
+    small.testGenSec = 0.1;
+    completed[3] = small;
+    completed[0] = runtime::ProgramOutcome{};
+    const std::string pinned =
+        R"({"version":3,"fingerprint":"eb5df404a4fec5f6","outcomes":[{"prog)"
+        R"(ramIndex":0,"outcome":{"ran":false,"skippedProgram":false,"quara)"
+        R"(ntined":false,"quarantineReason":"","testCases":0,"filteredTestC)"
+        R"(ases":0,"effectiveClasses":0,"candidateViolations":0,"validation)"
+        R"(Runs":0,"violatingTestCases":0,"confirmedViolations":0,"firstDet)"
+        R"(ectSeconds":-1,"testGenSec":0,"ctraceSec":0,"filterSec":0,"signa)"
+        R"(tureCounts":{},"formatTallies":[]}},{"programIndex":3,"outcome":)"
+        R"({"ran":true,"skippedProgram":false,"quarantined":false,"quaranti)"
+        R"(neReason":"","testCases":30,"filteredTestCases":0,"effectiveClas)"
+        R"(ses":0,"candidateViolations":0,"validationRuns":0,"violatingTest)"
+        R"(Cases":0,"confirmedViolations":0,"firstDetectSeconds":-1,"testGe)"
+        R"(nSec":0.1,"ctraceSec":0,"filterSec":0,"signatureCounts":{},"form)"
+        R"(atTallies":[]}},{"programIndex":11,"outcome":{"ran":true,"skippe)"
+        R"(dProgram":true,"quarantined":true,"quarantineReason":"poisoned \")"
+        R"(worker\"\n","testCases":120,"filteredTestCases":17,"effectiveCl)"
+        R"(asses":9,"candidateViolations":5,"validationRuns":44,"violatingT)"
+        R"(estCases":3,"confirmedViolations":2,"firstDetectSeconds":1.5,"te)"
+        R"(stGenSec":0.125,"ctraceSec":0.0625,"filterSec":3e-05,"signatureC)"
+        R"(ounts":{"spectre-v1-branch":2,"uv1-spec-eviction":1},"formatTall)"
+        R"(ies":[{"format":"l1dtlb","violatingTestCases":3,"coveredByBaseli)"
+        R"(ne":3},{"format":"bpstate","violatingTestCases":1,"coveredByBase)"
+        R"(line":0}]}}]})"
+        "\n";
+
+    ScratchDir scratch("ckptpin");
+    const std::string dir = scratch.sub("c");
+    fs::create_directories(dir);
+    corpus::writeCheckpoint(dir, cfg, completed);
+    EXPECT_EQ(checkpointText(dir), pinned);
+
+    runtime::ViolationSink sink(cfg.numPrograms, cfg.maxViolationsRecorded);
+    sink.setEntryEncoder(corpus::checkpointEntry);
+    EXPECT_EQ(sink.checkpointEntries(), "");
+    corpus::writeCheckpointEntries(dir, cfg, sink.checkpointEntries());
+    EXPECT_EQ(checkpointText(dir),
+              R"({"version":3,"fingerprint":"eb5df404a4fec5f6","outcomes")"
+              R"(:[]})"
+              "\n");
+    for (unsigned p : {11u, 0u, 3u})
+        sink.report(p, completed.at(p));
+    corpus::writeCheckpointEntries(dir, cfg, sink.checkpointEntries());
+    EXPECT_EQ(checkpointText(dir), pinned);
+}
+
+// A campaign's checkpoints join entries encoded when each program was
+// reported or restored; they must read as a re-encoding of what they
+// hold, before and after a resume.
+TEST(CorpusCheckpoint, CampaignEntriesEqualReencodedOutcomes)
+{
+    ScratchDir scratch("ckptjoin");
+    core::CampaignConfig cfg = smallCampaign();
+    cfg.jobs = 1;
+    cfg.corpusDir = scratch.sub("c");
+    cfg.checkpointEvery = 2;
+    cfg.maxProgramsThisRun = 5;
+    const std::string other = scratch.sub("reencoded");
+    fs::create_directories(other);
+    auto expectReencodes = [&](const char *when) {
+        const auto loaded = corpus::loadCheckpoint(cfg.corpusDir, cfg);
+        corpus::writeCheckpoint(other, cfg, loaded);
+        EXPECT_EQ(checkpointText(cfg.corpusDir), checkpointText(other))
+            << when;
+        return loaded.size();
+    };
+    core::Campaign(cfg).run();
+    EXPECT_EQ(expectReencodes("interrupted"), 5u);
+    cfg.resume = true;
+    cfg.maxProgramsThisRun = 0;
+    core::Campaign(cfg).run();
+    EXPECT_EQ(expectReencodes("resumed"), cfg.numPrograms);
 }
 
 // Checkpoints are versioned and fingerprinted: resuming with a

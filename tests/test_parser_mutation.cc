@@ -3,8 +3,9 @@
  * Seeded mutation test of the parsers of foreign bytes that are not
  * field tables (src/corpus/fields.hh, whose hostile-entry walk is in
  * test_corpus): Json::parse, recordFromJson, the CorpusStore journal
- * readers, the wire's context deltas and traced-run tuples, the
- * assembler and the FaultPlan grammar.
+ * readers, the wire's context deltas and traced-run tuples (and its v8
+ * batch request, whose sandbox descriptors are a table), the assembler
+ * and the FaultPlan grammar.
  *
  * Valid documents are mutated by bit flips, truncation and splices of two
  * documents, under a fixed seed and a fixed budget. Every mutant must
@@ -25,6 +26,7 @@
 
 #include "common/rng.hh"
 #include "core/generator.hh"
+#include "core/input_gen.hh"
 #include "corpus/fields.hh"
 #include "executor/sim_protocol.hh"
 #include "isa/assembler.hh"
@@ -180,6 +182,33 @@ batchBodies()
     return out;
 }
 
+/** Protocol v8 batch requests, which the worker parses: generator
+ *  inputs of one and of 128 pages as descriptors (a base, and siblings
+ *  with patch lists), beside a hand-built input whose sandbox travels
+ *  as hex (empty, so most mutations land on the descriptors). */
+std::vector<std::string>
+batchRequests()
+{
+    std::vector<std::string> out;
+    const std::vector<executor::TraceFormat> extras = {
+        executor::TraceFormat::BpState};
+    for (unsigned pages : {1u, 128u}) {
+        core::InputGenConfig cfg;
+        cfg.map.sandboxPages = pages;
+        core::InputGenerator gen(cfg, Rng(pages));
+        const arch::Input base = gen.generate(0);
+        const arch::Input a = gen.sibling(base, {2, 3, 40, 4095}, 1);
+        const arch::Input b = gen.sibling(base, {7}, 2);
+        arch::Input hand;
+        hand.id = 3;
+        hand.regs[2] = 9;
+        out.push_back(executor::protocol::batchRequest(
+                          {&base, &a, &b, &hand}, &extras, pages == 1)
+                          .dump());
+    }
+    return out;
+}
+
 /** A traced run of a few instructions with flags and squash causes. */
 std::string
 utraceDump()
@@ -213,8 +242,9 @@ TEST(ParserMutation, JsonParseRefusesWithCorpusError)
         docs, [](const std::string &text) { Json::parse(text); });
 }
 
-// The wire's positional formats, which are not field tables: the
-// context deltas of a batch reply and a traced run's tuples.
+// The wire's positional formats, which are not field tables (the context
+// deltas of a batch reply and a traced run's tuples), and the v8 batch
+// request the worker parses, generator inputs as sandbox descriptors.
 TEST(ParserMutation, WireDecodersRefuseWithCorpusError)
 {
     expectMutantsParseOrThrow<corpus::CorpusError>(
@@ -226,6 +256,16 @@ TEST(ParserMutation, WireDecodersRefuseWithCorpusError)
     expectMutantsParseOrThrow<corpus::CorpusError>(
         {utraceDump()}, [](const std::string &text) {
             executor::protocol::uarchRunTraceFromJson(Json::parse(text));
+        });
+    expectMutantsParseOrThrow<corpus::CorpusError>(
+        batchRequests(), [](const std::string &text) {
+            const Json req = Json::parse(text);
+            // Materialized as the worker's memory would: a descriptor
+            // that decodes must also fill its pages in bounds.
+            for (const Json &input : req.at("inputs").items())
+                executor::protocol::inputFromWire(input).sandbox.toBytes();
+            if (const Json *extras = req.find("extras"))
+                corpus::decode<std::vector<executor::TraceFormat>>(*extras);
         });
 }
 

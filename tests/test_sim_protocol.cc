@@ -2,7 +2,8 @@
  * @file
  * Wire codec tests for the subprocess protocol (executor/sim_protocol.hh):
  * seeded round trips of delta-coded predictor contexts, anchored and
- * not, the word scan's boundaries, pinned v7 bytes, and hostile deltas
+ * not, the word scan's boundaries, inputs as sandbox descriptors and as
+ * hex, pinned v7 and v8 bytes, and hostile deltas
  * and traced-run tuples that must fail as CorpusError — never
  * std::out_of_range, a crash, or undefined behaviour (this suite also
  * runs under ASan+UBSan in CI).
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "core/input_gen.hh"
 #include "corpus/fields.hh"
 #include "executor/sim_protocol.hh"
 #include "telemetry/uarch_trace.hh"
@@ -570,6 +572,162 @@ TEST(SimProtocol, ContextRequestsMatchPinnedBytes)
               R"(,255]},"ctxB":{"ghr":2891,"pht":[0,3,2,3,6,0],"btb":[0,41943)"
               R"(36,12,1,4194320,7,2,18446744073709551615,0],"mdp":[1,1,3,255)"
               R"(]}})");
+}
+
+/** A base input of @p pages pages and a sibling that restores three of
+ *  its bytes (the last one included), from one generator at @p seed;
+ *  registers small, so the pins stay readable. */
+std::vector<arch::Input>
+generatedPair(unsigned pages, std::uint64_t seed)
+{
+    core::InputGenConfig cfg;
+    cfg.map.sandboxPages = pages;
+    cfg.smallRegPct = 100;
+    core::InputGenerator gen(cfg, Rng(seed));
+    std::vector<arch::Input> out;
+    out.push_back(gen.generate(0));
+    const std::size_t last = std::size_t{pages} * mem::kPageSize - 1;
+    out.push_back(gen.sibling(out[0], {0x10, 0x11, last}, 1));
+    return out;
+}
+
+/** @p input through the protocol's input codec and a dump. */
+arch::Input
+wireRoundTrip(const arch::Input &input)
+{
+    return executor::protocol::inputFromWire(
+        Json::parse(executor::protocol::inputToWire(input).dump()));
+}
+
+// Generator inputs, one page or many, base or sibling, cross the wire as
+// descriptors and come back byte-equal, as lazy images.
+TEST(SimProtocol, GeneratedInputsRoundTripAsDescriptors)
+{
+    for (unsigned pages : {1u, 2u, 128u}) {
+        for (const arch::Input &input : generatedPair(pages, 40 + pages)) {
+            const Json wire = executor::protocol::inputToWire(input);
+            ASSERT_EQ(wire.at("sandbox").kind(), Json::Kind::Obj)
+                << pages << " pages, input " << input.id;
+            const arch::Input back = wireRoundTrip(input);
+            EXPECT_TRUE(back == input) << pages << " pages, input "
+                                       << input.id;
+            EXPECT_EQ(back.id, input.id);
+            EXPECT_EQ(back.sandbox.toBytes(), input.sandbox.toBytes());
+            EXPECT_TRUE(back.sandbox.isGenerated());
+            EXPECT_EQ(executor::protocol::inputToWire(back).dump(),
+                      wire.dump());
+        }
+    }
+}
+
+// An edited generator image is no longer what its descriptor describes:
+// it must travel as hex and arrive with the edit.
+TEST(SimProtocol, EditedInputTravelsAsHex)
+{
+    arch::Input input = generatedPair(1, 5)[1];
+    ASSERT_FALSE(input.sandbox.isGenerated());
+    ASSERT_NE(input.sandbox.descriptor(), nullptr);
+    const std::uint8_t old = input.sandbox[0x123];
+    input.sandbox.set(0x123, old ^ 0x5a);
+    EXPECT_EQ(input.sandbox.descriptor(), nullptr);
+    const Json wire = executor::protocol::inputToWire(input);
+    EXPECT_EQ(wire.at("sandbox").kind(), Json::Kind::Str);
+    const arch::Input back = wireRoundTrip(input);
+    EXPECT_TRUE(back == input);
+    EXPECT_EQ(back.sandbox[0x123], old ^ 0x5a);
+
+    arch::Input assigned = generatedPair(1, 5)[0];
+    assigned.sandbox.assign(mem::kPageSize, 3);
+    EXPECT_EQ(executor::protocol::inputToWire(assigned).at("sandbox").kind(),
+              Json::Kind::Str);
+    EXPECT_EQ(wireRoundTrip(assigned).sandbox[7], 3);
+}
+
+/** Hex of a page of zero bytes but one, @p value at @p off. */
+std::string
+hexPage(std::size_t off, const char *value)
+{
+    std::string hex(2 * mem::kPageSize, '0');
+    hex.replace(2 * off, 2, value);
+    return hex;
+}
+
+// The protocol v8 requests that carry inputs, built by the functions
+// SubprocessBackend sends: generator inputs as descriptors (a one-page
+// base and its sibling, a 128-page sibling), a hand-built input as hex.
+TEST(SimProtocol, InputRequestsMatchPinnedBytes)
+{
+    using namespace executor::protocol;
+    const UarchContext anchor = pinnedAnchor();
+    UarchContext trained;
+    pinnedBatch(trained);
+    const std::vector<executor::TraceFormat> extras = {
+        executor::TraceFormat::BpState};
+
+    // Both pairs draw the same registers (they come first in the
+    // stream); a sibling keeps its base's.
+    const std::string regs =
+        R"("regs":[25838,15338,32899,46310,58836,5193,46728,51153,41773,4)"
+        R"(7587,25086,38138,3721,54788,41562,45609],"flags":13)";
+    const std::string untrained = R"({"ghr":0,"pht":[],"btb":[],"mdp":[]})";
+    const std::string trainedDelta =
+        R"({"ghr":2891,"pht":[0,3,2,3,6,0],"btb":[0,4194336,12,1,4194320,)"
+        R"(7,2,18446744073709551615,0],"mdp":[1,1,3,255]})";
+
+    const std::vector<arch::Input> one = generatedPair(1, 3);
+    const std::string base1 =
+        R"({"id":0,)" + regs +
+        R"(,"sandbox":{"state":[6587965041148211857,13816525025375535164,1)"
+        R"(0613360081246115665,2292581355059794172],"size":4096,"patches":)"
+        R"(""}})";
+    const std::string sibling1 =
+        R"({"id":1,)" + regs +
+        R"(,"sandbox":{"state":[15674215756276464700,10738395743464701605,)"
+        R"(2069414428459309222,9050318850409851773],"size":4096,"patches":)"
+        R"("0000104200001196000fff3d"}})";
+    EXPECT_EQ(batchRequest({&one[0], &one[1]}, nullptr, false).dump(),
+              R"({"op":"batch","inputs":[)" + base1 + "," + sibling1 + "]}");
+    EXPECT_EQ(runRequest(one[1], &extras, true).dump(),
+              R"({"op":"run","input":)" + sibling1 +
+                  R"(,"extras":["bpstate"],"utrace":true})");
+    EXPECT_EQ(classifyRequest(one[0], one[1], anchor, trained, anchor).dump(),
+              R"({"op":"classify","inputA":)" + base1 + R"(,"inputB":)" +
+                  sibling1 + R"(,"ctxA":)" + untrained + R"(,"ctxB":)" +
+                  trainedDelta + "}");
+
+    const arch::Input big = generatedPair(128, 3)[1];
+    const std::string sibling128 =
+        R"({"id":1,)" + regs +
+        R"(,"sandbox":{"state":[16178389889125229425,1069063491580162980,1)"
+        R"(5773483665585070847,2908812685009933621],"size":524288,"patches)"
+        R"(":"000010420000119607ffffd9"}})";
+    EXPECT_EQ(batchRequest({&big}, &extras, false).dump(),
+              R"({"op":"batch","inputs":[)" + sibling128 +
+                  R"(],"extras":["bpstate"]})");
+    EXPECT_EQ(runRequest(big, nullptr, false).dump(),
+              R"({"op":"run","input":)" + sibling128 + "}");
+    EXPECT_EQ(classifyRequest(big, big, trained, anchor, anchor).dump(),
+              R"({"op":"classify","inputA":)" + sibling128 +
+                  R"(,"inputB":)" + sibling128 + R"(,"ctxA":)" +
+                  trainedDelta + R"(,"ctxB":)" + untrained + "}");
+
+    arch::Input hand;
+    hand.id = 9;
+    hand.regs[3] = 0x41;
+    hand.flagsByte = 4;
+    hand.sandbox.assign(mem::kPageSize, 0);
+    hand.sandbox.set(0x41, 0x07);
+    const std::string input = R"({"id":9,"regs":[0,0,0,65,0,0,0,0,0,0,0,0,0)"
+                              R"(,0,0,0],"flags":4,"sandbox":")" +
+                              hexPage(0x41, "07") + "\"}";
+    EXPECT_EQ(batchRequest({&hand}, nullptr, false).dump(),
+              R"({"op":"batch","inputs":[)" + input + "]}");
+    EXPECT_EQ(runRequest(hand, nullptr, false).dump(),
+              R"({"op":"run","input":)" + input + "}");
+    EXPECT_EQ(classifyRequest(hand, hand, anchor, anchor, anchor).dump(),
+              R"({"op":"classify","inputA":)" + input + R"(,"inputB":)" +
+                  input + R"(,"ctxA":)" + untrained + R"(,"ctxB":)" +
+                  untrained + "}");
 }
 
 // A traced run's instruction tuples, pinned: between them the
