@@ -1,6 +1,8 @@
 /**
  * @file
- * Ablations of the design choices DESIGN.md calls out:
+ * Ablations of three design choices (src/executor/README.md describes
+ * the priming policies, src/pipeline/README.md the siblings and
+ * register mutation):
  *  (a) cache initialization: clean start vs conflict fill (§3.2 C2 —
  *      conflict fill additionally detects eviction-based leaks);
  *  (b) register mutation of contract-dead registers (off = register-
@@ -18,7 +20,8 @@ main()
 {
     using namespace bench_util;
     header("Ablations: priming policy / register mutation / siblings",
-           "design-choice ablations (DESIGN.md)");
+           "design-choice ablations (src/executor/README.md, "
+           "src/pipeline/README.md)");
 
     // (a) Priming policy on the as-published InvisiSpec: UV1 leaks via
     // *evictions*, which a clean cache cannot show.

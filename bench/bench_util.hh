@@ -11,11 +11,14 @@
 #ifndef AMULET_BENCH_BENCH_UTIL_HH
 #define AMULET_BENCH_BENCH_UTIL_HH
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 
 #include "core/campaign.hh"
 #include "runtime/matrix.hh"
@@ -25,41 +28,56 @@ namespace bench_util
 
 using namespace amulet;
 
-/** Campaign scale multiplier from the environment. A malformed,
- *  non-finite or non-positive value exits 2 instead of silently
- *  shrinking every campaign to one program. */
+/**
+ * The environment variable @p name as a T, or @p fallback when it is
+ * unset. The whole value must parse: an integer that fits T, or a
+ * finite positive number when T is floating-point. Anything else exits
+ * 2 with a message naming the variable, instead of silently running a
+ * different matrix.
+ */
+template <class T>
+T
+envNumber(const char *name, T fallback)
+{
+    const char *s = std::getenv(name);
+    if (!s)
+        return fallback;
+    T value{};
+    const char *end = s + std::strlen(s);
+    const auto [stop, ec] = std::from_chars(s, end, value);
+    if (ec == std::errc{} && stop == end) {
+        if constexpr (std::is_integral_v<T>)
+            return value;
+        else if (std::isfinite(value) && value > 0)
+            return value;
+    }
+    std::string expected = "a positive number";
+    if constexpr (std::is_integral_v<T>)
+        expected = "an integer in 0.." +
+                   std::to_string(std::numeric_limits<T>::max());
+    std::fprintf(stderr, "%s must be %s, got '%s'\n", name,
+                 expected.c_str(), s);
+    std::exit(2);
+}
+
+/** Campaign scale multiplier (AMULET_BENCH_SCALE, default 1). */
 inline double
 scale()
 {
-    const char *s = std::getenv("AMULET_BENCH_SCALE");
-    if (!s)
-        return 1.0;
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
-        v <= 0) {
-        std::fprintf(stderr,
-                     "AMULET_BENCH_SCALE must be a positive number, got "
-                     "'%s'\n",
-                     s);
-        std::exit(2);
-    }
-    return v;
+    return envNumber("AMULET_BENCH_SCALE", 1.0);
 }
 
 /**
  * Campaigns to run concurrently (AMULET_BENCH_JOBS; 0 = all cores).
- * Campaign *results* are jobs-invariant (see src/runtime/), so the
- * printed counts are identical at any setting; the default stays serial
- * because the tables also report wall-clock columns, which concurrent
- * campaigns sharing cores would distort.
+ * Printed counts do not depend on it: each matrix campaign is its own
+ * scheduler run at its own cfg.jobs, which is 1 in every paper cell.
+ * The default stays serial because the tables also report wall-clock
+ * columns, which concurrent campaigns sharing cores would distort.
  */
 inline unsigned
 matrixJobs()
 {
-    const char *s = std::getenv("AMULET_BENCH_JOBS");
-    return s ? static_cast<unsigned>(std::atoi(s)) : 1;
+    return envNumber("AMULET_BENCH_JOBS", 1u);
 }
 
 inline unsigned

@@ -17,41 +17,21 @@ main()
         "InvisiSpec UV1: speculative L1D-cache evictions",
         "Figure 4, Listings 1-2");
 
-    std::string text = ".bb_main.0:\n" + slowChain("RAX", 8) +
-                       "    TEST RAX, RAX\n"
-                       "    JNE .bb_main.1\n"
-                       "    AND RBX, 0b111110000000\n"
-                       "    XOR RDX, RDX\n"
-                       "    MOV RDX, qword ptr [R14 + RBX]\n"
-                       "    JMP .bb_main.1\n"
-                       ".bb_main.1:\n" +
-                       trailingWork();
-    const isa::Program prog = isa::assemble(text);
+    const auto &catalog = core::paperLeaks();
+    const core::LeakGadget &g = catalog.uv1;
     std::printf("Violating test (speculative load address depends on the "
                 "dead register RBX):\n%s\n",
-                isa::formatProgram(prog).c_str());
+                isa::formatProgram(g.program).c_str());
 
-    for (bool patched : {false, true}) {
-        executor::HarnessConfig cfg;
-        cfg.defense.kind = defense::DefenseKind::InvisiSpec;
-        cfg.defense.invisispecBugSpecEviction = !patched;
-        cfg.prime = executor::PrimeMode::ConflictFill; // full sets
-        cfg.bootInsts = 2000;
-        executor::SimHarness harness(cfg);
-        const isa::FlatProgram fp(prog, cfg.map.codeBase);
-
-        arch::Input a = zeroInput(cfg.map);
-        arch::Input b = a;
-        a.regs[isa::regIndex(isa::Reg::Rbx)] = 0x100;
-        b.regs[isa::regIndex(isa::Reg::Rbx)] = 0x700;
-        b.id = 1;
-
+    // Conflict fill primes full sets, so the speculative load must evict.
+    for (const core::LeakRow *row :
+         catalog.rowsOf(g, defense::DefenseKind::InvisiSpec)) {
         std::printf("--- %s (Listing %d) ---\n",
-                    patched ? "patched: no replacement for spec loads"
-                            : "as published: spec load evicts on full set",
-                    patched ? 2 : 1);
-        const PairResult r = runPair(harness, fp, a, b);
-        printDiff(r);
+                    row->patched
+                        ? "patched: no replacement for spec loads"
+                        : "as published: spec load evicts on full set",
+                    row->patched ? 2 : 1);
+        printDiff(core::runPair(*row));
         std::printf("\n");
     }
     std::printf("Expected: the as-published implementation leaks the "

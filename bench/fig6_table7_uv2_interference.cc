@@ -19,52 +19,21 @@ main()
         "InvisiSpec UV2: same-core MSHR interference (patched UV1)",
         "Figure 6 and Table 7");
 
-    std::string text;
-    text += ".bb_main.0:\n";
-    text += "    MOV R13, qword ptr [R14 + 0]\n";
-    text += "    IMUL R13, R13\n    IMUL R13, R13\n";
-    text += "    TEST R13, R13\n";
-    text += "    JE .bb_main.1\n";                    // slow, not taken
-    text += "    MOV R10, qword ptr [R14 + 0x200]\n"; // NSL -> Expose
-    for (int i = 0; i < 4; ++i)
-        text += "    IMUL R13, R13\n";
-    text += "    TEST R13, R13\n";
-    text += "    JNE .bb_main.1\n"; // mispredicted
-    for (int i = 0; i < 2; ++i) {
-        text += "    AND RBX, 0b111111111111\n";
-        text += "    MOV RDX, qword ptr [R14 + RBX + " +
-                std::to_string(64 * i) + "]\n"; // SL: MSHR pressure
-    }
-    text += "    JMP .bb_main.1\n";
-    text += ".bb_main.1:\n";
-    for (int i = 0; i < 6; ++i)
-        text += "    IMUL R11, R11\n";
-    const isa::Program prog = isa::assemble(text);
-    std::printf("%s\n", isa::formatProgram(prog).c_str());
+    const auto &catalog = core::paperLeaks();
+    const core::LeakGadget &g = catalog.uv2;
+    std::printf("%s\n", isa::formatProgram(g.program).c_str());
 
-    for (unsigned mshrs : {256u, 2u}) {
-        executor::HarnessConfig cfg;
-        cfg.defense.kind = defense::DefenseKind::InvisiSpec;
-        cfg.defense.invisispecBugSpecEviction = false; // patched
-        cfg.prime = executor::PrimeMode::ConflictFill;
-        cfg.core.l1dMshrs = mshrs;
-        cfg.bootInsts = 2000;
-        executor::SimHarness harness(cfg);
-        const isa::FlatProgram fp(prog, cfg.map.codeBase);
-
-        arch::Input a = zeroInput(cfg.map);
-        arch::Input b = a;
-        a.regs[isa::regIndex(isa::Reg::Rbx)] = 0xa00; // cold: interference
-        b.regs[isa::regIndex(isa::Reg::Rbx)] = 0x000; // coalesce: none
-        b.id = 1;
-
-        std::printf("--- %u MSHRs ---\n", mshrs);
-        const PairResult r = runPair(harness, fp, a, b);
+    // Input A's speculative loads miss (fresh MSHRs); input B's coalesce
+    // with line 0, which the slow chain's load already requested.
+    for (const core::LeakRow *row :
+         catalog.rowsOf(g, defense::DefenseKind::InvisiSpec)) {
+        std::printf("--- %u MSHRs ---\n", row->harness().core.l1dMshrs);
+        const core::LeakRun r = core::runPair(*row);
         printDiff(r);
-        if (mshrs == 2) {
+        if (row->l1dMshrs) {
             std::printf("\nTable 7-style operation sequence (note the "
                         "Expose/ExposeStall rows):\n");
-            printEventTable(harness, fp, a, b);
+            printEventTable(*r.harness, g);
         }
         std::printf("\n");
     }

@@ -17,37 +17,19 @@ main()
                        "Figure 8");
 
     // Figure 8(b): the secret is in a register; one speculative load.
-    std::string text = ".bb_main.0:\n" + slowChain("RAX", 8) +
-                       "    TEST RAX, RAX\n"
-                       "    JNE .bb_main.1\n"
-                       "    AND RBX, 0b111110000000\n"
-                       "    MOV RDX, qword ptr [R14 + RBX]\n"
-                       "    JMP .bb_main.1\n"
-                       ".bb_main.1:\n" +
-                       trailingWork();
-    const isa::Program prog = isa::assemble(text);
+    const auto &catalog = core::paperLeaks();
+    const core::LeakGadget &g = catalog.v1Reg;
     std::printf("Violating test (RBX is the secret):\n%s\n",
-                isa::formatProgram(prog).c_str());
+                isa::formatProgram(g.program).c_str());
 
-    for (bool patched : {false, true}) {
-        executor::HarnessConfig cfg =
-            core::paperHarness(defense::DefenseKind::SpecLfb, patched);
-        cfg.bootInsts = 2000;
-        executor::SimHarness harness(cfg);
-        const isa::FlatProgram fp(prog, cfg.map.codeBase);
-
-        arch::Input a = zeroInput(cfg.map);
-        arch::Input b = a;
-        a.regs[isa::regIndex(isa::Reg::Rbx)] = 0x080;
-        b.regs[isa::regIndex(isa::Reg::Rbx)] = 0x780;
-        b.id = 1;
-
+    for (const core::LeakRow *row :
+         catalog.rowsOf(g, defense::DefenseKind::SpecLfb)) {
         std::printf("--- %s ---\n",
-                    patched ? "patched: every speculative load is gated"
-                            : "as published: isReallyUnsafe cleared for "
-                              "the first speculative load");
-        const PairResult r = runPair(harness, fp, a, b);
-        printDiff(r);
+                    row->patched
+                        ? "patched: every speculative load is gated"
+                        : "as published: isReallyUnsafe cleared for "
+                          "the first speculative load");
+        printDiff(core::runPair(*row));
         std::printf("\n");
     }
     std::printf("Expected: as published, the single speculative load "

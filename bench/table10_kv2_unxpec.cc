@@ -17,50 +17,18 @@ main()
     bench_util::header("CleanupSpec KV2 (unXpec): cleanup timing via L1I",
                        "Table 10");
 
-    std::string text;
-    text += ".bb_main.0:\n";
-    for (int i = 0; i < 8; ++i)
-        text += "    MOV R9, qword ptr [R14 + " +
-                std::to_string(0x400 + 64 * i) + "]\n"; // warm lines
-    text += slowChain("RAX", 8);
-    text += "    TEST RAX, RAX\n";
-    text += "    JNE .bb_main.1\n";
-    for (int i = 0; i < 8; ++i) {
-        text += "    AND RBX, 0b111111111111\n";
-        text += "    MOV RDX, qword ptr [R14 + RBX + " +
-                std::to_string(64 * i) + "]\n"; // spec loads
-    }
-    text += "    JMP .bb_main.1\n";
-    text += ".bb_main.1:\n";
-    for (int i = 0; i < 8; ++i)
-        text += "    MOV R10, qword ptr [R14 + " +
-                std::to_string(0x800 + 64 * i) + "]\n";
-    text += trailingWork(8);
-    const isa::Program prog = isa::assemble(text);
-
-    for (auto fmt : {executor::TraceFormat::L1dTlb,
-                     executor::TraceFormat::L1dTlbL1i}) {
-        executor::HarnessConfig cfg =
-            core::paperHarness(defense::DefenseKind::CleanupSpec);
-        cfg.defense.cleanupNoCleanPatch = true; // isolate the timing leak
-        cfg.traceFormat = fmt;
-        cfg.bootInsts = 2000;
-        executor::SimHarness harness(cfg);
-        const isa::FlatProgram fp(prog, cfg.map.codeBase);
-
-        arch::Input a = zeroInput(cfg.map);
-        arch::Input b = a;
-        a.regs[isa::regIndex(isa::Reg::Rbx)] = 0x400; // hits: no cleanup
-        b.regs[isa::regIndex(isa::Reg::Rbx)] = 0xa00; // misses: 8 cleanups
-        b.id = 1;
-
+    // Patched CleanupSpec (noClean included, so no UV5): input A's
+    // speculative loads hit, input B's miss and are rolled back.
+    const auto &catalog = core::paperLeaks();
+    for (const core::LeakRow *row :
+         catalog.rowsOf(catalog.kv12, defense::DefenseKind::CleanupSpec)) {
         std::printf("--- trace format: %s ---\n",
-                    executor::traceFormatName(fmt));
-        const PairResult r = runPair(harness, fp, a, b);
+                    executor::traceFormatName(row->observer));
+        const core::LeakRun r = core::runPair(*row);
         std::printf("execution time: A=%llu cycles (spec hits), B=%llu "
                     "cycles (spec misses + rollback)\n",
-                    static_cast<unsigned long long>(r.runA.cycles),
-                    static_cast<unsigned long long>(r.runB.cycles));
+                    static_cast<unsigned long long>(r.a.run.cycles),
+                    static_cast<unsigned long long>(r.b.run.cycles));
         printDiff(r);
         std::printf("\n");
     }

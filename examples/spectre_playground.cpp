@@ -3,8 +3,10 @@
  * Spectre playground: run hand-written Spectre-v1 (memory- and
  * register-secret) and Spectre-v4 attack programs against every
  * countermeasure, in its as-published (buggy) and patched variant, and
- * print the resulting leak matrix. The programs are written in the same
- * listing syntax as the paper's figures.
+ * print the resulting leak matrix. The programs and their input pairs
+ * come from the catalog of the paper's hand-built violations
+ * (src/core/paper_leaks.hh), in the listing syntax of the paper's
+ * figures.
  *
  * Build & run:   ./build/examples/spectre_playground
  */
@@ -12,112 +14,22 @@
 #include <cstdio>
 #include <string>
 
-#include "core/campaign.hh"
-#include "executor/sim_harness.hh"
-#include "isa/assembler.hh"
+#include "core/paper_leaks.hh"
 
 namespace
 {
 
 using namespace amulet;
 
-std::string
-slowChain(const char *reg, int imuls)
-{
-    std::string s = "    MOV " + std::string(reg) +
-                    ", qword ptr [R14 + 0]\n";
-    for (int i = 0; i < imuls; ++i)
-        s += "    IMUL " + std::string(reg) + ", " + std::string(reg) +
-             "\n";
-    return s;
-}
-
-std::string
-trailing()
-{
-    std::string s = "    MOV R11, qword ptr [R14 + 8]\n";
-    for (int i = 0; i < 40; ++i)
-        s += "    IMUL R11, R11\n";
-    return s;
-}
-
-isa::Program
-spectreV1Mem()
-{
-    std::string t = ".bb_main.0:\n" + slowChain("RAX", 8) +
-                    "    TEST RAX, RAX\n"
-                    "    JNE .bb_main.1\n"
-                    "    AND RCX, 0b111111111111\n"
-                    "    MOV RBX, qword ptr [R14 + RCX]\n"
-                    "    AND RBX, 0b111110000000\n"
-                    "    MOV RDX, qword ptr [R14 + RBX]\n"
-                    "    JMP .bb_main.1\n"
-                    ".bb_main.1:\n" +
-                    trailing();
-    return isa::assemble(t);
-}
-
-isa::Program
-spectreV1Reg()
-{
-    std::string t = ".bb_main.0:\n" + slowChain("RAX", 8) +
-                    "    TEST RAX, RAX\n"
-                    "    JNE .bb_main.1\n"
-                    "    AND RBX, 0b111110000000\n"
-                    "    MOV RDX, qword ptr [R14 + RBX]\n"
-                    "    JMP .bb_main.1\n"
-                    ".bb_main.1:\n" +
-                    trailing();
-    return isa::assemble(t);
-}
-
-isa::Program
-spectreV4()
-{
-    std::string t = ".bb_main.0:\n" + slowChain("RAX", 6) +
-                    "    AND RAX, 0\n"
-                    "    OR RAX, 64\n"
-                    "    MOV qword ptr [R14 + RAX], RDI\n"
-                    "    MOV RBX, qword ptr [R14 + 64]\n"
-                    "    AND RBX, 0b111110000000\n"
-                    "    MOV RDX, qword ptr [R14 + RBX]\n" +
-                    trailing();
-    return isa::assemble(t);
-}
-
+/** Whether @p gadget's two inputs leave different L1D+TLB states on
+ *  @p kind's paper harness. */
 bool
-leaks(defense::DefenseKind kind, bool patched, const isa::Program &prog,
-      bool reg_secret, bool v4)
+leaks(const core::LeakGadget &gadget, defense::DefenseKind kind,
+      bool patched)
 {
-    executor::HarnessConfig cfg = core::paperHarness(kind, patched);
-    cfg.bootInsts = 2000;
-
-    executor::SimHarness harness(cfg);
-    const isa::FlatProgram fp(prog, cfg.map.codeBase);
-    harness.loadProgram(&fp);
-
-    arch::Input a;
-    a.regs.fill(0);
-    a.regs[isa::regIndex(isa::Reg::Rcx)] = 0x200;
-    a.sandbox.assign(cfg.map.sandboxSize(), 0);
-    a.sandbox.set(0, 3);
-    a.sandbox.set(8, 7);
-    arch::Input b = a;
-    b.id = 1;
-    if (reg_secret) {
-        a.regs[isa::regIndex(isa::Reg::Rbx)] = 0x080;
-        b.regs[isa::regIndex(isa::Reg::Rbx)] = 0x780;
-    } else if (v4) {
-        a.sandbox.set(0x41, 0x01);
-        b.sandbox.set(0x41, 0x07);
-    } else {
-        a.sandbox.set(0x201, 0x01);
-        b.sandbox.set(0x201, 0x07);
-    }
-
-    const auto ta = harness.runInput(a).trace;
-    const auto tb = harness.runInput(b).trace;
-    return !(ta == tb);
+    return core::runPair({.gadget = &gadget, .defense = kind,
+                          .patched = patched})
+        .differs();
 }
 
 } // namespace
@@ -127,9 +39,7 @@ main()
 {
     using defense::DefenseKind;
 
-    const isa::Program v1_mem = spectreV1Mem();
-    const isa::Program v1_reg = spectreV1Reg();
-    const isa::Program v4 = spectreV4();
+    const auto &catalog = core::paperLeaks();
 
     std::printf("Hand-written Spectre attacks vs. every countermeasure\n");
     std::printf("(LEAK = final L1D+TLB state differs for two "
@@ -145,12 +55,9 @@ main()
             if (kind != DefenseKind::Baseline)
                 name += patched ? " (patched)" : " (as published)";
             std::printf("%-22s %-14s %-14s %-14s\n", name.c_str(),
-                        leaks(kind, patched, v1_mem, false, false)
-                            ? "LEAK" : "ok",
-                        leaks(kind, patched, v1_reg, true, false)
-                            ? "LEAK" : "ok",
-                        leaks(kind, patched, v4, false, true)
-                            ? "LEAK" : "ok");
+                        leaks(catalog.v1Mem, kind, patched) ? "LEAK" : "ok",
+                        leaks(catalog.v1Reg, kind, patched) ? "LEAK" : "ok",
+                        leaks(catalog.v4, kind, patched) ? "LEAK" : "ok");
         }
     }
     std::printf(

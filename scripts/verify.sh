@@ -32,6 +32,47 @@ echo "--- window atlas: output must equal the committed WINDOW_ATLAS.json"
 cmp WINDOW_ATLAS.json "${SMOKE}/atlas.json"
 AMULET_NO_CYCLE_SKIP=1 ./build/bench/window_atlas | cmp WINDOW_ATLAS.json -
 
+# --- Demo gate: the hand-built violation demos must not move -----------------
+# The six figure/table demos and spectre_playground print the rows of the
+# catalog in src/core/paper_leaks.hh: listings, verdicts, differing
+# addresses, cycle counts and event tables, all simulator-exact, so their
+# stdout reproduces byte for byte. The hashes were taken before the demos
+# shared the catalog.
+echo "--- demo gate: demo output must hash to the pinned values"
+mkdir "${SMOKE}/demos"
+for demo in bench/fig4_uv1_spec_eviction bench/fig6_table7_uv2_interference \
+            bench/fig8_uv6_speclfb bench/fig9_kv3_stt \
+            bench/table9_uv5_overclean bench/table10_kv2_unxpec \
+            examples/spectre_playground; do
+  "./build/${demo}" > "${SMOKE}/demos/${demo#*/}.txt"
+done
+(cd "${SMOKE}/demos" && sha256sum --check --quiet -) <<'EOF'
+12c20897c71d8600d926ec711d31b0f235d8cf4f40ccfe2622306d94d51eecdf  fig4_uv1_spec_eviction.txt
+dd41677ee487c2d3a90f3afb220ba6eaa3325007f86a651c40d660b02fcde1fa  fig6_table7_uv2_interference.txt
+e23a693c43c3d6b663864537456d9ea60cea4973fd5e61ab82ae2aca55815373  fig8_uv6_speclfb.txt
+49f764ca87e0f96ff2d74bf94777baf81900dbd31d1fcb48dc3974630e33e8e9  fig9_kv3_stt.txt
+fee0707ec2b708ee4d89e7966903b14779036a99e1e15f46dfc3f4af0812add5  table9_uv5_overclean.txt
+4bab5ef58165a47245dfdde035003958311b2676e1c52ce8d4ca555438ab4f19  table10_kv2_unxpec.txt
+0dc47305a9f6bdac143cd8b72f5a764f2150e1915f03d28093f40a872a3a5c86  spectre_playground.txt
+EOF
+rm -rf "${SMOKE}/demos"
+
+# A malformed bench variable exits 2 naming it, before any campaign runs.
+echo "--- bench env: malformed AMULET_BENCH_JOBS/SCALE must exit 2"
+for var in AMULET_BENCH_JOBS AMULET_BENCH_SCALE; do
+  for bad in abc 2x -1 ""; do
+    rc=0
+    env "${var}=${bad}" ./build/bench/table4_defense_campaigns \
+        > /dev/null 2> "${SMOKE}/env.err" || rc=$?
+    if [ "${rc}" -ne 2 ] || ! grep -q "^${var} must be" "${SMOKE}/env.err"
+    then
+      echo "FAIL: ${var}='${bad}' must exit 2 naming the variable," \
+           "got ${rc}" >&2
+      exit 1
+    fi
+  done
+done
+
 # --- Sandbox-bytes gate: a short STT campaign's export must not move ------
 # Its ten KV3 records carry full 128-page sandboxes (21 MB of hex), so any
 # drift in generated input bytes (page-lazy sandbox images, the jump-ahead,

@@ -14,29 +14,15 @@
 #include "core/input_gen.hh"
 #include "isa/assembler.hh"
 #include "mem/memory_image.hh"
+#include "support/inputs.hh"
 
 namespace
 {
 
 using namespace amulet;
 
-mem::AddressMap
-testMap(unsigned pages = 1)
-{
-    mem::AddressMap map;
-    map.sandboxPages = pages;
-    return map;
-}
-
-arch::Input
-makeInput(const mem::AddressMap &map, std::uint64_t seed)
-{
-    core::InputGenConfig cfg;
-    cfg.map = map;
-    Rng rng(seed);
-    core::InputGenerator gen(cfg, rng);
-    return gen.generate(0);
-}
+using fixture::makeInput;
+using fixture::testMap;
 
 TEST(Rng, DeterministicAndSplittable)
 {

@@ -17,6 +17,7 @@
 #include "defense/factory.hh"
 #include "isa/assembler.hh"
 #include "isa/disasm.hh"
+#include "support/inputs.hh"
 #include "uarch/pipeline.hh"
 
 namespace
@@ -24,13 +25,7 @@ namespace
 
 using namespace amulet;
 
-mem::AddressMap
-testMap(unsigned pages = 1)
-{
-    mem::AddressMap map;
-    map.sandboxPages = pages;
-    return map;
-}
+using fixture::testMap;
 
 /** Run a flat program architecturally on the emulator. */
 arch::ArchState
