@@ -95,50 +95,6 @@ struct Worker
         }
     }
 
-    /** Pipeline tracing for one request (protocol v3 "utrace"). The
-     *  scope guard turns tracing off and drops undelivered runs even
-     *  when the op throws, so a failed op cannot leave the backend
-     *  tracing. */
-    struct TraceScope
-    {
-        executor::InProcessBackend &sim;
-        bool on;
-
-        TraceScope(executor::InProcessBackend &b, const Json &req)
-            : sim(b), on(false)
-        {
-            const Json *flag = req.find("utrace");
-            on = flag && flag->asBool();
-            if (on)
-                sim.setUarchTracing(true);
-        }
-
-        TraceScope(const TraceScope &) = delete;
-        TraceScope &operator=(const TraceScope &) = delete;
-
-        ~TraceScope()
-        {
-            if (on) {
-                sim.setUarchTracing(false);
-                sim.takeUarchTraces();
-            }
-        }
-
-        /** Attach the traced runs to @p reply as "utraces". */
-        void
-        attach(Json &reply)
-        {
-            if (!on)
-                return;
-            Json traces = Json::array();
-            for (const telemetry::UarchRunTrace &run :
-                 sim.takeUarchTraces())
-                traces.push(
-                    executor::protocol::uarchRunTraceToJson(run));
-            reply.set("utraces", std::move(traces));
-        }
-    };
-
     /** Attach the cumulative breakdown. It rides along every mutating
      *  op's reply so the parent loses at most one operation's worth of
      *  timing when this worker later dies (backend_subprocess times
@@ -205,14 +161,12 @@ struct Worker
             batch.reserve(inputs.size());
             for (const arch::Input &input : inputs)
                 batch.push_back(&input);
-            TraceScope trace(sim(), req);
             const auto out =
                 sim().dispatchBatch(batch, extras ? &*extras : nullptr);
             const UarchContext endCtx = sim().saveContext();
             Json reply =
                 executor::protocol::batchOutputToJson(out, &endCtx, &anchor);
             reply.set("ok", Json::boolean(true));
-            trace.attach(reply);
             attachTimes(reply);
             return reply;
         }
@@ -220,11 +174,9 @@ struct Worker
             mutatingOp();
             const auto input = inputFromWire(req.at("input"));
             const auto extras = extrasOf(req);
-            TraceScope trace(sim(), req);
             const auto out =
                 sim().runOne(input, extras ? &*extras : nullptr);
             Json reply = okReply();
-            trace.attach(reply);
             reply.set("trace", corpus::encode(out.trace));
             reply.set("hitCycleCap", Json::boolean(out.hitCycleCap));
             reply.set("extras", corpus::encode(out.extras));

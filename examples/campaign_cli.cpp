@@ -38,8 +38,8 @@
  *   campaign_cli stats --corpus-dir corpus/     # persisted metrics
  *
  * Violation forensics (per-instruction pipeline traces):
- *   campaign_cli --corpus-dir corpus/ --uarch-trace-dir corpus/traces
  *   campaign_cli inspect corpus/ 0 --out report0/   # replay + localize
+ *   campaign_cli inspect corpus/    # every record, corpus/inspect/record<i>/
  */
 
 #include <strings.h>
@@ -335,9 +335,6 @@ const Flag kFlags[] = {
     {"--heartbeat-interval", "SEC", "seconds between heartbeat lines "
      "(default 1)", kRun, "telemetry",
      assign<kCfg, &Cfg::telemetry, &Telemetry::heartbeatIntervalSec>},
-    {"--uarch-trace-dir", "DIR", "pipeline traces of every journaled violation",
-     kRun, "telemetry",
-     assign<kCfg, &Cfg::telemetry, &Telemetry::uarchTraceDir>},
     {"--minimize", nullptr, "minimize every confirmed record", kReplay,
      nullptr, put<true, &Options::minimize>},
     {"--root-cause", nullptr, "side-by-side view of every confirmed record",
@@ -615,10 +612,17 @@ cmdStats(Options &o)
     }
 }
 
+/** What inspecting one record gave: its report and the replay verdict. */
+struct Inspection
+{
+    std::string report;
+    bool confirmed = false;
+};
+
 /**
- * Violation forensics (`inspect DIR INDEX`): replay one journaled
- * violation with the per-instruction pipeline tracer attached and write
- * a report directory:
+ * Violation forensics for record @p index of the corpus in @p dir:
+ * replay it with the per-instruction pipeline tracer attached and write
+ * a report directory, @p out_dir:
  *
  *   report.txt           replay verdict + the first divergent
  *                        instruction (Spectector-style localization —
@@ -632,37 +636,16 @@ cmdStats(Options &o)
  *   sidebyside.txt       attacker-observation diff (root-cause view)
  *
  * Purely read-only with respect to the corpus: the replay builds its
- * own throwaway SimHarness from the journaled config.
+ * own throwaway SimHarness from the journaled config, one per record,
+ * so a record's report does not depend on which records were inspected
+ * before it. Throws std::runtime_error when the replay does not trace
+ * exactly two runs or the directory cannot be written.
  */
-int
-cmdInspect(Options &o)
+Inspection
+inspectRecord(const LoadedCorpus &corpus, const std::string &dir,
+              std::size_t index, const std::string &out_dir)
 {
-    // DIR INDEX, or --corpus-dir DIR INDEX.
-    std::string &dir = o.cfg.corpusDir;
-    if (dir.empty() && o.operands.size() == 2) {
-        dir = o.operands[0];
-    } else if (dir.empty() || o.operands.size() != 1) {
-        return usageError("inspect needs a corpus dir and a record index",
-                          true);
-    }
-    const LoadedCorpus corpus = loadCorpus(dir);
-    std::size_t index = 0;
-    try {
-        index = number<std::size_t>(o.operands.back().c_str());
-    } catch (const std::invalid_argument &e) {
-        return usageError(std::string("record index: ") + e.what());
-    }
-    if (index >= corpus.records.size()) {
-        return usageError("record " + std::to_string(index) +
-                          " out of range (" + dir + " has " +
-                          std::to_string(corpus.records.size()) +
-                          " record(s))");
-    }
     const core::ViolationRecord &rec = corpus.records[index];
-    const std::string out_dir =
-        o.out.empty() ? dir + "/inspect/record" + std::to_string(index)
-                      : o.out;
-
     executor::SimHarness harness(corpus.config.harness);
     telemetry::UarchTracer tracer;
     harness.setUarchTracer(&tracer);
@@ -673,11 +656,9 @@ cmdInspect(Options &o)
     harness.setUarchTracer(nullptr);
     std::vector<telemetry::UarchRunTrace> runs = tracer.takeRuns();
     if (runs.size() != 2) {
-        std::fprintf(stderr,
-                     "campaign_cli: replay produced %zu traced run(s), "
-                     "expected 2\n",
-                     runs.size());
-        return 1;
+        throw std::runtime_error("replay produced " +
+                                 std::to_string(runs.size()) +
+                                 " traced run(s), expected 2");
     }
     runs[0].label = "inputA";
     runs[1].label = "inputB";
@@ -731,11 +712,9 @@ cmdInspect(Options &o)
     namespace fs = std::filesystem;
     std::error_code ec;
     fs::create_directories(out_dir, ec);
-    if (ec) {
-        std::fprintf(stderr, "campaign_cli: cannot create %s: %s\n",
-                     out_dir.c_str(), ec.message().c_str());
-        return 1;
-    }
+    if (ec)
+        throw std::runtime_error("cannot create " + out_dir + ": " +
+                                 ec.message());
     bool wrote = true;
     auto put = [&](const char *name, const std::string &text) {
         std::ofstream f(out_dir + "/" + name, std::ios::binary);
@@ -750,16 +729,69 @@ cmdInspect(Options &o)
     put("pipeline.trace.json",
         telemetry::exportUarchChromeTrace(runs));
     put("sidebyside.txt", side);
-    if (!wrote) {
-        std::fprintf(stderr,
-                     "campaign_cli: short write under %s (disk full?)\n",
-                     out_dir.c_str());
-        return 1;
+    if (!wrote)
+        throw std::runtime_error("short write under " + out_dir +
+                                 " (disk full?)");
+    return {std::move(report), outcome.confirmed()};
+}
+
+/**
+ * `inspect DIR INDEX` writes record INDEX's report directory (--out, or
+ * DIR/inspect/record<INDEX>) and prints its report; `inspect DIR` writes
+ * record<i>/ for every record, under --out or DIR/inspect/. Either form
+ * exits 1 when a record fails to replay.
+ */
+int
+cmdInspect(Options &o)
+{
+    // DIR [INDEX], or --corpus-dir DIR [INDEX].
+    std::string &dir = o.cfg.corpusDir;
+    if (dir.empty() && !o.operands.empty()) {
+        dir = o.operands.front();
+        o.operands.erase(o.operands.begin());
+    }
+    if (dir.empty() || o.operands.size() > 1) {
+        return usageError("inspect needs a corpus dir and at most one "
+                          "record index",
+                          true);
+    }
+    const LoadedCorpus corpus = loadCorpus(dir);
+    if (!o.operands.empty()) {
+        std::size_t index = 0;
+        try {
+            index = number<std::size_t>(o.operands[0].c_str());
+        } catch (const std::invalid_argument &e) {
+            return usageError(std::string("record index: ") + e.what());
+        }
+        if (index >= corpus.records.size()) {
+            return usageError("record " + std::to_string(index) +
+                              " out of range (" + dir + " has " +
+                              std::to_string(corpus.records.size()) +
+                              " record(s))");
+        }
+        const std::string out_dir =
+            o.out.empty() ? dir + "/inspect/record" + std::to_string(index)
+                          : o.out;
+        const Inspection one = inspectRecord(corpus, dir, index, out_dir);
+        std::printf("%s", one.report.c_str());
+        std::printf("\nreport written to %s\n", out_dir.c_str());
+        return one.confirmed ? 0 : 1;
     }
 
-    std::printf("%s", report.c_str());
-    std::printf("\nreport written to %s\n", out_dir.c_str());
-    return outcome.confirmed() ? 0 : 1;
+    const std::string root = o.out.empty() ? dir + "/inspect" : o.out;
+    std::printf("inspecting %zu record(s) from %s\n",
+                corpus.records.size(), dir.c_str());
+    unsigned failures = 0;
+    for (std::size_t i = 0; i < corpus.records.size(); ++i) {
+        const Inspection one = inspectRecord(
+            corpus, dir, i, root + "/record" + std::to_string(i));
+        std::printf("[%zu] %s: %s\n", i, corpus.records[i].summary().c_str(),
+                    one.confirmed ? "CONFIRMED" : "FAILED");
+        failures += one.confirmed ? 0 : 1;
+    }
+    std::printf("inspect: %zu confirmed, %u failed; reports under %s\n",
+                corpus.records.size() - failures, failures, root.c_str());
+    return failures == 0 ? 0 : 1;
 }
 
 int
@@ -797,7 +829,7 @@ struct Command
     unsigned bit;
     const char *synopsis;
     int (*run)(Options &o);
-    /** Only merge (SRC corpus dirs) and inspect (DIR INDEX) take
+    /** Only merge (SRC corpus dirs) and inspect (DIR [INDEX]) take
      *  operands; anywhere else a stray operand is a typo that must not
      *  be silently ignored. */
     bool operands = false;
@@ -816,8 +848,9 @@ const Command kCommands[] = {
     {"quarantined", kQuarantined,
      "quarantined --corpus-dir DIR    list quarantined programs",
      cmdQuarantined, false, true},
-    {"inspect", kInspect, "inspect DIR INDEX [--out DIR]   violation forensics",
-     cmdInspect, true},
+    {"inspect", kInspect,
+     "inspect DIR [INDEX] [--out DIR]   violation forensics", cmdInspect,
+     true},
 };
 
 void

@@ -505,24 +505,12 @@ EOF
 
 echo "telemetry smoke: OK"
 
-# --- Uarch-trace smoke: pipeline tracing must not move a record byte ---------
-# The introspection contract (src/telemetry/README.md): per-violation
-# pipeline tracing re-runs restore saved contexts, so exports — over the
-# subprocess wire protocol too — are byte-identical with the knob on and
-# off; the traces themselves are Konata-loadable; and `inspect` names
-# the first divergent instruction of a journaled violation.
-
-echo "--- uarch-trace smoke: traced run (subprocess) exports identically"
-"${CLI}" "${CAMPAIGN[@]}" --corpus-dir "${SMOKE}/ut" --jobs 2 \
-    --backend subprocess --uarch-trace-dir "${SMOKE}/ut_traces" > /dev/null
-"${CLI}" export --corpus-dir "${SMOKE}/ut" --out "${SMOKE}/ut.jsonl" \
-    > /dev/null
-cmp "${SMOKE}/full.jsonl" "${SMOKE}/ut.jsonl"
-# Konata header on every per-violation trace file.
-ls "${SMOKE}/ut_traces/"*.kanata > /dev/null
-for f in "${SMOKE}/ut_traces/"*.kanata; do
-  head -n 1 "$f" | grep -q "Kanata" || { echo "FAIL: $f" >&2; exit 1; }
-done
+# --- Uarch-trace smoke: inspect renders every journaled violation -----------
+# The forensics path (src/telemetry/README.md): `inspect` replays a
+# journaled violation from the journal with the per-instruction tracer
+# on, names the first divergent instruction, and writes Konata-loadable
+# traces. `inspect DIR` does that for every record, each from a fresh
+# harness, so its record<i>/ equals what `inspect DIR i` writes alone.
 
 echo "--- uarch-trace smoke: inspect localizes a journaled violation"
 "${CLI}" inspect "${SMOKE}/full" 0 --out "${SMOKE}/inspect0" > /dev/null
@@ -541,6 +529,16 @@ if [ "${rc}" -ne 2 ]; then
   echo "FAIL: inspect with an out-of-range index must exit 2" >&2
   exit 1
 fi
+
+echo "--- uarch-trace smoke: inspect of every record"
+"${CLI}" inspect "${SMOKE}/full" > /dev/null
+records=$(($(wc -l < "${SMOKE}/full.jsonl") - 1))
+test "$(ls -d "${SMOKE}/full/inspect/record"* | wc -l)" -eq "${records}"
+for ((i = 0; i < records; ++i)); do
+  f="${SMOKE}/full/inspect/record$i/inputA.kanata"
+  head -n 1 "$f" | grep -q "Kanata" || { echo "FAIL: $f" >&2; exit 1; }
+done
+diff -r "${SMOKE}/full/inspect/record0" "${SMOKE}/inspect0"
 
 echo "uarch-trace smoke: OK"
 

@@ -56,28 +56,6 @@ Event::format() const
     return os.str();
 }
 
-void
-EventLog::setCapacity(std::size_t capacity)
-{
-    capacity_ = capacity;
-    if (capacity_ != 0 && events_.size() > capacity_)
-        enforceCapacity();
-}
-
-void
-EventLog::enforceCapacity()
-{
-    // Drop the oldest block: the overflow plus an eighth of the
-    // capacity of slack, so the next capacity/8 records append without
-    // shifting the vector again.
-    std::size_t drop = events_.size() - capacity_ + capacity_ / 8;
-    if (drop > events_.size())
-        drop = events_.size();
-    events_.erase(events_.begin(),
-                  events_.begin() + static_cast<std::ptrdiff_t>(drop));
-    dropped_ += drop;
-}
-
 std::size_t
 EventLog::countOf(EventKind kind) const
 {

@@ -79,11 +79,6 @@ struct Event
  * Append-only event log. Disabled by default (recording costs time); the
  * analyzer re-runs violating inputs with recording enabled, mirroring the
  * paper's "inspect the gem5 debug logs" step.
- *
- * The retained window is configurable (setCapacity): a capped log keeps
- * the most recent events and drops the oldest, so signature extraction
- * on pathological inputs (long squash storms with logging on) runs in
- * bounded memory. Default is unbounded, matching historical behaviour.
  */
 class EventLog
 {
@@ -92,26 +87,8 @@ class EventLog
     void setEnabled(bool on) { enabled_ = on; }
     bool enabled() const { return enabled_; }
 
-    /** Drop all recorded events (capacity is kept). */
-    void
-    clear()
-    {
-        events_.clear();
-        dropped_ = 0;
-    }
-
-    /**
-     * Cap the number of retained events; 0 (the default) is unbounded.
-     * When the log is full, the *oldest* events are dropped — in blocks
-     * of an eighth of the capacity, so a saturated log costs O(1)
-     * amortized per record rather than an O(n) shift per append.
-     * Shrinking the capacity trims immediately.
-     */
-    void setCapacity(std::size_t capacity);
-    std::size_t capacity() const { return capacity_; }
-
-    /** Events dropped to honour the capacity since the last clear(). */
-    std::size_t dropped() const { return dropped_; }
+    /** Drop all recorded events. */
+    void clear() { events_.clear(); }
 
     /**
      * Record an event (no-op while disabled). The note rides as a
@@ -127,11 +104,9 @@ class EventLog
             return;
         events_.push_back({cycle, kind, seq, pc, addr,
                            note ? std::string(note) : std::string()});
-        if (capacity_ != 0 && events_.size() > capacity_)
-            enforceCapacity();
     }
 
-    /** Retained events, oldest first. */
+    /** Recorded events, oldest first. */
     const std::vector<Event> &events() const { return events_; }
 
     /** Drop events past position @p n (rewind for replay audits: the
@@ -143,18 +118,14 @@ class EventLog
             events_.resize(n);
     }
 
-    /** Count retained events of one kind. */
+    /** Count recorded events of one kind. */
     std::size_t countOf(EventKind kind) const;
 
-    /** True if any event of this kind was recorded (and retained). */
+    /** True if any event of this kind was recorded. */
     bool has(EventKind kind) const { return countOf(kind) > 0; }
 
   private:
-    void enforceCapacity();
-
     bool enabled_ = false;
-    std::size_t capacity_ = 0; ///< 0: unbounded
-    std::size_t dropped_ = 0;
     std::vector<Event> events_;
 };
 

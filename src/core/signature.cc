@@ -19,7 +19,6 @@ struct RunEvidence
     UTrace trace;
     std::uint64_t squashBranch = 0;
     std::uint64_t squashMemOrder = 0;
-    std::uint64_t cleanupCount = 0;
 };
 
 RunEvidence
@@ -40,8 +39,6 @@ runWithEvents(executor::SimHarness &harness, const arch::Input &input,
             ++ev.squashBranch;
         if (e.kind == EventKind::SquashMemOrder)
             ++ev.squashMemOrder;
-        if (e.kind == EventKind::CleanupUndo)
-            ++ev.cleanupCount;
     }
     return ev;
 }
@@ -72,7 +69,11 @@ classifyViolation(executor::SimHarness &harness,
         const Addr vpn = e.addr >> mem::kPageShift;
         return diff.count(e.addr) || diff.count(line) || diff.count(vpn);
     };
-    auto match = [&](EventKind kind, const char *note_substr = nullptr) {
+    // An event of @p kind in either run whose note holds @p note_substr
+    // and that touches a differing address, or any address with
+    // @p anywhere.
+    auto match = [&](EventKind kind, const char *note_substr = nullptr,
+                     bool anywhere = false) {
         for (const RunEvidence *ev : {&a, &b}) {
             for (const Event &e : ev->events) {
                 if (e.kind != kind)
@@ -81,22 +82,8 @@ classifyViolation(executor::SimHarness &harness,
                     e.note.find(note_substr) == std::string::npos) {
                     continue;
                 }
-                if (touches_diff(e))
+                if (anywhere || touches_diff(e))
                     return true;
-            }
-        }
-        return false;
-    };
-    auto present = [&](EventKind kind, const char *note_substr = nullptr) {
-        for (const RunEvidence *ev : {&a, &b}) {
-            for (const Event &e : ev->events) {
-                if (e.kind != kind)
-                    continue;
-                if (note_substr &&
-                    e.note.find(note_substr) == std::string::npos) {
-                    continue;
-                }
-                return true;
             }
         }
         return false;
@@ -120,7 +107,7 @@ classifyViolation(executor::SimHarness &harness,
     // reduced but not eliminated, under the noClean mitigation).
     if (!diff.empty() && match(EventKind::CleanupUndo))
         return sig::kUv5Overclean;
-    if (present(EventKind::ExposeStall))
+    if (match(EventKind::ExposeStall, nullptr, /*anywhere=*/true))
         return sig::kUv2MshrInterference;
 
     // Differences confined to the instruction-cache region indicate the
@@ -144,8 +131,6 @@ classifyViolation(executor::SimHarness &harness,
         return sig::kSpectreV4;
     if (a.squashBranch || b.squashBranch)
         return sig::kSpectreV1;
-    if (a.cleanupCount != b.cleanupCount)
-        return sig::kTiming;
     return sig::kTiming;
 }
 

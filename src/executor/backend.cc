@@ -83,18 +83,6 @@ InProcessBackend::setTelemetry(telemetry::TelemetrySink *sink)
     harness_.setTelemetry(sink);
 }
 
-void
-InProcessBackend::setUarchTracing(bool on)
-{
-    harness_.setUarchTracer(on ? &utracer_ : nullptr);
-}
-
-std::vector<telemetry::UarchRunTrace>
-InProcessBackend::takeUarchTraces()
-{
-    return utracer_.takeRuns();
-}
-
 // === Factory ===============================================================
 
 std::unique_ptr<SimBackend>

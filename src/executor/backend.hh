@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "executor/sim_harness.hh"
-#include "telemetry/uarch_trace.hh"
 
 namespace amulet::telemetry
 {
@@ -59,10 +58,6 @@ struct BackendCaps
     /** The simulator lives in another process (no shared memory with
      *  the caller; programs travel as disassembly). */
     bool outOfProcess = false;
-    /** setUarchTracing/takeUarchTraces work: per-instruction pipeline
-     *  traces of test runs can be collected (out-of-process backends
-     *  ship them back over the wire). */
-    bool uarchTrace = false;
 };
 
 /**
@@ -150,22 +145,6 @@ class SimBackend
         telemetry_ = sink;
     }
 
-    /** @name Per-instruction pipeline tracing (caps().uarchTrace)
-     * While on, every runOne/dispatchBatch test run records a
-     * telemetry::UarchRunTrace; takeUarchTraces drains them in
-     * execution order. Observability only: results are byte-identical
-     * with tracing on or off (the forensics path re-runs journaled
-     * violations with it forced on). Defaults are no-ops so backends
-     * without the cap stay correct.
-     */
-    /// @{
-    virtual void setUarchTracing(bool) {}
-    virtual std::vector<telemetry::UarchRunTrace> takeUarchTraces()
-    {
-        return {};
-    }
-    /// @}
-
   protected:
     telemetry::TelemetrySink *telemetry_ = nullptr;
 };
@@ -177,12 +156,7 @@ class InProcessBackend final : public SimBackend
     explicit InProcessBackend(const HarnessConfig &config);
 
     const char *name() const override { return "inproc"; }
-    BackendCaps caps() const override
-    {
-        BackendCaps c;
-        c.uarchTrace = true;
-        return c;
-    }
+    BackendCaps caps() const override { return {}; }
 
     void loadProgram(const isa::Program &source,
                      const isa::FlatProgram &flat) override;
@@ -198,8 +172,6 @@ class InProcessBackend final : public SimBackend
                          const UarchContext &ctxB) override;
     const TimeBreakdown &times() override { return harness_.times(); }
     void setTelemetry(telemetry::TelemetrySink *sink) override;
-    void setUarchTracing(bool on) override;
-    std::vector<telemetry::UarchRunTrace> takeUarchTraces() override;
 
     /** The wrapped harness (root-cause demos, tests). */
     SimHarness &harness() { return harness_; }
@@ -207,7 +179,6 @@ class InProcessBackend final : public SimBackend
   private:
     SimHarness harness_;
     const isa::FlatProgram *flat_ = nullptr;
-    telemetry::UarchTracer utracer_;
 };
 
 /** Backend-construction options beyond the harness config. */
@@ -217,11 +188,12 @@ struct BackendOptions
      *  via $AMULET_SIM_WORKER, then next to the current executable. */
     std::string workerPath;
     /** Per-operation reply timeout for out-of-process workers; a worker
-     *  that stays silent longer is killed and restarted (seconds).
-     *  $AMULET_SIM_OP_TIMEOUT_SEC, when set to a positive number,
-     *  overrides this (the scheduler builds backends with default
-     *  options, so campaign-level tests tighten the watchdog via the
-     *  environment). */
+     *  that stays silent longer is killed and restarted (seconds,
+     *  clamped to one day). $AMULET_SIM_OP_TIMEOUT_SEC overrides this
+     *  (the scheduler builds backends with default options, so
+     *  campaign-level tests tighten the watchdog via the environment);
+     *  a value that is not a finite positive number makes the backend
+     *  constructor throw std::runtime_error naming the variable. */
     double opTimeoutSec = 600.0;
     /** Attempts per operation before the worker is declared poisoned
      *  and the op escalates to WorkerQuarantineError (min 1). */

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
@@ -38,6 +40,26 @@ dirName(const std::string &path)
     const auto slash = path.find_last_of('/');
     return slash == std::string::npos ? std::string()
                                       : path.substr(0, slash);
+}
+
+/** The longest per-operation deadline. recvLine converts it to clock
+ *  ticks, which overflow from about 9.2e9 s (and for inf): a day fits. */
+constexpr double kMaxOpTimeoutSec = 86400;
+
+/** $AMULET_SIM_OP_TIMEOUT_SEC, @p text, as seconds: the whole token, a
+ *  finite positive number, or std::runtime_error naming the variable. */
+double
+envOpTimeoutSec(const char *text)
+{
+    double sec = 0;
+    const char *end = text + std::strlen(text);
+    const auto [stop, ec] = std::from_chars(text, end, sec);
+    if (ec != std::errc{} || stop != end || !std::isfinite(sec) || sec <= 0)
+        throw std::runtime_error(
+            std::string("AMULET_SIM_OP_TIMEOUT_SEC must be a positive "
+                        "number of seconds, got '") +
+            text + "'");
+    return sec;
 }
 
 /** Writing to a worker that died mid-shutdown must surface as EPIPE on
@@ -91,11 +113,9 @@ SubprocessBackend::SubprocessBackend(const HarnessConfig &config,
     ignoreSigpipeOnce();
     if (opts_.workerPath.empty())
         opts_.workerPath = findSimWorker();
-    if (const char *env = std::getenv("AMULET_SIM_OP_TIMEOUT_SEC")) {
-        const double sec = std::strtod(env, nullptr);
-        if (sec > 0)
-            opts_.opTimeoutSec = sec;
-    }
+    if (const char *env = std::getenv("AMULET_SIM_OP_TIMEOUT_SEC"))
+        opts_.opTimeoutSec = envOpTimeoutSec(env);
+    opts_.opTimeoutSec = std::min(opts_.opTimeoutSec, kMaxOpTimeoutSec);
     spawnWorker();
 }
 
@@ -487,7 +507,7 @@ SubprocessBackend::dispatchBatch(const std::vector<const arch::Input *> &batch,
 {
     telemetry::SpanScope span(telemetry_, "op.dispatchBatch");
     const Json reply =
-        roundTrip(protocol::batchRequest(batch, extraFormats, utrace_));
+        roundTrip(protocol::batchRequest(batch, extraFormats));
     UarchContext endCtx;
     BatchOutput out =
         protocol::batchOutputFromJson(reply, &endCtx, &*anchor_);
@@ -495,7 +515,6 @@ SubprocessBackend::dispatchBatch(const std::vector<const arch::Input *> &batch,
         out.extras.clear();
     ctx_ = std::move(endCtx);
     lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
-    collectReplyTraces(reply);
     return out;
 }
 
@@ -505,34 +524,13 @@ SubprocessBackend::runOne(const arch::Input &input,
 {
     telemetry::SpanScope span(telemetry_, "op.runOne");
     const Json reply =
-        roundTrip(protocol::runRequest(input, extraFormats, utrace_));
+        roundTrip(protocol::runRequest(input, extraFormats));
     SingleOutput out;
     out.trace = corpus::decode<UTrace>(reply.at("trace"));
     out.hitCycleCap = reply.at("hitCycleCap").asBool();
     out.extras = corpus::decode<std::vector<UTrace>>(reply.at("extras"));
     ctx_ = protocol::contextFromWire(&*anchor_, reply.at("endCtx"));
     lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
-    collectReplyTraces(reply);
-    return out;
-}
-
-void
-SubprocessBackend::collectReplyTraces(const Json &reply)
-{
-    // Traces travel only in the successful reply, so the crash-retry
-    // path can never record a duplicate.
-    if (const Json *traces = reply.find("utraces")) {
-        for (const Json &t : traces->items())
-            collectedTraces_.push_back(protocol::uarchRunTraceFromJson(t));
-    }
-}
-
-std::vector<telemetry::UarchRunTrace>
-SubprocessBackend::takeUarchTraces()
-{
-    std::vector<telemetry::UarchRunTrace> out =
-        std::move(collectedTraces_);
-    collectedTraces_.clear();
     return out;
 }
 

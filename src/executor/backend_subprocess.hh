@@ -60,7 +60,6 @@ class SubprocessBackend final : public SimBackend
     {
         BackendCaps caps;
         caps.outOfProcess = true;
-        caps.uarchTrace = true;
         return caps;
     }
 
@@ -77,13 +76,6 @@ class SubprocessBackend final : public SimBackend
                          const arch::Input &inputB, const UarchContext &ctxA,
                          const UarchContext &ctxB) override;
     const TimeBreakdown &times() override;
-
-    /** Per-request wire flag (protocol v3): while on, run/batch
-     *  requests ask the worker to trace and ship the per-instruction
-     *  pipeline trace back in the reply. No restart state needed — a
-     *  respawned worker honors the flag on the next request. */
-    void setUarchTracing(bool on) override { utrace_ = on; }
-    std::vector<telemetry::UarchRunTrace> takeUarchTraces() override;
 
     /** Current worker pid (-1: none). Diagnostics and kill tests. */
     int workerPid() const { return pid_; }
@@ -104,9 +96,6 @@ class SubprocessBackend final : public SimBackend
     /** Exponential pre-respawn sleep for retry @p attempt (>= 2). */
     void backoffBeforeRestart(unsigned attempt);
 
-    /** Append any "utraces" the reply carried to collectedTraces_. */
-    void collectReplyTraces(const corpus::Json &reply);
-
     void spawnWorker();      ///< fork/exec + hello (+ reload + restore)
     void killWorker();       ///< SIGKILL + reap + close pipes
     bool sendLine(const std::string &line);
@@ -126,9 +115,6 @@ class SubprocessBackend final : public SimBackend
     /** The current worker's boot context, from its hello reply: every
      *  context on the wire is a delta against it (sim_protocol.hh). */
     std::optional<UarchContext> anchor_;
-
-    bool utrace_ = false;
-    std::vector<telemetry::UarchRunTrace> collectedTraces_;
 
     unsigned restarts_ = 0;
     double backoffSec_ = 0;

@@ -168,6 +168,10 @@ void
 SimHarness::loadProgram(const isa::FlatProgram *prog)
 {
     prog_ = prog;
+    // A program flattened where the previous one lived has its address,
+    // so the disassembly table cannot be keyed by it: every load drops
+    // the table and the next traced run rebuilds it.
+    utraceDisasm_.clear();
 }
 
 void
@@ -312,8 +316,7 @@ SimHarness::runInput(const arch::Input &input)
     // The tracer observes only this run: boot and priming happen above
     // (or inside resetBetweenInputs) with no tracer attached.
     if (utracer_) {
-        if (utraceDisasmFor_ != prog_) {
-            utraceDisasm_.clear();
+        if (utraceDisasm_.empty()) {
             utraceDisasm_.reserve(prog_->numInsts());
             for (std::size_t i = 0; i < prog_->numInsts(); ++i) {
                 std::string line = prog_->labelOf(i);
@@ -322,7 +325,6 @@ SimHarness::runInput(const arch::Input &input)
                 line += isa::formatInst(prog_->inst(i));
                 utraceDisasm_.push_back(std::move(line));
             }
-            utraceDisasmFor_ = prog_;
         }
         utracer_->beginRun(utraceDisasm_);
         pipe_->setTracer(utracer_);
@@ -362,7 +364,6 @@ SimHarness::runInput(const arch::Input &input)
         const std::vector<Event> real_events(
             log_.events().begin() + static_cast<std::ptrdiff_t>(logMark),
             log_.events().end());
-        const std::size_t dropped_mark = log_.dropped();
         log_.truncate(logMark);
         pipe_->setCycleSkip(false);
         restoreContext(*auditCtx);
@@ -377,17 +378,13 @@ SimHarness::runInput(const arch::Input &input)
         const UTrace ref_trace = extractTrace(*pipe_, cfg_.traceFormat);
         assert(ref_trace == out.trace &&
                "cycle skipping changed the uarch trace");
-        // Event streams must match too (capacity drops shift indices;
-        // compare only when none occurred). The reference events now in
-        // the log equal the originals, so no rewind is needed.
-        if (log_.dropped() == dropped_mark) {
-            const std::vector<Event> ref_events(
-                log_.events().begin() +
-                    static_cast<std::ptrdiff_t>(logMark),
-                log_.events().end());
-            assert(ref_events == real_events &&
-                   "cycle skipping changed the debug-event stream");
-        }
+        // Event streams must match too. The reference events now in the
+        // log equal the originals, so no rewind is needed.
+        const std::vector<Event> ref_events(
+            log_.events().begin() + static_cast<std::ptrdiff_t>(logMark),
+            log_.events().end());
+        assert(ref_events == real_events &&
+               "cycle skipping changed the debug-event stream");
         pipe_->setCycleSkip(true);
     }
 #endif

@@ -296,11 +296,10 @@ class SimHarness
     unsigned skipAudits_ = 0; ///< drives the debug replay audit cadence
 #endif
 
-    /** Pipeline tracer (null: off) + per-program disassembly table,
-     *  rebuilt lazily when the loaded program changes. */
+    /** Pipeline tracer (null: off) + the loaded program's disassembly
+     *  table, built by the first traced run after each loadProgram. */
     telemetry::UarchTracer *utracer_ = nullptr;
     std::vector<std::string> utraceDisasm_;
-    const isa::FlatProgram *utraceDisasmFor_ = nullptr;
 };
 
 } // namespace amulet::executor

@@ -1,7 +1,6 @@
 #include "executor/sim_protocol.hh"
 
 #include <cstring>
-#include <iterator>
 
 #include "corpus/fields.hh"
 
@@ -190,38 +189,35 @@ request(const char *op)
     return req;
 }
 
-/** Append a run request's optional keys to @p req. */
+/** Append a run request's optional extras to @p req. */
 void
-setRunOptions(Json &req, const std::vector<TraceFormat> *extras, bool utrace)
+setExtras(Json &req, const std::vector<TraceFormat> *extras)
 {
     if (extras)
         req.set("extras", corpus::encode(*extras));
-    if (utrace)
-        req.set("utrace", Json::boolean(true));
 }
 
 } // namespace
 
 Json
 batchRequest(const std::vector<const arch::Input *> &batch,
-             const std::vector<TraceFormat> *extras, bool utrace)
+             const std::vector<TraceFormat> *extras)
 {
     Json inputs = Json::array();
     for (const arch::Input *input : batch)
         inputs.push(inputToWire(*input));
     Json req = request("batch");
     req.set("inputs", std::move(inputs));
-    setRunOptions(req, extras, utrace);
+    setExtras(req, extras);
     return req;
 }
 
 Json
-runRequest(const arch::Input &input, const std::vector<TraceFormat> *extras,
-           bool utrace)
+runRequest(const arch::Input &input, const std::vector<TraceFormat> *extras)
 {
     Json req = request("run");
     req.set("input", inputToWire(input));
-    setRunOptions(req, extras, utrace);
+    setExtras(req, extras);
     return req;
 }
 
@@ -236,105 +232,6 @@ classifyRequest(const arch::Input &inputA, const arch::Input &inputB,
     req.set("ctxA", contextToWire(&anchor, ctxA));
     req.set("ctxB", contextToWire(&anchor, ctxB));
     return req;
-}
-
-namespace
-{
-
-using Lifecycle = telemetry::InstLifecycle;
-
-/** The InstLifecycle bools of the packed wire "flags" field, each at
- *  the bit of its index. The order is part of protocol v3: append, never
- *  reorder. */
-constexpr bool Lifecycle::*kLifecycleFlags[] = {
-    &Lifecycle::issued,           &Lifecycle::completed,
-    &Lifecycle::committed,        &Lifecycle::squashed,
-    &Lifecycle::isLoad,           &Lifecycle::isStore,
-    &Lifecycle::isBranch,         &Lifecycle::predTaken,
-    &Lifecycle::actualTaken,      &Lifecycle::mispredicted,
-    &Lifecycle::memAddrKnown,     &Lifecycle::wasUnsafeAtIssue,
-    &Lifecycle::tainted,          &Lifecycle::exposePending,
-    &Lifecycle::inSpecBuffer,     &Lifecycle::lfbHeld,
-    &Lifecycle::undoLogged,       &Lifecycle::forwardedFromStore,
-    &Lifecycle::bypassedUnknownStore,
-};
-
-} // namespace
-
-Json
-uarchRunTraceToJson(const telemetry::UarchRunTrace &run)
-{
-    Json disasm = Json::array();
-    for (const std::string &line : run.disasm)
-        disasm.push(Json::str(line));
-    Json insts = Json::array();
-    for (const Lifecycle &inst : run.insts) {
-        // Fixed-position number tuple, not an object: a trace carries
-        // thousands of these, so field names would dominate the line.
-        Json tuple = Json::array();
-        tuple.push(Json::number(std::uint64_t{inst.seq}));
-        tuple.push(Json::number(inst.idx));
-        tuple.push(Json::number(std::uint64_t{inst.pc}));
-        tuple.push(Json::number(std::uint64_t{inst.fetchCycle}));
-        tuple.push(Json::number(std::uint64_t{inst.issueCycle}));
-        tuple.push(Json::number(std::uint64_t{inst.completeCycle}));
-        tuple.push(Json::number(std::uint64_t{inst.commitCycle}));
-        tuple.push(Json::number(std::uint64_t{inst.squashCycle}));
-        tuple.push(Json::number(
-            std::uint64_t{static_cast<std::uint8_t>(inst.squashCause)}));
-        tuple.push(Json::number(std::uint64_t{inst.squashTrigger}));
-        tuple.push(Json::number(std::uint64_t{inst.memAddr}));
-        std::uint64_t flags = 0;
-        for (std::size_t bit = 0; bit < std::size(kLifecycleFlags); ++bit)
-            flags |= std::uint64_t{inst.*kLifecycleFlags[bit]} << bit;
-        tuple.push(Json::number(flags));
-        insts.push(std::move(tuple));
-    }
-    Json j = Json::object();
-    j.set("label", Json::str(run.label));
-    j.set("cycles", Json::number(std::uint64_t{run.cycles}));
-    j.set("disasm", std::move(disasm));
-    j.set("insts", std::move(insts));
-    return j;
-}
-
-telemetry::UarchRunTrace
-uarchRunTraceFromJson(const Json &json)
-{
-    telemetry::UarchRunTrace run;
-    run.label = json.at("label").asStr();
-    run.cycles = json.at("cycles").asU64();
-    for (const Json &line : json.at("disasm").items())
-        run.disasm.push_back(line.asStr());
-    for (const Json &tuple : json.at("insts").items()) {
-        const auto &fields = tuple.items();
-        if (fields.size() != 12)
-            throw corpus::CorpusError("sim protocol: malformed utrace "
-                                      "inst tuple");
-        Lifecycle inst;
-        inst.seq = fields[0].asU64();
-        inst.idx = fields[1].asU64();
-        inst.pc = fields[2].asU64();
-        inst.fetchCycle = fields[3].asU64();
-        inst.issueCycle = fields[4].asU64();
-        inst.completeCycle = fields[5].asU64();
-        inst.commitCycle = fields[6].asU64();
-        inst.squashCycle = fields[7].asU64();
-        const std::uint64_t cause = fields[8].asU64();
-        if (cause > static_cast<std::uint64_t>(
-                        telemetry::SquashCause::MemOrder))
-            throw corpus::CorpusError("sim protocol: utrace squash cause " +
-                                      std::to_string(cause) +
-                                      " out of range");
-        inst.squashCause = static_cast<telemetry::SquashCause>(cause);
-        inst.squashTrigger = fields[9].asU64();
-        inst.memAddr = fields[10].asU64();
-        const std::uint64_t flags = fields[11].asU64();
-        for (std::size_t bit = 0; bit < std::size(kLifecycleFlags); ++bit)
-            inst.*kLifecycleFlags[bit] = (flags >> bit) & 1;
-        run.insts.push_back(inst);
-    }
-    return run;
 }
 
 Json

@@ -15,15 +15,18 @@
  *   load     {program}                 -> {}
  *   save     {}                        -> {ctx}
  *   restore  {ctx}                     -> {}
- *   batch    {inputs, extras?}         -> {runs, contexts, extras?,
- *                                          hitCycleCap, endCtx}
- *   run      {input, extras?}          -> {trace, hitCycleCap, extras?,
- *                                          endCtx}
- *   classify {inputA,inputB,ctxA,ctxB} -> {signature, endCtx}
- *
- * (inputs, input, inputA and inputB at Scope::Runtime: inputToWire)
+ *   batch    {inputs, extras?}         -> {runs, contexts, extras,
+ *                                          hitCycleCap, endCtx, times}
+ *   run      {input, extras?}          -> {trace, hitCycleCap, extras,
+ *                                          endCtx, times}
+ *   classify {inputA,inputB,ctxA,ctxB} -> {signature, endCtx, times}
  *   times    {}                        -> {times}
  *   exit     {}                        -> (worker exits)
+ *
+ * inputs, input, inputA and inputB travel at Scope::Runtime
+ * (inputToWire). Only simulation results cross the wire: a run's
+ * per-instruction pipeline trace never does (`campaign_cli inspect`
+ * traces journaled violations in its own process).
  *
  * The worker boots its simulator inside hello and answers with that
  * boot context in full: it is the worker's anchor. Every later ctx on
@@ -62,10 +65,9 @@ using corpus::Json;
  *  v2: hello carries the primeCache runtime knob (it is deliberately
  *  not part of the serialized harness config — the corpus fingerprint
  *  must not change with it), and times replies carry primeSec.
- *  v3: run requests may carry "utrace":true; the reply then carries
- *  "utrace", the serialized per-instruction pipeline trace of the run
- *  (uarchRunTraceToJson). Purely additive for the result path — traced
- *  and untraced runs are state-identical.
+ *  v3: run requests may carry a flag asking the worker to trace the
+ *  run's pipeline and ship the per-instruction trace in the reply
+ *  (removed in v9).
  *  v4: hello also carries the cycleSkip runtime knob (fingerprint-
  *  excluded like primeCache; results are byte-identical either way,
  *  the knob only decides whether the worker's simulator fast-forwards
@@ -91,12 +93,15 @@ using corpus::Json;
  *  sandbox hex, and the worker maps it as a lazy image. Edited and
  *  decoded inputs still travel as hex. A one-page input used to be
  *  8 KiB of hex, a 128-page one 1 MiB.
+ *  v9: v3's tracing flag and the traces its replies carried are gone:
+ *  `campaign_cli inspect` replays journaled violations traced from the
+ *  journal, so no pipeline trace crosses the wire.
  *
  *  CampaignConfig::ctraceMemo (the other fingerprint-excluded runtime
  *  knob of its kind) never crosses the wire at all: contract traces
  *  are collected parent-side in CTraceStage, and the worker only ever
  *  sees the simulator half of the pipeline. */
-inline constexpr unsigned kProtocolVersion = 8;
+inline constexpr unsigned kProtocolVersion = 9;
 
 /** @name Shared field encodings */
 /// @{
@@ -134,24 +139,17 @@ Json inputToWire(const arch::Input &input);
 arch::Input inputFromWire(const Json &json);
 
 /** @name The requests that carry inputs, as SubprocessBackend sends
- *  them: "extras" only with @p extras, "utrace" only when @p utrace, and
- *  classify's contexts as deltas against @p anchor. */
+ *  them: "extras" only with @p extras, and classify's contexts as
+ *  deltas against @p anchor. */
 /// @{
 Json batchRequest(const std::vector<const arch::Input *> &batch,
-                  const std::vector<TraceFormat> *extras, bool utrace);
+                  const std::vector<TraceFormat> *extras);
 Json runRequest(const arch::Input &input,
-                const std::vector<TraceFormat> *extras, bool utrace);
+                const std::vector<TraceFormat> *extras);
 Json classifyRequest(const arch::Input &inputA, const arch::Input &inputB,
                      const UarchContext &ctxA, const UarchContext &ctxB,
                      const UarchContext &anchor);
 /// @}
-
-/** Per-instruction pipeline trace of one run (protocol v3 "utrace"
- *  reply field). Lossless: fromJson(toJson(t)) == t, which is what lets
- *  the forensics path treat subprocess traces exactly like in-process
- *  ones. */
-Json uarchRunTraceToJson(const telemetry::UarchRunTrace &run);
-telemetry::UarchRunTrace uarchRunTraceFromJson(const Json &json);
 /// @}
 
 /** Reply wrappers. */

@@ -1,69 +1,9 @@
 #include "pipeline/stages.hh"
 
-#include <filesystem>
-#include <fstream>
-
 #include "isa/disasm.hh"
-#include "telemetry/uarch_trace.hh"
 
 namespace amulet::pipeline
 {
-
-namespace
-{
-
-/**
- * Forensics artifact: re-run a journaled violation's input pair with
- * the per-instruction pipeline tracer on and write Konata + Chrome
- * trace files under cfg.telemetry.uarchTraceDir.
- *
- * Results-invisible by construction: the re-runs restore each input's
- * saved pre-run context first (exactly what classify-style re-runs
- * do), and every later program restores the canonical context before
- * touching the simulator, so no downstream verdict, signature, or
- * record byte can observe whether this ran. Deterministic filenames
- * (program index + record ordinal) make repeated campaigns
- * re-producible; a resumed campaign skips completed programs, so
- * already-written files are simply left in place.
- */
-void
-writeViolationTraces(StageContext &ctx, ProgramPlan &plan,
-                     const ConfirmedPair &pair, std::size_t record_idx)
-{
-    executor::SimBackend &backend = ctx.backend;
-    backend.takeUarchTraces(); // drop anything stale
-    backend.setUarchTracing(true);
-    backend.restoreContext(plan.contexts[pair.a]);
-    backend.runOne(plan.inputs[pair.a], nullptr);
-    backend.restoreContext(plan.contexts[pair.b]);
-    backend.runOne(plan.inputs[pair.b], nullptr);
-    backend.setUarchTracing(false);
-    std::vector<telemetry::UarchRunTrace> runs =
-        backend.takeUarchTraces();
-    if (runs.size() != 2)
-        return; // backend could not trace; skip the artifact quietly
-    runs[0].label = "inputA";
-    runs[1].label = "inputB";
-
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::create_directories(ctx.cfg.telemetry.uarchTraceDir, ec);
-    if (ec)
-        return;
-    const std::string stem = ctx.cfg.telemetry.uarchTraceDir + "/p" +
-                             std::to_string(plan.programIndex) + "_r" +
-                             std::to_string(record_idx);
-    auto put = [](const std::string &path, const std::string &text) {
-        std::ofstream out(path, std::ios::binary);
-        out << text;
-    };
-    put(stem + "_A.kanata", telemetry::exportKanata(runs[0]));
-    put(stem + "_B.kanata", telemetry::exportKanata(runs[1]));
-    put(stem + ".pipetrace.json",
-        telemetry::exportUarchChromeTrace(runs));
-}
-
-} // namespace
 
 void
 RecordStage::run(StageContext &ctx, ProgramPlan &plan)
@@ -99,12 +39,6 @@ RecordStage::run(StageContext &ctx, ProgramPlan &plan)
         rec.detectSeconds = pair.detectSeconds;
         rec.rngState = plan.streamState;
         out.records.push_back(std::move(rec));
-
-        if (!ctx.cfg.telemetry.uarchTraceDir.empty() &&
-            ctx.backend.caps().uarchTrace) {
-            writeViolationTraces(ctx, plan, pair,
-                                 out.records.size() - 1);
-        }
     }
 }
 

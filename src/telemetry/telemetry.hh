@@ -53,13 +53,6 @@ struct TelemetryConfig
     /** Heartbeat JSONL path ("-" = stdout; empty: heartbeats off). */
     std::string heartbeatPath;
     double heartbeatIntervalSec = 1.0;
-    /** Per-violation pipeline trace directory (empty: off). When set
-     *  and the backend has caps().uarchTrace, RecordStage re-runs each
-     *  journaled violation's input pair with the per-instruction tracer
-     *  on and writes Konata (.kanata) + Chrome (.pipetrace.json) files
-     *  here. Traced re-runs restore the pair's saved contexts, so
-     *  results stay byte-identical with the knob on or off. */
-    std::string uarchTraceDir;
 };
 
 /** One span the always-on hotspot tracker retained. */

@@ -5,7 +5,8 @@
  * (AMULET_SIM_WORKER_CRASH_AFTER), hang injection
  * (AMULET_SIM_WORKER_HANG_AFTER) and a direct SIGKILL mid-program all end
  * in results identical to an uninterrupted run; a worker that trickles
- * bytes cannot outlast the per-operation deadline; a worker that fails
+ * bytes cannot outlast the per-operation deadline, which is a finite
+ * positive number of seconds, at most a day; a worker that fails
  * its hello is reaped; and exhausted retries escalate to a per-program
  * quarantine. The wire counters show that no reply after the hello
  * carries a full predictor context. That the subprocess backend
@@ -26,8 +27,10 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/generator.hh"
@@ -198,6 +201,44 @@ TEST(SubprocessRecovery, HangInjectedWorkersReproduceTheCampaign)
     expectEquivalent(reference, hung);
     EXPECT_GE(metric(hung, "backend.restarts"), 1.0)
         << "the hang hook must actually have wedged a worker";
+}
+
+// $AMULET_SIM_OP_TIMEOUT_SEC is read whole, as a finite positive number
+// of seconds: garbage, a trailing unit, zero, a negative or non-finite
+// value, or one past a double's range is refused naming the variable,
+// not ignored. The constructor throws before any worker is spawned.
+TEST(SubprocessWatchdog, MalformedTimeoutVariableThrowsNamingIt)
+{
+    for (const char *bad :
+         {"abc", "5x", "", " 5", "0", "-1", "inf", "nan", "1e400"}) {
+        ScopedEnv timeout("AMULET_SIM_OP_TIMEOUT_SEC", bad);
+        try {
+            executor::SubprocessBackend backend(executor::HarnessConfig{},
+                                                {});
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("AMULET_SIM_OP_TIMEOUT_SEC"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+// A deadline past what the clock's ticks hold (1e10 s is 1e19 ns, more
+// than a 64-bit tick count) is clamped to a day: the hello and an op
+// complete, where the unclamped conversion was undefined behaviour (the
+// sanitize job's float-cast-overflow check aborts on it).
+TEST(SubprocessWatchdog, HugeTimeoutIsClampedAndOpsComplete)
+{
+    executor::HarnessConfig hcfg;
+    hcfg.bootInsts = 1000;
+    for (const double sec : {1e10, std::numeric_limits<double>::infinity()}) {
+        executor::BackendOptions opts;
+        opts.opTimeoutSec = sec;
+        executor::SubprocessBackend backend(hcfg, opts);
+        EXPECT_NO_THROW(backend.saveContext()) << sec;
+        EXPECT_EQ(backend.restarts(), 0u) << sec;
+    }
 }
 
 /** A shell-script worker in the temp directory, removed on scope

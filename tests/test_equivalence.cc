@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -32,8 +31,6 @@
 
 #include "corpus/fields.hh"
 #include "support/campaign_fixture.hh"
-
-namespace fs = std::filesystem;
 
 namespace
 {
@@ -187,47 +184,6 @@ checkTrace(const std::string &path)
     EXPECT_TRUE(sawStage);
 }
 
-/** Every .kanata file under @p dir parses as a Kanata 0004 log whose
- *  stage begins/ends balance per instruction lane. */
-void
-checkKanataDir(const std::string &dir, bool expect_some)
-{
-    unsigned files = 0;
-    if (fs::exists(dir)) {
-        for (const auto &entry : fs::directory_iterator(dir)) {
-            if (entry.path().extension() != ".kanata")
-                continue;
-            ++files;
-            std::istringstream lines(readFileText(entry.path().string()));
-            std::string line;
-            ASSERT_TRUE(std::getline(lines, line));
-            EXPECT_EQ(line, "Kanata\t0004") << entry.path();
-            std::map<std::string, std::string> open; // lane -> stage
-            while (std::getline(lines, line)) {
-                std::istringstream cells(line);
-                std::vector<std::string> f;
-                for (std::string cell; std::getline(cells, cell, '\t');)
-                    f.push_back(cell);
-                if (f.empty())
-                    continue;
-                if (f[0] == "S") {
-                    EXPECT_FALSE(open.count(f.at(1))) << line;
-                    open[f.at(1)] = f.at(3);
-                } else if (f[0] == "E") {
-                    auto it = open.find(f.at(1));
-                    ASSERT_NE(it, open.end()) << line;
-                    EXPECT_EQ(it->second, f.at(3)) << line;
-                    open.erase(it);
-                }
-            }
-            EXPECT_TRUE(open.empty()) << entry.path();
-        }
-    }
-    if (expect_some) {
-        EXPECT_GT(files, 0u) << dir;
-    }
-}
-
 // === Variants ==============================================================
 
 struct Cell
@@ -301,15 +257,10 @@ const Variant kVariants[] = {
          cfg.telemetry.traceOutPath = dir + ".trace.json";
          cfg.telemetry.heartbeatPath = dir + ".hb.jsonl";
          cfg.telemetry.heartbeatIntervalSec = 0.05;
-         cfg.telemetry.uarchTraceDir = dir + ".utraces";
      },
-     .check = [](const core::CampaignConfig &cfg, const Stats &stats) {
+     .check = [](const core::CampaignConfig &cfg, const Stats &) {
          checkHeartbeat(cfg.telemetry.heartbeatPath, cfg.numPrograms);
          checkTrace(cfg.telemetry.traceOutPath);
-         // Per-violation pipeline traces exist whenever violations
-         // were journaled, and parse as balanced Kanata logs.
-         checkKanataDir(cfg.telemetry.uarchTraceDir,
-                        !stats.records.empty());
      }},
     {.key = "backend",
      .cells = {{1, BackendKind::Subprocess}, {4, BackendKind::Subprocess}}},

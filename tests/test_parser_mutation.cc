@@ -3,9 +3,9 @@
  * Seeded mutation test of the parsers of foreign bytes that are not
  * field tables (src/corpus/fields.hh, whose hostile-entry walk is in
  * test_corpus): Json::parse, recordFromJson, the CorpusStore journal
- * readers, the wire's context deltas and traced-run tuples (and its v8
- * batch request, whose sandbox descriptors are a table), the assembler
- * and the FaultPlan grammar.
+ * readers, the wire's context deltas (and its v8 batch request, whose
+ * sandbox descriptors are a table), the assembler and the FaultPlan
+ * grammar.
  *
  * Valid documents are mutated by bit flips, truncation and splices of two
  * documents, under a fixed seed and a fixed budget. Every mutant must
@@ -33,7 +33,6 @@
 #include "isa/disasm.hh"
 #include "runtime/fault.hh"
 #include "support/campaign_fixture.hh"
-#include "telemetry/uarch_trace.hh"
 
 namespace
 {
@@ -203,32 +202,10 @@ batchRequests()
         hand.id = 3;
         hand.regs[2] = 9;
         out.push_back(executor::protocol::batchRequest(
-                          {&base, &a, &b, &hand}, &extras, pages == 1)
+                          {&base, &a, &b, &hand}, &extras)
                           .dump());
     }
     return out;
-}
-
-/** A traced run of a few instructions with flags and squash causes. */
-std::string
-utraceDump()
-{
-    telemetry::UarchRunTrace run;
-    run.label = "inputA";
-    run.cycles = 31;
-    run.disasm = {"0: LOAD", "1: HALT"};
-    for (std::uint64_t i = 0; i < 3; ++i) {
-        telemetry::InstLifecycle inst;
-        inst.seq = i + 1;
-        inst.idx = i;
-        inst.pc = 0x400000 + 4 * i;
-        inst.issued = i != 1;
-        inst.isLoad = i != 1;
-        inst.squashed = i == 1;
-        inst.squashCause = static_cast<telemetry::SquashCause>(i);
-        run.insts.push_back(inst);
-    }
-    return executor::protocol::uarchRunTraceToJson(run).dump();
 }
 
 TEST(ParserMutation, JsonParseRefusesWithCorpusError)
@@ -236,15 +213,14 @@ TEST(ParserMutation, JsonParseRefusesWithCorpusError)
     std::vector<std::string> docs = recordDumps();
     docs.push_back(corpus::configToJson(core::CampaignConfig{}).dump());
     docs.push_back(batchBodies()[0]);
-    docs.push_back(utraceDump());
     docs.push_back(R"({"s":"a\"\\\né\u0001","n":[-1.5e3,0,1e-300]})");
     expectMutantsParseOrThrow<corpus::CorpusError>(
         docs, [](const std::string &text) { Json::parse(text); });
 }
 
-// The wire's positional formats, which are not field tables (the context
-// deltas of a batch reply and a traced run's tuples), and the v8 batch
-// request the worker parses, generator inputs as sandbox descriptors.
+// The wire's positional format, which is not a field table (the context
+// deltas of a batch reply), and the v8 batch request the worker parses,
+// generator inputs as sandbox descriptors.
 TEST(ParserMutation, WireDecodersRefuseWithCorpusError)
 {
     expectMutantsParseOrThrow<corpus::CorpusError>(
@@ -252,10 +228,6 @@ TEST(ParserMutation, WireDecodersRefuseWithCorpusError)
             executor::UarchContext endCtx;
             executor::protocol::batchOutputFromJson(Json::parse(text),
                                                     &endCtx);
-        });
-    expectMutantsParseOrThrow<corpus::CorpusError>(
-        {utraceDump()}, [](const std::string &text) {
-            executor::protocol::uarchRunTraceFromJson(Json::parse(text));
         });
     expectMutantsParseOrThrow<corpus::CorpusError>(
         batchRequests(), [](const std::string &text) {

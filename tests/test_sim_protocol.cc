@@ -3,10 +3,9 @@
  * Wire codec tests for the subprocess protocol (executor/sim_protocol.hh):
  * seeded round trips of delta-coded predictor contexts, anchored and
  * not, the word scan's boundaries, inputs as sandbox descriptors and as
- * hex, pinned v7 and v8 bytes, and hostile deltas
- * and traced-run tuples that must fail as CorpusError — never
- * std::out_of_range, a crash, or undefined behaviour (this suite also
- * runs under ASan+UBSan in CI).
+ * hex, pinned v7 and v8 bytes, and hostile deltas that must fail as
+ * CorpusError — never std::out_of_range, a crash, or undefined
+ * behaviour (this suite also runs under ASan+UBSan in CI).
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "core/input_gen.hh"
 #include "corpus/fields.hh"
 #include "executor/sim_protocol.hh"
-#include "telemetry/uarch_trace.hh"
 #include "uarch/params.hh"
 
 namespace
@@ -685,11 +683,11 @@ TEST(SimProtocol, InputRequestsMatchPinnedBytes)
         R"(,"sandbox":{"state":[15674215756276464700,10738395743464701605,)"
         R"(2069414428459309222,9050318850409851773],"size":4096,"patches":)"
         R"("0000104200001196000fff3d"}})";
-    EXPECT_EQ(batchRequest({&one[0], &one[1]}, nullptr, false).dump(),
+    EXPECT_EQ(batchRequest({&one[0], &one[1]}, nullptr).dump(),
               R"({"op":"batch","inputs":[)" + base1 + "," + sibling1 + "]}");
-    EXPECT_EQ(runRequest(one[1], &extras, true).dump(),
+    EXPECT_EQ(runRequest(one[1], &extras).dump(),
               R"({"op":"run","input":)" + sibling1 +
-                  R"(,"extras":["bpstate"],"utrace":true})");
+                  R"(,"extras":["bpstate"]})");
     EXPECT_EQ(classifyRequest(one[0], one[1], anchor, trained, anchor).dump(),
               R"({"op":"classify","inputA":)" + base1 + R"(,"inputB":)" +
                   sibling1 + R"(,"ctxA":)" + untrained + R"(,"ctxB":)" +
@@ -701,10 +699,10 @@ TEST(SimProtocol, InputRequestsMatchPinnedBytes)
         R"(,"sandbox":{"state":[16178389889125229425,1069063491580162980,1)"
         R"(5773483665585070847,2908812685009933621],"size":524288,"patches)"
         R"(":"000010420000119607ffffd9"}})";
-    EXPECT_EQ(batchRequest({&big}, &extras, false).dump(),
+    EXPECT_EQ(batchRequest({&big}, &extras).dump(),
               R"({"op":"batch","inputs":[)" + sibling128 +
                   R"(],"extras":["bpstate"]})");
-    EXPECT_EQ(runRequest(big, nullptr, false).dump(),
+    EXPECT_EQ(runRequest(big, nullptr).dump(),
               R"({"op":"run","input":)" + sibling128 + "}");
     EXPECT_EQ(classifyRequest(big, big, trained, anchor, anchor).dump(),
               R"({"op":"classify","inputA":)" + sibling128 +
@@ -720,109 +718,14 @@ TEST(SimProtocol, InputRequestsMatchPinnedBytes)
     const std::string input = R"({"id":9,"regs":[0,0,0,65,0,0,0,0,0,0,0,0,0)"
                               R"(,0,0,0],"flags":4,"sandbox":")" +
                               hexPage(0x41, "07") + "\"}";
-    EXPECT_EQ(batchRequest({&hand}, nullptr, false).dump(),
+    EXPECT_EQ(batchRequest({&hand}, nullptr).dump(),
               R"({"op":"batch","inputs":[)" + input + "]}");
-    EXPECT_EQ(runRequest(hand, nullptr, false).dump(),
+    EXPECT_EQ(runRequest(hand, nullptr).dump(),
               R"({"op":"run","input":)" + input + "}");
     EXPECT_EQ(classifyRequest(hand, hand, anchor, anchor, anchor).dump(),
               R"({"op":"classify","inputA":)" + input + R"(,"inputB":)" +
                   input + R"(,"ctxA":)" + untrained + R"(,"ctxB":)" +
                   untrained + "}");
-}
-
-// A traced run's instruction tuples, pinned: between them the
-// instructions set each of the 19 wire flag bits.
-TEST(SimProtocol, UtraceMatchesPinnedBytes)
-{
-    using L = telemetry::InstLifecycle;
-    // The wire bit order of the packed "flags" slot (protocol v3).
-    const std::vector<bool L::*> bits = {
-        &L::issued,          &L::completed,     &L::committed,
-        &L::squashed,        &L::isLoad,        &L::isStore,
-        &L::isBranch,        &L::predTaken,     &L::actualTaken,
-        &L::mispredicted,    &L::memAddrKnown,  &L::wasUnsafeAtIssue,
-        &L::tainted,         &L::exposePending, &L::inSpecBuffer,
-        &L::lfbHeld,         &L::undoLogged,    &L::forwardedFromStore,
-        &L::bypassedUnknownStore,
-    };
-    telemetry::UarchRunTrace run;
-    run.label = "inputB";
-    run.cycles = 77;
-    run.disasm = {"0: MOV RAX, 1", "1: HALT"};
-    const std::uint64_t masks[] = {0x55555, 0x2aaaa, 0x7ffff, 0x40001, 0};
-    for (std::uint64_t i = 0; i < std::size(masks); ++i) {
-        L inst;
-        inst.seq = 10 + i;
-        inst.idx = i;
-        inst.pc = 0x400000 + 4 * i;
-        inst.fetchCycle = 1 + i;
-        inst.issueCycle = 3 + i;
-        inst.completeCycle = 5 + i;
-        inst.commitCycle = 7 + i;
-        inst.squashCycle = 9 + i;
-        inst.squashCause = static_cast<telemetry::SquashCause>(i % 3);
-        inst.squashTrigger = i;
-        inst.memAddr = 0x800000 + 8 * i;
-        for (std::size_t b = 0; b < bits.size(); ++b)
-            inst.*bits[b] = (masks[i] >> b) & 1;
-        run.insts.push_back(inst);
-    }
-    const std::string text =
-        executor::protocol::uarchRunTraceToJson(run).dump();
-    EXPECT_EQ(text,
-              R"({"label":"inputB","cycles":77,"disasm":["0: MOV RAX, 1","1: )"
-              R"(HALT"],"insts":[[10,0,4194304,1,3,5,7,9,0,0,8388608,349525],)"
-              R"([11,1,4194308,2,4,6,8,10,1,1,8388616,174762],[12,2,4194312,3)"
-              R"(,5,7,9,11,2,2,8388624,524287],[13,3,4194316,4,6,8,10,12,0,3,)"
-              R"(8388632,262145],[14,4,4194320,5,7,9,11,13,1,4,8388640,0]]})");
-    EXPECT_EQ(executor::protocol::uarchRunTraceFromJson(Json::parse(text)),
-              run);
-}
-
-// A traced run's instruction tuples come back from the worker too: a
-// squash cause past the last enumerator (an unnamed value, or 256
-// wrapping to None) fails like a malformed tuple.
-TEST(SimProtocol, HostileUtraceTupleThrowsCorpusError)
-{
-    telemetry::UarchRunTrace run;
-    run.label = "inputA";
-    run.cycles = 40;
-    run.disasm = {"HALT"};
-    telemetry::InstLifecycle inst;
-    inst.seq = 3;
-    inst.idx = 1;
-    inst.pc = 0x404;
-    inst.fetchCycle = 2;
-    inst.squashed = true;
-    inst.squashCycle = 9;
-    inst.squashCause = telemetry::SquashCause::MemOrder;
-    inst.squashTrigger = 2;
-    run.insts.push_back(inst);
-    const Json good = Json::parse(
-        executor::protocol::uarchRunTraceToJson(run).dump());
-    EXPECT_EQ(executor::protocol::uarchRunTraceFromJson(good), run);
-
-    auto with_cause = [&good](const Json &cause) {
-        const std::vector<Json> &fields =
-            good.at("insts").items().at(0).items();
-        Json tuple = Json::array();
-        for (std::size_t i = 0; i < fields.size(); ++i)
-            tuple.push(i == 8 ? cause : fields[i]);
-        Json insts = Json::array();
-        insts.push(std::move(tuple));
-        Json j = good;
-        j.set("insts", std::move(insts));
-        return Json::parse(j.dump());
-    };
-    for (std::uint64_t cause : {3u, 7u, 256u}) {
-        EXPECT_THROW(executor::protocol::uarchRunTraceFromJson(
-                         with_cause(Json::number(cause))),
-                     corpus::CorpusError)
-            << cause;
-    }
-    EXPECT_THROW(executor::protocol::uarchRunTraceFromJson(
-                     with_cause(Json::str("mem-order"))),
-                 corpus::CorpusError);
 }
 
 } // namespace

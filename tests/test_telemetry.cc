@@ -6,14 +6,12 @@
  *    deterministically (histogram decimation is RNG-free);
  *  - campaign stats (the time breakdown, metrics.json) derive from the
  *    merged registry, resumed campaigns included;
- *  - EventLog's configurable capacity drops oldest-first and counts
- *    what it dropped;
  *  - the heartbeat emitter waits its interval, however long.
  *
  * That telemetry is invisible to campaign results, and that the
- * heartbeat, span-trace and Konata outputs are well-formed, is the
- * telemetry variant of tests/test_equivalence.cc; per-instruction
- * tracer contracts live in tests/test_uarch_trace.cc.
+ * heartbeat and span-trace outputs are well-formed, is the telemetry
+ * variant of tests/test_equivalence.cc; per-instruction tracer
+ * contracts live in tests/test_uarch_trace.cc.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +25,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/event_log.hh"
 #include "support/campaign_fixture.hh"
 #include "telemetry/heartbeat.hh"
 #include "telemetry/metrics.hh"
@@ -122,38 +119,6 @@ TEST(MetricsRegistry, TimedSectionTotalSumsOnlyTimeNamespace)
     reg.timer("stage.execute").add(50.0); // observability, not a section
     reg.counter("time.bogus");            // not a timer
     EXPECT_EQ(telemetry::timedSectionTotalSec(reg.snapshot()), 3.0);
-}
-
-// --- event log capacity ----------------------------------------------
-
-TEST(EventLogCapacity, DropsOldestAndCounts)
-{
-    EventLog log;
-    log.setEnabled(true);
-    log.setCapacity(16);
-    for (unsigned i = 0; i < 100; ++i)
-        log.record(i, EventKind::Commit, i);
-    EXPECT_LE(log.events().size(), 16u);
-    EXPECT_EQ(log.events().size() + log.dropped(), 100u);
-    // Oldest-first: the retained window is the tail of the stream.
-    EXPECT_EQ(log.events().back().cycle, 99u);
-    for (std::size_t i = 1; i < log.events().size(); ++i)
-        EXPECT_LT(log.events()[i - 1].cycle, log.events()[i].cycle);
-
-    // Shrinking trims immediately; clear resets the drop count.
-    log.setCapacity(4);
-    EXPECT_LE(log.events().size(), 4u);
-    log.clear();
-    EXPECT_EQ(log.dropped(), 0u);
-    EXPECT_TRUE(log.events().empty());
-
-    // Capacity 0 (default) stays unbounded.
-    EventLog unbounded;
-    unbounded.setEnabled(true);
-    for (unsigned i = 0; i < 100; ++i)
-        unbounded.record(i, EventKind::Commit);
-    EXPECT_EQ(unbounded.events().size(), 100u);
-    EXPECT_EQ(unbounded.dropped(), 0u);
 }
 
 // --- campaign stats are registry-derived ------------------------------

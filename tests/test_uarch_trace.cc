@@ -7,12 +7,12 @@
  *    priming are never traced) and records a coherent lifecycle per
  *    instruction (fetch <= issue <= complete, squashes carry a cause
  *    and the triggering branch);
+ *  - a traced run is labelled with the listing of the program loaded
+ *    for it, even when that program was flattened where the previous
+ *    one lived;
  *  - the exporters are well-formed: Kanata stage begins/ends balance,
  *    O3PipeView lines have the gem5 shape, the Chrome trace is valid
  *    JSON with non-decreasing timestamps per thread;
- *  - every executor backend produces identical traces for the same
- *    runs — which for the subprocess backend proves the protocol-v3
- *    wire serialization is lossless;
  *  - firstDivergence localizes a Spectre-v1 leak to the transient
  *    transmitter access, and finds nothing on identical runs.
  */
@@ -21,14 +21,13 @@
 
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "corpus/fields.hh"
 #include "corpus/serde.hh"
-#include "executor/backend.hh"
 #include "executor/sim_harness.hh"
 #include "isa/assembler.hh"
 #include "telemetry/uarch_trace.hh"
@@ -176,6 +175,37 @@ TEST(UarchTracer, LifecycleOrderingAndSquashForensics)
     EXPECT_GT(wrong_path, 0u);
 }
 
+// A program flattened into the storage the previous one occupied has its
+// address; the second run must still carry the second listing. (The
+// campaign worker and every program plan reuse storage this way.)
+TEST(UarchTracer, EachLoadedProgramLabelsItsOwnRuns)
+{
+    const auto cfg = harnessConfig();
+    const isa::Program first =
+        isa::assemble(".bb_main.0:\n MOV RAX, 1\n ADD RAX, 2\n");
+    const isa::Program second =
+        isa::assemble(".bb_main.0:\n XOR RBX, RBX\n");
+    executor::SimHarness harness(cfg);
+    telemetry::UarchTracer tracer;
+    harness.setUarchTracer(&tracer);
+    std::optional<isa::FlatProgram> flat;
+    for (const isa::Program *prog : {&first, &second}) {
+        flat.emplace(*prog, cfg.map.codeBase);
+        harness.loadProgram(&*flat);
+        harness.runInput(secretInput(cfg.map, 1));
+    }
+    harness.setUarchTracer(nullptr);
+    const auto runs = tracer.takeRuns();
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_EQ(runs[0].disasm,
+              (std::vector<std::string>{"bb_main.0+0: MOV RAX, 1",
+                                        "bb_main.0+1: ADD RAX, 2",
+                                        "exit+0: HLT"}));
+    EXPECT_EQ(runs[1].disasm,
+              (std::vector<std::string>{"bb_main.0+0: XOR RBX, RBX",
+                                        "exit+0: HLT"}));
+}
+
 // --- exporters --------------------------------------------------------
 
 TEST(UarchTraceExport, KanataStagesBalanceAndEveryInstRetires)
@@ -289,36 +319,6 @@ TEST(UarchTraceExport, ChromeTraceIsValidWithMonotonicTsPerTid)
     EXPECT_EQ(thread_names, 2u); // one per traced run
     EXPECT_EQ(spans, runs[0].insts.size() + runs[1].insts.size());
     EXPECT_EQ(last_ts.size(), 2u);
-}
-
-// --- backend parity (and protocol-v3 losslessness) --------------------
-
-TEST(UarchTraceBackends, EveryBackendProducesIdenticalTraces)
-{
-    const auto cfg = harnessConfig(defense::DefenseKind::InvisiSpec);
-    const isa::Program prog = spectreProgram();
-    const isa::FlatProgram fp(prog, cfg.map.codeBase);
-    const arch::Input a = secretInput(cfg.map, 1);
-    const arch::Input b = secretInput(cfg.map, 7, 1);
-
-    std::vector<std::vector<telemetry::UarchRunTrace>> per_backend;
-    for (const auto &[kind, token] :
-         corpus::Tokens<executor::BackendKind>::list) {
-        SCOPED_TRACE(token);
-        auto backend = executor::makeBackend(kind, cfg);
-        ASSERT_TRUE(backend->caps().uarchTrace);
-        backend->loadProgram(prog, fp);
-        backend->setUarchTracing(true);
-        backend->runOne(a, nullptr);
-        backend->runOne(b, nullptr);
-        backend->setUarchTracing(false);
-        per_backend.push_back(backend->takeUarchTraces());
-        ASSERT_EQ(per_backend.back().size(), 2u);
-    }
-    // The subprocess backend's traces crossed the JSONL wire; equality
-    // with the in-process run proves the v3 serialization is lossless.
-    for (std::size_t i = 1; i < per_backend.size(); ++i)
-        EXPECT_EQ(per_backend[0], per_backend[i]);
 }
 
 // --- divergence localization ------------------------------------------
