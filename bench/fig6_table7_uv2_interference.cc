@@ -33,7 +33,8 @@ main()
         if (row->l1dMshrs) {
             std::printf("\nTable 7-style operation sequence (note the "
                         "Expose/ExposeStall rows):\n");
-            printEventTable(*r.harness, g);
+            std::fputs(core::renderEventTable(r.eventsA, r.eventsB).c_str(),
+                       stdout);
         }
         std::printf("\n");
     }

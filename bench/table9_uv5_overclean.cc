@@ -30,7 +30,8 @@ main()
         if (!row->patched) {
             std::printf("\nTable 9-style operation sequence (Input A "
                         "aliases; Input B does not):\n");
-            printEventTable(*r.harness, g);
+            std::fputs(core::renderEventTable(r.eventsA, r.eventsB).c_str(),
+                       stdout);
         }
         std::printf("\n");
     }

@@ -25,13 +25,19 @@
  *                                     $AMULET_SIM_OP_TIMEOUT_SEC) must
  *                                     kill and restart it.
  *
+ * Each value must be an unsigned decimal integer, the whole token; any
+ * other value makes the worker refuse its hello naming the variable, so
+ * a typo in a hook fails the backend instead of silently disarming it.
+ *
  * SubprocessRecovery.* (tests/test_backend.cc) uses these to prove that
  * backend crash and hang recovery reproduce an uninterrupted campaign
  * byte for byte.
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -69,6 +75,26 @@ struct Worker
     unsigned long crashAfter = 0; ///< 0: never (test hook)
     unsigned long hangAfter = 0;  ///< 0: never (test hook)
     unsigned long mutatingOps = 0;
+    /** Why a test hook's value was refused (hello answers with it). */
+    std::string hookError;
+
+    /** Read test hook @p name into @p value: unset leaves it 0 (off); a
+     *  value that is not wholly an unsigned decimal integer sets
+     *  hookError instead. */
+    void
+    readHook(const char *name, unsigned long &value)
+    {
+        const char *text = std::getenv(name);
+        if (!text)
+            return;
+        const char *end = text + std::strlen(text);
+        const auto [stop, ec] = std::from_chars(text, end, value);
+        if (ec != std::errc{} || stop != end) {
+            value = 0;
+            hookError = std::string(name) +
+                        " must be an unsigned integer, got '" + text + "'";
+        }
+    }
 
     executor::InProcessBackend &
     sim()
@@ -119,6 +145,8 @@ struct Worker
     {
         const std::string &op = req.at("op").asStr();
         if (op == "hello") {
+            if (!hookError.empty())
+                return errorReply(hookError);
             const unsigned version = req.at("version").asUnsigned();
             if (version != executor::protocol::kProtocolVersion) {
                 return errorReply("protocol version mismatch: got " +
@@ -212,10 +240,8 @@ int
 main()
 {
     Worker worker;
-    if (const char *env = std::getenv("AMULET_SIM_WORKER_CRASH_AFTER"))
-        worker.crashAfter = std::strtoul(env, nullptr, 10);
-    if (const char *env = std::getenv("AMULET_SIM_WORKER_HANG_AFTER"))
-        worker.hangAfter = std::strtoul(env, nullptr, 10);
+    worker.readHook("AMULET_SIM_WORKER_CRASH_AFTER", worker.crashAfter);
+    worker.readHook("AMULET_SIM_WORKER_HANG_AFTER", worker.hangAfter);
 
     // Requests are read only through cin and replies written only
     // through stdio, so neither needs the other's synchronization.

@@ -105,7 +105,6 @@ struct Options
     Cfg cfg;
     std::string out;
     bool minimize = false;
-    bool rootCause = false;
     unsigned top = 20;
     std::vector<std::string> operands;
     /** Every flag given, with its argument (null for a switch). */
@@ -337,8 +336,6 @@ const Flag kFlags[] = {
      assign<kCfg, &Cfg::telemetry, &Telemetry::heartbeatIntervalSec>},
     {"--minimize", nullptr, "minimize every confirmed record", kReplay,
      nullptr, put<true, &Options::minimize>},
-    {"--root-cause", nullptr, "side-by-side view of every confirmed record",
-     kReplay, nullptr, put<true, &Options::rootCause>},
     {"--out", "FILE", "export file or inspect report dir", kExport | kInspect,
      nullptr, assign<&Options::out>},
     {"--top", "N", "slowest spans to list (default 20)", kStats, nullptr,
@@ -449,13 +446,6 @@ cmdReplay(Options &o)
                         "reduced listing:\n%s\n",
                         reduced.removedInsts, reduced.checks,
                         isa::formatProgram(reduced.program).c_str());
-        }
-        if (o.rootCause) {
-            const isa::Program prog = corpus::reparseProgram(rec);
-            const isa::FlatProgram fp(prog,
-                                      corpus.config.harness.map.codeBase);
-            std::printf("%s\n",
-                        core::renderSideBySide(harness, fp, rec).c_str());
         }
     }
     std::printf("replay: %zu confirmed, %u failed\n",
@@ -633,13 +623,17 @@ struct Inspection
  *   inputA.o3pipe.txt    gem5 O3PipeView text, input A
  *   inputB.o3pipe.txt    ... input B
  *   pipeline.trace.json  both runs as one Chrome/Perfetto trace
- *   sidebyside.txt       attacker-observation diff (root-cause view)
+ *   sidebyside.txt       both runs' event logs side by side, with the
+ *                        traces' differing addresses (the paper's
+ *                        Table 7/9/10 view)
  *
- * Purely read-only with respect to the corpus: the replay builds its
- * own throwaway SimHarness from the journaled config, one per record,
- * so a record's report does not depend on which records were inspected
- * before it. Throws std::runtime_error when the replay does not trace
- * exactly two runs or the directory cannot be written.
+ * Every file comes from one replay of the pair, traced and event-logged
+ * (two simulated runs). Purely read-only with respect to the corpus:
+ * the replay builds its own throwaway SimHarness from the journaled
+ * config, one per record, so a record's report does not depend on which
+ * records were inspected before it. Throws std::runtime_error when the
+ * replay does not trace exactly two runs or the directory cannot be
+ * written.
  */
 Inspection
 inspectRecord(const LoadedCorpus &corpus, const std::string &dir,
@@ -650,9 +644,10 @@ inspectRecord(const LoadedCorpus &corpus, const std::string &dir,
     telemetry::UarchTracer tracer;
     harness.setUarchTracer(&tracer);
     // replayViolation runs exactly inputA then inputB (each from its
-    // saved context), so the tracer captures exactly two runs.
+    // saved context), so the tracer captures exactly two runs, and
+    // their event logs give the side-by-side view.
     const corpus::ReplayOutcome outcome =
-        corpus::replayViolation(harness, rec);
+        corpus::replayViolation(harness, rec, /*logEvents=*/true);
     harness.setUarchTracer(nullptr);
     std::vector<telemetry::UarchRunTrace> runs = tracer.takeRuns();
     if (runs.size() != 2) {
@@ -664,12 +659,7 @@ inspectRecord(const LoadedCorpus &corpus, const std::string &dir,
     runs[1].label = "inputB";
     const telemetry::Divergence div =
         telemetry::firstDivergence(runs[0], runs[1]);
-
-    // The side-by-side view re-runs with event logging; the tracer is
-    // already detached, so those runs stay out of the pipeline traces.
-    const isa::Program prog = corpus::reparseProgram(rec);
-    const isa::FlatProgram fp(prog, corpus.config.harness.map.codeBase);
-    const std::string side = core::renderSideBySide(harness, fp, rec);
+    const std::string side = core::renderSideBySide(rec, outcome.runs);
 
     std::string report;
     report += "violation forensics: " + dir + " record " +
@@ -838,7 +828,7 @@ struct Command
 
 const Command kCommands[] = {
     {"run", kRun, "[run] [options]", cmdRun},
-    {"replay", kReplay, "replay --corpus-dir DIR [--minimize] [--root-cause]",
+    {"replay", kReplay, "replay --corpus-dir DIR [--minimize]",
      cmdReplay, false, true},
     {"export", kExport, "export --corpus-dir DIR [--out FILE]", cmdExport,
      false, true},

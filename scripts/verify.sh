@@ -107,20 +107,25 @@ fi
 rm -rf "${SMOKE}/stt_sub" "${SMOKE}/stt_sub.jsonl"
 
 # --- Forensics gate: the pipeline traces `inspect` renders must not move ----
-# Record 0 of the same corpus, re-run under the per-instruction tracer:
-# the Konata, O3PipeView and Perfetto files pin every traced lifecycle,
-# the runahead NOPs fetched past the program's end included. report.txt
-# and sidebyside.txt are left out: they carry the corpus path and the
-# wall-clock detection time.
+# Record 0 of the same corpus, replayed once under the per-instruction
+# tracer with the event log on: the Konata, O3PipeView and Perfetto files
+# pin every traced lifecycle, the runahead NOPs fetched past the
+# program's end included, and sidebyside.txt below its first line pins
+# the event table (the demos' filter and renderer) and the trace diff.
+# report.txt and that first line are left out: they carry the corpus
+# path and the wall-clock detection time.
 echo "--- forensics gate: inspect artifacts of STT record 0 must hash to" \
      "the pinned values"
 "${CLI}" inspect "${SMOKE}/stt" 0 --out "${SMOKE}/stt_inspect" > /dev/null
+tail -n +2 "${SMOKE}/stt_inspect/sidebyside.txt" \
+    > "${SMOKE}/stt_inspect/sidebyside.body"
 (cd "${SMOKE}/stt_inspect" && sha256sum --check --quiet -) <<'EOF'
 9366bd2efc814700d2d62e85c78cebaf6936b8750f627d80a8b3c4d871472004  inputA.kanata
 add45b5a6833f53801f9d8e3b017404525b3453683f66fb0391ce47500982dce  inputB.kanata
 378f99fd211192224d41d0c4a46e29058bb5d3b6048a1eff680122773dbd02d2  inputA.o3pipe.txt
 d32c54030622d35a6742affca26e6fe5379d4db64f77cc3e99c0f1270d0268b5  inputB.o3pipe.txt
 35280b100b02a6ea42b91df0f5e1ec3afa09edfa5fdd463fb87eedf56c182725  pipeline.trace.json
+6a2468f0578ffb8fe86e15da4dfa21bab3ae7081360ecb2058b69f224ed703a8  sidebyside.body
 EOF
 rm -rf "${SMOKE}/stt" "${SMOKE}/stt.jsonl" "${SMOKE}/stt_inspect"
 

@@ -2,7 +2,7 @@
  * @file
  * Structured debug-event log.
  *
- * Plays the role of gem5's debug trace in the paper: the root-cause analysis
+ * Plays the role of gem5's debug trace in the paper: the root cause analysis
  * workflow (§3.3) parses debug logs for load/store addresses, squashes, and
  * defense-specific events, and violation signatures are regex-like matches
  * over these events. We keep events structured (kind + fields) instead of

@@ -119,9 +119,9 @@ struct CampaignConfig
      *  (tests/test_equivalence.cc). */
     telemetry::TelemetryConfig telemetry;
 
-    /** Deterministic fault-injection plan (src/runtime/fault.hh; empty:
-     *  chaos off, the default; $AMULET_FAULT_PLAN is the fallback when
-     *  empty). Runtime-only and excluded from the corpus fingerprint:
+    /** Deterministic fault-injection plan (src/runtime/fault.hh;
+     *  --fault-plan; empty: chaos off, the default). Runtime-only and
+     *  excluded from the corpus fingerprint:
      *  a plan may quarantine programs, but every program it does not
      *  poison produces byte-identical results to a clean run
      *  (tests/test_fault.cc). */

@@ -22,12 +22,10 @@ stillViolates(executor::SimHarness &harness,
           model.collect(fp, violation.inputB, map))) {
         return false; // no longer contract-equivalent
     }
-    harness.loadProgram(&fp);
-    harness.restoreContext(violation.ctxA);
-    const auto ta = harness.runInput(violation.inputA).trace;
-    harness.restoreContext(violation.ctxB);
-    const auto tb = harness.runInput(violation.inputB).trace;
-    return !(ta == tb);
+    return harness
+        .replayPair(fp, violation.inputA, violation.ctxA, violation.inputB,
+                    violation.ctxB)
+        .differs();
 }
 
 } // namespace

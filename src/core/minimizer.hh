@@ -3,7 +3,7 @@
  * Violation minimizer: shrink a violating test program while the
  * contract-equivalence of the input pair and the μarch trace difference
  * both persist (Revizor-style test-case postprocessing; the paper's
- * root-cause workflow starts from exactly such reduced listings).
+ * root cause analysis starts from exactly such reduced listings).
  */
 
 #ifndef AMULET_CORE_MINIMIZER_HH

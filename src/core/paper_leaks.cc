@@ -355,14 +355,10 @@ paperLeaks()
 LeakRun
 runPair(const LeakRow &row)
 {
-    LeakRun run;
-    run.harness = std::make_unique<executor::SimHarness>(row.harness());
-    run.harness->loadProgram(&row.gadget->flat);
-    const executor::UarchContext boot = run.harness->saveContext();
-    run.a = run.harness->runInput(row.gadget->inputA);
-    run.harness->restoreContext(boot);
-    run.b = run.harness->runInput(row.gadget->inputB);
-    return run;
+    executor::SimHarness harness(row.harness());
+    const executor::UarchContext boot = harness.saveContext();
+    return harness.replayPair(row.gadget->flat, row.gadget->inputA, boot,
+                              row.gadget->inputB, boot, /*logEvents=*/true);
 }
 
 } // namespace amulet::core

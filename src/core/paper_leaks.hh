@@ -17,7 +17,6 @@
 #ifndef AMULET_CORE_PAPER_LEAKS_HH
 #define AMULET_CORE_PAPER_LEAKS_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -98,22 +97,16 @@ struct PaperLeaks
 /** The catalog, built on first use. */
 const PaperLeaks &paperLeaks();
 
-/** A row's two runs on one fresh harness, both from its boot context. */
-struct LeakRun
-{
-    /** The harness, kept for follow-up runs (event-log tables). */
-    std::unique_ptr<executor::SimHarness> harness;
-    executor::SimHarness::RunOutput a;
-    executor::SimHarness::RunOutput b;
+/** A row's two runs, both from one fresh harness's boot context, with
+ *  their event logs. */
+using LeakRun = executor::SimHarness::PairOutput;
 
-    bool differs() const { return !(a.trace == b.trace); }
-};
-
-/** Run @p row's gadget inputs on a fresh harness of row.harness().
- *  Input B starts from the boot context input A started from, so the
- *  verdict depends on the inputs alone: the predictor state input A
- *  leaves can change a rerun's trace by itself (v4's memory-dependence
- *  predictor learns the bypass). */
+/** Run @p row's gadget inputs on a fresh harness of row.harness()
+ *  (SimHarness::replayPair with the event log on). Input B starts from
+ *  the boot context input A started from, so the verdict depends on the
+ *  inputs alone: the predictor state input A leaves can change a rerun's
+ *  trace by itself (v4's memory-dependence predictor learns the
+ *  bypass). */
 LeakRun runPair(const LeakRow &row);
 
 } // namespace amulet::core

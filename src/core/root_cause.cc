@@ -1,14 +1,17 @@
 #include "core/root_cause.hh"
 
-#include <iomanip>
+#include <algorithm>
 #include <sstream>
-#include <vector>
 
 namespace amulet::core
 {
 
+namespace
+{
+
+/** The event kinds the table shows. */
 bool
-isRootCauseEvent(EventKind kind)
+isShown(EventKind kind)
 {
     switch (kind) {
       case EventKind::LoadExec:
@@ -16,6 +19,7 @@ isRootCauseEvent(EventKind kind)
       case EventKind::StoreExec:
       case EventKind::SquashBranch:
       case EventKind::SquashMemOrder:
+      case EventKind::SpecBufferFill:
       case EventKind::SpecEviction:
       case EventKind::Expose:
       case EventKind::ExposeStall:
@@ -32,73 +36,44 @@ isRootCauseEvent(EventKind kind)
     }
 }
 
-namespace
+std::vector<std::string>
+shownRows(const std::vector<Event> &events)
 {
-
-std::vector<Event>
-collectEvents(executor::SimHarness &harness, const isa::FlatProgram &prog,
-              const arch::Input &input, const executor::UarchContext &ctx)
-{
-    harness.loadProgram(&prog);
-    harness.restoreContext(ctx);
-    harness.eventLog().clear();
-    harness.setEventLogging(true);
-    harness.runInput(input);
-    harness.setEventLogging(false);
-
-    std::vector<Event> out;
-    for (const Event &e : harness.eventLog().events()) {
-        if (isRootCauseEvent(e.kind))
-            out.push_back(e);
+    std::vector<std::string> rows;
+    for (const Event &e : events) {
+        if (isShown(e.kind))
+            rows.push_back(e.format());
     }
-    return out;
-}
-
-std::string
-renderEvent(const Event &e)
-{
-    std::ostringstream os;
-    os << std::setw(5) << e.cycle << " " << std::setw(18) << std::left
-       << eventKindName(e.kind) << std::right << " 0x" << std::hex
-       << e.addr << std::dec;
-    if (!e.note.empty())
-        os << " (" << e.note << ")";
-    return os.str();
+    return rows;
 }
 
 } // namespace
 
 std::string
-renderSideBySide(executor::SimHarness &harness,
-                 const isa::FlatProgram &prog,
-                 const ViolationRecord &violation)
+renderEventTable(const std::vector<Event> &eventsA,
+                 const std::vector<Event> &eventsB)
 {
-    const auto ev_a =
-        collectEvents(harness, prog, violation.inputA, violation.ctxA);
-    const auto ev_b =
-        collectEvents(harness, prog, violation.inputB, violation.ctxB);
+    constexpr std::size_t kCol = 46;
+    const std::vector<std::string> a = shownRows(eventsA);
+    const std::vector<std::string> b = shownRows(eventsB);
+    // Input A's column is cut or padded to kCol characters.
+    auto row = [](std::string left, const std::string &right) {
+        left.resize(kCol, ' ');
+        return left + " | " + right + "\n";
+    };
+    std::string out = row("Input A", "Input B") + std::string(96, '-') + "\n";
+    for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i)
+        out += row(i < a.size() ? a[i] : "", i < b.size() ? b[i] : "");
+    return out;
+}
 
-    constexpr std::size_t kCol = 52;
+std::string
+renderSideBySide(const ViolationRecord &violation,
+                 const executor::SimHarness::PairOutput &replay)
+{
     std::ostringstream os;
-    os << violation.summary() << "\n\n";
-    os << std::setw(kCol) << std::left
-       << ("Input A (id " + std::to_string(violation.inputA.id) + ")")
-       << "| Input B (id " << violation.inputB.id << ")\n";
-    os << std::string(kCol, '-') << "+" << std::string(kCol, '-') << "\n";
-
-    const std::size_t rows = std::max(ev_a.size(), ev_b.size());
-    for (std::size_t i = 0; i < rows; ++i) {
-        std::string left = i < ev_a.size() ? renderEvent(ev_a[i]) : "";
-        std::string right = i < ev_b.size() ? renderEvent(ev_b[i]) : "";
-        const bool differs =
-            i >= ev_a.size() || i >= ev_b.size() ||
-            ev_a[i].kind != ev_b[i].kind || ev_a[i].addr != ev_b[i].addr;
-        if (left.size() < kCol)
-            left.resize(kCol, ' ');
-        os << left << "| " << right << (differs ? "   <<" : "") << "\n";
-    }
-
-    os << "\nTrace diff:";
+    os << violation.summary() << "\n\n"
+       << renderEventTable(replay.eventsA, replay.eventsB) << "\nTrace diff:";
     for (Addr w : executor::traceDiffAddrs(violation.traceA,
                                            violation.traceB)) {
         os << " 0x" << std::hex << w << std::dec;

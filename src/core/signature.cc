@@ -8,57 +8,13 @@
 namespace amulet::core
 {
 
-namespace
-{
-
-using executor::UTrace;
-
-struct RunEvidence
-{
-    std::vector<Event> events;
-    UTrace trace;
-    std::uint64_t squashBranch = 0;
-    std::uint64_t squashMemOrder = 0;
-};
-
-RunEvidence
-runWithEvents(executor::SimHarness &harness, const arch::Input &input,
-              const executor::UarchContext &ctx)
-{
-    harness.restoreContext(ctx);
-    harness.eventLog().clear();
-    harness.setEventLogging(true);
-    auto out = harness.runInput(input);
-    harness.setEventLogging(false);
-
-    RunEvidence ev;
-    ev.events = harness.eventLog().events();
-    ev.trace = out.trace;
-    for (const Event &e : ev.events) {
-        if (e.kind == EventKind::SquashBranch)
-            ++ev.squashBranch;
-        if (e.kind == EventKind::SquashMemOrder)
-            ++ev.squashMemOrder;
-    }
-    return ev;
-}
-
-} // namespace
-
 std::string
-classifyViolation(executor::SimHarness &harness,
-                  const isa::FlatProgram &prog,
-                  const arch::Input &input_a, const arch::Input &input_b,
-                  const executor::UarchContext &ctx_a,
-                  const executor::UarchContext &ctx_b)
+classifyViolation(const isa::FlatProgram &prog,
+                  const executor::SimHarness::PairOutput &replay)
 {
-    harness.loadProgram(&prog);
-    const RunEvidence a = runWithEvents(harness, input_a, ctx_a);
-    const RunEvidence b = runWithEvents(harness, input_b, ctx_b);
-
     // Addresses (cache lines / VPNs) present in exactly one trace.
     std::unordered_set<std::uint64_t> diff;
-    for (Addr w : executor::traceDiffAddrs(a.trace, b.trace))
+    for (Addr w : executor::traceDiffAddrs(replay.a.trace, replay.b.trace))
         diff.insert(w);
 
     const unsigned line_bytes = 64;
@@ -74,8 +30,8 @@ classifyViolation(executor::SimHarness &harness,
     // @p anywhere.
     auto match = [&](EventKind kind, const char *note_substr = nullptr,
                      bool anywhere = false) {
-        for (const RunEvidence *ev : {&a, &b}) {
-            for (const Event &e : ev->events) {
+        for (const auto *events : {&replay.eventsA, &replay.eventsB}) {
+            for (const Event &e : *events) {
                 if (e.kind != kind)
                     continue;
                 if (note_substr &&
@@ -122,14 +78,14 @@ classifyViolation(executor::SimHarness &harness,
             return sig::kKv12InstFetch;
     }
 
-    if (a.squashMemOrder || b.squashMemOrder)
+    if (match(EventKind::SquashMemOrder, nullptr, /*anywhere=*/true))
         return sig::kSpectreV4;
     // A load that speculatively bypassed an unresolved-address store and
     // touched a differing line leaked a stale value, even if the branch
     // squash arrived before any memory-order violation could fire.
     if (match(EventKind::LoadBypassedStore))
         return sig::kSpectreV4;
-    if (a.squashBranch || b.squashBranch)
+    if (match(EventKind::SquashBranch, nullptr, /*anywhere=*/true))
         return sig::kSpectreV1;
     return sig::kTiming;
 }

@@ -14,7 +14,6 @@
 
 #include <string>
 
-#include "arch/input.hh"
 #include "executor/sim_harness.hh"
 #include "isa/program.hh"
 
@@ -39,16 +38,14 @@ inline constexpr const char *kTiming = "timing-channel";
 } // namespace sig
 
 /**
- * Classify a violation by re-running both inputs (under their original
- * μarch contexts) with event logging and matching leak patterns against
- * the differing trace entries.
+ * Classify a violation from an event-logged replay of its input pair
+ * (SimHarness::replayPair, each input from its original μarch context)
+ * by matching leak patterns against the differing trace entries.
+ * @p prog is the replayed program (its code range marks inst-fetch
+ * leaks).
  */
-std::string classifyViolation(executor::SimHarness &harness,
-                              const isa::FlatProgram &prog,
-                              const arch::Input &input_a,
-                              const arch::Input &input_b,
-                              const executor::UarchContext &ctx_a,
-                              const executor::UarchContext &ctx_b);
+std::string classifyViolation(const isa::FlatProgram &prog,
+                              const executor::SimHarness::PairOutput &replay);
 
 } // namespace amulet::core
 

@@ -36,7 +36,7 @@ struct ViolationRecord
     executor::UarchContext ctxA;
     executor::UarchContext ctxB;
     std::uint64_t ctraceHash = 0;
-    std::string signature;       ///< root-cause bucket (see signature.hh)
+    std::string signature;       ///< root cause bucket (see signature.hh)
     double detectSeconds = 0;    ///< wall time since campaign start
     /** Pre-split RNG stream of the generating program, captured before
      *  any draw: the whole test-generation pipeline for this program can

@@ -481,8 +481,8 @@ struct Fields<executor::UTrace>
 };
 
 /** Branch-predictor snapshot. Decode bounds its tables by the largest
- *  core (uarch/params.hh); restoreContext then requires the exact
- *  geometry of its own core. */
+ *  core (uarch/params.hh); a harness restoring it then requires the
+ *  exact geometry of its own core. */
 template <>
 struct Fields<uarch::BranchPredictor::State>
 {
@@ -560,7 +560,6 @@ struct Tokens<executor::TlbPrefill>
     static constexpr std::pair<E, const char *> list[] = {
         {E::Auto, "auto"},
         {E::GuardOnly, "guardonly"},
-        {E::None, "none"},
     };
 };
 

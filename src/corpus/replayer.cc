@@ -21,44 +21,31 @@ reparseProgram(const core::ViolationRecord &record)
     }
 }
 
-namespace
-{
-
-/** A recorded context that does not fit the configured core is a
- *  corpus error, like a program that does not assemble. */
-void
-restoreRecordContext(executor::SimHarness &harness,
-                     const executor::UarchContext &ctx)
-{
-    try {
-        harness.restoreContext(ctx);
-    } catch (const std::invalid_argument &e) {
-        throw CorpusError(std::string("record context: ") + e.what());
-    }
-}
-
-} // namespace
-
 ReplayOutcome
 replayViolation(executor::SimHarness &harness,
-                const core::ViolationRecord &record)
+                const core::ViolationRecord &record, bool logEvents)
 {
     const isa::Program prog = reparseProgram(record);
     const isa::FlatProgram fp(prog, harness.config().map.codeBase);
-    harness.loadProgram(&fp);
 
-    // Same shape as the campaign's original same-context runs: restore
-    // the recorded predictor context, run, extract. The harness resets
-    // caches/TLB between inputs exactly as it did during detection.
-    restoreRecordContext(harness, record.ctxA);
-    const executor::UTrace trace_a = harness.runInput(record.inputA).trace;
-    restoreRecordContext(harness, record.ctxB);
-    const executor::UTrace trace_b = harness.runInput(record.inputB).trace;
-
+    // Same shape as the campaign's original same-context runs: each
+    // input from its recorded predictor context, on caches reset
+    // between inputs exactly as during detection.
     ReplayOutcome outcome;
+    try {
+        outcome.runs = harness.replayPair(fp, record.inputA, record.ctxA,
+                                          record.inputB, record.ctxB,
+                                          logEvents);
+    } catch (const std::invalid_argument &e) {
+        // A recorded context that does not fit the configured core is a
+        // corpus error, like a program that does not assemble.
+        throw CorpusError(std::string("record context: ") + e.what());
+    }
+    const executor::UTrace &trace_a = outcome.runs.a.trace;
+    const executor::UTrace &trace_b = outcome.runs.b.trace;
     outcome.reproducedA = trace_a == record.traceA;
     outcome.reproducedB = trace_b == record.traceB;
-    outcome.diverges = !(trace_a == trace_b);
+    outcome.diverges = outcome.runs.differs();
     if (!outcome.confirmed()) {
         std::ostringstream os;
         if (!outcome.reproducedA)
@@ -72,14 +59,6 @@ replayViolation(executor::SimHarness &harness,
         outcome.detail = os.str();
     }
     return outcome;
-}
-
-ReplayOutcome
-replayViolation(const core::CampaignConfig &config,
-                const core::ViolationRecord &record)
-{
-    executor::SimHarness harness(config.harness);
-    return replayViolation(harness, record);
 }
 
 } // namespace amulet::corpus

@@ -5,12 +5,14 @@
  * A journaled ViolationRecord carries everything its detection depended
  * on: the program (as disassembly), the input pair, and the starting
  * μarch contexts of both runs. The replayer reassembles the program,
- * rebuilds a SimHarness from the corpus config, restores each recorded
- * context, re-executes both inputs, and checks bit-for-bit that (a) each
- * replayed trace equals the recorded one and (b) the pair still
- * diverges. This is what makes a corpus a regression suite: minimization
- * (minimizeViolation) and root-causing (renderSideBySide) run offline
- * from journaled records instead of only inside a live campaign.
+ * re-runs the pair on a SimHarness built from the corpus config, each
+ * input from its recorded context (SimHarness::replayPair), and checks
+ * bit for bit that (a) each replayed trace equals the recorded one and
+ * (b) the pair still diverges. This is what makes a corpus a regression
+ * suite: `campaign_cli replay` confirms every record, `replay
+ * --minimize` shrinks it (minimizeViolation), and `campaign_cli inspect`
+ * renders its pipeline traces and side-by-side event table from one
+ * traced, event-logged replay.
  */
 
 #ifndef AMULET_CORPUS_REPLAYER_HH
@@ -18,7 +20,6 @@
 
 #include <string>
 
-#include "core/campaign.hh"
 #include "core/violation.hh"
 #include "executor/sim_harness.hh"
 
@@ -41,26 +42,24 @@ struct ReplayOutcome
 
     /** Human-readable explanation when not confirmed. */
     std::string detail;
+
+    /** The replay's two runs, with their event logs when asked. */
+    executor::SimHarness::PairOutput runs;
 };
 
 /**
- * Replay @p record on @p harness (which must have been built from the
- * corpus' campaign config — use the convenience overload otherwise).
- * The harness' loaded program is replaced. Throws CorpusError when the
+ * Replay @p record on @p harness, which must have been built from the
+ * corpus' campaign config; @p logEvents keeps each run's event log. The
+ * harness' loaded program is replaced. Throws CorpusError when the
  * recorded program no longer assembles or a recorded context does not
  * fit the configured core.
  */
 ReplayOutcome replayViolation(executor::SimHarness &harness,
-                              const core::ViolationRecord &record);
+                              const core::ViolationRecord &record,
+                              bool logEvents = false);
 
-/** Convenience: boot a fresh harness from @p config and replay. */
-ReplayOutcome replayViolation(const core::CampaignConfig &config,
-                              const core::ViolationRecord &record);
-
-/**
- * Reassemble and flatten a record's program at the config's code base —
- * shared by replay, offline minimization, and root-cause rendering.
- */
+/** Reassemble a record's program — shared by replay and offline
+ *  minimization. Throws CorpusError when it no longer assembles. */
 isa::Program reparseProgram(const core::ViolationRecord &record);
 
 } // namespace amulet::corpus

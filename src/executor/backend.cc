@@ -70,8 +70,9 @@ InProcessBackend::classify(const arch::Input &inputA,
         throw std::logic_error("InProcessBackend: classify with no "
                                "loaded program");
     telemetry::SpanScope span(telemetry_, "op.classify");
-    return core::classifyViolation(harness_, *flat_, inputA, inputB, ctxA,
-                                   ctxB);
+    return core::classifyViolation(
+        *flat_, harness_.replayPair(*flat_, inputA, ctxA, inputB, ctxB,
+                                    /*logEvents=*/true));
 }
 
 void

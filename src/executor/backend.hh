@@ -122,9 +122,10 @@ class SimBackend
            const std::vector<TraceFormat> *extraFormats) = 0;
 
     /**
-     * Classify a confirmed violation by signature
-     * (core::classifyViolation): event-logged re-runs of both inputs
-     * under their original contexts, on the loaded program.
+     * Classify a confirmed violation by signature: replay both inputs
+     * on the loaded program, each from its original context, with the
+     * event log on (SimHarness::replayPair), and match the logs
+     * (core::classifyViolation).
      */
     virtual std::string classify(const arch::Input &inputA,
                                  const arch::Input &inputB,
@@ -173,7 +174,7 @@ class InProcessBackend final : public SimBackend
     const TimeBreakdown &times() override { return harness_.times(); }
     void setTelemetry(telemetry::TelemetrySink *sink) override;
 
-    /** The wrapped harness (root-cause demos, tests). */
+    /** The wrapped harness (tests). */
     SimHarness &harness() { return harness_; }
 
   private:
@@ -195,14 +196,6 @@ struct BackendOptions
      *  a value that is not a finite positive number makes the backend
      *  constructor throw std::runtime_error naming the variable. */
     double opTimeoutSec = 600.0;
-    /** Attempts per operation before the worker is declared poisoned
-     *  and the op escalates to WorkerQuarantineError (min 1). */
-    unsigned maxAttempts = 3;
-    /** Base sleep before the second and later respawns of one op,
-     *  doubling per attempt (restart-storm guard; seconds). The first
-     *  retry is immediate so a clean crash-restart stays fast. Slept
-     *  time is recorded in the `backend.restartBackoffSec` timer. */
-    double restartBackoffSec = 0.02;
 };
 
 /**

@@ -42,6 +42,15 @@ dirName(const std::string &path)
                                       : path.substr(0, slash);
 }
 
+/** Attempts at one operation before the worker is declared poisoned
+ *  and the op escalates to WorkerQuarantineError. */
+constexpr unsigned kMaxAttempts = 3;
+
+/** Sleep before the second respawn of one op, doubling per later one
+ *  (restart-storm guard; seconds). The first retry is immediate so a
+ *  clean crash-restart stays fast. */
+constexpr double kRestartBackoffSec = 0.02;
+
 /** The longest per-operation deadline. recvLine converts it to clock
  *  ticks, which overflow from about 9.2e9 s (and for inf): a day fits. */
 constexpr double kMaxOpTimeoutSec = 86400;
@@ -383,8 +392,7 @@ SubprocessBackend::roundTrip(const Json &request)
     // fails every allowed attempt at one operation is poisoned by that
     // operation — escalate to a per-program quarantine instead of
     // killing the campaign.
-    const unsigned max_attempts = std::max(1u, opts_.maxAttempts);
-    for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
+    for (unsigned attempt = 0; attempt < kMaxAttempts; ++attempt) {
         if (attempt >= 2)
             backoffBeforeRestart(attempt);
         if (poisonedOp) {
@@ -441,7 +449,7 @@ SubprocessBackend::roundTrip(const Json &request)
     }
     throw WorkerQuarantineError(
         "subprocess backend: worker failed " +
-        std::to_string(max_attempts) + " attempts at one operation (op " +
+        std::to_string(kMaxAttempts) + " attempts at one operation (op " +
         request.at("op").asStr() + ")" +
         (poisonedOp ? " [fault-plan poison]" : ""));
 }
@@ -452,15 +460,12 @@ SubprocessBackend::backoffBeforeRestart(unsigned attempt)
     // Restart-storm guard: exponential backoff from the second retry
     // on (the first retry is immediate — a clean crash-restart should
     // not pay latency). Slept time is visible as the
-    // backend.restartBackoffSec timer.
+    // backend.restartBackoff timer.
     const double sec =
-        opts_.restartBackoffSec * static_cast<double>(1u << (attempt - 2));
-    if (sec <= 0)
-        return;
+        kRestartBackoffSec * static_cast<double>(1u << (attempt - 2));
     usleep(static_cast<useconds_t>(sec * 1e6));
-    backoffSec_ += sec;
     if (telemetry_)
-        telemetry_->metrics().timer("backend.restartBackoffSec").add(sec);
+        telemetry_->metrics().timer("backend.restartBackoff").add(sec);
 }
 
 void

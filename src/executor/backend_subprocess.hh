@@ -83,13 +83,10 @@ class SubprocessBackend final : public SimBackend
     /** Worker restarts performed so far (crash/timeout recoveries). */
     unsigned restarts() const { return restarts_; }
 
-    /** Total restart-storm backoff slept so far (seconds). */
-    double backoffSeconds() const { return backoffSec_; }
-
   private:
     /** Round-trip one request, restarting a dead/hung worker and
-     *  re-establishing its state before a retry; after
-     *  BackendOptions::maxAttempts failures on one op, throws
+     *  re-establishing its state before a retry; after kMaxAttempts
+     *  (backend_subprocess.cc) failures on one op, throws
      *  WorkerQuarantineError (per-program verdict, see backend.hh). */
     corpus::Json roundTrip(const corpus::Json &request);
 
@@ -117,7 +114,6 @@ class SubprocessBackend final : public SimBackend
     std::optional<UarchContext> anchor_;
 
     unsigned restarts_ = 0;
-    double backoffSec_ = 0;
     /** Breakdown accumulated by workers that have since died; every
      *  mutating reply refreshes lastWorkerTimes_, so a crash loses at
      *  most one operation's worth of timing. */

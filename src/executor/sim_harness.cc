@@ -245,15 +245,10 @@ SimHarness::resetBetweenInputs()
     // can spill into) realizes that design intent. For multi-page
     // sandboxes (STT) only the guard page is pre-filled, so within-
     // sandbox TLB leaks (KV3) stay observable.
-    if (cfg_.tlbPrefill != TlbPrefill::None) {
-        uarch::Tlb &tlb = mem.dtlb();
-        const Addr guard_vpn = uarch::Tlb::vpnOf(cfg_.map.sandboxEnd());
-        tlb.fill(guard_vpn);
-        if (cfg_.tlbPrefill == TlbPrefill::Auto &&
-            cfg_.map.sandboxPages == 1) {
-            tlb.fill(uarch::Tlb::vpnOf(cfg_.map.sandboxBase));
-        }
-    }
+    uarch::Tlb &tlb = mem.dtlb();
+    tlb.fill(uarch::Tlb::vpnOf(cfg_.map.sandboxEnd()));
+    if (cfg_.tlbPrefill == TlbPrefill::Auto && cfg_.map.sandboxPages == 1)
+        tlb.fill(uarch::Tlb::vpnOf(cfg_.map.sandboxBase));
 
     // The test binary is resident after the first execution in gem5's SE
     // mode; model that by keeping the code (plus the runahead window the
@@ -452,6 +447,31 @@ SimHarness::saveContext()
     ctx.bp = pipe_->branchPredictor().save();
     ctx.mdp = pipe_->memDepPredictor().save();
     return ctx;
+}
+
+SimHarness::PairOutput
+SimHarness::replayPair(const isa::FlatProgram &prog,
+                       const arch::Input &inputA, const UarchContext &ctxA,
+                       const arch::Input &inputB, const UarchContext &ctxB,
+                       bool logEvents)
+{
+    loadProgram(&prog);
+    auto run = [&](const arch::Input &input, const UarchContext &ctx,
+                   std::vector<Event> &events) {
+        restoreContext(ctx);
+        if (!logEvents)
+            return runInput(input);
+        log_.clear();
+        log_.setEnabled(true);
+        RunOutput out = runInput(input);
+        log_.setEnabled(false);
+        events = log_.events();
+        return out;
+    };
+    PairOutput out;
+    out.a = run(inputA, ctxA, out.eventsA);
+    out.b = run(inputB, ctxB, out.eventsB);
+    return out;
 }
 
 void

@@ -109,7 +109,6 @@ enum class TlbPrefill
      *  single page (the paper's setup for TLB-unprotected defenses). */
     Auto,
     GuardOnly,
-    None,
 };
 
 /** Harness configuration. */
@@ -218,6 +217,34 @@ class SimHarness
     /** Extract an additional trace format from the last run's state. */
     UTrace extractExtra(TraceFormat format) const;
 
+    /** Both runs of an input pair (replayPair). */
+    struct PairOutput
+    {
+        RunOutput a;
+        RunOutput b;
+        /** Each run's debug events, oldest first; empty unless the
+         *  replay logged them. */
+        std::vector<Event> eventsA;
+        std::vector<Event> eventsB;
+
+        /** The two μarch traces differ: the pair violates. */
+        bool differs() const { return !(a.trace == b.trace); }
+    };
+
+    /**
+     * Re-run an input pair (§3.3): load @p prog, then run @p inputA from
+     * @p ctxA and @p inputB from @p ctxB. With @p logEvents each run's
+     * debug-event log comes back too; an attached UarchTracer records
+     * exactly these two runs. Classification, corpus replay, the
+     * minimizer, `inspect` and the figure demos all re-run a pair
+     * through this call. Throws std::invalid_argument (restoreContext)
+     * when a context does not fit the configured core.
+     */
+    PairOutput replayPair(const isa::FlatProgram &prog,
+                          const arch::Input &inputA, const UarchContext &ctxA,
+                          const arch::Input &inputB, const UarchContext &ctxB,
+                          bool logEvents = false);
+
     /** @name μarch context (predictor state)
      *  Starts the simulator first if needed. restoreContext throws
      *  std::invalid_argument, before touching any state, when a table's
@@ -227,7 +254,8 @@ class SimHarness
     void restoreContext(const UarchContext &ctx);
     /// @}
 
-    /** Debug-event recording (root-cause / signature re-runs). */
+    /** Debug-event recording across any sequence of runs (the simulator
+     *  tests); replayPair logs a pair's two runs itself. */
     void setEventLogging(bool on) { log_.setEnabled(on); }
     EventLog &eventLog() { return log_; }
 
@@ -251,7 +279,7 @@ class SimHarness
      *  and other aux programs are never traced — and records one
      *  UarchRunTrace per runInput. Observability only: attaching it
      *  changes no simulated state, so results are byte-identical traced
-     *  or not (tests/test_uarch_trace.cc). */
+     *  or not, with the event log on or off (tests/test_uarch_trace.cc). */
     void setUarchTracer(telemetry::UarchTracer *tracer);
 
   private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -50,10 +49,9 @@ CampaignScheduler::run()
         jobs = num_programs;
 
     // Deterministic chaos layer (src/runtime/fault.hh): armed for this
-    // campaign from --fault-plan (or $AMULET_FAULT_PLAN when the config
-    // is empty), disarmed on every exit path. Runtime-only: the plan is
-    // never part of the corpus fingerprint, and a run with no plan
-    // takes none of the injected branches.
+    // campaign from --fault-plan, disarmed on every exit path.
+    // Runtime-only: the plan is never part of the corpus fingerprint,
+    // and a run with no plan takes none of the injected branches.
     struct PlanGuard
     {
         bool armed = false;
@@ -63,15 +61,9 @@ CampaignScheduler::run()
                 fault::FaultPlan::uninstall();
         }
     } plan_guard;
-    {
-        std::string spec = cfg_.faultPlan;
-        if (spec.empty())
-            if (const char *env = std::getenv("AMULET_FAULT_PLAN"))
-                spec = env;
-        if (!spec.empty()) {
-            fault::FaultPlan::install(spec);
-            plan_guard.armed = true;
-        }
+    if (!cfg_.faultPlan.empty()) {
+        fault::FaultPlan::install(cfg_.faultPlan);
+        plan_guard.armed = true;
     }
 
     // Campaign telemetry (src/telemetry/): per-shard metric registries
@@ -180,6 +172,12 @@ CampaignScheduler::run()
     // shard death whose work was re-leased and finished elsewhere is
     // telemetry, not an abort.
     std::exception_ptr failure;
+    // A backend that cannot be built (no worker executable, a malformed
+    // environment variable) fails alike for every shard and program: a
+    // configuration error, not a shard death. The first one stops all
+    // claiming, nothing is re-leased or quarantined for it, and it
+    // aborts the campaign once the pool drains, whatever its size.
+    std::exception_ptr build_failure;
     std::mutex failure_mu;
 
     // --- Shard containment (re-lease) state ------------------------------
@@ -349,7 +347,15 @@ CampaignScheduler::run()
             try {
                 const std::optional<unsigned> first = claim_mine();
                 if (first) {
-                    exec.emplace(cfg_, t0, &telem, s);
+                    try {
+                        exec.emplace(cfg_, t0, &telem, s);
+                    } catch (...) {
+                        stop.store(true, std::memory_order_relaxed);
+                        std::lock_guard<std::mutex> lock(failure_mu);
+                        if (!build_failure)
+                            build_failure = std::current_exception();
+                        break;
+                    }
                     bool first_pending = true;
                     exec->runClaimed(
                         [&]() -> std::optional<unsigned> {
@@ -458,6 +464,8 @@ CampaignScheduler::run()
         pool.wait();
     }
     telem.stopHeartbeat(); // emits the final snapshot line
+    if (build_failure)
+        std::rethrow_exception(build_failure);
     // Containment verdict: a captured shard failure aborts the campaign
     // only when containment actually lost work — every shard gave up,
     // the quarantine path itself broke, or the pool drained with

@@ -7,9 +7,10 @@
  * in results identical to an uninterrupted run; a worker that trickles
  * bytes cannot outlast the per-operation deadline, which is a finite
  * positive number of seconds, at most a day; a worker that fails
- * its hello is reaped; and exhausted retries escalate to a per-program
- * quarantine. The wire counters show that no reply after the hello
- * carries a full predictor context. That the subprocess backend
+ * its hello is reaped, and one given a malformed test hook fails it; a
+ * backend that cannot be built aborts the campaign; and exhausted
+ * retries escalate to a per-program quarantine. The wire counters show
+ * that no reply after the hello carries a full predictor context. That the subprocess backend
  * reproduces the in-process one is the backend variant of
  * tests/test_equivalence.cc.
  */
@@ -201,6 +202,60 @@ TEST(SubprocessRecovery, HangInjectedWorkersReproduceTheCampaign)
     expectEquivalent(reference, hung);
     EXPECT_GE(metric(hung, "backend.restarts"), 1.0)
         << "the hang hook must actually have wedged a worker";
+}
+
+// The worker reads each test hook whole, as an unsigned decimal integer:
+// garbage, a trailing unit, an empty value, a sign or leading space is
+// refused at the hello naming the variable, not read as "off" or as a
+// prefix, so the backend's construction fails naming it.
+TEST(SubprocessRecovery, MalformedTestHookIsRefusedNamingIt)
+{
+    for (const char *hook : {"AMULET_SIM_WORKER_CRASH_AFTER",
+                             "AMULET_SIM_WORKER_HANG_AFTER"}) {
+        for (const char *bad : {"abc", "5x", "", "-1", " 3"}) {
+            ScopedEnv env(hook, bad);
+            try {
+                executor::SubprocessBackend backend(
+                    executor::HarnessConfig{}, {});
+                ADD_FAILURE() << hook << " accepted '" << bad << "'";
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find(hook),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
+// A backend that cannot be built is a configuration error, the same for
+// every shard and program: the campaign throws it whatever its size and
+// jobs, and quarantines nothing for it.
+TEST(SubprocessRecovery, UnbuildableBackendAbortsTheCampaign)
+{
+    ScopedEnv worker("AMULET_SIM_WORKER", "/nonexistent");
+    const ScratchDir scratch("unbuildable");
+    for (unsigned programs : {1u, 2u, 3u}) {
+        for (unsigned jobs : {1u, 2u}) {
+            const std::string tag = "p" + std::to_string(programs) + "j" +
+                                    std::to_string(jobs);
+            SCOPED_TRACE(tag);
+            core::CampaignConfig cfg =
+                campaignConfig(defense::DefenseKind::Baseline, jobs,
+                               executor::BackendKind::Subprocess,
+                               {500, programs});
+            cfg.corpusDir = scratch.sub(tag);
+            try {
+                core::Campaign(cfg).run();
+                ADD_FAILURE() << "the campaign must abort";
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find("AMULET_SIM_WORKER"),
+                          std::string::npos)
+                    << e.what();
+            }
+            EXPECT_TRUE(
+                corpus::CorpusStore::readQuarantined(cfg.corpusDir).empty());
+        }
+    }
 }
 
 // $AMULET_SIM_OP_TIMEOUT_SEC is read whole, as a finite positive number

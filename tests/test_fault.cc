@@ -181,7 +181,7 @@ TEST(FaultCampaign, PoisonedProgramIsQuarantinedNotFatal)
 
         // Quarantine exhausted the retry budget, so the restart-storm
         // guard must have slept at least once.
-        EXPECT_GT(metric(stats, "backend.restartBackoffSec"), 0.0);
+        EXPECT_GT(metric(stats, "backend.restartBackoff"), 0.0);
         EXPECT_EQ(metric(stats, "campaign.quarantinedPrograms"), 1.0);
 
         // Resume with the plan off: the quarantined program must stay

@@ -25,13 +25,12 @@ using namespace amulet;
 using LeakingRow = fixture::LeakRowTest;
 using ContractRow = fixture::LeakRowTest;
 
+// core::runPair is the replay a campaign's classification makes: both
+// inputs event-logged, each from its start context (here the boot one).
 TEST_P(LeakingRow, ClassifiesAsItsSignature)
 {
-    executor::SimHarness harness(row().harness());
-    const executor::UarchContext boot = harness.saveContext();
-    EXPECT_EQ(core::classifyViolation(harness, row().gadget->flat,
-                                      row().gadget->inputA,
-                                      row().gadget->inputB, boot, boot),
+    EXPECT_EQ(core::classifyViolation(row().gadget->flat,
+                                      core::runPair(row())),
               row().signature);
 }
 

@@ -14,7 +14,11 @@
  *    O3PipeView lines have the gem5 shape, the Chrome trace is valid
  *    JSON with non-decreasing timestamps per thread;
  *  - firstDivergence localizes a Spectre-v1 leak to the transient
- *    transmitter access, and finds nothing on identical runs.
+ *    transmitter access, and finds nothing on identical runs;
+ *  - SimHarness::replayPair, the one re-run of an input pair, gives the
+ *    same runs, lifecycles and events with its event log and a tracer
+ *    on together as with either alone or neither, and the tracer sees
+ *    exactly its two runs.
  */
 
 #include <gtest/gtest.h>
@@ -27,9 +31,11 @@
 #include <string>
 #include <vector>
 
+#include "core/paper_leaks.hh"
 #include "corpus/serde.hh"
 #include "executor/sim_harness.hh"
 #include "isa/assembler.hh"
+#include "support/leak_rows.hh"
 #include "telemetry/uarch_trace.hh"
 
 namespace
@@ -357,5 +363,63 @@ TEST(UarchDivergence, IdenticalRunsHaveNoDivergence)
     EXPECT_EQ(runs[0].insts, runs[1].insts);
     EXPECT_FALSE(telemetry::firstDivergence(runs[0], runs[1]).found);
 }
+
+// --- pair replay ------------------------------------------------------
+
+/** One replay of a catalog row's pair from a fresh harness's boot
+ *  context, with a tracer and the event log on or off. */
+struct PairObservation
+{
+    executor::SimHarness::PairOutput out;
+    std::vector<telemetry::UarchRunTrace> runs;
+};
+
+PairObservation
+observePair(const core::LeakRow &row, bool traced, bool logged)
+{
+    executor::SimHarness harness(row.harness());
+    telemetry::UarchTracer tracer;
+    if (traced)
+        harness.setUarchTracer(&tracer);
+    const executor::UarchContext boot = harness.saveContext();
+    const core::LeakGadget &g = *row.gadget;
+    PairObservation seen{
+        harness.replayPair(g.flat, g.inputA, boot, g.inputB, boot, logged),
+        {}};
+    seen.runs = tracer.takeRuns();
+    return seen;
+}
+
+using PairReplay = fixture::LeakRowTest;
+
+// `inspect` takes a record's pipeline traces and side-by-side events
+// from one replay with both observers on; each must see what it sees
+// alone, and neither may move the runs.
+TEST_P(PairReplay, LogAndTracerTogetherChangeNothing)
+{
+    const PairObservation both = observePair(row(), true, true);
+    const PairObservation neither = observePair(row(), false, false);
+    const PairObservation traced = observePair(row(), true, false);
+    const PairObservation logged = observePair(row(), false, true);
+
+    for (const PairObservation *other : {&neither, &traced, &logged}) {
+        EXPECT_TRUE(both.out.a.trace == other->out.a.trace);
+        EXPECT_TRUE(both.out.b.trace == other->out.b.trace);
+        EXPECT_TRUE(both.out.a.run == other->out.a.run);
+        EXPECT_TRUE(both.out.b.run == other->out.b.run);
+    }
+    ASSERT_EQ(both.runs.size(), 2u);
+    EXPECT_TRUE(both.runs == traced.runs);
+    EXPECT_FALSE(both.out.eventsA.empty());
+    EXPECT_FALSE(both.out.eventsB.empty());
+    EXPECT_TRUE(both.out.eventsA == logged.out.eventsA);
+    EXPECT_TRUE(both.out.eventsB == logged.out.eventsB);
+    EXPECT_TRUE(neither.out.eventsA.empty() && neither.out.eventsB.empty());
+    EXPECT_TRUE(neither.runs.empty() && logged.runs.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Catalog, PairReplay,
+                         ::testing::ValuesIn(fixture::leakRows()),
+                         fixture::leakRowName);
 
 } // namespace
