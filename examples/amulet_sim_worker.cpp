@@ -13,8 +13,9 @@
  * — the same round trip the violation corpus relies on.
  *
  * Test hooks (both count state-mutating operations — batch/run/
- * classify — and fire *before* executing the op, so recovery reruns a
- * complete operation):
+ * classify — over this worker's life and fire *before* executing the
+ * op). A failed op fails its program's attempt; the retry runs on a
+ * fresh executor whose fresh worker counts from zero again:
  *
  *   AMULET_SIM_WORKER_CRASH_AFTER=N   die (exit 42) on the (N+1)-th
  *                                     mutating op.
@@ -23,15 +24,15 @@
  *                                     parent's per-op deadline
  *                                     (BackendOptions::opTimeoutSec /
  *                                     $AMULET_SIM_OP_TIMEOUT_SEC) must
- *                                     kill and restart it.
+ *                                     kill it.
  *
  * Each value must be an unsigned decimal integer, the whole token; any
  * other value makes the worker refuse its hello naming the variable, so
  * a typo in a hook fails the backend instead of silently disarming it.
  *
  * SubprocessRecovery.* (tests/test_backend.cc) uses these to prove that
- * backend crash and hang recovery reproduce an uninterrupted campaign
- * byte for byte.
+ * re-running failed programs reproduces an uninterrupted campaign byte
+ * for byte.
  */
 
 #include <charconv>
@@ -121,10 +122,9 @@ struct Worker
         }
     }
 
-    /** Attach the cumulative breakdown. It rides along every mutating
-     *  op's reply so the parent loses at most one operation's worth of
-     *  timing when this worker later dies (backend_subprocess times
-     *  accounting). */
+    /** Attach the cumulative breakdown to the hello and every
+     *  mutating op's reply: the parent's times() reads the last one
+     *  (load, save and restore change none of it). */
     void
     attachTimes(Json &reply)
     {
@@ -160,6 +160,7 @@ struct Worker
             anchor = sim().saveContext();
             Json reply = okReply();
             reply.set("ctx", contextToWire(nullptr, anchor));
+            attachTimes(reply);
             return reply;
         }
         if (op == "load") {
@@ -191,9 +192,7 @@ struct Worker
                 batch.push_back(&input);
             const auto out =
                 sim().dispatchBatch(batch, extras ? &*extras : nullptr);
-            const UarchContext endCtx = sim().saveContext();
-            Json reply =
-                executor::protocol::batchOutputToJson(out, &endCtx, &anchor);
+            Json reply = executor::protocol::batchOutputToJson(out, &anchor);
             reply.set("ok", Json::boolean(true));
             attachTimes(reply);
             return reply;
@@ -208,7 +207,6 @@ struct Worker
             reply.set("trace", corpus::encode(out.trace));
             reply.set("hitCycleCap", Json::boolean(out.hitCycleCap));
             reply.set("extras", corpus::encode(out.extras));
-            reply.set("endCtx", contextToWire(&anchor, sim().saveContext()));
             attachTimes(reply);
             return reply;
         }
@@ -221,12 +219,6 @@ struct Worker
                 contextFromWire(&anchor, req.at("ctxB")));
             Json reply = okReply();
             reply.set("signature", Json::str(signature));
-            reply.set("endCtx", contextToWire(&anchor, sim().saveContext()));
-            attachTimes(reply);
-            return reply;
-        }
-        if (op == "times") {
-            Json reply = okReply();
             attachTimes(reply);
             return reply;
         }

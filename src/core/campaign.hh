@@ -185,9 +185,9 @@ struct ProgramOutcome
     std::map<std::string, std::uint64_t> signatureCounts;
     std::map<executor::TraceFormat, FormatTally> formatTallies;
 
-    /** The program was quarantined: its executor failed every allowed
-     *  recovery attempt (poisoned worker) or its shard died repeatedly
-     *  while running it. No partial results merge (ran stays false);
+    /** The program was quarantined: its run or report failed on 3
+     *  attempts, each on a fresh executor (quarantineReason is the last
+     *  error). No partial results merge (ran stays false);
      *  the program is journaled as quarantined, counted in
      *  CampaignStats, and skipped on --resume. */
     bool quarantined = false;
@@ -225,9 +225,8 @@ struct CampaignStats
     std::string backend = "inproc"; ///< executor backend the shards used
     /** Programs restored from a corpus checkpoint rather than run. */
     unsigned resumedPrograms = 0;
-    /** Programs quarantined after exhausted recovery (poisoned worker
-     *  ops or repeated shard deaths); excluded from every other
-     *  tally and from the corpus export. */
+    /** Programs quarantined after 3 failed attempts; excluded from
+     *  every other tally and from the corpus export. */
     unsigned quarantinedPrograms = 0;
     executor::TimeBreakdown times;
     std::map<executor::TraceFormat, FormatTally> formatTallies;

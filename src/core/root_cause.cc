@@ -53,12 +53,15 @@ std::string
 renderEventTable(const std::vector<Event> &eventsA,
                  const std::vector<Event> &eventsB)
 {
-    constexpr std::size_t kCol = 46;
     const std::vector<std::string> a = shownRows(eventsA);
     const std::vector<std::string> b = shownRows(eventsB);
-    // Input A's column is cut or padded to kCol characters.
-    auto row = [](std::string left, const std::string &right) {
-        left.resize(kCol, ' ');
+    // Input A's column is padded to its longest row, at least 46
+    // characters.
+    std::size_t width = 46;
+    for (const std::string &r : a)
+        width = std::max(width, r.size());
+    auto row = [width](std::string left, const std::string &right) {
+        left.resize(width, ' ');
         return left + " | " + right + "\n";
     };
     std::string out = row("Input A", "Input B") + std::string(96, '-') + "\n";

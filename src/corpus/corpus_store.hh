@@ -71,7 +71,7 @@ class CorpusStore
      * truncated back to its last known-good byte length, so the torn
      * fragment cannot fuse with a later append into a terminated —
      * i.e. permanently corrupt — line. A transient disk error costs
-     * one record (whose program stays unreported and is re-leased),
+     * one record (whose program stays unreported and re-runs),
      * never the journal.
      */
     bool append(const core::ViolationRecord &record);

@@ -126,20 +126,13 @@ class Defense
      *  unchanged pipeline state, and its blocking hooks
      *  (blockLoadIssue/blockStoreExec/planLoad) are pure queries of that
      *  state — returns kNoEventCycle ("no self-scheduled work; skip as
-     *  far as you like"). A defense with per-cycle countdowns returns
-     *  the cycle its next countdown expires and implements tickMany() to
-     *  batch-advance them. The base-class default returns `now + 1`,
+     *  far as you like"). The base-class default returns `now + 1`,
      *  which disables skipping entirely: a defense that has not audited
      *  itself against this contract is conservative by construction. */
     /// @{
     /** Earliest future cycle at which this defense can change state on
      *  its own (kNoEventCycle: never — fully event-driven). */
     virtual Cycle nextEventCycle(Cycle now) const { return now + 1; }
-    /** Advance per-cycle countdowns by @p cycles elided ticks. Only
-     *  called when the elided window ends strictly before
-     *  nextEventCycle(); defaults to a no-op for event-driven
-     *  defenses. */
-    virtual void tickMany(Cycle cycles) { (void)cycles; }
     /// @}
 
   protected:

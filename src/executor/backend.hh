@@ -24,7 +24,8 @@
  *  - SubprocessBackend (backend_subprocess.hh): forks an
  *    amulet_sim_worker process and ships whole class batches over a
  *    stdin/stdout JSONL protocol (sim_protocol.hh), with crash
- *    detection, worker restart, and an op timeout.
+ *    detection and an op timeout. A failed worker fails its op; the
+ *    scheduler re-runs the program on a fresh executor.
  */
 
 #ifndef AMULET_EXECUTOR_BACKEND_HH
@@ -189,7 +190,7 @@ struct BackendOptions
      *  via $AMULET_SIM_WORKER, then next to the current executable. */
     std::string workerPath;
     /** Per-operation reply timeout for out-of-process workers; a worker
-     *  that stays silent longer is killed and restarted (seconds,
+     *  that stays silent longer is killed and the op fails (seconds,
      *  clamped to one day). $AMULET_SIM_OP_TIMEOUT_SEC overrides this
      *  (the scheduler builds backends with default options, so
      *  campaign-level tests tighten the watchdog via the environment);
@@ -199,11 +200,9 @@ struct BackendOptions
 };
 
 /**
- * An out-of-process worker failed every allowed attempt at one
- * operation (crash loop, persistent hang, or unparseable replies).
- * This is a *per-program* verdict, not a campaign failure:
- * ShardExecutor catches it and reports the program as quarantined, and
- * the campaign continues with a fresh worker.
+ * The out-of-process worker failed this op (a crash, a missed deadline,
+ * a garbled reply, or a fault-plan poison) and is gone; the scheduler
+ * re-runs the program on a fresh executor.
  */
 class WorkerQuarantineError : public std::runtime_error
 {

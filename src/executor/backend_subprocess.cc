@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 
 #include <fcntl.h>
@@ -41,15 +40,6 @@ dirName(const std::string &path)
     return slash == std::string::npos ? std::string()
                                       : path.substr(0, slash);
 }
-
-/** Attempts at one operation before the worker is declared poisoned
- *  and the op escalates to WorkerQuarantineError. */
-constexpr unsigned kMaxAttempts = 3;
-
-/** Sleep before the second respawn of one op, doubling per later one
- *  (restart-storm guard; seconds). The first retry is immediate so a
- *  clean crash-restart stays fast. */
-constexpr double kRestartBackoffSec = 0.02;
 
 /** The longest per-operation deadline. recvLine converts it to clock
  *  ticks, which overflow from about 9.2e9 s (and for inf): a day fits. */
@@ -198,24 +188,9 @@ SubprocessBackend::spawnWorker()
     pid_ = pid;
     toWorker_ = to_child[1];
     fromWorker_ = from_child[0];
-    rbuf_.clear();
 
-    // Handshake, then re-establish the worker's session state. These go
-    // through raw send/recv (not roundTrip): a worker that cannot even
-    // say hello is not worth retry loops. Every failure kills and reaps
-    // the worker before it throws, so a failed spawn leaves no process
-    // and no pipe behind, and the message names the step that failed.
-    auto exchange = [&](const Json &req) {
-        std::string reply_text;
-        if (!sendLine(req.dump()) || !recvLine(reply_text))
-            throw std::runtime_error("no reply (bad executable or crash "
-                                     "at startup?)");
-        Json reply = Json::parse(reply_text);
-        if (!reply.at("ok").asBool())
-            throw std::runtime_error("error: " + reply.at("error").asStr());
-        return reply;
-    };
-    const char *step = "hello";
+    // A failed handshake kills and reaps the worker before it throws, so
+    // a failed spawn leaves no process and no pipe behind.
     try {
         Json hello = Json::object();
         hello.set("op", Json::str("hello"));
@@ -224,34 +199,14 @@ SubprocessBackend::spawnWorker()
         // Runtime scope: the worker's simulator must honor the
         // operator's runtime knobs, which the corpus encoding leaves out.
         hello.set("harness", corpus::encode<corpus::Scope::Runtime>(cfg_));
-        UarchContext boot =
-            protocol::contextFromWire(nullptr, exchange(hello).at("ctx"));
-        // A request being retried was coded against the anchor of the
-        // worker this one replaces. Boot is deterministic, so a worker
-        // that booted another context is broken, not merely different.
-        if (anchor_ && (boot.bp != anchor_->bp || boot.mdp != anchor_->mdp))
-            throw std::runtime_error("booted another context than the "
-                                     "worker it replaces");
-        anchor_ = std::move(boot);
-
-        if (!programText_.empty()) {
-            step = "program reload";
-            Json load = Json::object();
-            load.set("op", Json::str("load"));
-            load.set("program", Json::str(programText_));
-            exchange(load);
-        }
-        if (ctx_) {
-            step = "context restore";
-            Json restore = Json::object();
-            restore.set("op", Json::str("restore"));
-            restore.set("ctx", protocol::contextToWire(&*anchor_, *ctx_));
-            exchange(restore);
-        }
+        const Json reply = roundTrip(hello);
+        anchor_ = protocol::contextFromWire(nullptr, reply.at("ctx"));
+        times_ = corpus::decode<TimeBreakdown>(reply.at("times"));
     } catch (const std::exception &e) {
         killWorker();
-        throw std::runtime_error(std::string("subprocess backend: worker ") +
-                                 step + " failed: " + e.what());
+        throw std::runtime_error(
+            std::string("subprocess backend: worker hello failed: ") +
+            e.what());
     }
 }
 
@@ -262,10 +217,6 @@ SubprocessBackend::killWorker()
         kill(pid_, SIGKILL);
         waitpid(pid_, nullptr, 0);
         pid_ = -1;
-        // The worker's counters die with it; fold in what its last
-        // reply reported (at most one operation of timing is lost).
-        deadWorkerTimes_.accumulate(lastWorkerTimes_);
-        lastWorkerTimes_ = TimeBreakdown{};
     }
     if (toWorker_ >= 0) {
         close(toWorker_);
@@ -339,8 +290,9 @@ SubprocessBackend::recvLine(std::string &line)
         pfd.events = POLLIN;
         int timeout_ms = -1;
         if (timeout > 0) {
+            // Rounded up, so the deadline never fires early.
             const auto left =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::ceil<std::chrono::milliseconds>(
                     deadline - std::chrono::steady_clock::now())
                     .count();
             if (left <= 0)
@@ -350,7 +302,7 @@ SubprocessBackend::recvLine(std::string &line)
         }
         const int ready = poll(&pfd, 1, timeout_ms);
         if (ready == 0)
-            return false; // wedged worker: caller kills and restarts
+            return false; // wedged worker: the caller kills it
         if (ready < 0) {
             if (errno == EINTR)
                 continue;
@@ -371,101 +323,50 @@ corpus::Json
 SubprocessBackend::roundTrip(const Json &request)
 {
     // The wire span covers serialization, the worker's execution, and
-    // reply parsing — the true cost of shipping this op out of process
-    // (restarted attempts included).
-    const std::string spanName = "wire." + request.at("op").asStr();
+    // reply parsing — the true cost of shipping this op out of process.
+    const std::string &op = request.at("op").asStr();
+    const std::string spanName = "wire." + op;
     telemetry::SpanScope span(telemetry_, spanName.c_str());
-    const std::string text = request.dump();
-    // Deterministic chaos layer: ops inside a ShardExecutor program
-    // scope carry a stable (program, op#) key the fault plan can
-    // target. Boot and shard-end ops are unscoped and never faulted.
+    // Deterministic chaos layer: ops inside a program scope carry a
+    // stable (program, op#) key the fault plan can target. Boot ops are
+    // unscoped and never faulted.
     const runtime::fault::FaultPlan *plan =
         runtime::fault::FaultPlan::active();
     const std::uint64_t opKey = runtime::fault::ProgramScope::nextOpKey();
     const unsigned program = runtime::fault::ProgramScope::currentProgram();
-    const bool poisonedOp =
-        plan && program != runtime::fault::ProgramScope::kNoProgram &&
-        plan->poisoned(program);
-    // Retries run on a fresh worker: the crash handler re-establishes
-    // the exact pre-operation state (config, program, predictor
-    // context), so a retried operation is deterministic. A worker that
-    // fails every allowed attempt at one operation is poisoned by that
-    // operation — escalate to a per-program quarantine instead of
-    // killing the campaign.
-    for (unsigned attempt = 0; attempt < kMaxAttempts; ++attempt) {
-        if (attempt >= 2)
-            backoffBeforeRestart(attempt);
-        if (poisonedOp) {
-            // Injected persistent failure: the op never reaches a
-            // worker, every attempt fails, quarantine must trigger.
-            killWorker();
-            continue;
-        }
-        if (pid_ < 0) {
-            ++restarts_;
-            if (telemetry_)
-                telemetry_->noteBackendRestart();
-            spawnWorker();
-        }
-        if (plan && attempt == 0 && plan->fires("wire.crash", opKey))
-            killWorker(); // simulated crash: the send below fails
-        std::string reply_text;
-        if (sendLine(text) && recvLine(reply_text)) {
-            if (plan && attempt == 0) {
-                if (plan->fires("wire.drop", opKey)) {
-                    // Simulated hang: discard the good reply and take
-                    // the timeout-kill-restart path.
-                    killWorker();
-                    continue;
-                }
-                if (plan->fires("wire.garble", opKey))
-                    reply_text.resize(reply_text.size() / 2);
-            }
-            // A reply that does not parse, or parses without the
-            // protocol's ok/error shape, is a worker malfunction — the
-            // crash path (kill, restart, retry), never a campaign-
-            // killing exception.
-            std::optional<Json> reply;
-            std::string workerError;
-            bool isWorkerError = false;
-            try {
-                Json parsed = Json::parse(reply_text);
-                if (!parsed.at("ok").asBool()) {
-                    workerError = parsed.at("error").asStr();
-                    isWorkerError = true;
-                } else {
-                    reply.emplace(std::move(parsed));
-                }
-            } catch (const corpus::CorpusError &) {
-                // garbled/truncated reply: fall through to killWorker
-            }
-            if (isWorkerError)
-                throw std::runtime_error(
-                    "subprocess backend: worker error: " + workerError);
-            if (reply)
-                return *std::move(reply);
-        }
+    if (plan && program != runtime::fault::ProgramScope::kNoProgram &&
+        plan->poisoned(program)) {
+        // Injected persistent failure: the op never reaches the worker.
         killWorker();
+        throw WorkerQuarantineError("subprocess backend: op " + op +
+                                    " failed [fault-plan poison]");
     }
-    throw WorkerQuarantineError(
-        "subprocess backend: worker failed " +
-        std::to_string(kMaxAttempts) + " attempts at one operation (op " +
-        request.at("op").asStr() + ")" +
-        (poisonedOp ? " [fault-plan poison]" : ""));
-}
-
-void
-SubprocessBackend::backoffBeforeRestart(unsigned attempt)
-{
-    // Restart-storm guard: exponential backoff from the second retry
-    // on (the first retry is immediate — a clean crash-restart should
-    // not pay latency). Slept time is visible as the
-    // backend.restartBackoff timer.
-    const double sec =
-        kRestartBackoffSec * static_cast<double>(1u << (attempt - 2));
-    usleep(static_cast<useconds_t>(sec * 1e6));
-    if (telemetry_)
-        telemetry_->metrics().timer("backend.restartBackoff").add(sec);
+    if (plan && plan->fires("wire.crash", opKey))
+        killWorker(); // simulated crash: the send below fails
+    std::string reply_text;
+    if (sendLine(request.dump()) && recvLine(reply_text) &&
+        !(plan && plan->fires("wire.drop", opKey))) {
+        if (plan && plan->fires("wire.garble", opKey))
+            reply_text.resize(reply_text.size() / 2);
+        // A reply that does not parse, or parses without the protocol's
+        // ok/error shape, is a worker malfunction, handled as a crash.
+        try {
+            Json reply = Json::parse(reply_text);
+            if (!reply.at("ok").asBool())
+                throw std::runtime_error(
+                    "subprocess backend: worker error: " +
+                    reply.at("error").asStr());
+            return reply;
+        } catch (const corpus::CorpusError &) {
+            // garbled or truncated reply
+        }
+    }
+    // Crashed, silent past the deadline, dropped (a simulated hang) or
+    // garbled: this worker is gone, and the scheduler re-runs the
+    // program on a fresh executor.
+    killWorker();
+    throw WorkerQuarantineError("subprocess backend: worker failed op " + op +
+                                " (crash, timeout or garbled reply)");
 }
 
 void
@@ -473,10 +374,9 @@ SubprocessBackend::loadProgram(const isa::Program &source,
                                const isa::FlatProgram &)
 {
     telemetry::SpanScope span(telemetry_, "op.loadProgram");
-    programText_ = isa::formatProgram(source);
     Json req = Json::object();
     req.set("op", Json::str("load"));
-    req.set("program", Json::str(programText_));
+    req.set("program", Json::str(isa::formatProgram(source)));
     roundTrip(req);
 }
 
@@ -485,12 +385,7 @@ SubprocessBackend::saveContext()
 {
     Json req = Json::object();
     req.set("op", Json::str("save"));
-    const Json reply = roundTrip(req);
-    UarchContext ctx = protocol::contextFromWire(&*anchor_, reply.at("ctx"));
-    // Remember the state so a crash before the next mutating op
-    // restores to it.
-    ctx_ = ctx;
-    return ctx;
+    return protocol::contextFromWire(&anchor_, roundTrip(req).at("ctx"));
 }
 
 void
@@ -501,9 +396,8 @@ SubprocessBackend::restoreContext(const UarchContext &ctx)
     req.set("op", Json::str("restore"));
     // A context whose tables do not fit the anchor's is refused here,
     // before it reaches the wire.
-    req.set("ctx", protocol::contextToWire(&*anchor_, ctx));
+    req.set("ctx", protocol::contextToWire(&anchor_, ctx));
     roundTrip(req);
-    ctx_ = ctx;
 }
 
 SimBackend::BatchOutput
@@ -513,13 +407,10 @@ SubprocessBackend::dispatchBatch(const std::vector<const arch::Input *> &batch,
     telemetry::SpanScope span(telemetry_, "op.dispatchBatch");
     const Json reply =
         roundTrip(protocol::batchRequest(batch, extraFormats));
-    UarchContext endCtx;
-    BatchOutput out =
-        protocol::batchOutputFromJson(reply, &endCtx, &*anchor_);
+    BatchOutput out = protocol::batchOutputFromJson(reply, &anchor_);
     if (!extraFormats)
         out.extras.clear();
-    ctx_ = std::move(endCtx);
-    lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
+    times_ = corpus::decode<TimeBreakdown>(reply.at("times"));
     return out;
 }
 
@@ -534,8 +425,7 @@ SubprocessBackend::runOne(const arch::Input &input,
     out.trace = corpus::decode<UTrace>(reply.at("trace"));
     out.hitCycleCap = reply.at("hitCycleCap").asBool();
     out.extras = corpus::decode<std::vector<UTrace>>(reply.at("extras"));
-    ctx_ = protocol::contextFromWire(&*anchor_, reply.at("endCtx"));
-    lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
+    times_ = corpus::decode<TimeBreakdown>(reply.at("times"));
     return out;
 }
 
@@ -546,22 +436,9 @@ SubprocessBackend::classify(const arch::Input &inputA,
 {
     telemetry::SpanScope span(telemetry_, "op.classify");
     const Json reply = roundTrip(
-        protocol::classifyRequest(inputA, inputB, ctxA, ctxB, *anchor_));
-    ctx_ = protocol::contextFromWire(&*anchor_, reply.at("endCtx"));
-    lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
+        protocol::classifyRequest(inputA, inputB, ctxA, ctxB, anchor_));
+    times_ = corpus::decode<TimeBreakdown>(reply.at("times"));
     return reply.at("signature").asStr();
-}
-
-const TimeBreakdown &
-SubprocessBackend::times()
-{
-    Json req = Json::object();
-    req.set("op", Json::str("times"));
-    const Json reply = roundTrip(req);
-    lastWorkerTimes_ = corpus::decode<TimeBreakdown>(reply.at("times"));
-    times_ = deadWorkerTimes_;
-    times_.accumulate(lastWorkerTimes_);
-    return times_;
 }
 
 std::unique_ptr<SimBackend>

@@ -4,26 +4,23 @@
  * amulet_sim_worker process, driven over a stdin/stdout JSONL protocol
  * (sim_protocol.hh).
  *
- * The backend tracks everything needed to rebuild a worker from scratch
- * — harness config, the loaded program's disassembly, and the last
- * known predictor context (every state-mutating reply carries endCtx) —
- * so a crashed or hung worker is killed, restarted, restored, and the
- * failed operation retried, with results byte-identical to an
- * uninterrupted run. A per-operation timeout bounds how long a wedged
- * worker can stall a shard.
+ * Each backend spawns one worker in its constructor and keeps it for
+ * its whole life. An op the worker fails (a crash, a reply missing its
+ * per-operation deadline, a garbled reply) kills the worker and throws
+ * WorkerQuarantineError; the backend is then spent, and the scheduler
+ * re-runs the program on a fresh executor (src/runtime/README.md,
+ * "Failure model").
  *
  * With a telemetry sink attached, every line written to the worker adds
  * its bytes (newline included) to the wire.requestBytes counter and
- * every line read back to wire.replyBytes, retries and respawn
- * handshakes included: the wire's weight, measured on this side of the
- * pipe.
+ * every line read back to wire.replyBytes: the wire's weight, measured
+ * on this side of the pipe.
  */
 
 #ifndef AMULET_EXECUTOR_BACKEND_SUBPROCESS_HH
 #define AMULET_EXECUTOR_BACKEND_SUBPROCESS_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "corpus/serde.hh"
@@ -44,7 +41,7 @@ makeSubprocessBackend(const HarnessConfig &config,
                       const BackendOptions &options = {});
 
 /** Concrete subprocess backend — exposed (rather than factory-only) so
- *  tests can kill the worker and observe recovery directly. */
+ *  tests can kill the worker and observe the failure directly. */
 class SubprocessBackend final : public SimBackend
 {
   public:
@@ -75,25 +72,21 @@ class SubprocessBackend final : public SimBackend
     std::string classify(const arch::Input &inputA,
                          const arch::Input &inputB, const UarchContext &ctxA,
                          const UarchContext &ctxB) override;
-    const TimeBreakdown &times() override;
+    /** The breakdown of the worker's last reply (hello, batch, run or
+     *  classify): load, save and restore change none of it once hello
+     *  has booted the worker. No round trip. */
+    const TimeBreakdown &times() override { return times_; }
 
     /** Current worker pid (-1: none). Diagnostics and kill tests. */
     int workerPid() const { return pid_; }
 
-    /** Worker restarts performed so far (crash/timeout recoveries). */
-    unsigned restarts() const { return restarts_; }
-
   private:
-    /** Round-trip one request, restarting a dead/hung worker and
-     *  re-establishing its state before a retry; after kMaxAttempts
-     *  (backend_subprocess.cc) failures on one op, throws
-     *  WorkerQuarantineError (per-program verdict, see backend.hh). */
+    /** Send one request and return its reply. A worker error reply
+     *  throws std::runtime_error; a failed worker is killed, and the op
+     *  throws WorkerQuarantineError (backend.hh). */
     corpus::Json roundTrip(const corpus::Json &request);
 
-    /** Exponential pre-respawn sleep for retry @p attempt (>= 2). */
-    void backoffBeforeRestart(unsigned attempt);
-
-    void spawnWorker();      ///< fork/exec + hello (+ reload + restore)
+    void spawnWorker();      ///< fork/exec + hello
     void killWorker();       ///< SIGKILL + reap + close pipes
     bool sendLine(const std::string &line);
     bool recvLine(std::string &line);
@@ -106,20 +99,10 @@ class SubprocessBackend final : public SimBackend
     int fromWorker_ = -1; ///< read end of the worker's stdout
     std::string rbuf_;    ///< partial-line read buffer
 
-    /** Re-establishable worker state. */
-    std::string programText_;
-    std::optional<UarchContext> ctx_; ///< last known predictor state
-    /** The current worker's boot context, from its hello reply: every
-     *  context on the wire is a delta against it (sim_protocol.hh). */
-    std::optional<UarchContext> anchor_;
-
-    unsigned restarts_ = 0;
-    /** Breakdown accumulated by workers that have since died; every
-     *  mutating reply refreshes lastWorkerTimes_, so a crash loses at
-     *  most one operation's worth of timing. */
-    TimeBreakdown deadWorkerTimes_;
-    TimeBreakdown lastWorkerTimes_; ///< current worker, as of last reply
-    TimeBreakdown times_;           ///< storage for times()
+    /** The worker's boot context, from its hello reply: every context
+     *  on the wire is a delta against it (sim_protocol.hh). */
+    UarchContext anchor_;
+    TimeBreakdown times_; ///< the worker's, as of its last reply
 };
 
 } // namespace amulet::executor

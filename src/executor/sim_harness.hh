@@ -87,19 +87,6 @@ struct TimeBreakdown
         return startupSec + primeSec + simulateSec + traceExtractSec +
                testGenSec + ctraceSec + filterSec + otherSec;
     }
-
-    void
-    accumulate(const TimeBreakdown &other)
-    {
-        startupSec += other.startupSec;
-        primeSec += other.primeSec;
-        simulateSec += other.simulateSec;
-        traceExtractSec += other.traceExtractSec;
-        testGenSec += other.testGenSec;
-        ctraceSec += other.ctraceSec;
-        filterSec += other.filterSec;
-        otherSec += other.otherSec;
-    }
 };
 
 /** D-TLB initialization between inputs. */

@@ -126,7 +126,7 @@ contextFromWire(const UarchContext *base, const Json &json)
 
 Json
 batchOutputToJson(const SimHarness::BatchOutput &out,
-                  const UarchContext *endCtx, const UarchContext *anchor)
+                  const UarchContext *anchor)
 {
     Json contexts = Json::array();
     const UarchContext *prev = anchor;
@@ -139,29 +139,24 @@ batchOutputToJson(const SimHarness::BatchOutput &out,
     j.set("contexts", std::move(contexts));
     j.set("extras", corpus::encode(out.extras));
     j.set("hitCycleCap", Json::boolean(out.hitCycleCap));
-    if (endCtx)
-        j.set("endCtx", contextToWire(prev, *endCtx));
     return j;
 }
 
 SimHarness::BatchOutput
-batchOutputFromJson(const Json &json, UarchContext *endCtx,
-                    const UarchContext *anchor)
+batchOutputFromJson(const Json &json, const UarchContext *anchor)
 {
     SimHarness::BatchOutput out;
     out.runs = corpus::decode<std::vector<SimHarness::RunOutput>>(
         json.at("runs"));
-    auto last = [&out, anchor]() -> const UarchContext * {
-        return out.startContexts.empty() ? anchor
-                                         : &out.startContexts.back();
-    };
-    for (const Json &c : json.at("contexts").items())
-        out.startContexts.push_back(contextFromWire(last(), c));
+    for (const Json &c : json.at("contexts").items()) {
+        const UarchContext *prev = out.startContexts.empty()
+                                       ? anchor
+                                       : &out.startContexts.back();
+        out.startContexts.push_back(contextFromWire(prev, c));
+    }
     out.extras =
         corpus::decode<std::vector<std::vector<UTrace>>>(json.at("extras"));
     out.hitCycleCap = json.at("hitCycleCap").asBool();
-    if (endCtx)
-        *endCtx = contextFromWire(last(), json.at("endCtx"));
     return out;
 }
 

@@ -11,17 +11,20 @@
  * Each request line gets exactly one reply line ({"ok":true,...} or
  * {"ok":false,"error":...}). Operations:
  *
- *   hello    {harness}                 -> {ctx}
+ *   hello    {harness}                 -> {ctx, times}
  *   load     {program}                 -> {}
  *   save     {}                        -> {ctx}
  *   restore  {ctx}                     -> {}
  *   batch    {inputs, extras?}         -> {runs, contexts, extras,
- *                                          hitCycleCap, endCtx, times}
+ *                                          hitCycleCap, times}
  *   run      {input, extras?}          -> {trace, hitCycleCap, extras,
- *                                          endCtx, times}
- *   classify {inputA,inputB,ctxA,ctxB} -> {signature, endCtx, times}
- *   times    {}                        -> {times}
+ *                                          times}
+ *   classify {inputA,inputB,ctxA,ctxB} -> {signature, times}
  *   exit     {}                        -> (worker exits)
+ *
+ * times is the worker's cumulative TimeBreakdown; load, save and
+ * restore change none of it once hello has booted the worker, so the
+ * last reply that carries it is current.
  *
  * inputs, input, inputA and inputB travel at Scope::Runtime
  * (inputToWire). Only simulation results cross the wire: a run's
@@ -32,7 +35,7 @@
  * boot context in full: it is the worker's anchor. Every later ctx on
  * the wire, in either direction, is a sparse delta against the anchor
  * (contextToWire); a batch reply chains its contexts from it (see
- * batchOutputToJson). A respawned worker sends its own anchor.
+ * batchOutputToJson).
  *
  * Every struct travels as its corpus/fields.hh table, so the worker and
  * the parent decode what the other wrote through the same bounded walk:
@@ -40,11 +43,9 @@
  * Runtime entries included, sandboxes as descriptors where they have
  * one), everything else at the default scope.
  *
- * Every state-mutating reply carries endCtx, the worker's predictor
- * state after the operation. The backend tracks it so a crashed worker
- * can be restarted and brought to the exact pre-operation state
- * (hello + load + restore) before the operation is retried — which is
- * what makes recovery invisible in the campaign's results.
+ * A worker that fails an op is not replaced: the backend is spent, and
+ * the scheduler re-runs the program on a fresh executor with a fresh
+ * worker, so no reply carries state for rebuilding a worker.
  */
 
 #ifndef AMULET_EXECUTOR_SIM_PROTOCOL_HH
@@ -73,8 +74,8 @@ using corpus::Json;
  *  the knob only decides whether the worker's simulator fast-forwards
  *  quiescent cycles).
  *  v5: batch replies delta-code their predictor contexts: contexts[0]
- *  stays full, every later context and endCtx is a sparse delta
- *  against the previous context of the same reply (see
+ *  stays full, every later context and the end context is a sparse
+ *  delta against the previous context of the same reply (see
  *  batchOutputToJson). What travels is unchanged; ~95% of a batch
  *  reply used to be full ~11 KB contexts differing by a few bytes.
  *  v6: the hello's harness carries its Runtime entries (primeCache,
@@ -83,8 +84,8 @@ using corpus::Json;
  *  harness knob reaches the worker with one table entry.
  *  v7: hello boots the worker and replies with its boot context in
  *  full, the anchor; every other context on the wire (save, restore,
- *  classify's ctxA/ctxB, run and classify endCtx, and a batch reply's
- *  contexts[0]) is a delta against it. Nothing but the hello carries a
+ *  classify's ctxA/ctxB, run and classify end contexts, and a batch
+ *  reply's contexts[0]) is a delta against it. Nothing but the hello carries a
  *  full context any more: a shard's canonical context is the boot
  *  context, so its per-program restore is an empty delta.
  *  v8: inputs travel at Scope::Runtime: a generator input's sandbox,
@@ -96,12 +97,15 @@ using corpus::Json;
  *  v9: v3's tracing flag and the traces its replies carried are gone:
  *  `campaign_cli inspect` replays journaled violations traced from the
  *  journal, so no pipeline trace crosses the wire.
+ *  v10: batch, run and classify replies no longer carry the worker's
+ *  context after the op (nothing restores a respawned worker to it any
+ *  more), hello replies carry times, and the times op is gone.
  *
  *  CampaignConfig::ctraceMemo (the other fingerprint-excluded runtime
  *  knob of its kind) never crosses the wire at all: contract traces
  *  are collected parent-side in CTraceStage, and the worker only ever
  *  sees the simulator half of the pipeline. */
-inline constexpr unsigned kProtocolVersion = 9;
+inline constexpr unsigned kProtocolVersion = 10;
 
 /** @name Shared field encodings */
 /// @{
@@ -117,19 +121,15 @@ UarchContext contextFromWire(const UarchContext *base, const Json &json);
 
 /** A batch reply body. Its contexts form one delta chain rooted at
  *  @p anchor: contexts[0] is a delta against the anchor, every later
- *  context a delta against the one before it, and endCtx, when given,
- *  a delta against the last of contexts (the anchor when contexts is
- *  empty). Without an anchor the chain's root is null, so contexts[0]
- *  (or endCtx) travels in full and the body is self-contained; the
- *  product always passes the worker's anchor. fromJson throws
- *  corpus::CorpusError on a malformed or out-of-range delta; with
- *  @p endCtx it also decodes "endCtx", which must then be present. */
+ *  context a delta against the one before it. Without an anchor the
+ *  chain's root is null, so contexts[0] travels in full and the body is
+ *  self-contained; the product always passes the worker's anchor.
+ *  fromJson throws corpus::CorpusError on a malformed or out-of-range
+ *  delta. */
 Json batchOutputToJson(const SimHarness::BatchOutput &out,
-                       const UarchContext *endCtx = nullptr,
                        const UarchContext *anchor = nullptr);
 SimHarness::BatchOutput
-batchOutputFromJson(const Json &json, UarchContext *endCtx = nullptr,
-                    const UarchContext *anchor = nullptr);
+batchOutputFromJson(const Json &json, const UarchContext *anchor = nullptr);
 
 /** The protocol's input codec: @p input at Scope::Runtime, its sandbox
  *  as the generator's descriptor when it has one (corpus/fields.hh),

@@ -1,6 +1,7 @@
 #include "runtime/fault.hh"
 
 #include <charconv>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -91,6 +92,7 @@ struct Tls
 {
     bool active = false;
     unsigned program = 0;
+    unsigned attempt = 0;
     std::uint32_t ops = 0;
 };
 
@@ -163,6 +165,11 @@ FaultPlan::fires(const char *site, std::uint64_t key) const
     const unsigned r = rate(site);
     if (r == 0)
         return false;
+    // A retry must be able to succeed: past a program's first attempt
+    // only checkpoint.fail, which counts occurrences, fires.
+    if (ProgramScope::currentAttempt() > 0 &&
+        std::strcmp(site, "checkpoint.fail") != 0)
+        return false;
     return mix64(hashSite(seed_, site) ^ key) % 1000 < r;
 }
 
@@ -211,12 +218,13 @@ FaultPlan::describe() const
     return out;
 }
 
-ProgramScope::ProgramScope(unsigned program)
+ProgramScope::ProgramScope(unsigned program, unsigned attempt)
     : prevActive_(t_scope.active), prevProgram_(t_scope.program),
-      prevOps_(t_scope.ops)
+      prevAttempt_(t_scope.attempt), prevOps_(t_scope.ops)
 {
     t_scope.active = true;
     t_scope.program = program;
+    t_scope.attempt = attempt;
     t_scope.ops = 0;
 }
 
@@ -224,6 +232,7 @@ ProgramScope::~ProgramScope()
 {
     t_scope.active = prevActive_;
     t_scope.program = prevProgram_;
+    t_scope.attempt = prevAttempt_;
     t_scope.ops = prevOps_;
 }
 
@@ -242,6 +251,12 @@ unsigned
 ProgramScope::currentProgram()
 {
     return t_scope.active ? t_scope.program : kNoProgram;
+}
+
+unsigned
+ProgramScope::currentAttempt()
+{
+    return t_scope.active ? t_scope.attempt : 0;
 }
 
 } // namespace amulet::runtime::fault

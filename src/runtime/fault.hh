@@ -17,9 +17,10 @@
  * The plan is runtime-only: `CampaignConfig::faultPlan` is never
  * serialized into the corpus fingerprint (corpus/serde.cc), it is off
  * by default, and every injected fault is routed through the same
- * recovery code a real fault would take (retry → backoff → quarantine,
- * re-lease, torn-tail repair). Nothing in this header may alter
- * results for programs the plan does not poison.
+ * recovery code a real fault would take (the program re-runs on a
+ * fresh executor, quarantine after 3 failed attempts, torn-tail
+ * repair). Nothing in this header may alter results for programs the
+ * plan does not poison.
  *
  * Spec grammar (';' or ',' separated `key=value` pairs):
  *
@@ -40,20 +41,23 @@
  *                     worker crash); key = (program, op#)
  *   wire.garble       truncate the worker's reply mid-line (parse
  *                     failure path); key = (program, op#)
- *   wire.drop         discard a good reply (simulated hang → the
- *                     timeout/kill/restart path); key = (program, op#)
- *   shard.throw       throw from the scheduler's report path (shard
- *                     death → containment/re-lease); key = (program,
- *                     re-lease attempt)
+ *   wire.drop         discard a good reply (simulated hang: the worker
+ *                     is killed as on a timeout); key = (program, op#)
+ *   shard.throw       throw from the scheduler's report path; key =
+ *                     program
  *   journal.shortwrite  tear a CorpusStore append (half the line, then
  *                     ENOSPC); key = record program index
  *   journal.once=K    tear exactly the K-th append (1-based occurrence)
  *   checkpoint.fail   fail a checkpoint write before its atomic
  *                     rename; key = occurrence counter
  *
- * Wire faults only fire on a program's *first* attempt at an op, so
- * recovery is always allowed to succeed — except for poisoned
- * programs, which fail every attempt and exercise the quarantine path.
+ * A failed program re-runs from scratch on a fresh executor, inside a
+ * ProgramScope that carries the attempt. Every rate site but
+ * checkpoint.fail fires only on a program's *first* attempt, so every
+ * program the plan does not poison completes by its second. A poisoned
+ * program fails every attempt and exercises the quarantine path.
+ * journal.once and checkpoint.fail count occurrences, whatever the
+ * attempt.
  *
  * The layer lives in src/runtime/ but is include-free (standard
  * library only) so lower layers (corpus, executor) may consult it
@@ -88,7 +92,9 @@ class FaultPlan
     static const FaultPlan *active();
 
     /** Deterministic per-mille decision for a rate site. False for
-     *  unknown sites, zero rates, and the unscoped sentinel key. */
+     *  unknown sites, zero rates, the unscoped sentinel key, and, for
+     *  every site but checkpoint.fail, inside a ProgramScope whose
+     *  attempt is not the first. */
     bool fires(const char *site, std::uint64_t key) const;
 
     /** 1-based occurrence counter for @p site (used to key sites with
@@ -102,7 +108,7 @@ class FaultPlan
     bool journalAppendFault(std::uint64_t programIndex) const;
 
     /** True when @p program is on the poison list: every wire op for
-     *  it fails on every attempt, forcing quarantine. */
+     *  it fails, on every attempt, forcing quarantine. */
     bool poisoned(unsigned program) const;
 
     std::uint64_t seed() const { return seed_; }
@@ -123,15 +129,14 @@ class FaultPlan
 };
 
 /**
- * RAII thread-local scope tying backend wire operations to the
- * (program, op#) key space. ShardExecutor::runProgram opens one per
- * program; SubprocessBackend::roundTrip calls nextOpKey() per op. The
- * per-program op sequence is deterministic (results are a pure
- * function of (config, program, stream)), so the keys — and therefore
- * the injected wire faults — are identical across jobs counts and
- * across re-runs of a re-leased program. Ops outside any scope (boot,
- * shard-end times collection) return kUnscopedKey and are never
- * faulted.
+ * RAII thread-local scope tying one attempt at a program to the
+ * (program, op#) key space. The scheduler opens one around each
+ * attempt's run and report; SubprocessBackend::roundTrip calls
+ * nextOpKey() per op. The per-program op sequence is deterministic
+ * (results are a pure function of (config, program, stream)), so the
+ * keys — and therefore the injected wire faults — are identical across
+ * jobs counts. Ops outside any scope (the executor's boot) return
+ * kUnscopedKey and are never faulted.
  */
 class ProgramScope
 {
@@ -139,7 +144,8 @@ class ProgramScope
     static constexpr std::uint64_t kUnscopedKey = ~std::uint64_t(0);
     static constexpr unsigned kNoProgram = ~0u;
 
-    explicit ProgramScope(unsigned program);
+    /** @p attempt counts from 0, the program's first run. */
+    explicit ProgramScope(unsigned program, unsigned attempt = 0);
     ~ProgramScope();
 
     ProgramScope(const ProgramScope &) = delete;
@@ -152,9 +158,13 @@ class ProgramScope
     /** Program of the enclosing scope, or kNoProgram. */
     static unsigned currentProgram();
 
+    /** Attempt of the enclosing scope; 0 when no scope is open. */
+    static unsigned currentAttempt();
+
   private:
     bool prevActive_;
     unsigned prevProgram_;
+    unsigned prevAttempt_;
     std::uint32_t prevOps_;
 };
 

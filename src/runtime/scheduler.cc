@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -165,59 +163,36 @@ CampaignScheduler::run()
     std::atomic<unsigned> claimed_this_run{0};
     std::atomic<unsigned> reported_this_run{0};
 
-    // A failure inside a pool thread must surface as the library's own
-    // exception, not as std::terminate from one escaping a std::thread:
-    // capture the first failure. Whether it aborts the campaign is
-    // decided by the containment verdict after the pool drains — a
-    // shard death whose work was re-leased and finished elsewhere is
-    // telemetry, not an abort.
-    std::exception_ptr failure;
-    // A backend that cannot be built (no worker executable, a malformed
-    // environment variable) fails alike for every shard and program: a
-    // configuration error, not a shard death. The first one stops all
-    // claiming, nothing is re-leased or quarantined for it, and it
-    // aborts the campaign once the pool drains, whatever its size.
-    std::exception_ptr build_failure;
-    std::mutex failure_mu;
-
-    // --- Shard containment (re-lease) state ------------------------------
-    // When a shard thread dies, the programs it had claimed but not yet
-    // reported go back on a release queue that every claimant serves
-    // before the fresh-program range. Pre-split per-program RNG streams
-    // make the re-run byte-identical to the run the dead shard never
-    // finished — the exact re-lease/dedup path the distributed fabric
-    // will reuse for node loss. A program whose runs die
-    // kMaxProgramAttempts times is quarantined instead of re-leased.
+    // Recovery (src/runtime/README.md, "Failure model"): a program whose
+    // run or report throws re-runs from scratch on a fresh executor; its
+    // pre-split RNG stream makes the re-run the run that failed. After
+    // kMaxProgramAttempts failed attempts it is quarantined. A shard
+    // that fails kMaxFailuresInARow attempts without completing a
+    // program is systemic breakage (a worker that cannot finish any
+    // program, a dead disk): it stops the campaign.
     constexpr unsigned kMaxProgramAttempts = 3;
-    // Per-thread reincarnation budget: a shard that keeps dying is
-    // systemic breakage (broken worker binary, dead disk), not bad
-    // luck; it gives up, and the campaign aborts once every shard has.
-    constexpr unsigned kMaxShardDeaths = 8;
-    std::mutex lease_mu;
-    std::deque<unsigned> release_queue;      // guarded by lease_mu
-    std::unordered_map<unsigned, unsigned> release_attempts; // by lease_mu
-    unsigned shards_gave_up = 0;             // guarded by lease_mu
-    unsigned live_claimants = jobs;          // guarded by lease_mu
-    bool work_abandoned = false;             // guarded by lease_mu
-    std::atomic<bool> containment_broken{false};
+    constexpr unsigned kMaxFailuresInARow = 8;
+    // The failure that stops the campaign, rethrown once the pool
+    // drains: a backend that cannot be built (no worker executable, a
+    // malformed environment variable, the same for every shard and
+    // program), a shard past kMaxFailuresInARow, or a quarantine that
+    // could not be reported.
+    std::exception_ptr failure;
+    std::mutex failure_mu;
+    auto abort_campaign = [&](std::exception_ptr e) {
+        stop.store(true, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(failure_mu);
+        if (!failure)
+            failure = std::move(e);
+    };
 
     // Claim program indices dynamically for load balance; determinism
-    // is per-program, not per-claim-order. Re-leased programs are
-    // served first and bypass the per-process budget (they were already
-    // counted at first claim). The budget is enforced at claim time,
-    // across all shards.
+    // is per-program, not per-claim-order. The budget is enforced at
+    // claim time, across all shards.
     auto claim = [&]() -> std::optional<unsigned> {
         for (;;) {
             if (stop.load(std::memory_order_relaxed))
                 return std::nullopt;
-            {
-                std::lock_guard<std::mutex> lock(lease_mu);
-                if (!release_queue.empty()) {
-                    const unsigned p = release_queue.front();
-                    release_queue.pop_front();
-                    return p;
-                }
-            }
             const unsigned p =
                 next_program.fetch_add(1, std::memory_order_relaxed);
             if (p >= num_programs)
@@ -243,8 +218,8 @@ CampaignScheduler::run()
         const bool detected = out.confirmedViolations > 0;
         // A quarantine is journaled like the program's records would
         // have been — *before* the sink marks the program reported, so
-        // an append failure leaves it unreported (and re-leased) rather
-        // than silently dropped.
+        // an append failure leaves it unreported rather than silently
+        // dropped.
         if (out.quarantined && store)
             store->appendQuarantine(p, out.quarantineReason);
         sink.report(p, std::move(out));
@@ -261,8 +236,7 @@ CampaignScheduler::run()
     // One shard per worker. The executor (one simulator boot) is only
     // constructed once the worker has actually claimed a program, so
     // workers that arrive after the queue drained — or after a
-    // stop-first detection — cost nothing. ShardExecutor::runClaimed
-    // owns the claim-run-report loop.
+    // stop-first detection — cost nothing.
     auto shard_task = [&](unsigned s) {
         telemetry::TelemetrySink &tsink = telem.shardSink(s);
         telemetry::ShardLive &live = progress.shard(s);
@@ -275,32 +249,32 @@ CampaignScheduler::run()
         };
         auto report_traced = [&](unsigned p, ProgramOutcome out) {
             // Deterministic chaos site: a shard-thread exception in the
-            // report path, keyed by (program, re-lease attempt) so a
-            // re-leased run of the same program can succeed. Thrown
-            // before the sink sees the outcome — the program stays
-            // unreported and containment re-leases it.
+            // report path, thrown before the sink sees the outcome, so
+            // the program stays unreported and re-runs.
             if (const auto *plan = fault::FaultPlan::active()) {
-                if (!out.quarantined) {
-                    unsigned attempt = 0;
-                    {
-                        std::lock_guard<std::mutex> lock(lease_mu);
-                        const auto it = release_attempts.find(p);
-                        if (it != release_attempts.end())
-                            attempt = it->second;
-                    }
-                    if (plan->fires("shard.throw",
-                                    (std::uint64_t{p} << 8) | attempt))
-                        throw std::runtime_error(
-                            "fault plan: injected shard failure at "
-                            "program " + std::to_string(p));
-                }
+                if (!out.quarantined && plan->fires("shard.throw", p))
+                    throw std::runtime_error(
+                        "fault plan: injected shard failure at "
+                        "program " + std::to_string(p));
+            }
+            // Counted once the report has succeeded: a report that
+            // throws (a torn journal append) re-runs its program, whose
+            // next report counts it.
+            const double testGenSec = out.testGenSec;
+            const double ctraceSec = out.ctraceSec;
+            const double filterSec = out.filterSec;
+            const std::uint64_t testCases = out.testCases;
+            const std::uint64_t violations = out.confirmedViolations;
+            {
+                telemetry::SpanScope span(&tsink, "sched.report", p);
+                report(p, std::move(out));
             }
             // Campaign-phase accounting timers — the same values the
             // sink merges into per-program counters.
             auto &m = tsink.metrics();
-            m.timer("time.testGen").add(out.testGenSec);
-            m.timer("time.ctrace").add(out.ctraceSec);
-            m.timer("time.filter").add(out.filterSec);
+            m.timer("time.testGen").add(testGenSec);
+            m.timer("time.ctrace").add(ctraceSec);
+            m.timer("time.filter").add(filterSec);
             // Live heartbeat counters. progressIndex bumps once per
             // report — the shard's monotonic liveness index.
             const auto relaxed = std::memory_order_relaxed;
@@ -308,150 +282,82 @@ CampaignScheduler::run()
                 return static_cast<std::uint64_t>(sec * 1e6);
             };
             progress.programsDone.fetch_add(1, relaxed);
-            progress.testCases.fetch_add(out.testCases, relaxed);
-            progress.violations.fetch_add(out.confirmedViolations,
-                                          relaxed);
-            progress.testGenUs.fetch_add(toUs(out.testGenSec), relaxed);
-            progress.ctraceUs.fetch_add(toUs(out.ctraceSec), relaxed);
-            progress.filterUs.fetch_add(toUs(out.filterSec), relaxed);
+            progress.testCases.fetch_add(testCases, relaxed);
+            progress.violations.fetch_add(violations, relaxed);
+            progress.testGenUs.fetch_add(toUs(testGenSec), relaxed);
+            progress.ctraceUs.fetch_add(toUs(ctraceSec), relaxed);
+            progress.filterUs.fetch_add(toUs(filterSec), relaxed);
             live.currentProgram.store(p, relaxed);
             live.programsDone.fetch_add(1, relaxed);
             live.progressIndex.fetch_add(1, relaxed);
-            telemetry::SpanScope span(&tsink, "sched.report", p);
-            report(p, std::move(out));
         };
-        // Programs this shard has claimed but not yet reported. On a
-        // shard death every entry is re-leased (or quarantined after
-        // kMaxProgramAttempts deaths). The sink's single-report
-        // invariant holds because a program is owned by exactly one
-        // incarnation at a time: it leaves `outstanding` only after a
-        // successful report or by going back through the lease queue.
-        std::vector<unsigned> outstanding;
-        auto claim_mine = [&]() -> std::optional<unsigned> {
-            const std::optional<unsigned> p = claim_traced();
-            if (p)
-                outstanding.push_back(*p);
-            return p;
+        std::optional<ShardExecutor> exec;
+        // Fold a retiring executor's harness breakdown into the time.*
+        // timers, so discarded executors' work is accounted too.
+        auto retire = [&] {
+            const executor::TimeBreakdown &tb = exec->times();
+            auto &m = tsink.metrics();
+            m.timer("time.startup").add(tb.startupSec);
+            m.timer("time.prime").add(tb.primeSec);
+            m.timer("time.simulate").add(tb.simulateSec);
+            m.timer("time.traceExtract").add(tb.traceExtractSec);
+            exec.reset();
         };
-        auto report_mine = [&](unsigned p, ProgramOutcome out) {
-            report_traced(p, std::move(out));
-            outstanding.erase(
-                std::remove(outstanding.begin(), outstanding.end(), p),
-                outstanding.end());
-        };
-        unsigned deaths = 0;
-        bool gave_up = false;
-        for (;;) {
-            std::optional<ShardExecutor> exec;
-            bool clean = true;
-            try {
-                const std::optional<unsigned> first = claim_mine();
-                if (first) {
+        unsigned failures_in_a_row = 0;
+        // Run one claimed program attempt by attempt; false when the
+        // campaign is stopping on this shard's failure.
+        auto run_program = [&](unsigned p) -> bool {
+            for (unsigned attempt = 0;; ++attempt) {
+                if (!exec) {
+                    // Built outside the program scope: construction ops
+                    // are never faulted.
                     try {
                         exec.emplace(cfg_, t0, &telem, s);
                     } catch (...) {
-                        stop.store(true, std::memory_order_relaxed);
-                        std::lock_guard<std::mutex> lock(failure_mu);
-                        if (!build_failure)
-                            build_failure = std::current_exception();
-                        break;
+                        abort_campaign(std::current_exception());
+                        return false;
                     }
-                    bool first_pending = true;
-                    exec->runClaimed(
-                        [&]() -> std::optional<unsigned> {
-                            if (first_pending) {
-                                first_pending = false;
-                                return first;
-                            }
-                            return claim_mine();
-                        },
-                        streams, report_mine);
                 }
-            } catch (...) {
-                clean = false;
-                ++deaths;
-                tsink.metrics().counter("sched.shardDeaths").add();
-                std::lock_guard<std::mutex> lock(failure_mu);
-                if (!failure)
-                    failure = std::current_exception();
-            }
-            if (exec) {
-                // times() is a round trip for an out-of-process worker
-                // and can fail on its own (e.g. the worker died at the
-                // shard-end times op). The breakdown is diagnostics; a
-                // surviving campaign must not abort over it.
+                std::exception_ptr error;
+                std::string reason;
                 try {
-                    const executor::TimeBreakdown &tb = exec->times();
-                    auto &m = tsink.metrics();
-                    m.timer("time.startup").add(tb.startupSec);
-                    m.timer("time.prime").add(tb.primeSec);
-                    m.timer("time.simulate").add(tb.simulateSec);
-                    m.timer("time.traceExtract").add(tb.traceExtractSec);
+                    fault::ProgramScope scope(p, attempt);
+                    report_traced(p, exec->runProgram(p, streams[p]));
+                    failures_in_a_row = 0;
+                    return true;
+                } catch (const std::exception &e) {
+                    error = std::current_exception();
+                    reason = e.what();
                 } catch (...) {
-                    tsink.metrics()
-                        .counter("sched.timesFlushFailures")
-                        .add();
+                    error = std::current_exception();
+                    reason = "unknown exception";
+                }
+                retire();
+                tsink.noteBackendRestart();
+                if (++failures_in_a_row == kMaxFailuresInARow) {
+                    abort_campaign(error);
+                    return false;
+                }
+                if (attempt + 1 == kMaxProgramAttempts) {
+                    try {
+                        report_traced(p, core::ProgramOutcome::makeQuarantined(
+                                             std::move(reason)));
+                        return true;
+                    } catch (...) {
+                        // The program would vanish silently: an abort,
+                        // not a survivable fault.
+                        abort_campaign(std::current_exception());
+                        return false;
+                    }
                 }
             }
-            if (clean)
+        };
+        while (const std::optional<unsigned> p = claim_traced()) {
+            if (!run_program(*p))
                 break;
-            // Death: hand back what this incarnation still owed.
-            // Programs that have now died kMaxProgramAttempts times are
-            // quarantined right here instead of re-leased — this thread
-            // still owns them, so the report cannot race another
-            // shard's.
-            std::vector<unsigned> to_quarantine;
-            {
-                std::lock_guard<std::mutex> lock(lease_mu);
-                for (const unsigned p : outstanding) {
-                    if (++release_attempts[p] >= kMaxProgramAttempts)
-                        to_quarantine.push_back(p);
-                    else
-                        release_queue.push_back(p);
-                }
-            }
-            outstanding.clear();
-            for (const unsigned p : to_quarantine) {
-                try {
-                    report_traced(
-                        p, core::ProgramOutcome::makeQuarantined(
-                               "shard thread failed repeatedly while "
-                               "running this program"));
-                } catch (...) {
-                    // Containment itself failed (the quarantine record
-                    // could not be reported): the program would vanish
-                    // silently. That is an abort, not a survivable
-                    // fault.
-                    containment_broken.store(true,
-                                             std::memory_order_relaxed);
-                    stop.store(true, std::memory_order_relaxed);
-                    std::lock_guard<std::mutex> lock(failure_mu);
-                    if (!failure)
-                        failure = std::current_exception();
-                }
-            }
-            if (containment_broken.load(std::memory_order_relaxed) ||
-                deaths > kMaxShardDeaths) {
-                gave_up = true;
-                break;
-            }
-            // Reincarnate: the next iteration builds a fresh executor
-            // (fresh simulator boot, fresh worker) and serves the lease
-            // queue first — including this shard's own re-leases, so
-            // even a lone shard survives its own death.
         }
-        {
-            std::lock_guard<std::mutex> lock(lease_mu);
-            if (gave_up)
-                ++shards_gave_up;
-            --live_claimants;
-            // The last claimant walking away from a non-empty lease
-            // queue would strand re-leased programs; flag it for the
-            // post-pool verdict (harmless when stop was set on
-            // purpose).
-            if (live_claimants == 0 && !release_queue.empty())
-                work_abandoned = true;
-        }
+        if (exec)
+            retire();
     };
 
     telem.startHeartbeat();
@@ -464,23 +370,8 @@ CampaignScheduler::run()
         pool.wait();
     }
     telem.stopHeartbeat(); // emits the final snapshot line
-    if (build_failure)
-        std::rethrow_exception(build_failure);
-    // Containment verdict: a captured shard failure aborts the campaign
-    // only when containment actually lost work — every shard gave up,
-    // the quarantine path itself broke, or the pool drained with
-    // re-leased programs nobody served (and no deliberate stop). A
-    // death whose programs were re-run elsewhere (or quarantined, and
-    // so accounted for) is telemetry, not an abort.
-    {
-        std::lock_guard<std::mutex> lock(lease_mu);
-        const bool campaign_lost =
-            containment_broken.load(std::memory_order_relaxed) ||
-            shards_gave_up == jobs ||
-            (work_abandoned && !stop.load(std::memory_order_relaxed));
-        if (failure && campaign_lost)
-            std::rethrow_exception(failure);
-    }
+    if (failure)
+        std::rethrow_exception(failure);
     telem.writeTraceFile();
 
     // Final checkpoint: everything completed (including this run's tail
@@ -548,8 +439,8 @@ CampaignScheduler::run()
     // worker process on its own clock, so they are not slices of it.
     // Resumed campaigns replay past runs' seconds against this run's
     // (shorter) wall clock, so exclude them too.
-    // A chaos plan legitimately redoes work (re-leased programs,
-    // restarted workers), so the budget check only holds fault-free.
+    // A chaos plan legitimately redoes work (re-run programs), so the
+    // budget check only holds fault-free.
     if (cfg_.backend == executor::BackendKind::InProcess &&
         stats.resumedPrograms == 0 &&
         fault::FaultPlan::active() == nullptr) {

@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "runtime/fault.hh"
-
 namespace amulet::runtime
 {
 
@@ -45,10 +43,6 @@ ShardExecutor::ShardExecutor(const core::CampaignConfig &cfg,
 ProgramOutcome
 ShardExecutor::runProgram(unsigned p, Rng prog_rng)
 {
-    // Ties this program's backend wire ops to the (program, op#) fault
-    // key space (src/runtime/fault.hh); a no-op unless a chaos plan is
-    // armed. Ops outside the scope (boot, shard-end times) never fault.
-    fault::ProgramScope fault_scope(p);
     pipeline::ProgramPlan plan =
         pipeline::ProgramPlan::forProgram(p, std::move(prog_rng));
     pipeline::StageContext ctx{cfg_,          *backend_, model_,
@@ -59,28 +53,6 @@ ShardExecutor::runProgram(unsigned p, Rng prog_rng)
     // references them, so the sandbox buffers can go back to the pool.
     inputPool_.recycleAll(plan.inputs);
     return std::move(plan.outcome);
-}
-
-void
-ShardExecutor::runClaimed(const ClaimFn &claim,
-                          const std::vector<Rng> &streams,
-                          const ReportFn &report)
-{
-    while (const std::optional<unsigned> p = claim()) {
-        ProgramOutcome out;
-        try {
-            out = runProgram(*p, streams[*p]);
-        } catch (const executor::WorkerQuarantineError &e) {
-            // The out-of-process worker failed every allowed recovery
-            // attempt on one of this program's ops: the program is
-            // poisoned, not the campaign. Report it quarantined and move
-            // on — the backend respawns a fresh worker (reload +
-            // canonical-context restore) on the next program's first op,
-            // so subsequent programs are byte-identical to a clean run.
-            out = core::ProgramOutcome::makeQuarantined(e.what());
-        }
-        report(*p, std::move(out));
-    }
 }
 
 } // namespace amulet::runtime

@@ -25,10 +25,7 @@
 #ifndef AMULET_RUNTIME_SHARD_EXECUTOR_HH
 #define AMULET_RUNTIME_SHARD_EXECUTOR_HH
 
-#include <functional>
 #include <memory>
-#include <optional>
-#include <vector>
 
 #include "common/rng.hh"
 #include "contracts/leakage_model.hh"
@@ -69,25 +66,12 @@ class ShardExecutor
                   telemetry::CampaignTelemetry *telemetry = nullptr,
                   unsigned shardId = 0);
 
-    /** Run one program with its dedicated RNG stream. */
+    /** Run one program with its dedicated RNG stream. An exception
+     *  leaves the executor unfit for another program: the scheduler
+     *  discards it and re-runs the program on a fresh one. */
     ProgramOutcome runProgram(unsigned programIndex, Rng prog_rng);
 
-    /** Claim the next program index to run (nullopt: stop). */
-    using ClaimFn = std::function<std::optional<unsigned>()>;
-    /** Publish one finished program's outcome. */
-    using ReportFn =
-        std::function<void(unsigned programIndex, ProgramOutcome outcome)>;
-
-    /**
-     * Claim-run-report until the claim source dries up. @p streams
-     * holds the scheduler's pre-split per-program RNG streams, indexed
-     * by program.
-     */
-    void runClaimed(const ClaimFn &claim, const std::vector<Rng> &streams,
-                    const ReportFn &report);
-
-    /** Harness time breakdown accumulated so far (startup/sim/extract).
-     *  A round trip on an out-of-process backend. */
+    /** Harness time breakdown accumulated so far (startup/sim/extract). */
     const executor::TimeBreakdown &times() { return backend_->times(); }
 
   private:

@@ -110,7 +110,8 @@ class TelemetrySink
         }
     }
 
-    /** Count a backend worker restart (metrics + live heartbeat). */
+    /** Count a discarded executor, one per failed program attempt
+     *  (metrics + live heartbeat). */
     void
     noteBackendRestart()
     {

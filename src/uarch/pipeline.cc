@@ -1331,7 +1331,6 @@ Pipeline::skipToNextEvent(Cycle cap)
         return;
 
     const Cycle elided = park - now_;
-    defense_->tickMany(elided);
     skippedCycles_ += elided;
     ++skipWindows_;
     skipLengths_.push_back(elided);

@@ -1,18 +1,18 @@
 /**
  * @file
- * Subprocess backend recovery (src/executor/backend_subprocess.hh): the
- * backend survives killed and hung workers. Crash injection
- * (AMULET_SIM_WORKER_CRASH_AFTER), hang injection
- * (AMULET_SIM_WORKER_HANG_AFTER) and a direct SIGKILL mid-program all end
- * in results identical to an uninterrupted run; a worker that trickles
- * bytes cannot outlast the per-operation deadline, which is a finite
- * positive number of seconds, at most a day; a worker that fails
- * its hello is reaped, and one given a malformed test hook fails it; a
- * backend that cannot be built aborts the campaign; and exhausted
- * retries escalate to a per-program quarantine. The wire counters show
- * that no reply after the hello carries a full predictor context. That the subprocess backend
- * reproduces the in-process one is the backend variant of
- * tests/test_equivalence.cc.
+ * Subprocess backend failures (src/executor/backend_subprocess.hh): a
+ * killed, hung, trickling or poisoned worker fails its op with
+ * WorkerQuarantineError and is reaped, and the scheduler's one recovery
+ * rule (re-run the program on a fresh executor) makes crash and hang
+ * injection (AMULET_SIM_WORKER_CRASH_AFTER, AMULET_SIM_WORKER_HANG_AFTER)
+ * invisible in a campaign's results, while a worker that can finish no
+ * program aborts it. The per-operation deadline is a finite positive
+ * number of seconds, at most a day; a worker that fails its hello is
+ * reaped, and one given a malformed test hook fails it; a backend that
+ * cannot be built aborts the campaign. The wire counters show that no
+ * reply after the hello carries a full predictor context. That the
+ * subprocess backend reproduces the in-process one is the backend
+ * variant of tests/test_equivalence.cc.
  */
 
 #include <gtest/gtest.h>
@@ -26,13 +26,11 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "core/generator.hh"
 #include "core/input_gen.hh"
@@ -65,9 +63,13 @@ struct ScopedEnv
     const char *name_;
 };
 
-// Every subprocess worker dies after three simulator operations; the
-// backend must restart it, restore its exact pre-operation state, and
-// finish the campaign with results identical to an undisturbed run.
+/** Above the 24 mutating ops of this campaign's longest program, so
+ *  every program fits on one fresh worker. */
+constexpr const char *kCrashAfter = "25";
+
+// Every subprocess worker dies after kCrashAfter simulator operations;
+// the program it was running re-runs on a fresh executor, and the
+// campaign finishes with results identical to an undisturbed run.
 TEST(SubprocessRecovery, CrashInjectedWorkersReproduceTheCampaign)
 {
     const auto reference =
@@ -75,7 +77,7 @@ TEST(SubprocessRecovery, CrashInjectedWorkersReproduceTheCampaign)
                                       executor::BackendKind::InProcess,
                                       kSize))
             .run();
-    ScopedEnv crash("AMULET_SIM_WORKER_CRASH_AFTER", "3");
+    ScopedEnv crash("AMULET_SIM_WORKER_CRASH_AFTER", kCrashAfter);
     const auto crashed =
         core::Campaign(campaignConfig(defense::DefenseKind::Baseline, 1,
                                       executor::BackendKind::Subprocess,
@@ -83,6 +85,9 @@ TEST(SubprocessRecovery, CrashInjectedWorkersReproduceTheCampaign)
             .run();
     EXPECT_TRUE(reference.detected());
     expectEquivalent(reference, crashed);
+    EXPECT_EQ(crashed.quarantinedPrograms, 0u);
+    EXPECT_GE(metric(crashed, "backend.restarts"), 1.0)
+        << "the crash hook must actually have killed a worker";
     // The wire counters are the subprocess backend's alone.
     EXPECT_EQ(reference.metrics.count("wire.requestBytes"), 0u);
     EXPECT_EQ(reference.metrics.count("wire.replyBytes"), 0u);
@@ -90,9 +95,22 @@ TEST(SubprocessRecovery, CrashInjectedWorkersReproduceTheCampaign)
     EXPECT_GT(metric(crashed, "wire.replyBytes"), 0.0);
 }
 
-/** One generated program and two inputs, run as two one-input batches
- *  on a fresh subprocess backend: the direct-dispatch recovery tests
- *  compare an undisturbed run with a disturbed one. */
+// A worker that dies after three operations can finish no program of
+// this campaign on any fresh worker: the systemic failure the give-up
+// rule aborts (8 failed attempts in a row), not a run of quarantines.
+TEST(SubprocessRecovery, WorkersThatFinishNoProgramAbortTheCampaign)
+{
+    ScopedEnv crash("AMULET_SIM_WORKER_CRASH_AFTER", "3");
+    EXPECT_THROW(
+        core::Campaign(campaignConfig(defense::DefenseKind::Baseline, 1,
+                                      executor::BackendKind::Subprocess,
+                                      kSize))
+            .run(),
+        executor::WorkerQuarantineError);
+}
+
+/** One generated program and two inputs for the direct-dispatch
+ *  tests. */
 struct DispatchPair
 {
     executor::HarnessConfig hcfg;
@@ -114,77 +132,71 @@ struct DispatchPair
         in0 = igen.generate(0);
         in1 = igen.generate(1);
     }
-
-    /** The two batches' traces; @p between runs after the first. The
-     *  worker must restart iff the run is @p disturbed. */
-    std::pair<executor::UTrace, executor::UTrace>
-    run(const executor::BackendOptions &opts, bool disturbed,
-        const std::function<void(executor::SubprocessBackend &)> &between =
-            nullptr)
-    {
-        executor::SubprocessBackend backend(hcfg, opts);
-        backend.saveContext();
-        backend.loadProgram(prog, *flat);
-        auto first = backend.dispatchBatch({&in0}, nullptr);
-        if (between)
-            between(backend);
-        auto second = backend.dispatchBatch({&in1}, nullptr);
-        if (disturbed)
-            EXPECT_GE(backend.restarts(), 1u);
-        else
-            EXPECT_EQ(backend.restarts(), 0u);
-        return {first.runs.at(0).trace, second.runs.at(0).trace};
-    }
 };
 
-// Kill the worker process outright between dispatches; the next
-// dispatch must restart it and produce the exact traces an untouched
-// backend produces — including the predictor state carried across the
-// kill (the batch after the kill starts from the pre-kill context).
-TEST(SubprocessRecovery, SigkilledWorkerRestartsWithIdenticalResults)
+/** Expect @p pid, a worker's, to be gone: killed and reaped. */
+void
+expectReaped(int pid)
+{
+    errno = 0;
+    EXPECT_EQ(kill(pid, 0), -1);
+    EXPECT_EQ(errno, ESRCH) << "worker " << pid << " is still alive";
+}
+
+// Kill the worker process outright between dispatches: the next
+// dispatch fails and reaps it, and the backend is spent.
+TEST(SubprocessRecovery, SigkilledWorkerFailsTheNextOp)
 {
     DispatchPair pair;
-    const auto clean = pair.run({}, false);
-    const auto killed =
-        pair.run({}, true, [](executor::SubprocessBackend &backend) {
-            ASSERT_NE(backend.workerPid(), -1);
-            kill(backend.workerPid(), SIGKILL);
-        });
-    EXPECT_EQ(clean.first, killed.first);
-    EXPECT_EQ(clean.second, killed.second)
-        << "post-kill batch must start from the pre-kill predictor "
-           "context";
+    executor::SubprocessBackend backend(pair.hcfg, {});
+    backend.loadProgram(pair.prog, *pair.flat);
+    backend.dispatchBatch({&pair.in0}, nullptr);
+    const int pid = backend.workerPid();
+    ASSERT_NE(pid, -1);
+    kill(pid, SIGKILL);
+    EXPECT_THROW(backend.dispatchBatch({&pair.in1}, nullptr),
+                 executor::WorkerQuarantineError);
+    EXPECT_EQ(backend.workerPid(), -1);
+    expectReaped(pid);
 }
 
 // === Hung workers ==========================================================
 
 // A worker that wedges (stops answering without dying) must be caught
-// by the per-operation watchdog, killed, and restarted with identical
-// results — the hang-detection sibling of the crash tests above. The
-// direct dispatch pair keeps the timing tight and deterministic: its
-// ops take milliseconds, so the clean pair must see no restart under a
-// half-second deadline, and the hung pair waits that long once.
-TEST(SubprocessRecovery, HungWorkerIsTimedOutKilledAndRestarted)
+// by the per-operation watchdog and killed — the hang-detection sibling
+// of the kill test above. Its ops take milliseconds, so only the hang
+// can spend a half-second deadline, and it spends it once.
+TEST(SubprocessRecovery, HungWorkerIsTimedOutAndReaped)
 {
     DispatchPair pair;
     executor::BackendOptions opts;
     opts.opTimeoutSec = 0.5;
-    const auto clean = pair.run(opts, false);
     // The worker freezes before its 2nd mutating op; the watchdog must
     // fire instead of waiting forever.
     ScopedEnv hang("AMULET_SIM_WORKER_HANG_AFTER", "1");
-    const auto hung = pair.run(opts, true);
-    EXPECT_EQ(clean.first, hung.first);
-    EXPECT_EQ(clean.second, hung.second)
-        << "post-hang batch must start from the pre-hang predictor "
-           "context";
+    executor::SubprocessBackend backend(pair.hcfg, opts);
+    backend.loadProgram(pair.prog, *pair.flat);
+    backend.dispatchBatch({&pair.in0}, nullptr);
+    const int pid = backend.workerPid();
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_THROW(backend.dispatchBatch({&pair.in1}, nullptr),
+                 executor::WorkerQuarantineError);
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      t0)
+            .count();
+    EXPECT_GE(elapsed, opts.opTimeoutSec);
+    EXPECT_LT(elapsed, 30.0);
+    EXPECT_EQ(backend.workerPid(), -1);
+    expectReaped(pid);
 }
 
-// Campaign-level hang recovery: workers that periodically wedge must
-// still produce a campaign equivalent to an undisturbed in-process run.
-// The one-second timeout is still two orders of magnitude above a
-// legitimate (sanitizer-slowed) op of this campaign; only real hangs
-// trip it, and the one wedge costs one timeout.
+// Campaign-level hang recovery: a worker that wedges costs its program
+// one re-run on a fresh executor, and the campaign stays equivalent to
+// an undisturbed in-process run. The one-second timeout is still two
+// orders of magnitude above a legitimate (sanitizer-slowed) op of this
+// campaign; only real hangs trip it, and the one wedge costs one
+// timeout.
 TEST(SubprocessRecovery, HangInjectedWorkersReproduceTheCampaign)
 {
     auto config = [](executor::BackendKind backend) {
@@ -291,8 +303,9 @@ TEST(SubprocessWatchdog, HugeTimeoutIsClampedAndOpsComplete)
         executor::BackendOptions opts;
         opts.opTimeoutSec = sec;
         executor::SubprocessBackend backend(hcfg, opts);
+        const int pid = backend.workerPid();
         EXPECT_NO_THROW(backend.saveContext()) << sec;
-        EXPECT_EQ(backend.restarts(), 0u) << sec;
+        EXPECT_EQ(backend.workerPid(), pid) << sec;
     }
 }
 
@@ -323,15 +336,15 @@ struct ScriptWorker
 };
 
 /** The script line that prints a hello reply: a boot context with
- *  empty predictor tables (it decodes; no scripted op needs more) whose
- *  ghr is the shell word @p ghr. */
+ *  empty predictor tables (it decodes; no scripted op needs more) and a
+ *  zero time breakdown. */
 std::string
-cannedHello(const std::string &ghr = "0")
+cannedHello()
 {
-    return "printf '{\"ok\":true,\"ctx\":{\"bp\":{\"ghr\":%s,"
+    return "printf '{\"ok\":true,\"ctx\":{\"bp\":{\"ghr\":0,"
            "\"pht\":\"\",\"btbTags\":[],\"btbTargets\":[]},"
-           "\"mdp\":\"\"}}\\n' " +
-           ghr + "\n";
+           "\"mdp\":\"\"},\"times\":{\"startupSec\":0,\"primeSec\":0,"
+           "\"simulateSec\":0,\"traceExtractSec\":0}}\\n'\n";
 }
 
 // Watchdog regression: the receive deadline is per *operation*, not per
@@ -357,14 +370,14 @@ TEST(SubprocessRecovery, TricklingWorkerCannotEvadeTheWatchdog)
                                             opts);
         EXPECT_THROW(backend.saveContext(),
                      executor::WorkerQuarantineError)
-            << "a never-completing reply must exhaust the retry budget";
+            << "a never-completing reply must fail the op";
     }
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
-    // 3 attempts x 0.25 s plus backoff and process churn; anything
-    // close to a minute means the deadline reset per poll.
+    // One 0.25 s deadline plus process churn; anything close to a
+    // minute means the deadline reset per poll.
     EXPECT_LT(elapsed, 30.0);
 }
 
@@ -414,49 +427,16 @@ TEST(SubprocessRecovery, FailedHelloLeavesNoWorkerBehind)
     std::filesystem::remove(pidFile);
 }
 
-// Requests in flight are coded against the anchor of the worker that
-// died; a respawned worker that boots another context must be refused,
-// not fed deltas against a base it does not have.
-TEST(SubprocessRecovery, RespawnWithAnotherBootContextIsRefused)
-{
-    const std::string countFile =
-        (std::filesystem::temp_directory_path() /
-         ("amulet_boot_count_" + std::to_string(::getpid())))
-            .string();
-    std::filesystem::remove(countFile);
-    // Each incarnation boots a ghr one higher, then dies on its first op.
-    const ScriptWorker script(
-        "drifting_boot",
-        "n=$(cat " + countFile + " 2>/dev/null || echo 0)\n"
-        "echo $((n + 1)) > " + countFile + "\n"
-        "read line\n" +
-            cannedHello("\"$n\"") + "read line\n");
-    executor::SubprocessBackend backend(executor::HarnessConfig{},
-                                        script.options());
-    try {
-        backend.saveContext();
-        ADD_FAILURE() << "a respawn with another anchor must be refused";
-    } catch (const executor::WorkerQuarantineError &e) {
-        ADD_FAILURE() << "retried into quarantine: " << e.what();
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("booted another context"),
-                  std::string::npos)
-            << e.what();
-    }
-    EXPECT_EQ(backend.workerPid(), -1);
-    std::filesystem::remove(countFile);
-}
-
 // A context whose tables do not fit the worker's is refused in the
 // parent, before it reaches the wire: a delta against the anchor cannot
-// express it. The worker stays up and is not restarted.
+// express it. The worker stays up.
 TEST(SubprocessRecovery, ContextThatDoesNotFitIsRefusedBeforeTheWire)
 {
     executor::HarnessConfig hcfg;
     hcfg.bootInsts = 1000;
     executor::SubprocessBackend backend(hcfg, {});
     const executor::UarchContext ctx = backend.saveContext();
-    const unsigned restarts = backend.restarts();
+    const int pid = backend.workerPid();
     executor::UarchContext bad = ctx;
     bad.bp.btbTags.clear();
     bad.bp.btbTargets.clear();
@@ -470,7 +450,7 @@ TEST(SubprocessRecovery, ContextThatDoesNotFitIsRefusedBeforeTheWire)
         EXPECT_NE(what.find("does not fit"), std::string::npos) << what;
     }
     EXPECT_NO_THROW(backend.restoreContext(ctx));
-    EXPECT_EQ(backend.restarts(), restarts);
+    EXPECT_EQ(backend.workerPid(), pid);
 }
 
 // === Wire weight ===========================================================
@@ -486,6 +466,7 @@ TEST(SubprocessWire, NoOpAfterHelloShipsAFullContext)
                                   nullptr);
     executor::SubprocessBackend backend(pair.hcfg, {});
     backend.setTelemetry(&sink);
+    const int pid = backend.workerPid();
     auto bytes = [&sink](const char *counter) {
         return sink.metrics().counter(counter).value();
     };
@@ -517,16 +498,16 @@ TEST(SubprocessWire, NoOpAfterHelloShipsAFullContext)
     backend.classify(pair.in0, pair.in1, batch.startContexts[0],
                      batch.startContexts[1]);
     expectLight("classify");
-    EXPECT_EQ(backend.restarts(), 0u);
+    EXPECT_EQ(backend.workerPid(), pid);
 }
 
-// === Per-program quarantine at the backend boundary ========================
+// === Poison at the backend boundary ========================================
 
-// When every recovery attempt at one operation fails, roundTrip must
-// escalate to WorkerQuarantineError — the per-program verdict the shard
-// executor converts into a quarantined outcome — and a fresh program on
-// the same backend must still work (the poison is per-program).
-TEST(SubprocessRecovery, ExhaustedRetriesEscalateToQuarantine)
+// A poisoned program's op fails before the wire with
+// WorkerQuarantineError naming the poison, and kills the worker; the
+// next program runs on a fresh backend, as the scheduler's retry does
+// (the poison is per-program).
+TEST(SubprocessRecovery, PoisonedOpThrowsAndAFreshBackendServesTheNext)
 {
     struct PlanGuard
     {
@@ -540,14 +521,19 @@ TEST(SubprocessRecovery, ExhaustedRetriesEscalateToQuarantine)
     backend.saveContext(); // boot op: unscoped, never faulted
     {
         runtime::fault::ProgramScope scope(7);
-        EXPECT_THROW(backend.saveContext(),
-                     executor::WorkerQuarantineError);
+        try {
+            backend.saveContext();
+            ADD_FAILURE() << "a poisoned op must throw";
+        } catch (const executor::WorkerQuarantineError &e) {
+            EXPECT_NE(std::string(e.what()).find("poison"),
+                      std::string::npos)
+                << e.what();
+        }
     }
-    {
-        // A non-poisoned program right after: the backend must recover.
-        runtime::fault::ProgramScope scope(8);
-        EXPECT_NO_THROW(backend.saveContext());
-    }
+    EXPECT_EQ(backend.workerPid(), -1);
+    executor::SubprocessBackend fresh(hcfg, {});
+    runtime::fault::ProgramScope scope(8);
+    EXPECT_NO_THROW(fresh.saveContext());
 }
 
 } // namespace

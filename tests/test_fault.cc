@@ -2,11 +2,14 @@
  * @file
  * Fault-injection survivability contract (src/runtime/fault.hh): a
  * seeded chaos plan — worker crashes, dropped/garbled replies, shard
- * deaths, torn journal appends, failed checkpoint writes, poisoned
+ * failures, torn journal appends, failed checkpoint writes, poisoned
  * programs — must leave every non-poisoned program's results and
  * canonical export bytes identical to an unfaulted run, quarantine the
  * poisoned ones instead of killing the campaign, and do all of it
- * deterministically (same plan, same faults, any --jobs).
+ * deterministically (same plan, same faults, any --jobs). The one
+ * recovery rule behind it: a failed program re-runs on a fresh
+ * executor, is quarantined after 3 failed attempts, and a shard that
+ * fails 8 attempts in a row stops the campaign.
  */
 
 #include <gtest/gtest.h>
@@ -128,13 +131,46 @@ TEST(FaultPlanSpec, UnscopedOpsAndZeroRatesNeverFire)
     // Outside any ProgramScope, op keys are the unscoped sentinel.
     EXPECT_EQ(ProgramScope::nextOpKey(), ProgramScope::kUnscopedKey);
     EXPECT_EQ(ProgramScope::currentProgram(), ProgramScope::kNoProgram);
+    EXPECT_EQ(ProgramScope::currentAttempt(), 0u);
     {
         ProgramScope scope(3);
         EXPECT_EQ(ProgramScope::currentProgram(), 3u);
+        EXPECT_EQ(ProgramScope::currentAttempt(), 0u);
         EXPECT_EQ(ProgramScope::nextOpKey(), (std::uint64_t{3} << 20) | 0);
         EXPECT_EQ(ProgramScope::nextOpKey(), (std::uint64_t{3} << 20) | 1);
     }
     EXPECT_EQ(ProgramScope::nextOpKey(), ProgramScope::kUnscopedKey);
+}
+
+// A retry must be able to succeed: the program-keyed rate sites fire on
+// a program's first attempt only, checkpoint.fail (an occurrence count)
+// on every attempt, and a retry's op keys restart from 0.
+TEST(FaultPlanSpec, ProgramSitesFireOnTheFirstAttemptOnly)
+{
+    const FaultPlan plan = FaultPlan::parse(
+        "wire.crash=1000;wire.garble=1000;wire.drop=1000;shard.throw=1000;"
+        "journal.shortwrite=1000;checkpoint.fail=1000");
+    const char *const programSites[] = {"wire.crash", "wire.garble",
+                                        "wire.drop", "shard.throw",
+                                        "journal.shortwrite"};
+    {
+        ProgramScope first(3, 0);
+        for (const char *site : programSites)
+            EXPECT_TRUE(plan.fires(site, 3)) << site;
+        EXPECT_TRUE(plan.fires("checkpoint.fail", 1));
+    }
+    {
+        ProgramScope retry(3, 1);
+        EXPECT_EQ(ProgramScope::currentProgram(), 3u);
+        EXPECT_EQ(ProgramScope::currentAttempt(), 1u);
+        EXPECT_EQ(ProgramScope::nextOpKey(), (std::uint64_t{3} << 20) | 0);
+        for (const char *site : programSites)
+            EXPECT_FALSE(plan.fires(site, 3)) << site;
+        EXPECT_TRUE(plan.fires("checkpoint.fail", 1));
+        // journal.shortwrite reaches appends through this decision.
+        EXPECT_FALSE(plan.journalAppendFault(3));
+    }
+    EXPECT_EQ(ProgramScope::currentAttempt(), 0u);
 }
 
 // === Poison quarantine =====================================================
@@ -179,9 +215,6 @@ TEST(FaultCampaign, PoisonedProgramIsQuarantinedNotFatal)
         EXPECT_EQ(exportWithout(clean.corpusDir, {2}),
                   corpus::CorpusStore::exportCanonical(chaos.corpusDir));
 
-        // Quarantine exhausted the retry budget, so the restart-storm
-        // guard must have slept at least once.
-        EXPECT_GT(metric(stats, "backend.restartBackoff"), 0.0);
         EXPECT_EQ(metric(stats, "campaign.quarantinedPrograms"), 1.0);
 
         // Resume with the plan off: the quarantined program must stay
@@ -199,9 +232,9 @@ TEST(FaultCampaign, PoisonedProgramIsQuarantinedNotFatal)
 
 // === Wire chaos (crash / drop / garble) ====================================
 
-// Transient wire faults fire on the first attempt only; recovery
-// (kill, respawn, re-establish state, retry) must make them invisible
-// in results — same stats, same record bytes — at any jobs value.
+// Transient wire faults fire on a program's first attempt only; the
+// re-run on a fresh executor must make them invisible in results —
+// same stats, same record bytes — at any jobs value.
 TEST(FaultCampaign, TransientWireChaosIsInvisibleInResults)
 {
     for (unsigned jobs : {1u, 4u}) {
@@ -221,13 +254,13 @@ TEST(FaultCampaign, TransientWireChaosIsInvisibleInResults)
     }
 }
 
-// === Shard containment =====================================================
+// === In-place retry ========================================================
 
-// An injected shard-thread death must not abort the campaign: the dead
-// shard's unfinished programs are re-leased (pre-split RNG streams make
-// the re-run byte-identical) and a reincarnated claimant drains them —
-// even at jobs=1, where the dying shard is the only one.
-TEST(FaultCampaign, ShardDeathsAreContainedAndReleased)
+// An injected shard failure must not abort the campaign: the shard
+// re-runs the program on a fresh executor (pre-split RNG streams make
+// the re-run byte-identical) and carries on — even at jobs=1, where the
+// failing shard is the only one.
+TEST(FaultCampaign, ShardFailuresRetryTheProgramInPlace)
 {
     for (unsigned jobs : {1u, 4u}) {
         SCOPED_TRACE("jobs=" + std::to_string(jobs));
@@ -241,19 +274,85 @@ TEST(FaultCampaign, ShardDeathsAreContainedAndReleased)
         const auto stats = core::Campaign(chaos).run();
         expectEquivalent(ref, stats);
         EXPECT_EQ(stats.quarantinedPrograms, 0u)
-            << "shard.throw keys on (program, attempt): the re-leased "
-               "attempt must succeed, not quarantine";
-        EXPECT_GE(metric(stats, "sched.shardDeaths"), 1.0)
-            << "the plan must actually have killed a shard";
+            << "shard.throw fires on a first attempt only: the retry "
+               "must succeed, not quarantine";
+        EXPECT_GE(metric(stats, "backend.restarts"), 1.0)
+            << "the plan must actually have failed a program";
     }
+}
+
+// Every program's first attempt fails: each one re-runs once on a fresh
+// executor, none is quarantined, and the export is the clean run's.
+TEST(FaultCampaign, EveryFirstAttemptFailingCostsOneRerunEach)
+{
+    ScratchDir scratch("everyfirst");
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        const std::string tag = "j" + std::to_string(jobs);
+        core::CampaignConfig clean =
+            chaosCampaign(jobs, executor::BackendKind::InProcess);
+        clean.corpusDir = scratch.sub("clean-" + tag);
+        const auto ref = core::Campaign(clean).run();
+
+        core::CampaignConfig chaos = clean;
+        chaos.corpusDir = scratch.sub("chaos-" + tag);
+        chaos.faultPlan = "shard.throw=1000";
+        const auto stats = core::Campaign(chaos).run();
+        expectEquivalent(ref, stats);
+        EXPECT_EQ(stats.quarantinedPrograms, 0u);
+        EXPECT_EQ(metric(stats, "backend.restarts"), clean.numPrograms);
+        EXPECT_EQ(corpus::CorpusStore::exportCanonical(clean.corpusDir),
+                  corpus::CorpusStore::exportCanonical(chaos.corpusDir));
+    }
+}
+
+// Quarantines are failures without a completion: two poisoned programs
+// in a row cost six failed attempts and the campaign completes; a third
+// makes program 2's second attempt the 8th failure in a row, which
+// stops the campaign after journaling the first two quarantines.
+TEST(FaultCampaign, EightFailuresInARowStopTheCampaign)
+{
+    ScratchDir scratch("inarow");
+    core::CampaignConfig clean =
+        chaosCampaign(1, executor::BackendKind::Subprocess);
+    clean.corpusDir = scratch.sub("clean");
+    core::Campaign(clean).run();
+
+    auto quarantined = [](const std::string &dir) {
+        std::set<unsigned> programs;
+        for (const auto &q : corpus::CorpusStore::readQuarantined(dir))
+            programs.insert(q.programIndex);
+        return programs;
+    };
+
+    core::CampaignConfig two = clean;
+    two.corpusDir = scratch.sub("two");
+    two.faultPlan = "poison=0:1";
+    const auto stats = core::Campaign(two).run();
+    EXPECT_EQ(stats.quarantinedPrograms, 2u);
+    EXPECT_EQ(quarantined(two.corpusDir), (std::set<unsigned>{0, 1}));
+    EXPECT_EQ(exportWithout(clean.corpusDir, {0, 1}),
+              corpus::CorpusStore::exportCanonical(two.corpusDir));
+
+    core::CampaignConfig three = clean;
+    three.corpusDir = scratch.sub("three");
+    three.faultPlan = "poison=0:1:2";
+    try {
+        core::Campaign(three).run();
+        ADD_FAILURE() << "the 8th failure in a row must stop the campaign";
+    } catch (const executor::WorkerQuarantineError &e) {
+        EXPECT_NE(std::string(e.what()).find("poison"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(quarantined(three.corpusDir), (std::set<unsigned>{0, 1}));
 }
 
 // === Torn journal appends and failed checkpoints ===========================
 
 // A torn journal append (injected ENOSPC mid-line) must heal: the store
 // truncates back to the valid prefix, the program whose record was torn
-// stays unreported, containment re-runs it, and the second append
-// lands — final export byte-identical to an unfaulted run.
+// stays unreported, the shard re-runs it, and the second append lands —
+// final export byte-identical to an unfaulted run.
 TEST(FaultCampaign, TornJournalAppendHealsAndExportMatches)
 {
     ScratchDir scratch("torn");
@@ -268,9 +367,13 @@ TEST(FaultCampaign, TornJournalAppendHealsAndExportMatches)
     chaos.faultPlan = "seed=1;journal.once=1";
     const auto stats = core::Campaign(chaos).run();
     expectEquivalent(ref, stats);
-    EXPECT_GE(metric(stats, "sched.shardDeaths"), 1.0)
-        << "the journal fault surfaces as a shard death before "
-           "containment re-runs the program";
+    EXPECT_GE(metric(stats, "backend.restarts"), 1.0)
+        << "the journal fault fails the program's attempt before the "
+           "shard re-runs it";
+    // The report that threw accounted nothing: one campaign-phase
+    // observation per reported program, as in the clean run.
+    EXPECT_EQ(stats.metrics.at("time.testGen").count,
+              ref.metrics.at("time.testGen").count);
     EXPECT_EQ(corpus::CorpusStore::exportCanonical(clean.corpusDir),
               corpus::CorpusStore::exportCanonical(chaos.corpusDir));
 }
@@ -300,7 +403,7 @@ TEST(FaultCampaign, CheckpointWriteFailuresAreTolerated)
 // === Combined chaos (the acceptance scenario) ==============================
 
 // Everything at once: a poisoned program, transient wire faults, shard
-// deaths, a torn journal append, and failing checkpoints. The campaign
+// failures, a torn journal append, and failing checkpoints. The campaign
 // must complete with exactly the poisoned program quarantined and the
 // export for everything else byte-identical to the clean run — at
 // jobs=1 and jobs=4.

@@ -159,7 +159,7 @@ recordDumps()
     return out;
 }
 
-/** Batch reply bodies: a full context, deltas and an endCtx delta. */
+/** Batch reply bodies: a full context and a delta. */
 std::vector<std::string>
 batchBodies()
 {
@@ -175,8 +175,7 @@ batchBodies()
         batch.startContexts = {rec.ctxA, trained};
         batch.extras.resize(2);
         batch.extras[1] = {rec.traceB};
-        out.push_back(
-            executor::protocol::batchOutputToJson(batch, &rec.ctxA).dump());
+        out.push_back(executor::protocol::batchOutputToJson(batch).dump());
     }
     return out;
 }
@@ -225,9 +224,7 @@ TEST(ParserMutation, WireDecodersRefuseWithCorpusError)
 {
     expectMutantsParseOrThrow<corpus::CorpusError>(
         batchBodies(), [](const std::string &text) {
-            executor::UarchContext endCtx;
-            executor::protocol::batchOutputFromJson(Json::parse(text),
-                                                    &endCtx);
+            executor::protocol::batchOutputFromJson(Json::parse(text));
         });
     expectMutantsParseOrThrow<corpus::CorpusError>(
         batchRequests(), [](const std::string &text) {

@@ -111,19 +111,16 @@ expectSameContext(const UarchContext &a, const UarchContext &b)
 }
 
 /** Encode, dump, reparse and decode, rooted at @p anchor; check the
- *  batch and endCtx come back exactly and that the re-encoding is
+ *  batch comes back exactly and that the re-encoding is
  *  byte-identical. */
 void
 expectRoundTrip(const SimHarness::BatchOutput &out,
-                const UarchContext &endCtx,
                 const UarchContext *anchor = nullptr)
 {
     const std::string text =
-        executor::protocol::batchOutputToJson(out, &endCtx, anchor).dump();
-    UarchContext endBack;
+        executor::protocol::batchOutputToJson(out, anchor).dump();
     const SimHarness::BatchOutput back =
-        executor::protocol::batchOutputFromJson(Json::parse(text),
-                                                &endBack, anchor);
+        executor::protocol::batchOutputFromJson(Json::parse(text), anchor);
     ASSERT_EQ(back.runs.size(), out.runs.size());
     for (std::size_t i = 0; i < out.runs.size(); ++i) {
         EXPECT_TRUE(back.runs[i].trace == out.runs[i].trace);
@@ -134,10 +131,8 @@ expectRoundTrip(const SimHarness::BatchOutput &out,
         expectSameContext(back.startContexts[i], out.startContexts[i]);
     EXPECT_EQ(back.extras, out.extras);
     EXPECT_EQ(back.hitCycleCap, out.hitCycleCap);
-    expectSameContext(endBack, endCtx);
-    EXPECT_EQ(
-        executor::protocol::batchOutputToJson(back, &endBack, anchor).dump(),
-        text);
+    EXPECT_EQ(executor::protocol::batchOutputToJson(back, anchor).dump(),
+              text);
 }
 
 TEST(SimProtocol, BatchRoundTripsAcrossSizesAndSeeds)
@@ -150,16 +145,13 @@ TEST(SimProtocol, BatchRoundTripsAcrossSizesAndSeeds)
             };
             SimHarness::BatchOutput out = makeBatch(rng, runs, train);
             out.hitCycleCap = seed % 2;
-            const UarchContext endCtx =
-                runs ? mutated(out.startContexts.back(), rng)
-                     : randomContext(rng);
-            expectRoundTrip(out, endCtx);
+            expectRoundTrip(out);
             // Rooted at an anchor a few entries away, as the worker
             // sends it.
             const UarchContext anchor =
                 runs ? mutated(out.startContexts.front(), rng)
-                     : mutated(endCtx, rng);
-            expectRoundTrip(out, endCtx, &anchor);
+                     : randomContext(rng);
+            expectRoundTrip(out, &anchor);
             // The bench's body-only encoding still decodes.
             const auto back = executor::protocol::batchOutputFromJson(
                 executor::protocol::batchOutputToJson(out));
@@ -182,22 +174,23 @@ TEST(SimProtocol, DeltaCoversEveryKindOfNeighbour)
     ctx.bp.btbTargets[ctx.bp.btbTargets.size() - 1] += 4;
     out.startContexts.push_back(ctx); // single BTB slot, target only
     out.startContexts.push_back(randomContext(rng)); // fully different
+    ctx = out.startContexts.back();
+    ctx.bp.ghr ^= 0x80000000u;
+    out.startContexts.push_back(ctx); // ghr-only change
     for (std::size_t i = 0; i < out.startContexts.size(); ++i) {
         out.runs.push_back(randomRun(rng));
         out.extras.emplace_back();
     }
-    UarchContext endCtx = out.startContexts.back();
-    endCtx.bp.ghr ^= 0x80000000u; // ghr-only change
-    expectRoundTrip(out, endCtx);
+    expectRoundTrip(out);
 
     // Without an anchor only contexts[0] travels in full: a one-entry
     // change costs bytes, not kilobytes.
-    const Json body = executor::protocol::batchOutputToJson(out, &endCtx);
+    const Json body = executor::protocol::batchOutputToJson(out);
     const auto &contexts = body.at("contexts").items();
     EXPECT_GT(contexts[0].dump().size(), 8000u);
     for (std::size_t i = 1; i <= 4; ++i)
         EXPECT_LT(contexts[i].dump().size(), 96u) << "context " << i;
-    EXPECT_LT(body.at("endCtx").dump().size(), 64u);
+    EXPECT_LT(contexts[6].dump().size(), 64u) << "ghr-only context";
 }
 
 /** The bytes of @p next that differ from @p base as a flat [index,
@@ -351,14 +344,13 @@ TEST(SimProtocol, HostileDeltasThrowCorpusError)
                      corpus::CorpusError)
             << what;
         EXPECT_THROW(executor::protocol::batchOutputFromJson(
-                         anchoredRoot(d), nullptr, &anchor),
+                         anchoredRoot(d), &anchor),
                      corpus::CorpusError)
             << "anchored root: " << what;
     }
     // A full context where the anchored root's delta belongs.
     EXPECT_THROW(executor::protocol::batchOutputFromJson(
-                     anchoredRoot(corpus::encode(anchor)), nullptr,
-                     &anchor),
+                     anchoredRoot(corpus::encode(anchor)), &anchor),
                  corpus::CorpusError);
 
     Json wideGhr = delta(none, none, none);
@@ -372,15 +364,6 @@ TEST(SimProtocol, HostileDeltasThrowCorpusError)
     EXPECT_THROW(
         executor::protocol::batchOutputFromJson(bodyWithDelta(noGhr)),
         corpus::CorpusError);
-
-    // A hostile endCtx, and a required endCtx that is missing.
-    Json body = bodyWithDelta(delta(none, none, none));
-    UarchContext endCtx;
-    EXPECT_THROW(executor::protocol::batchOutputFromJson(body, &endCtx),
-                 corpus::CorpusError);
-    body.set("endCtx", delta(numbers({phtSize + 9, 0}), none, none));
-    EXPECT_THROW(executor::protocol::batchOutputFromJson(body, &endCtx),
-                 corpus::CorpusError);
 }
 
 TEST(SimProtocol, DeltaAgainstMalformedFullContextStaysInBounds)
@@ -415,10 +398,9 @@ pinnedContext()
 }
 
 /** The pinned batch: three runs whose contexts start at
- *  pinnedContext() and train a few entries each; @p endCtx gets the
- *  context after the last run. */
+ *  pinnedContext() and train a few entries each. */
 SimHarness::BatchOutput
-pinnedBatch(UarchContext &endCtx)
+pinnedBatch()
 {
     UarchContext ctx = pinnedContext();
     SimHarness::BatchOutput out;
@@ -442,10 +424,17 @@ pinnedBatch(UarchContext &endCtx)
         out.extras.push_back(std::move(extra));
     }
     out.hitCycleCap = true;
-    endCtx = ctx;
-    endCtx.bp.pht[0] = 3;
-    endCtx.bp.btbTargets[2] = 0;
     return out;
+}
+
+/** The context after the pinned batch's last run. */
+UarchContext
+pinnedTrained()
+{
+    UarchContext ctx = pinnedBatch().startContexts.back();
+    ctx.bp.pht[0] = 3;
+    ctx.bp.btbTargets[2] = 0;
+    return ctx;
 }
 
 /** The anchor of the v7 pins: pinnedContext() before a few entries
@@ -463,15 +452,14 @@ pinnedAnchor()
 }
 
 // Wire bytes pinned before the leaf codecs moved onto field tables: a
-// batch body with three contexts (one full, two deltas) and an endCtx
-// delta. This is the body without an anchor, which perfbench weighs.
+// batch body with three contexts (one full, two deltas). This is the
+// body without an anchor, which perfbench weighs.
 TEST(SimProtocol, BatchBodyMatchesPinnedBytes)
 {
-    UarchContext endCtx;
-    const SimHarness::BatchOutput out = pinnedBatch(endCtx);
+    const SimHarness::BatchOutput out = pinnedBatch();
 
     const std::string body =
-        executor::protocol::batchOutputToJson(out, &endCtx).dump();
+        executor::protocol::batchOutputToJson(out).dump();
     EXPECT_EQ(body,
               R"({"runs":[{"trace":{"format":"l1dtlb","words":[15118865424059)"
               R"(465728,0]},"run":{"halted":true,"cycles":100,"committedInsts)"
@@ -486,26 +474,21 @@ TEST(SimProtocol, BatchBodyMatchesPinnedBytes)
               R"(ff"},{"ghr":1445,"pht":[6,0],"btb":[0,4194336,12],"mdp":[]},)"
               R"({"ghr":2891,"pht":[],"btb":[],"mdp":[1,1]}],"extras":[[{"for)"
               R"(mat":"bpstate","words":[0]}],[{"format":"bpstate","words":[1)"
-              R"(]}],[{"format":"bpstate","words":[2]}]],"hitCycleCap":true,")"
-              R"(endCtx":{"ghr":2891,"pht":[0,3],"btb":[2,1844674407370955161)"
-              R"(5,0],"mdp":[]}})");
-    UarchContext endBack;
+              R"(]}],[{"format":"bpstate","words":[2]}]],"hitCycleCap":true})");
     const SimHarness::BatchOutput back =
-        executor::protocol::batchOutputFromJson(Json::parse(body), &endBack);
-    EXPECT_EQ(executor::protocol::batchOutputToJson(back, &endBack).dump(),
-              body);
+        executor::protocol::batchOutputFromJson(Json::parse(body));
+    EXPECT_EQ(executor::protocol::batchOutputToJson(back).dump(), body);
 }
 
 // The protocol v7 body: rooted at the worker's anchor, contexts[0] is a
 // delta too, so no context in it travels in full.
 TEST(SimProtocol, AnchoredBatchBodyMatchesPinnedBytes)
 {
-    UarchContext endCtx;
-    const SimHarness::BatchOutput out = pinnedBatch(endCtx);
+    const SimHarness::BatchOutput out = pinnedBatch();
     const UarchContext anchor = pinnedAnchor();
 
     const std::string body =
-        executor::protocol::batchOutputToJson(out, &endCtx, &anchor).dump();
+        executor::protocol::batchOutputToJson(out, &anchor).dump();
     EXPECT_EQ(body,
               R"({"runs":[{"trace":{"format":"l1dtlb","words":[15118865424059)"
               R"(465728,0]},"run":{"halted":true,"cycles":100,"committedInsts)"
@@ -519,16 +502,11 @@ TEST(SimProtocol, AnchoredBatchBodyMatchesPinnedBytes)
               R"(ghr":1445,"pht":[6,0],"btb":[0,4194336,12],"mdp":[]},{"ghr":)"
               R"(2891,"pht":[],"btb":[],"mdp":[1,1]}],"extras":[[{"format":"b)"
               R"(pstate","words":[0]}],[{"format":"bpstate","words":[1]}],[{")"
-              R"(format":"bpstate","words":[2]}]],"hitCycleCap":true,"endCtx")"
-              R"(:{"ghr":2891,"pht":[0,3],"btb":[2,18446744073709551615,0],"m)"
-              R"(dp":[]}})");
-    UarchContext endBack;
+              R"(format":"bpstate","words":[2]}]],"hitCycleCap":true})");
     const SimHarness::BatchOutput back =
-        executor::protocol::batchOutputFromJson(Json::parse(body), &endBack,
-                                                &anchor);
-    EXPECT_EQ(
-        executor::protocol::batchOutputToJson(back, &endBack, &anchor).dump(),
-        body);
+        executor::protocol::batchOutputFromJson(Json::parse(body), &anchor);
+    EXPECT_EQ(executor::protocol::batchOutputToJson(back, &anchor).dump(),
+              body);
 }
 
 // The protocol v7 requests that carry contexts, built as
@@ -538,8 +516,7 @@ TEST(SimProtocol, AnchoredBatchBodyMatchesPinnedBytes)
 TEST(SimProtocol, ContextRequestsMatchPinnedBytes)
 {
     const UarchContext anchor = pinnedAnchor();
-    UarchContext trained;
-    pinnedBatch(trained);
+    const UarchContext trained = pinnedTrained();
     using executor::protocol::contextToWire;
 
     Json restore = Json::object();
@@ -657,8 +634,7 @@ TEST(SimProtocol, InputRequestsMatchPinnedBytes)
 {
     using namespace executor::protocol;
     const UarchContext anchor = pinnedAnchor();
-    UarchContext trained;
-    pinnedBatch(trained);
+    const UarchContext trained = pinnedTrained();
     const std::vector<executor::TraceFormat> extras = {
         executor::TraceFormat::BpState};
 

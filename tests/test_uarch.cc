@@ -692,7 +692,6 @@ class BookkeepingAudit final : public defense::Defense
     {
         return inner_->nextEventCycle(now);
     }
-    void tickMany(Cycle cycles) override { inner_->tickMany(cycles); }
 
     void
     tick() override
